@@ -102,8 +102,16 @@ def _need(spec: dict, key: str):
     return spec[key]
 
 
+def _need_floats(spec: dict, key: str) -> list:
+    values = _need(spec, key)
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise InputError(f"{key!r} must be a list of numbers, got {values!r}") from None
+
+
 def _cube_from_spec(spec: dict) -> Cube:
-    return Cube(Point(tuple(spec["center"])), float(spec["side"]))
+    return Cube(Point(tuple(_need(spec, "center"))), float(_need(spec, "side")))
 
 
 def _generator_from_spec(spec: dict, ctx: _RunContext) -> Generator:
@@ -118,7 +126,7 @@ def _generator_from_spec(spec: dict, ctx: _RunContext) -> Generator:
 
 def _cmd_density(spec, ctx):
     points = ingest_points(_need(spec, "points"), base_dir=ctx.base_dir)
-    profile = density_profile(points, _need(spec, "h_values"))
+    profile = density_profile(points, _need_floats(spec, "h_values"))
     rows = [
         (r.h, r.nu_lower, r.nu_upper, r.ratio_lower, r.ratio_upper) for r in profile.rows
     ]
@@ -169,7 +177,7 @@ def _cmd_blowup(spec, ctx):
 
 def _cmd_cq_sweep(spec, ctx):
     sys_ = ingest_system(_need(spec, "system"), base_dir=ctx.base_dir)
-    sweep = cq_indicator_sweep(sys_, _need(spec, "h_values"))
+    sweep = cq_indicator_sweep(sys_, _need_floats(spec, "h_values"))
     p = sys_.p.p
     ok = all(
         r.p_power_sum <= r.q_norm**p * r.localized_mass * (1 + 1e-12) for r in sweep.rows
@@ -200,7 +208,7 @@ def _cmd_mass_decay(spec, ctx):
     rows = mass_decay_sweep(
         gen,
         Point(tuple(_need(spec, "x"))),
-        _need(spec, "h_values"),
+        _need_floats(spec, "h_values"),
         float(_need(spec, "p")),
     )
     verdicts = {"monotone": all(b <= a for (_, a), (_, b) in zip(rows, rows[1:]))}
@@ -259,7 +267,7 @@ def _cmd_dichotomy(spec, ctx):
     tol = {**spec.get("tolerances", {}), **spec}  # flat keys win over the block
     config = DichotomyConfig(
         truncation_radii=tuple(_need(spec, "truncation_radii")),
-        sweep_h_values=tuple(_need(spec, "h_values")),
+        sweep_h_values=tuple(_need_floats(spec, "h_values")),
         p_prime=float(_need(spec, "p_prime")),
         bessel_tests=tuple(ingest_function(t, base_dir=ctx.base_dir) for t in tests)
         if tests

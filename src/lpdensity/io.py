@@ -15,6 +15,8 @@ import warnings
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import InputError, PreconditionError
 from .lpfunc import Box, ExponentPair, PiecewiseFn, canonicalize, sample_catalog_function
 from .pointset import (
@@ -90,7 +92,10 @@ def point_set_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PointSet
             window = spec["window"]
             offset = spec.get("offset")
             if "basis" in spec:
-                return make_lattice_basis(spec["basis"], window, offset=offset)
+                try:
+                    return make_lattice_basis(spec["basis"], window, offset=offset)
+                except np.linalg.LinAlgError as exc:
+                    raise InputError(f"lattice basis {spec['basis']} is not invertible: {exc}") from None
             return make_lattice(
                 spec["spacing"], window, int(spec.get("dimension", 1)), offset=offset
             )
@@ -176,6 +181,8 @@ def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> Piecewise
 
 
 def _cube_spec_box(c: dict) -> Box:
+    if "center" not in c or "side" not in c:
+        raise InputError(f"cube spec needs 'center' and 'side', got keys {sorted(c)}")
     center = tuple(float(v) for v in c["center"])
     side = float(c["side"])
     return Box(tuple(v - side / 2 for v in center), tuple(v + side / 2 for v in center))

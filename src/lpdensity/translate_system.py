@@ -9,6 +9,7 @@ report.  Infinite index sets enter only through provenance-backed
 truncations; every certified quantity refers to the truncation at hand.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,6 +21,7 @@ from .lpfunc import (
     Box,
     ExponentPair,
     PiecewiseFn,
+    cross_pairings,
     indicator,
     lp_norm,
     lp_norm_pow,
@@ -222,6 +224,21 @@ def bessel_bound_estimate(
     )
 
 
+# keys per kernel call in the witness's grid search; a failing window usually
+# fails in its first batch, so a large window is rarely paired in full
+_GRID_BATCH = 1024
+
+
+def _exceeds(values: np.ndarray, epsilon: float) -> np.ndarray:
+    # |v| > epsilon as Python's abs decides it: numpy's complex modulus can
+    # differ from abs() in the last bit, so moduli near epsilon are redone
+    mod = np.abs(values)
+    out = mod > epsilon
+    for k in np.flatnonzero(np.abs(mod - epsilon) <= 1e-12 * epsilon):
+        out[k] = abs(complex(values[k])) > epsilon
+    return out
+
+
 def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
     """Candidate centers beta for side-h windows, ranked by #(gamma in Q_h(beta)).
 
@@ -264,13 +281,7 @@ def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
     for family in (scored, centered):
         family.sort(key=lambda t: (-t[0], t[1]))
         out.extend(corner for _, corner in family[:limit])
-    seen = set()
-    unique = []
-    for center in out:
-        if center not in seen:
-            seen.add(center)
-            unique.append(center)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def blowup_witness(
@@ -282,7 +293,8 @@ def blowup_witness(
     max_candidates: int = 512,
 ):
     """Certified mass witness: a center beta and the number of sites gamma with
-    |<T_gamma f, T_beta f_dual>| > epsilon, all verified by direct pairing.
+    |<T_gamma f, T_beta f_dual>| > epsilon, all verified by exact pairing
+    (cross_pairings, which reproduces the scalar pair bit for bit).
 
     The pairing x -> <T_x f, f_dual> is continuous and piecewise multilinear,
     so a grid with step a quarter of the minimal piece side locates a cube
@@ -315,43 +327,35 @@ def blowup_witness(
 
     cache = {}
 
-    def grid_ok(key) -> bool:
-        if key not in cache:
-            x = tuple(k * step for k in key)
-            cache[key] = abs(pair(translate(f, x), f_dual)) > epsilon
-        return cache[key]
-
-    def keys_in_window(m):
+    def window_ok(m) -> bool:
         # grid indices k with k*step in [-m*step/2, m*step/2) per coordinate
-        if m % 2 == 0:
-            rng = range(-m // 2, m // 2)
-        else:
-            rng = range(-(m - 1) // 2, (m - 1) // 2 + 1)
-        return _product_keys(rng, d)
+        keys = list(itertools.product(range(-(m // 2), m - m // 2), repeat=d))
+        new = [key for key in keys if key not in cache]
+        for b0 in range(0, len(new), _GRID_BATCH):
+            batch = new[b0 : b0 + _GRID_BATCH]
+            ok = _exceeds(cross_pairings(f, f_dual, np.multiply(batch, step)), epsilon)
+            cache.update(zip(batch, ok))
+            if not ok.all():
+                return False
+        return all(cache[key] for key in keys)
 
     # validity is monotone in m (smaller windows sample subset grids), and
     # m = 1 always passes since |g(0)| > epsilon
     lo, hi = 1, 2 * kmax
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if all(grid_ok(key) for key in keys_in_window(mid)):
+        if window_ok(mid):
             lo = mid
         else:
             hi = mid - 1
     h = lo * step
 
-    shifted = [(site.coords, translate(f, site)) for site in _sorted_sites(gamma)]
+    sites = gamma.as_array
     best_count = -1
     best_beta = None
     for beta in _window_center_candidates(gamma, h, max_candidates):
-        t_dual = translate(f_dual, beta)
-        t_box = t_dual.support_box
-        count = 0
-        for coords, tf in shifted:
-            if not _shift_overlaps(fb, coords, t_box):
-                continue
-            if abs(pair(tf, t_dual)) > epsilon:
-                count += 1
+        values = cross_pairings(f, translate(f_dual, beta), sites)
+        count = int(np.count_nonzero(_exceeds(values, epsilon)))
         if count > best_count:
             best_count = count
             best_beta = beta
@@ -363,15 +367,6 @@ def blowup_witness(
         epsilon=epsilon,
         p_prime=p_prime,
     )
-
-
-def _product_keys(rng, d):
-    if d == 1:
-        return [(k,) for k in rng]
-    out = [()]
-    for _ in range(d):
-        out = [key + (k,) for key in out for k in rng]
-    return out
 
 
 # ---------------------------------------------------------------------------

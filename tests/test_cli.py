@@ -173,6 +173,60 @@ def test_window_precondition_exits_3(tmp_path):
     assert main(["density", "--spec", spec, "--out", str(tmp_path)]) == 3
 
 
+UNIT_SPEC = {"kind": "indicator", "box": {"lower": [0.0], "upper": [1.0]}}
+
+
+def _run_exit(tmp_path, capsys, payload):
+    spec = write_spec(tmp_path, "spec.json", payload)
+    code = main(["run", "--spec", spec, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err.strip()
+
+
+def test_cube_without_side_exits_2(tmp_path, capsys):
+    lattice = {"kind": "lattice", "spacing": 1.0, "window": 5, "dimension": 1}
+    code, err = _run_exit(
+        tmp_path,
+        capsys,
+        {
+            "command": "localized-mass",
+            "generator": {"f": UNIT_SPEC, "gamma": lattice},
+            "cube": {"center": [0.0]},
+            "p": 2.0,
+        },
+    )
+    assert code == 2 and "'side'" in err and "\n" not in err
+    # the same omission inside a function spec
+    code, err = _run_exit(
+        tmp_path,
+        capsys,
+        {"command": "pair", "h": {"kind": "indicator", "cube": {"center": [0.0]}}, "f": UNIT_SPEC},
+    )
+    assert code == 2 and "'side'" in err and "\n" not in err
+
+
+def test_singular_lattice_basis_exits_2(tmp_path, capsys):
+    code, err = _run_exit(
+        tmp_path,
+        capsys,
+        {
+            "command": "density",
+            "points": {"kind": "lattice", "basis": [[1.0, 0.0], [2.0, 0.0]], "window": 3},
+            "h_values": [1.0, 2.0],
+        },
+    )
+    assert code == 2 and "not invertible" in err and "\n" not in err
+
+
+def test_non_numeric_h_values_exit_2(tmp_path, capsys):
+    lattice = {"kind": "lattice", "spacing": 1.0, "window": 5, "dimension": 1}
+    code, err = _run_exit(
+        tmp_path, capsys, {"command": "density", "points": lattice, "h_values": ["x"]}
+    )
+    assert code == 2 and "h_values" in err and "\n" not in err
+
+
 def test_cq_sweep_command(tmp_path):
     spec = write_spec(
         tmp_path,

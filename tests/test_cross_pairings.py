@@ -1,0 +1,329 @@
+"""The batched pairing kernel against the scalar pair it replaces.
+
+`cross_pairings(h, f, shifts)[i]` must carry the same bits as
+`pair(translate(h, shifts[i]), f)`, and the blowup witness built on it must
+count exactly what the per-site scalar loop counted.
+"""
+
+import math
+import struct
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lpdensity import (
+    Box,
+    PiecewiseFn,
+    PointSet,
+    PreconditionError,
+    blowup_witness,
+    cross_pairings,
+    pair,
+    pt,
+    sample_catalog_function,
+    scale,
+    translate,
+)
+from lpdensity import lpfunc
+from lpdensity.errors import DimensionMismatchError
+from lpdensity.translate_system import _exceeds, _window_center_candidates
+
+
+def bits(z: complex) -> bytes:
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def assert_matches_scalar(h, f, shifts):
+    got = cross_pairings(h, f, shifts)
+    assert got.shape == (len(shifts),)
+    for s, g in zip(shifts, got):
+        assert bits(g) == bits(pair(translate(h, tuple(s)), f)), s
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+# endpoints on dyadic, ternary and decimal grids, plus arbitrary floats
+endpoints = st.one_of(
+    st.integers(-48, 48).map(lambda k: k / 16),
+    st.integers(-24, 24).map(lambda k: k / 3),
+    st.integers(-30, 30).map(lambda k: k / 10),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
+parts = st.floats(-8.0, 8.0, allow_nan=False).filter(lambda x: x == 0 or abs(x) > 1e-6)
+values = st.one_of(parts.map(complex), st.builds(complex, parts, parts))
+cuts = st.lists(endpoints, min_size=2, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def step_functions(draw, dim):
+    """Disjoint pieces in a guillotine layout: strips along one axis, each cut
+    independently along the other, so upper[0] is not monotone in the
+    lexicographic piece order when the strips run along axis 1."""
+    if dim == 1:
+        xs = draw(cuts)
+        pieces = [(Box((a,), (b,)), draw(values)) for a, b in zip(xs, xs[1:])]
+    else:
+        strips = draw(cuts)
+        across_axis0 = draw(st.booleans())
+        pieces = []
+        for a, b in zip(strips, strips[1:]):
+            inner = draw(cuts)
+            for c, e in zip(inner, inner[1:]):
+                lo, up = ((c, a), (e, b)) if across_axis0 else ((a, c), (b, e))
+                pieces.append((Box(lo, up), draw(values)))
+    return PiecewiseFn(tuple(pieces), dim)
+
+
+def shift_arrays(dim):
+    coord = st.one_of(
+        endpoints,
+        st.floats(-12.0, 12.0, allow_nan=False),
+        st.sampled_from([-100.0, 100.0, 1e6]),  # no overlap at all
+    )
+    return st.lists(st.tuples(*[coord] * dim), max_size=12).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, dim)
+    )
+
+
+@st.composite
+def kernel_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    return draw(step_functions(dim)), draw(step_functions(dim)), draw(shift_arrays(dim))
+
+
+# (tile size, dense limit): the defaults, one row and one candidate per tile
+# with every pair pruned, and every pair evaluated densely
+layouts = st.sampled_from([(lpfunc._TILE, lpfunc._DENSE_PAIRS), (1, 0), (5, 0), (5, 10**9)])
+
+
+# ---------------------------------------------------------------------------
+# kernel entries against the scalar pair
+
+
+@settings(max_examples=300)
+@given(kernel_cases(), layouts)
+def test_kernel_is_bit_identical_to_scalar_pair(case, layout):
+    h, f, shifts = case
+    with mock.patch.multiple(lpfunc, _TILE=layout[0], _DENSE_PAIRS=layout[1]):
+        try:
+            translated = [translate(h, tuple(s)) for s in shifts]
+        except PreconditionError:
+            # a shift collapses a piece of h: translate refuses it, so must the kernel
+            with pytest.raises(PreconditionError):
+                cross_pairings(h, f, shifts)
+            return
+        got = cross_pairings(h, f, shifts)
+    for s, th, g in zip(shifts, translated, got):
+        assert bits(g) == bits(pair(th, f)), s
+
+
+def test_sampled_functions_on_grid_and_off_grid_shifts():
+    gauss, _ = sample_catalog_function("gaussian", 1 / 8, Box((-3.0,), (3.0,)), 2.0)
+    tent, _ = sample_catalog_function("tent", 1 / 3, Box((-1.0,), (1.0,)), 2.0)
+    shifts = np.array([[k / 8] for k in range(-60, 61, 7)] + [[1 / k] for k in range(1, 30)])
+    assert_matches_scalar(gauss, tent, shifts)
+    assert_matches_scalar(tent, gauss, shifts)
+    assert_matches_scalar(gauss, gauss, shifts)
+
+
+def test_pruned_path_with_non_monotone_upper_corners():
+    # a wide bottom strip sorts first, then narrow pieces above it: the pieces'
+    # upper[0] goes down and up again, which a plain bisection would miss
+    pieces = [(Box((0.0, 0.0), (4.0, 1.0)), 1 + 2j)]
+    pieces += [(Box((k / 2, 1.0), (k / 2 + 0.5, 2.0)), complex(k, -1)) for k in range(8)]
+    pieces += [(Box((k / 3, 2.0), ((k + 1) / 3, 2.5)), complex(0.5, k)) for k in range(12)]
+    f = PiecewiseFn(tuple(pieces), 2)
+    shifts = np.array([[x / 7, y / 5] for x in range(-30, 31, 4) for y in range(-12, 13, 3)])
+    assert_matches_scalar(f, f, shifts)
+
+
+def test_empty_shifts_and_zero_functions():
+    h = PiecewiseFn(((Box((0.0,), (1.0,)), 1j),), 1)
+    zero = PiecewiseFn((), 1)
+    for shifts in (np.zeros((0, 1)), np.zeros(0), []):
+        got = cross_pairings(h, h, shifts)
+        assert got.shape == (0,) and got.dtype == complex
+    assert cross_pairings(zero, h, [[0.5]]).tolist() == [0j]
+    assert cross_pairings(h, zero, [0.5, 2.0]).tolist() == [0j, 0j]
+
+
+def test_shifts_with_no_overlap_are_zero():
+    h = PiecewiseFn(((Box((0.0,), (1.0,)), 3.0), (Box((1.0,), (2.0,)), -1j)), 1)
+    got = cross_pairings(h, h, [[2.0], [-2.0], [50.0], [-1e9]])
+    assert [bits(g) for g in got] == [bits(0j)] * 4
+
+
+def test_bad_shifts_are_refused():
+    h = PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)
+    with pytest.raises(DimensionMismatchError):
+        cross_pairings(h, h, [[0.0, 0.0, 0.0]])
+    with pytest.raises(DimensionMismatchError):
+        cross_pairings(h, PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1), [[0.0, 0.0]])
+    with pytest.raises(PreconditionError):
+        cross_pairings(h, h, [[0.0, math.nan]])
+    with pytest.raises(PreconditionError):
+        cross_pairings(h, h, [[math.inf, 0.0]])
+
+
+def test_shift_that_collapses_a_piece_is_refused_like_translate():
+    h = PiecewiseFn(((Box((0.0,), (1e-12,)), 1.0),), 1)
+    with pytest.raises(PreconditionError):
+        translate(h, 1e6)
+    with pytest.raises(PreconditionError):
+        cross_pairings(h, h, [[0.0], [1e6]])
+
+
+def test_rows_whose_translation_re_sorts_the_pieces_follow_translate():
+    # after adding 1 to axis 0, A's lower corner ties with B's and C's, so
+    # translate re-sorts the pieces to B, C, A and sums in that order
+    a = (Box((0.0, 5.0), (1.0, 6.0)), 1.0)
+    b = (Box((1e-20, 0.0), (2.0, 1.0)), 5e-17)
+    c = (Box((1e-20, 1.0), (2.0, 2.0)), 5e-17)
+    h = PiecewiseFn((a, b, c), 2)
+    f = PiecewiseFn(((Box((-10.0, -10.0), (10.0, 10.0)), 1.0),), 2)
+    moved = translate(h, (1.0, 0.0))
+    assert [v for _, v in moved.pieces] == [5e-17, 5e-17, 1.0]
+    # the sum in h's own order would round differently
+    assert (1.0 + 1e-16) + 1e-16 != (1e-16 + 1e-16) + 1.0
+    assert_matches_scalar(h, f, np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]]))
+
+
+def test_memory_stays_bounded_on_large_functions():
+    # 384 x 384 piece pairs at 2000 shifts: an unpruned broadcast would hold
+    # 2000 * 384 * 384 complex terms, about 4.7 GB
+    gauss, _ = sample_catalog_function("gaussian", 1 / 64, Box((-3.0,), (3.0,)), 2.0)
+    assert len(gauss.pieces) == 384
+    shifts = np.array([[1 / k] for k in range(1, 2001)])
+    tracemalloc.start()
+    try:
+        got = cross_pairings(gauss, gauss, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    for k in (0, 1, 2, 63, 999, 1999):
+        assert bits(got[k]) == bits(pair(translate(gauss, tuple(shifts[k])), gauss))
+
+
+# ---------------------------------------------------------------------------
+# the witness against the scalar loop it replaced
+
+
+def scalar_grid_side(f, f_dual, epsilon):
+    """The witness's epsilon-grid search with one scalar pair per grid point."""
+    d = f.dimension
+    step = min(f.min_piece_side, f_dual.min_piece_side) / 4.0
+    fb, db = f.support_box, f_dual.support_box
+    reach = max(
+        max(abs(db.lower[j] - fb.upper[j]), abs(db.upper[j] - fb.lower[j])) for j in range(d)
+    )
+    kmax = max(1, int(math.ceil(reach / step)))
+
+    def ok(m):
+        rng = range(-(m // 2), m - m // 2)
+        keys = [()]
+        for _ in range(d):
+            keys = [key + (k,) for key in keys for k in rng]
+        return all(
+            abs(pair(translate(f, tuple(k * step for k in key)), f_dual)) > epsilon
+            for key in keys
+        )
+
+    lo, hi = 1, 2 * kmax
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid - 1)
+    return lo * step
+
+
+def scalar_count(f, f_dual, gamma, beta, epsilon):
+    """The per-site loop: one translated copy and one scalar pair per site."""
+    t_dual = translate(f_dual, beta)
+    return sum(1 for site in gamma.points if abs(pair(translate(f, site), t_dual)) > epsilon)
+
+
+def assert_witness_matches_scalar(f, f_dual, gamma, epsilon):
+    w = blowup_witness(f, f_dual, gamma, epsilon, 2.0)
+    assert w.window_side == scalar_grid_side(f, f_dual, epsilon)
+    best = (-1, None)
+    for beta in _window_center_candidates(gamma, w.window_side, 512):
+        count = scalar_count(f, f_dual, gamma, beta, epsilon)
+        if count > best[0]:
+            best = (count, beta)
+    assert (w.count, w.beta.coords) == best
+    return w
+
+
+line_cuts = st.lists(
+    st.one_of(st.integers(-16, 16).map(lambda k: k / 8), st.integers(-6, 6).map(lambda k: k / 3)),
+    min_size=2,
+    max_size=5,
+    unique=True,
+).map(sorted)
+
+
+@st.composite
+def line_functions(draw):
+    xs = draw(line_cuts)
+    return PiecewiseFn(tuple((Box((a,), (b,)), draw(values)) for a, b in zip(xs, xs[1:])), 1)
+
+
+@st.composite
+def witness_cases(draw):
+    f = draw(line_functions())
+    f_dual = f if draw(st.booleans()) else draw(line_functions())
+    base = abs(pair(f, f_dual))
+    sites = draw(
+        st.lists(
+            st.one_of(st.integers(-40, 40).map(lambda k: k / 16), st.integers(1, 30).map(lambda k: 1 / k)),
+            min_size=1,
+            max_size=15,
+            unique=True,
+        )
+    )
+    fraction = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    return f, f_dual, PointSet(tuple(pt(x) for x in sites)), fraction * base
+
+
+@settings(max_examples=40)
+@given(witness_cases())
+def test_witness_counts_equal_scalar_recount(case):
+    f, f_dual, gamma, epsilon = case
+    if not epsilon > 0:
+        return  # <f, f_dual> == 0: no witness exists
+    assert_witness_matches_scalar(f, f_dual, gamma, epsilon)
+
+
+def test_witness_with_complex_dual_and_epsilon_within_an_ulp():
+    pieces = ((0.0, 1 / 3, 1.0), (1 / 3, 0.5, 0.5 + 0.25j), (0.5, 1.0, 0.3 - 0.7j))
+    f = PiecewiseFn(tuple((Box((a,), (b,)), v) for a, b, v in pieces), 1)
+    # a multiple of f: every pairing stays below |<f, f_dual>|, so each one
+    # can serve as a threshold
+    f_dual = scale(f, 0.6 - 0.8j)
+    sites = [k / 10 for k in range(-4, 5)] + [1 / k for k in range(11, 22)]
+    gamma = PointSet(tuple(pt(x) for x in sites))
+    base = abs(pair(f, f_dual))
+    # each pairing at the densest centre becomes a threshold, nudged one ulp
+    # either way, so the counts there turn on the last bit of a modulus
+    t_dual = translate(f_dual, blowup_witness(f, f_dual, gamma, base / 4, 2.0).beta)
+    moduli = {abs(pair(translate(f, (x,)), t_dual)) for x in sites}
+    for m in sorted(moduli - {0.0}):
+        for epsilon in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)):
+            if epsilon < base:
+                assert_witness_matches_scalar(f, f_dual, gamma, epsilon)
+
+
+@given(st.lists(st.builds(complex, parts, parts), min_size=1, max_size=30))
+def test_count_decision_matches_python_abs(zs):
+    vals = np.array(zs, dtype=complex)
+    for z in zs:
+        m = abs(z)
+        for epsilon in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)):
+            if epsilon > 0:
+                assert _exceeds(vals, epsilon).tolist() == [abs(v) > epsilon for v in zs]
