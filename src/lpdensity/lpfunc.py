@@ -158,10 +158,6 @@ class PiecewiseFn:
     def _arrays(self) -> "_Pieces":
         return _piece_arrays(self)
 
-    @cached_property
-    def _translation_slack(self) -> tuple:
-        return _translation_slack(self)
-
     def value_at(self, x) -> complex:
         c = _coords(x, self.dimension)
         for box, v in self.pieces:
@@ -289,12 +285,17 @@ _TILE = 1 << 15
 # up to this many piece pairs, every pair is evaluated and none is pruned
 _DENSE_PAIRS = 64
 
+# multiplies (b*d, a*d) so that (a*c, b*c) + it is (ac - b(-d), a(-d) + bc),
+# CPython's product (a + bi) * (c - di)
+_CONJ_SIGN = np.array([1.0, -1.0])
+
 
 class _Pieces(NamedTuple):
     lower: np.ndarray  # (d, P)
     upper: np.ndarray  # (d, P)
     values: np.ndarray  # (2, P): real parts, imaginary parts
     upper0_max: np.ndarray  # running max of upper[0]
+    order: tuple  # (axes, k): pieces k and k + 1 first differ in lower[axes]
 
 
 def _piece_arrays(f: PiecewiseFn) -> _Pieces:
@@ -302,23 +303,9 @@ def _piece_arrays(f: PiecewiseFn) -> _Pieces:
     lower = np.array([b.lower for b, _ in f.pieces], dtype=float).reshape(-1, d).T
     upper = np.array([b.upper for b, _ in f.pieces], dtype=float).reshape(-1, d).T
     values = np.array([(v.real, v.imag) for _, v in f.pieces], dtype=float).reshape(-1, 2).T
-    return _Pieces(lower, upper, values, np.maximum.accumulate(upper[0]))
-
-
-def _order_axes(lower: np.ndarray) -> np.ndarray:
-    # the first axis on which the lower corners of pieces k and k + 1 differ
-    return np.argmax(lower[:, 1:] != lower[:, :-1], axis=0)
-
-
-def _translation_slack(f: PiecewiseFn) -> tuple:
-    """(least piece side or ordering gap, largest corner modulus): a shift s
-    cannot close any gap when gap > (|s| + modulus) * 2**-50, since
-    translation moves each corner by at most half an ulp of that sum."""
-    lower, upper = f._arrays.lower, f._arrays.upper
-    k = np.arange(lower.shape[1] - 1)
-    axis = _order_axes(lower)
-    gaps = np.concatenate(((upper - lower).ravel(), lower[axis, k + 1] - lower[axis, k]))
-    return float(gaps.min()), float(max(np.abs(lower).max(), np.abs(upper).max()))
+    axes = np.argmax(lower[:, 1:] != lower[:, :-1], axis=0)
+    order = (axes, np.arange(axes.size))
+    return _Pieces(lower, upper, values, np.maximum.accumulate(upper[0]), order)
 
 
 def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts) -> np.ndarray:
@@ -336,10 +323,10 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts) -> np.ndarray:
     entries, so scratch memory does not grow with n, and grows with the
     piece counts only through one index per candidate column.
 
-    As in translate, a shift that collapses a piece of h raises
-    PreconditionError.  A shift under which rounding ties two pieces of h on
-    the coordinate that orders them would make translate re-sort h; such
-    rows fall back to the scalar pair.
+    As in translate, a shift that collapses a piece of h, or is not finite,
+    raises PreconditionError.  A shift under which rounding ties two pieces
+    of h on the coordinate that orders them would make translate re-sort h;
+    such rows fall back to the scalar pair.
     """
     if h.dimension != f.dimension:
         raise DimensionMismatchError(
@@ -353,101 +340,84 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts) -> np.ndarray:
         raise DimensionMismatchError(f"shifts must have shape (n, {d}), got {s.shape}")
     out = np.zeros((2, len(s)))
     if len(s) and h.pieces and f.pieces:
-        bound = float(np.abs(s).max())
-        if not math.isfinite(bound):
-            raise PreconditionError("shifts must be finite")
         hp, fp = h._arrays, f._arrays
-        gap, modulus = h._translation_slack
-        n_h, n_f = len(h.pieces), len(f.pieces)
-        dense = n_h * n_f <= _DENSE_PAIRS
-        rows = max(1, _TILE // (n_h * n_f if dense else n_h))
+        axes, k = hp.order
+        n_pairs = len(h.pieces) * len(f.pieces)
+        dense = n_pairs <= _DENSE_PAIRS
+        rows = max(1, _TILE // (n_pairs if dense else len(h.pieces)))
         for r0 in range(0, len(s), rows):
             block = s[r0 : r0 + rows].T
+            # h's corners translated as translate computes them: (d, P_h, rows)
+            lower = hp.lower[:, :, None] + block[:, None, :]
+            upper = hp.upper[:, :, None] + block[:, None, :]
+            if not (lower < upper).all():
+                raise PreconditionError("a shift collapses a piece of the translated function")
             if dense:
-                out[:, r0 : r0 + rows] = _accumulate_terms(
+                out[:, r0 : r0 + rows] = _add_terms(
                     np.zeros((2, block.shape[1])),
-                    (hp.lower[:, :, None] + block[:, None, :])[:, :, None, :],
-                    (hp.upper[:, :, None] + block[:, None, :])[:, :, None, :],
+                    lower[:, :, None],
+                    upper[:, :, None],
                     hp.values[:, :, None, None],
                     fp.lower[:, None, :, None],
                     fp.upper[:, None, :, None],
                     fp.values[:, None, :, None],
                 )
             else:
-                out[:, r0 : r0 + rows] = _pruned_sums(hp, fp, block)
-            if gap <= (bound + modulus) * 2.0**-50:
-                for k in _resorted_rows(hp, block):
-                    v = pair(translate(h, block[:, k]), f)
-                    out[:, r0 + k] = v.real, v.imag
+                out[:, r0 : r0 + rows] = _pruned_sums(lower, upper, hp.values, fp)
+            # a rounding tie on the axis that orders two pieces of h makes
+            # translate re-sort them; such rows take the scalar pair
+            for r in np.flatnonzero((lower[axes, k] >= lower[axes, k + 1]).any(axis=0)):
+                v = pair(translate(h, block[:, r]), f)
+                out[:, r0 + r] = v.real, v.imag
     result = np.empty(len(s), dtype=complex)
     result.real, result.imag = out
     return result
 
 
-# multiplies (b*d, a*d) so that (a*c, b*c) + it is (ac - b(-d), a(-d) + bc),
-# CPython's product (a + bi) * (c - di)
-_CONJ_SIGN = np.array([1.0, -1.0])
-
-
-def _accumulate_terms(acc, h_lower, h_upper, h_values, f_lower, f_upper, f_values, mask=None):
-    """Add the pair terms of (h piece, f piece) candidates to acc in place,
-    one candidate at a time, in order.  Corners are (d, ..., rows) and values
-    (2, ..., rows) arrays, gathered or broadcast so that the middle axes
-    enumerate the candidates; `mask` drops padding candidates."""
+def _add_terms(acc, h_lower, h_upper, h_values, f_lower, f_upper, f_values, mask=True):
+    """Add the pair terms of (h piece, f piece) candidates to the (2, rows)
+    sums acc, one candidate at a time, in order.  Corners are (d, ..., rows)
+    and values (2, ..., rows) arrays, gathered or broadcast so that the
+    middle axes enumerate the candidates; `mask` drops padding candidates."""
     w = np.minimum(h_upper, f_upper) - np.maximum(h_lower, f_lower)
-    valid = (w > 0.0).all(axis=0)
-    if mask is not None:
-        valid &= mask
     vol = w[0]
     for a in range(1, len(w)):
         vol = vol * w[a]
     sign = _CONJ_SIGN.reshape((2,) + (1,) * (h_values.ndim - 1))
     prod = h_values * f_values[0] + h_values[::-1] * f_values[1] * sign
-    terms = np.where(valid, prod * vol, 0.0).reshape(2, -1, acc.shape[1])
-    for k in range(terms.shape[1]):
-        acc += terms[:, k]
+    terms = np.where(mask & (w > 0.0).all(axis=0), prod * vol, 0.0)
+    for c in terms.reshape(2, -1, acc.shape[1]).transpose(1, 0, 2):
+        acc += c
     return acc
 
 
-def _pruned_sums(hp: _Pieces, fp: _Pieces, s: np.ndarray) -> np.ndarray:
-    """(2, rows) pairing sums for a (d, rows) block of shifts.  Candidate
-    (i, t) pairs h piece i with f piece first[i, r] + t, and is padding where
-    t >= count[i, r]."""
-    first = np.searchsorted(fp.upper0_max, hp.lower[0][:, None] + s[0], side="right")
-    count = np.searchsorted(fp.lower[0], hp.upper[0][:, None] + s[0], side="left") - first
+def _pruned_sums(lower, upper, values, fp: _Pieces) -> np.ndarray:
+    """(2, rows) pairing sums of h, with translated (d, P_h, rows) corners
+    and (2, P_h) values, against f.  Candidate (i, t) pairs h piece i with
+    f piece first[i, r] + t, and is padding where t >= count[i, r]."""
+    first = np.searchsorted(fp.upper0_max, lower[0], side="right")
+    count = np.searchsorted(fp.lower[0], upper[0], side="left") - first
     width = np.maximum(count.max(axis=1), 0)
     col_i = np.repeat(np.arange(width.size), width)
     col_t = np.arange(col_i.size) - np.repeat(np.cumsum(width) - width, width)
-    acc = np.zeros((2, s.shape[1]))
-    step = max(1, _TILE // s.shape[1])
+    acc = np.zeros((2, lower.shape[2]))
+    step = max(1, _TILE // lower.shape[2])
     for c0 in range(0, col_i.size, step):
         i = col_i[c0 : c0 + step]
         t = col_t[c0 : c0 + step, None]
         mask = t < count[i]
         j = np.where(mask, first[i] + t, 0)
-        acc = _accumulate_terms(
+        acc = _add_terms(
             acc,
-            hp.lower[:, i, None] + s[:, None, :],
-            hp.upper[:, i, None] + s[:, None, :],
-            hp.values[:, i, None],
+            lower[:, i],
+            upper[:, i],
+            values[:, i, None],
             fp.lower[:, j],
             fp.upper[:, j],
             fp.values[:, j],
             mask,
         )
     return acc
-
-
-def _resorted_rows(hp: _Pieces, s: np.ndarray) -> np.ndarray:
-    """Columns of the (d, rows) shifts `s` whose translation re-sorts the
-    pieces; raises if one collapses a piece."""
-    lower = hp.lower[:, :, None] + s[:, None, :]
-    if not (lower < hp.upper[:, :, None] + s[:, None, :]).all():
-        raise PreconditionError("a shift collapses a piece of the translated function")
-    k = np.arange(hp.lower.shape[1] - 1)
-    axis = _order_axes(hp.lower)
-    kept = (lower[axis, k] < lower[axis, k + 1]).all(axis=0)
-    return np.flatnonzero(~kept)
 
 
 def pair_modulated(f: PiecewiseFn, freq) -> complex:

@@ -224,8 +224,9 @@ def bessel_bound_estimate(
     )
 
 
-# keys per kernel call in the witness's grid search; a failing window usually
-# fails in its first batch, so a large window is rarely paired in full
+# keys per kernel call in the witness's grid search; the search stops at the
+# first batch with a failing key, as the scalar search stopped at the first
+# failing key, so a window that fails early is not paired in full
 _GRID_BATCH = 1024
 
 

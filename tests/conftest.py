@@ -2,13 +2,11 @@
 
 Hypothesis runs under a derandomized profile: each property test draws the
 same examples on every run, and no example fails for running slowly on a
-loaded machine.  Set HYPOTHESIS_PROFILE=random to draw fresh examples.
+loaded machine.  `pytest --hypothesis-profile default` loads Hypothesis's
+own profile instead, which draws fresh examples.
 """
-
-import os
 
 from hypothesis import settings
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
-settings.register_profile("random", deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
+settings.load_profile("deterministic")
