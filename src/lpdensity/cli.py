@@ -96,22 +96,38 @@ class _RunContext:
         return np.random.default_rng(self.seed)
 
 
-def _need(spec: dict, key: str):
-    if key not in spec:
+_REQUIRED = object()
+
+
+def _need(spec: dict, key: str, default=_REQUIRED):
+    """spec[key], or `default` when the key is absent and a default is given."""
+    if key in spec:
+        return spec[key]
+    if default is _REQUIRED:
         raise InputError(f"spec is missing required key {key!r}")
-    return spec[key]
+    return default
 
 
-def _need_floats(spec: dict, key: str) -> list:
-    values = _need(spec, key)
+def _need_floats(spec: dict, key: str, default=_REQUIRED) -> list:
+    values = _need(spec, key, default)
     try:
         return [float(v) for v in values]
     except (TypeError, ValueError):
         raise InputError(f"{key!r} must be a list of numbers, got {values!r}") from None
 
 
+def _number(spec: dict, key: str, default=_REQUIRED, kind=float):
+    """A scalar spec field converted by `kind`; a value it cannot convert is
+    an input error."""
+    value = _need(spec, key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{key!r} must be a number, got {value!r}") from None
+
+
 def _cube_from_spec(spec: dict) -> Cube:
-    return Cube(Point(tuple(_need(spec, "center"))), float(_need(spec, "side")))
+    return Cube(Point(tuple(_need_floats(spec, "center"))), _number(spec, "side"))
 
 
 def _generator_from_spec(spec: dict, ctx: _RunContext) -> Generator:
@@ -141,7 +157,7 @@ def _cmd_density(spec, ctx):
 
 def _cmd_separate(spec, ctx):
     points = ingest_points(_need(spec, "points"), base_dir=ctx.base_dir)
-    report = decompose_separated(points, float(_need(spec, "delta")))
+    report = decompose_separated(points, _number(spec, "delta"))
     return {"separation": jsonable(report)}, {}, {}
 
 
@@ -157,7 +173,7 @@ def _cmd_pair(spec, ctx):
 def _cmd_bessel(spec, ctx):
     sys_ = ingest_system(_need(spec, "system"), base_dir=ctx.base_dir)
     tests = [ingest_function(t, base_dir=ctx.base_dir) for t in _need(spec, "tests")]
-    est = bessel_bound_estimate(sys_, tests, float(_need(spec, "p_prime")))
+    est = bessel_bound_estimate(sys_, tests, _number(spec, "p_prime"))
     return {"bessel": jsonable(est)}, {}, {}
 
 
@@ -165,11 +181,9 @@ def _cmd_blowup(spec, ctx):
     f = ingest_function(_need(spec, "f"), base_dir=ctx.base_dir)
     f_dual = ingest_function(_need(spec, "f_dual"), base_dir=ctx.base_dir)
     gamma = ingest_points(_need(spec, "points"), base_dir=ctx.base_dir)
-    p_prime = float(_need(spec, "p_prime"))
-    witness = blowup_witness(f, f_dual, gamma, float(_need(spec, "epsilon")), p_prime)
-    system = TranslateSystem(
-        (Generator(f, gamma, "gen"),), ExponentPair(float(spec.get("p", 2.0)))
-    )
+    p_prime = _number(spec, "p_prime")
+    witness = blowup_witness(f, f_dual, gamma, _number(spec, "epsilon"), p_prime)
+    system = TranslateSystem((Generator(f, gamma, "gen"),), ExponentPair(_number(spec, "p", 2.0)))
     direct = bessel_sum(system, translate(f_dual, witness.beta), p_prime)
     verdicts = {"witness_sound": witness.sum_lower_bound <= direct}
     return {"witness": jsonable(witness), "direct_bessel_sum": direct}, verdicts, {}
@@ -196,7 +210,7 @@ def _cmd_cq_sweep(spec, ctx):
 
 def _cmd_localized_mass(spec, ctx):
     gen = _generator_from_spec(_need(spec, "generator"), ctx)
-    report = localized_mass(gen, _cube_from_spec(_need(spec, "cube")), float(_need(spec, "p")))
+    report = localized_mass(gen, _cube_from_spec(_need(spec, "cube")), _number(spec, "p"))
     verdicts = {}
     if report.finiteness_bound is not None:
         verdicts["mass_within_bound"] = report.total <= report.finiteness_bound.value
@@ -207,19 +221,21 @@ def _cmd_mass_decay(spec, ctx):
     gen = _generator_from_spec(_need(spec, "generator"), ctx)
     rows = mass_decay_sweep(
         gen,
-        Point(tuple(_need(spec, "x"))),
+        Point(tuple(_need_floats(spec, "x"))),
         _need_floats(spec, "h_values"),
-        float(_need(spec, "p")),
+        _number(spec, "p"),
     )
     verdicts = {"monotone": all(b <= a for (_, a), (_, b) in zip(rows, rows[1:]))}
     if "tolerance" in spec:
-        verdicts["decays_below_tolerance"] = rows[-1][1] <= float(spec["tolerance"])
+        verdicts["decays_below_tolerance"] = rows[-1][1] <= _number(spec, "tolerance")
     return {"rows": jsonable(rows)}, verdicts, {}
 
 
 def _cmd_haar_check(spec, ctx):
-    p = float(_need(spec, "p"))
-    cutoff = int(spec.get("cutoff", 6))
+    p = _number(spec, "p")
+    cutoff = _number(spec, "cutoff", 6, int)
+    terms = _number(spec, "terms", 12, int)
+    batch_size = _number(spec, "batch_size", 200, int)
     rng = ctx.rng()
     # biorthogonality is always checked through level 6
     indices = haar_indices_below(7)
@@ -234,16 +250,18 @@ def _cmd_haar_check(spec, ctx):
                 max_diag_err = max(max_diag_err, abs(v - 1))
             else:
                 max_offdiag = max(max_offdiag, abs(v))
-    tests = [_random_test_fn(rng) for _ in range(int(spec.get("num_tests", 20)))]
+    tests = [_random_test_fn(rng) for _ in range(_number(spec, "num_tests", 20, int))]
     p43 = prop43_check(p, cutoff, tests)
-    batch = [_random_expansion(rng, int(spec.get("terms", 12))) for _ in range(int(spec.get("batch_size", 200)))]
-    held = [_random_expansion(rng, int(spec.get("terms", 12))) for _ in range(int(spec.get("batch_size", 200)))]
+    batch = [_random_expansion(rng, terms) for _ in range(batch_size)]
+    held = [_random_expansion(rng, terms) for _ in range(batch_size)]
     fit = coefficient_sandwich_check(batch, p)
     held_rows = coefficient_sandwich_check(held, p).rows
     violations = count_sandwich_violations(
         held_rows, fit.lower_constant, fit.upper_constant, headroom=1.1
     )
-    uncond = unconditional_constant_estimate(batch[:10], p, trials=int(spec.get("trials", 200)), seed=ctx.seed)
+    uncond = unconditional_constant_estimate(
+        batch[:10], p, trials=_number(spec, "trials", 200, int), seed=ctx.seed
+    )
     outputs = {
         "biorthogonality": {"max_offdiag": max_offdiag, "max_diag_error": max_diag_err},
         "prop43": jsonable(p43),
@@ -266,17 +284,19 @@ def _cmd_dichotomy(spec, ctx):
     tests = spec.get("bessel_tests")
     tol = {**spec.get("tolerances", {}), **spec}  # flat keys win over the block
     config = DichotomyConfig(
-        truncation_radii=tuple(_need(spec, "truncation_radii")),
+        truncation_radii=tuple(_need_floats(spec, "truncation_radii")),
         sweep_h_values=tuple(_need_floats(spec, "h_values")),
-        p_prime=float(_need(spec, "p_prime")),
+        p_prime=_number(spec, "p_prime"),
         bessel_tests=tuple(ingest_function(t, base_dir=ctx.base_dir) for t in tests)
         if tests
         else None,
-        accumulation_radius=float(tol.get("accumulation_radius", 0.05)),
-        accumulation_threshold=int(tol.get("accumulation_threshold", 10)),
-        epsilon_fraction=float(tol.get("epsilon_fraction", 0.5)),
-        bessel_variation_tol=float(tol.get("bessel_variation_tol", 0.10)),
-        subadditivity_h_values=tuple(tol.get("subadditivity_h_values", (1.0, 2.0, 4.0))),
+        accumulation_radius=_number(tol, "accumulation_radius", 0.05),
+        accumulation_threshold=_number(tol, "accumulation_threshold", 10, int),
+        epsilon_fraction=_number(tol, "epsilon_fraction", 0.5),
+        bessel_variation_tol=_number(tol, "bessel_variation_tol", 0.10),
+        subadditivity_h_values=tuple(
+            _need_floats(tol, "subadditivity_h_values", (1.0, 2.0, 4.0))
+        ),
     )
     report = dichotomy_report(sys_, config)
     verdicts = {
@@ -376,7 +396,8 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out or os.environ.get("LPDENSITY_OUT", "."))
     chained = spec if isinstance(spec, list) else [spec]
-    worst = EXIT_OK
+    # every entry is checked before any runs
+    commands = []
     for entry in chained:
         if not isinstance(entry, dict):
             print("lpdensity: each spec entry must be a JSON object", file=sys.stderr)
@@ -395,6 +416,16 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_INPUT
+        if command in commands:
+            print(
+                f"lpdensity: the chain runs {command!r} twice, and the second report "
+                "would overwrite the first",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT
+        commands.append(command)
+    worst = EXIT_OK
+    for command, entry in zip(commands, chained):
         seed = args.seed if args.seed is not None else entry.get("seed")
         ctx = _RunContext(spec_path.parent, out_dir, seed)
         worst = max(worst, run(command, entry, ctx))

@@ -74,7 +74,7 @@ def _points_from_csv(path: Path) -> PointSet:
                 f"{path}:{lineno}: duplicate point {list(coords)} (first at line {seen[coords]})"
             )
         seen[coords] = lineno
-    return PointSet(tuple(Point(c) for _, c in rows))
+    return PointSet([coords for _, coords in rows])
 
 
 def point_set_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PointSet:
@@ -109,7 +109,7 @@ def point_set_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PointSet
             ]
             return union_point_sets(members)
         if kind == "explicit":
-            return PointSet(tuple(Point(tuple(r)) for r in spec["rows"]))
+            return PointSet(spec["rows"])
     except KeyError as exc:
         raise InputError(f"point-set spec is missing key {exc}") from exc
     raise InputError(f"unknown point-set kind {kind!r}")
@@ -119,13 +119,13 @@ def points_to_csv(s: PointSet, path: Union[str, Path]) -> None:
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        for p in s.points:
-            writer.writerow([format(c, ".17g") for c in p.coords])
+        for row in s.as_array.tolist():
+            writer.writerow([format(c, ".17g") for c in row])
 
 
 def point_set_spec(s: PointSet) -> dict:
     """Explicit-rows descriptor that round-trips through point_set_from_spec."""
-    return {"kind": "explicit", "rows": [list(p.coords) for p in s.points]}
+    return {"kind": "explicit", "rows": s.as_array.tolist()}
 
 
 # ---------------------------------------------------------------------------

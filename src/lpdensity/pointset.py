@@ -9,7 +9,6 @@ All coordinates are double precision and every membership test is an exact
 half-open comparison (no epsilon), so counts are deterministic.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -172,54 +171,92 @@ class UnionProvenance:
         return union_point_sets(regrown)
 
 
-@dataclass(frozen=True)
 class PointSet:
     """Finite list of distinct points of a common dimension.
 
+    `points` is an (n, d) array or a sequence of Points or coordinate
+    sequences.  The sites are kept as one read-only float64 array,
+    `as_array`, in input order; `order` is their lexicographic order, and
+    `points` builds Point objects from the array when first read.
     Duplicates are rejected at construction: a repeated point would force the
     separation constant to 0 and make local counts multiset-dependent.
     """
 
-    points: tuple
-    provenance: object = None
-    dimension: Optional[int] = None
-
-    def __post_init__(self):
-        pts = tuple(p if isinstance(p, Point) else Point(tuple(p)) for p in self.points)
-        if pts:
-            dims = {p.dim for p in pts}
-            if len(dims) != 1:
-                raise DimensionMismatchError(f"mixed point dimensions {sorted(dims)}")
-            dim = dims.pop()
-            if self.dimension is not None and self.dimension != dim:
-                raise DimensionMismatchError(
-                    f"declared dimension {self.dimension} but points have dimension {dim}"
-                )
+    def __init__(self, points, provenance=None, dimension: Optional[int] = None):
+        if isinstance(points, np.ndarray):
+            arr = np.array(points, dtype=float)
         else:
-            if self.dimension is None:
+            rows = [tuple(p) for p in points]
+            dims = sorted({len(r) for r in rows})
+            if len(dims) > 1:
+                raise DimensionMismatchError(f"mixed point dimensions {dims}")
+            if rows:
+                arr = np.array(rows, dtype=float)
+            elif dimension is None:
                 raise PreconditionError("an empty point set needs an explicit dimension")
-            dim = int(self.dimension)
-        seen = {}
-        for i, p in enumerate(pts):
-            if p.coords in seen:
-                raise PreconditionError(
-                    f"duplicate point {p.coords} at positions {seen[p.coords]} and {i}"
-                )
-            seen[p.coords] = i
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dimension", dim)
+            else:
+                arr = np.zeros((0, int(dimension)))
+        dim = arr.shape[1]
+        if dim == 0:
+            raise PreconditionError("a point needs at least one coordinate")
+        if dimension is not None and dimension != dim:
+            raise DimensionMismatchError(
+                f"declared dimension {dimension} but points have dimension {dim}"
+            )
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            bad = tuple(arr[np.argmin(finite)].tolist())
+            raise PreconditionError(f"point coordinates must be finite, got {bad}")
+        order = np.lexsort(arr.T[::-1])
+        ranked = arr[order]
+        repeats = (ranked[1:] == ranked[:-1]).all(axis=1)
+        if repeats.any():
+            # the first position that repeats an earlier point, and that point
+            i = int(order[1:][repeats].min())
+            first = int(np.argmax((arr == arr[i]).all(axis=1)))
+            raise PreconditionError(
+                f"duplicate point {tuple(arr[i].tolist())} at positions {first} and {i}"
+            )
+        arr.flags.writeable = False
+        order.flags.writeable = False
+        self.as_array = arr
+        self.order = order
+        self.provenance = provenance
+        self.dimension = dim
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(Point(tuple(row)) for row in self.as_array.tolist())
 
     def __len__(self):
-        return len(self.points)
+        return len(self.as_array)
 
     def __iter__(self):
         return iter(self.points)
 
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, self.dimension))
-        return np.array([p.coords for p in self.points], dtype=float)
+
+# most index vectors a lattice constructor may enumerate: a 2-d lattice of
+# 14,641 sites (window 60) needs 15,129, and a 2-d basis lattice at the
+# budget peaks near 100 MB while it is built
+_SITE_BUDGET = 1 << 20
+
+
+def _index_bounds(reaches: Sequence[float]) -> list:
+    """Bounds b_i = ceil(r_i) + 1 of the lattice index box prod [-b_i, b_i],
+    refused before anything is built when the box holds more than
+    _SITE_BUDGET index vectors."""
+    bounds = [math.ceil(r) + 1 if math.isfinite(r) else math.inf for r in reaches]
+    size = math.prod(2 * b + 1 for b in bounds)
+    if size > _SITE_BUDGET:
+        raise PreconditionError(
+            f"the lattice needs {size} index vectors, above the site budget of {_SITE_BUDGET}"
+        )
+    return bounds
+
+
+def _index_box(axes) -> np.ndarray:
+    """Rows of the product of the 1-d `axes`, the first axis varying slowest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def make_lattice(
@@ -233,19 +270,16 @@ def make_lattice(
     off = tuple(float(o) for o in offset) if offset is not None else (0.0,) * dimension
     if len(off) != dimension:
         raise DimensionMismatchError("lattice offset dimension mismatch")
-    kmax = int(math.ceil((window + max(abs(o) for o in off)) / spacing)) + 1
-    axes = [
-        [k * spacing + o for k in range(-kmax, kmax + 1) if abs(k * spacing + o) <= window]
-        for o in off
-    ]
-    pts = [Point(c) for c in itertools.product(*axes)]
+    kmax = _index_bounds([(window + max(abs(o) for o in off)) / spacing] * dimension)[0]
+    k = np.arange(-kmax, kmax + 1)
+    axes = [x[np.abs(x) <= window] for x in (k * spacing + o for o in off)]
     prov = LatticeProvenance(
         window=window,
         dimension=dimension,
         spacing=spacing,
         offset=off if any(off) else None,
     )
-    return PointSet(tuple(pts), provenance=prov)
+    return PointSet(_index_box(axes), provenance=prov)
 
 
 def make_lattice_basis(basis, window: float, offset: Optional[Sequence[float]] = None) -> PointSet:
@@ -260,23 +294,21 @@ def make_lattice_basis(basis, window: float, offset: Optional[Sequence[float]] =
         raise DimensionMismatchError("lattice offset dimension mismatch")
     mat = np.array(rows, dtype=float).T  # columns are basis vectors
     inv = np.linalg.inv(mat)
-    bounds = [
-        int(math.ceil((window + float(np.abs(off).max())) * np.abs(inv[i]).sum())) + 1
-        for i in range(d)
-    ]
-    pts = []
-    for n in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        x = mat @ np.array(n, dtype=float) + off
-        if np.all(np.abs(x) <= window):
-            pts.append(Point(tuple(x)))
-    pts.sort(key=lambda p: p.coords)
+    bounds = _index_bounds(
+        [(window + float(np.abs(off).max())) * np.abs(inv[i]).sum() for i in range(d)]
+    )
+    n = _index_box([np.arange(-b, b + 1, dtype=float) for b in bounds])
+    # one matrix-vector product per index vector, as B @ n is formed alone,
+    # so that the coordinates do not depend on how a batched product rounds
+    x = np.matmul(mat, n[:, :, None])[:, :, 0] + off
+    x = x[np.all(np.abs(x) <= window, axis=1)]
     prov = LatticeProvenance(
         window=window,
         dimension=d,
         basis=rows,
         offset=tuple(off) if off.any() else None,
     )
-    return PointSet(tuple(pts), provenance=prov)
+    return PointSet(x[np.lexsort(x.T[::-1])], provenance=prov)
 
 
 def make_reciprocal(count: int) -> PointSet:
@@ -284,15 +316,15 @@ def make_reciprocal(count: int) -> PointSet:
     count = int(count)
     if count < 1:
         raise PreconditionError("reciprocal family needs count >= 1")
-    pts = tuple(Point((1.0 / n,)) for n in range(count, 0, -1))
-    return PointSet(pts, provenance=ReciprocalProvenance(count=count))
+    sites = 1.0 / np.arange(count, 0, -1)
+    return PointSet(sites[:, None], provenance=ReciprocalProvenance(count=count))
 
 
 def union_point_sets(members: Sequence[tuple]) -> PointSet:
     """Union of labelled point sets; coinciding points are kept once.
 
     Generator tags keep the disjoint-union index structure; the merged set is
-    the plain geometric union used for counting.
+    the plain geometric union used for counting, in lexicographic order.
     """
     members = tuple((str(label), ps) for label, ps in members)
     if not members:
@@ -300,15 +332,13 @@ def union_point_sets(members: Sequence[tuple]) -> PointSet:
     dims = {ps.dimension for _, ps in members}
     if len(dims) != 1:
         raise DimensionMismatchError(f"union members have mixed dimensions {sorted(dims)}")
-    seen = set()
-    pts = []
-    for _, ps in members:
-        for p in ps.points:
-            if p.coords not in seen:
-                seen.add(p.coords)
-                pts.append(p)
-    pts.sort(key=lambda p: p.coords)
-    return PointSet(tuple(pts), provenance=UnionProvenance(members=members))
+    rows = np.concatenate([ps.as_array for _, ps in members])
+    # a stable sort keeps coinciding rows in member order, so the first of
+    # each run of equal rows is the one met first
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = ~(rows[1:] == rows[:-1]).all(axis=1)
+    return PointSet(rows[first], provenance=UnionProvenance(members=members))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +410,9 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
         raise PreconditionError(f"delta must be positive, got {delta}")
     n = len(s)
     arr = s.as_array
-    order = sorted(range(n), key=lambda i: s.points[i].coords)
     d2_min = delta * delta
     parts: list = []  # list of (index list, coordinate row list)
-    for i in order:
+    for i in s.order.tolist():
         row = arr[i]
         placed = False
         for idxs, rows in parts:
@@ -442,48 +471,56 @@ def grid_occupancy(s: PointSet, h: float) -> dict:
     return occ
 
 
-def _nu_plus_1d(xs: np.ndarray, h: float) -> int:
-    xs = np.sort(xs)
-    counts = np.searchsorted(xs, xs + h, side="left") - np.arange(xs.size)
-    return int(counts.max())
+def anchored_windows(s: PointSet, h: float) -> tuple:
+    """Side-h windows to count sites in: (centres (m, d), counts (m,)).
+
+    d = 1, 2: the windows whose lower faces pass through site coordinates,
+    each with its exact count.  Any half-open side-h window can slide up,
+    one axis at a time, until each lower face meets a site coordinate
+    without losing a site, so the largest of these counts is the largest
+    count of any side-h window.  d >= 3: the occupied grid cubes Q_h(h n)
+    with their counts.  s must be nonempty.
+    """
+    arr = s.as_array
+    if s.dimension == 1:
+        xs = arr[s.order, 0]
+        counts = np.searchsorted(xs, xs + h, side="left") - np.arange(xs.size)
+        return (xs + h / 2)[:, None], counts
+    if s.dimension == 2:
+        xs, ys = arr[s.order].T
+        centres, counts = [], []
+        for ax in np.unique(xs):
+            lo = np.searchsorted(xs, ax, side="left")
+            hi = np.searchsorted(xs, ax + h, side="left")
+            slab = np.sort(ys[lo:hi])
+            cnt = np.searchsorted(slab, slab + h, side="left") - np.arange(slab.size)
+            # a y anchor counts from its first occurrence in the slab
+            first = np.ones(slab.size, dtype=bool)
+            first[1:] = slab[1:] != slab[:-1]
+            ay = slab[first]
+            centres.append(np.column_stack((np.full(ay.size, ax + h / 2), ay + h / 2)))
+            counts.append(cnt[first])
+        return np.concatenate(centres), np.concatenate(counts)
+    occ = grid_occupancy(s, h)
+    return np.array(list(occ), dtype=np.int64) * h, np.array(list(occ.values()))
 
 
 def nu_plus(s: PointSet, h: float) -> NuPlusBound:
     """Largest number of points in any half-open side-h cube.
 
-    d = 1: exact; the supremum over windows [a, a+h) is attained with the left
-    edge anchored at a point, so a scan over point anchors suffices.
-    d = 2: exact; the optimal cube can be slid until each lower face passes
-    through a point coordinate, giving O(n) x-anchors each with a 1-d scan.
+    d = 1, 2: exact, the largest count over the anchored windows.
     d >= 3: sandwich (N_h, 2^d N_h) from the grid-cube maximum N_h, since any
     side-h cube is covered by at most 2^d grid-aligned side-h cubes.
     """
     h = float(h)
     if not (math.isfinite(h) and h > 0):
         raise PreconditionError(f"h must be positive, got {h}")
-    n = len(s)
-    if n == 0:
+    if not len(s):
         return NuPlusBound(0, 0, True)
-    d = s.dimension
-    arr = s.as_array
-    if d == 1:
-        m = _nu_plus_1d(arr[:, 0], h)
+    m = int(anchored_windows(s, h)[1].max())
+    if s.dimension <= 2:
         return NuPlusBound(m, m, True)
-    if d == 2:
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        xs = arr[order, 0]
-        ys = arr[order, 1]
-        best = 1
-        for ax in np.unique(xs):
-            lo = np.searchsorted(xs, ax, side="left")
-            hi = np.searchsorted(xs, ax + h, side="left")
-            slab = np.sort(ys[lo:hi])
-            if slab.size:
-                best = max(best, _nu_plus_1d(slab, h))
-        return NuPlusBound(best, best, True)
-    occ = grid_occupancy(s, h)
-    n_h = max(occ.values())
-    return NuPlusBound(n_h, (2**d) * n_h, False)
+    return NuPlusBound(m, (2**s.dimension) * m, False)
 
 
 def density_profile(s: PointSet, h_values: Sequence[float]) -> DensityProfile:
@@ -539,5 +576,5 @@ def detect_accumulation(s: PointSet, radius: float, threshold: int) -> list:
     for i in range(n):
         d2 = ((arr - arr[i]) ** 2).sum(axis=1)
         if int((d2 < r2).sum()) - 1 >= threshold:
-            out.append(s.points[i])
+            out.append(Point(tuple(arr[i].tolist())))
     return out

@@ -36,8 +36,8 @@ from .pointset import (
     PointSet,
     ReciprocalProvenance,
     UnionProvenance,
+    anchored_windows,
     detect_accumulation,
-    grid_occupancy,
     min_separation,
     nu_plus,
     union_point_sets,
@@ -147,28 +147,23 @@ class LocalizedMassReport:
 # shared internals
 
 
-def _sorted_sites(gamma: PointSet) -> list:
-    return sorted(gamma.points, key=lambda p: p.coords)
-
-
-def _shift_overlaps(f_box: Optional[Box], site, target: Optional[Box]) -> bool:
+def _overlapping_sites(gamma: PointSet, f_box: Optional[Box], target: Optional[Box]) -> list:
+    """The sites g, in lexicographic order and as lists of floats, for which
+    f_box + g meets the target box."""
     if f_box is None or target is None:
-        return False
-    for lo, up, g, tlo, tup in zip(f_box.lower, f_box.upper, site, target.lower, target.upper):
-        if lo + g >= tup or up + g <= tlo:
-            return False
-    return True
+        return []
+    sites = gamma.as_array[gamma.order]
+    meets = (np.array(f_box.lower) + sites < target.upper) & (
+        np.array(f_box.upper) + sites > target.lower
+    )
+    return sites[meets.all(axis=1)].tolist()
 
 
 def _system_power_sum(sys: TranslateSystem, test: PiecewiseFn, exponent: float) -> float:
     """sum_k sum_gamma |<test, T_gamma f_k>|^exponent with a support prefilter."""
-    t_box = test.support_box
     total = 0.0
     for gen in sys.generators:
-        f_box = gen.f.support_box
-        for site in _sorted_sites(gen.gamma):
-            if not _shift_overlaps(f_box, site.coords, t_box):
-                continue
+        for site in _overlapping_sites(gen.gamma, gen.f.support_box, test.support_box):
             v = pair(test, translate(gen.f, site))
             if v != 0:
                 total += abs(v) ** exponent
@@ -249,40 +244,19 @@ def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
     by count, ties broken lexicographically, capped at `limit` per family.
     """
     arr = gamma.as_array
-    d = gamma.dimension
-    scored = []
-    if d == 1:
-        xs = np.sort(arr[:, 0])
-        counts = np.searchsorted(xs, xs + h, side="left") - np.arange(xs.size)
-        for x, c in zip(xs, counts):
-            scored.append((int(c), (float(x) + h / 2,)))
-    elif d == 2:
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        xs = arr[order, 0]
-        ys = arr[order, 1]
-        for ax in np.unique(xs):
-            lo = np.searchsorted(xs, ax, side="left")
-            hi = np.searchsorted(xs, ax + h, side="left")
-            slab = np.sort(ys[lo:hi])
-            cnt = np.searchsorted(slab, slab + h, side="left") - np.arange(slab.size)
-            uniq = np.unique(slab)
-            for ay, c in zip(uniq, cnt[np.searchsorted(slab, uniq)]):
-                scored.append((int(c), (float(ax) + h / 2, float(ay) + h / 2)))
-    else:
-        for key, c in grid_occupancy(gamma, h).items():
-            scored.append((int(c), tuple(k * h for k in key)))
+    anchored = _ranked(*anchored_windows(gamma, h), limit)
     # site-centered windows, counted by direct half-open membership
     lows = arr[:, None, :] - h / 2
     inside = np.all((arr[None, :, :] >= lows) & (arr[None, :, :] < lows + h), axis=2)
-    centered_counts = inside.sum(axis=1)
-    centered = [
-        (int(c), tuple(float(v) for v in row)) for row, c in zip(arr, centered_counts)
-    ]
-    out = []
-    for family in (scored, centered):
-        family.sort(key=lambda t: (-t[0], t[1]))
-        out.extend(corner for _, corner in family[:limit])
-    return list(dict.fromkeys(out))
+    centered = _ranked(arr, inside.sum(axis=1), limit)
+    return list(dict.fromkeys(anchored + centered))
+
+
+def _ranked(centres: np.ndarray, counts: np.ndarray, limit: int) -> list:
+    """The `limit` centres with the largest counts, ties broken
+    lexicographically, as tuples of floats."""
+    order = np.lexsort((*centres.T[::-1], -counts))
+    return [tuple(c) for c in centres[order[:limit]].tolist()]
 
 
 def blowup_witness(
@@ -437,11 +411,8 @@ def system_localized_mass(sys: TranslateSystem, region: Cube, p: float) -> float
 def _generator_mass(gen: Generator, region: Cube, p: float) -> float:
     p = float(p)
     region_box = Box(region.lower, region.upper)
-    f_box = gen.f.support_box
     total = 0.0
-    for site in _sorted_sites(gen.gamma):
-        if not _shift_overlaps(f_box, site.coords, region_box):
-            continue
+    for site in _overlapping_sites(gen.gamma, gen.f.support_box, region_box):
         total += lp_norm_pow(restrict(translate(gen.f, site), region), p)
     return total
 

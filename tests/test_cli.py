@@ -444,3 +444,79 @@ def test_determinism_byte_identical_reports(tmp_path):
     assert (out_a / "density_profile.csv").read_text() == (
         out_b / "density_profile.csv"
     ).read_text()
+
+
+LATTICE_1D = {"kind": "lattice", "spacing": 1.0, "window": 5, "dimension": 1}
+SYSTEM = {"p": 2.0, "generators": [{"f": UNIT_SPEC, "gamma": LATTICE_1D, "label": "Z"}]}
+DICHOTOMY = {
+    "command": "dichotomy",
+    "system": SYSTEM,
+    "truncation_radii": [2, 4],
+    "h_values": [0.5, 0.25],
+    "p_prime": 2.0,
+}
+BLOWUP = {
+    "command": "blowup-witness",
+    "f": UNIT_SPEC,
+    "f_dual": UNIT_SPEC,
+    "points": {"kind": "explicit", "rows": [[0.0], [0.5]]},
+    "epsilon": 0.5,
+    "p_prime": 2.0,
+}
+HAAR = {"command": "haar-check", "p": 3.0, "seed": 1, "num_tests": 1, "batch_size": 4}
+GENERATOR = {"f": UNIT_SPEC, "gamma": LATTICE_1D}
+MASS = {"command": "localized-mass", "generator": GENERATOR, "cube": {"center": [0.0], "side": 1.0}}
+DECAY = {"command": "mass-decay", "generator": GENERATOR, "x": [0.0], "h_values": [0.5], "p": 2.0}
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"command": "separate", "points": LATTICE_1D, "delta": "x"}, "delta"),
+        ({**DICHOTOMY, "p_prime": "x"}, "p_prime"),
+        ({**DICHOTOMY, "truncation_radii": [2, "x"]}, "truncation_radii"),
+        ({**DICHOTOMY, "tolerances": {"epsilon_fraction": "x"}}, "epsilon_fraction"),
+        ({**DICHOTOMY, "accumulation_threshold": "x"}, "accumulation_threshold"),
+        ({**DICHOTOMY, "bessel_variation_tol": None}, "bessel_variation_tol"),
+        ({**DICHOTOMY, "accumulation_radius": []}, "accumulation_radius"),
+        ({**DICHOTOMY, "subadditivity_h_values": ["x"]}, "subadditivity_h_values"),
+        ({**BLOWUP, "epsilon": "x"}, "epsilon"),
+        ({**BLOWUP, "p": "x"}, "'p'"),
+        ({"command": "bessel", "system": SYSTEM, "tests": [UNIT_SPEC], "p_prime": "x"}, "p_prime"),
+        ({**MASS, "cube": {"center": [0.0], "side": "x"}, "p": 2.0}, "side"),
+        ({**MASS, "p": "x"}, "'p'"),
+        ({**DECAY, "tolerance": "x"}, "tolerance"),
+        ({**DECAY, "x": ["x"]}, "'x'"),
+        ({**HAAR, "p": "x"}, "'p'"),
+        ({**HAAR, "cutoff": "x"}, "cutoff"),
+        ({**HAAR, "num_tests": "x"}, "num_tests"),
+        ({**HAAR, "terms": "x"}, "terms"),
+        ({**HAAR, "batch_size": 1.5e400}, "batch_size"),
+        ({**HAAR, "trials": "x"}, "trials"),
+    ],
+)
+def test_scalar_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 2 and key in err and "\n" not in err
+
+
+def test_chain_repeating_a_command_exits_2_before_running(tmp_path, capsys):
+    density = {"command": "density", "points": LATTICE_1D, "h_values": [1.0]}
+    chain = [density, {"command": "separate", "points": LATTICE_1D, "delta": 0.5}, density]
+    code, err = _run_exit(tmp_path, capsys, chain)
+    assert code == 2 and "'density' twice" in err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        {"kind": "lattice", "basis": [[1.0, 0.0], [1.0, 1e-9]], "window": 3},
+        {"kind": "lattice", "spacing": 1e-6, "window": 1e3, "dimension": 2},
+        {"kind": "lattice", "spacing": 1.0, "window": math.inf, "dimension": 1},
+    ],
+)
+def test_lattice_over_the_site_budget_exits_3(tmp_path, capsys, points):
+    payload = {"command": "density", "points": points, "h_values": [1.0]}
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and "site budget" in err
