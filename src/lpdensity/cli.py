@@ -34,6 +34,9 @@ from .haar_uncond import (
     unconditional_constant_estimate,
 )
 from .io import (
+    _need,
+    _need_floats,
+    _number,
     emit_json,
     file_digest,
     ingest_function,
@@ -94,36 +97,6 @@ class _RunContext:
         if self.seed is None:
             raise PreconditionError("this analysis samples randomly: a seed is mandatory")
         return np.random.default_rng(self.seed)
-
-
-_REQUIRED = object()
-
-
-def _need(spec: dict, key: str, default=_REQUIRED):
-    """spec[key], or `default` when the key is absent and a default is given."""
-    if key in spec:
-        return spec[key]
-    if default is _REQUIRED:
-        raise InputError(f"spec is missing required key {key!r}")
-    return default
-
-
-def _need_floats(spec: dict, key: str, default=_REQUIRED) -> list:
-    values = _need(spec, key, default)
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise InputError(f"{key!r} must be a list of numbers, got {values!r}") from None
-
-
-def _number(spec: dict, key: str, default=_REQUIRED, kind=float):
-    """A scalar spec field converted by `kind`; a value it cannot convert is
-    an input error."""
-    value = _need(spec, key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{key!r} must be a number, got {value!r}") from None
 
 
 def _cube_from_spec(spec: dict) -> Cube:
@@ -235,6 +208,11 @@ def _cmd_haar_check(spec, ctx):
     p = _number(spec, "p")
     cutoff = _number(spec, "cutoff", 6, int)
     terms = _number(spec, "terms", 12, int)
+    if not 1 <= terms <= _MAX_TERMS:
+        raise InputError(
+            f"'terms' must lie in 1..{_MAX_TERMS}, the distinct indices of levels "
+            f"0..{_LEVELS - 1}, got {terms}"
+        )
     batch_size = _number(spec, "batch_size", 200, int)
     rng = ctx.rng()
     # biorthogonality is always checked through level 6
@@ -317,10 +295,16 @@ def _random_test_fn(rng) -> PiecewiseFn:
     return PiecewiseFn(tuple(pieces), 1)
 
 
+# random expansions draw their indices from levels 0.._LEVELS - 1, which hold
+# _MAX_TERMS distinct indices
+_LEVELS = 6
+_MAX_TERMS = 2**_LEVELS - 1
+
+
 def _random_expansion(rng, terms: int) -> HaarExpansion:
     coeffs = {}
     while len(coeffs) < terms:
-        level = int(rng.integers(0, 6))
+        level = int(rng.integers(0, _LEVELS))
         offset = int(rng.integers(0, 2**level))
         coeffs[HaarIndex(level, offset)] = complex(rng.normal(), rng.normal())
     return HaarExpansion.from_mapping(coeffs)

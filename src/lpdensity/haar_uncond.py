@@ -63,11 +63,19 @@ class HaarIndex:
         return (self.level, self.offset)
 
 
+# the most indices haar_indices_below builds, as pointset's site budget
+_INDEX_BUDGET = 1 << 20
+
+
 def haar_indices_below(cutoff: int) -> list:
     """Constant index plus every (j, k) with j < cutoff: 2^cutoff indices."""
     cutoff = int(cutoff)
     if cutoff < 0:
         raise PreconditionError("cutoff must be >= 0")
+    if cutoff > _INDEX_BUDGET.bit_length() - 1:
+        raise PreconditionError(
+            f"cutoff {cutoff} gives 2^{cutoff} Haar indices, over the budget of {_INDEX_BUDGET}"
+        )
     out = [HaarIndex.constant()]
     for j in range(cutoff):
         out.extend(HaarIndex(j, k) for k in range(2**j))
@@ -86,12 +94,21 @@ def haar_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
         raise PreconditionError(f"haar_fn needs p >= 1, got {p}")
     if idx.is_constant:
         return PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    lo, mid, hi, v = _halves(idx, p)
+    return PiecewiseFn(((Box((lo,), (mid,)), v), (Box((mid,), (hi,)), -v)), 1)
+
+
+def _halves(idx: HaarIndex, p: float) -> tuple:
+    """(lo, mid, hi, v): the non-constant haar_fn(idx, p) is v on [lo, mid)
+    and -v on [mid, hi)."""
     j, k = idx.level, idx.offset
     lo = k * 2.0**-j
     mid = (2 * k + 1) * 2.0 ** -(j + 1)
     hi = (k + 1) * 2.0**-j
     v = 2.0 ** (j / p)
-    return PiecewiseFn(((Box((lo,), (mid,)), v), (Box((mid,), (hi,)), -v)), 1)
+    if not lo < mid < hi:
+        raise PreconditionError(f"the halves of level {j} offset {k} collapse in double precision")
+    return lo, mid, hi, v
 
 
 def dual_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
@@ -181,7 +198,60 @@ def build_expansion_fn(exp: HaarExpansion, p: float) -> PiecewiseFn:
 
 def expansion_norm(exp: HaarExpansion, p: float) -> float:
     """Exact Lp norm of the expansion (for p = 2 this is the coefficient l2 norm)."""
-    return lp_norm(build_expansion_fn(exp, p), p)
+    return expansion_norms([exp], p)[0]
+
+
+# a padding term: empty halves at 1.0, value 0
+_PAD = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def expansion_norms(batch: Sequence[HaarExpansion], p: float) -> list:
+    """lp_norm(build_expansion_fn(e, p), p) for every expansion e, bit for bit.
+
+    No Box or PiecewiseFn is built.  Each expansion gets one row of cells
+    between the distinct endpoints of its terms' halves, the grid canonicalize
+    would cut; rows are padded with empty pieces at 1.0.  Cell values add each
+    term's complex(+-v) * c, as CPython multiplies, one term at a time in
+    sorted term order, and only on the cells a half covers.  Each row's norm
+    is then summed left to right in Python, skipping zero cells, with
+    Python's abs and ** (numpy's complex modulus can differ in the last bit).
+    Scratch memory is O(len(batch) * terms), whatever the Haar levels.
+    """
+    p = float(p)
+    if not (math.isfinite(p) and p >= 1):
+        raise PreconditionError(f"lp norms need p >= 1, got {p}")
+    batch = list(batch)
+    halves = {HaarIndex.constant(): (0.0, 1.0, 1.0, 1.0)}  # one piece: 1 on [0, 1)
+    width = max((len(e) for e in batch), default=0)
+    # per term: lo, mid, hi, v, Re c, Im c; one flat list, so that no
+    # per-term tuple is made
+    flat = []
+    for exp in batch:
+        for idx, c in exp.terms:
+            if idx not in halves:
+                halves[idx] = _halves(idx, p)
+            flat += halves[idx]
+            flat.append(c.real)
+            flat.append(c.imag)
+        flat += _PAD * (width - len(exp))
+    lo, mid, hi, v, cr, ci = np.array(flat, dtype=float).reshape(len(batch), width, 6).T
+    cuts = np.sort(np.concatenate([lo, mid, hi]), axis=0).T  # (batch, 3 * width)
+    left, right = cuts[:, :-1], cuts[:, 1:]
+    re = np.zeros(left.shape)
+    im = np.zeros(left.shape)
+    for t in range(width):
+        for a, b, s in ((lo[t], mid[t], v[t]), (mid[t], hi[t], -v[t])):
+            cover = (a[:, None] <= left) & (right <= b[:, None])
+            re = np.where(cover, re + (s * cr[t] - 0.0 * ci[t])[:, None], re)
+            im = np.where(cover, im + (s * ci[t] + 0.0 * cr[t])[:, None], im)
+    norms = []
+    for row_re, row_im, row_w in zip(re, im, right - left):
+        total = 0.0
+        for a, b, w in zip(row_re.tolist(), row_im.tolist(), row_w.tolist()):
+            if w > 0.0 and (a or b):
+                total += abs(complex(a, b)) ** p * w
+        norms.append(total ** (1.0 / p))
+    return norms
 
 
 def _cell_grid(exp: HaarExpansion, p: float):
@@ -272,18 +342,23 @@ def sandwich_triple(exp: HaarExpansion, p: float) -> SandwichRow:
     inequalities hold with the usual non-constructive constants; here the
     constants are fitted empirically over batches, never asserted a priori.
     """
-    p = float(p)
+    return _sandwich_rows([exp], float(p))[0]
+
+
+def _sandwich_rows(batch: Sequence[HaarExpansion], p: float) -> tuple:
+    """sandwich_triple(e, p) for every expansion e, with every mid from one
+    expansion_norms call."""
     if not (math.isfinite(p) and p > 1):
         raise PreconditionError(f"p must lie in (1, inf), got {p}")
-    a = np.array([c for _, c in exp.terms], dtype=complex)
-    if a.size == 0:
+    if any(len(exp) == 0 for exp in batch):
         raise PreconditionError("empty expansion has no sandwich")
-    l2 = float(np.sqrt((np.abs(a) ** 2).sum()))
-    lp = float(((np.abs(a) ** p).sum()) ** (1.0 / p))
-    mid = expansion_norm(exp, p)
-    if p <= 2:
-        return SandwichRow(l2, mid, lp)
-    return SandwichRow(lp, mid, l2)
+    rows = []
+    for exp, mid in zip(batch, expansion_norms(batch, p)):
+        a = np.array([c for _, c in exp.terms], dtype=complex)
+        l2 = float(np.sqrt((np.abs(a) ** 2).sum()))
+        lp = float(((np.abs(a) ** p).sum()) ** (1.0 / p))
+        rows.append(SandwichRow(l2, mid, lp) if p <= 2 else SandwichRow(lp, mid, l2))
+    return tuple(rows)
 
 
 def coefficient_sandwich_check(batch: Sequence[HaarExpansion], p: float) -> SandwichReport:
@@ -294,9 +369,10 @@ def coefficient_sandwich_check(batch: Sequence[HaarExpansion], p: float) -> Sand
     the whole batch; by construction the batch itself has zero violations.
     """
     p = float(p)
-    rows = tuple(sandwich_triple(exp, p) for exp in batch)
-    if not rows:
+    batch = list(batch)
+    if not batch:
         raise PreconditionError("empty batch")
+    rows = _sandwich_rows(batch, p)
     lower = max(r.lhs / r.mid for r in rows)
     upper = max(r.mid / r.rhs for r in rows)
     return SandwichReport(

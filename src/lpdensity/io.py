@@ -31,6 +31,49 @@ from .pointset import (
 from .translate_system import Generator, TranslateSystem
 
 # ---------------------------------------------------------------------------
+# spec fields
+
+_REQUIRED = object()
+
+
+def _need(spec: dict, key: str, default=_REQUIRED):
+    """spec[key], or `default` when the key is absent and a default is given."""
+    if key in spec:
+        return spec[key]
+    if default is _REQUIRED:
+        raise InputError(f"spec is missing required key {key!r}")
+    return default
+
+
+def _number(spec: dict, key: str, default=_REQUIRED, kind=float, what="a number"):
+    """spec[key] (or `default`) converted by `kind`; a value it cannot convert
+    is an input error.  `kind` is a plain converter such as float, int,
+    complex or _floats, never a domain constructor: PreconditionError is a
+    ValueError too, and would be reported as an input error."""
+    value = _need(spec, key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{key!r} must be {what}, got {value!r}") from None
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+def _float_rows(rows) -> list:
+    return [_floats(row) for row in rows]
+
+
+def _need_floats(spec: dict, key: str, default=_REQUIRED) -> list:
+    return _number(spec, key, default, _floats, "a list of numbers")
+
+
+def _need_rows(spec: dict, key: str) -> list:
+    return _number(spec, key, kind=_float_rows, what="a list of rows of numbers")
+
+
+# ---------------------------------------------------------------------------
 # point sets
 
 
@@ -89,18 +132,19 @@ def point_set_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PointSet
     kind = spec.get("kind")
     try:
         if kind == "lattice":
-            window = spec["window"]
-            offset = spec.get("offset")
+            window = _number(spec, "window")
+            offset = _need_floats(spec, "offset") if spec.get("offset") is not None else None
             if "basis" in spec:
+                basis = _need_rows(spec, "basis")
                 try:
-                    return make_lattice_basis(spec["basis"], window, offset=offset)
+                    return make_lattice_basis(basis, window, offset=offset)
                 except np.linalg.LinAlgError as exc:
-                    raise InputError(f"lattice basis {spec['basis']} is not invertible: {exc}") from None
+                    raise InputError(f"lattice basis {basis} is not invertible: {exc}") from None
             return make_lattice(
-                spec["spacing"], window, int(spec.get("dimension", 1)), offset=offset
+                _number(spec, "spacing"), window, _number(spec, "dimension", 1, int), offset=offset
             )
         if kind == "reciprocal":
-            return make_reciprocal(spec["N"] if "N" in spec else spec["count"])
+            return make_reciprocal(_number(spec, "N" if "N" in spec else "count", kind=int))
         if kind == "union":
             children = spec["children"] if "children" in spec else spec["members"]
             members = [
@@ -109,7 +153,7 @@ def point_set_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PointSet
             ]
             return union_point_sets(members)
         if kind == "explicit":
-            return PointSet(spec["rows"])
+            return PointSet(_need_rows(spec, "rows"))
     except KeyError as exc:
         raise InputError(f"point-set spec is missing key {exc}") from exc
     raise InputError(f"unknown point-set kind {kind!r}")
@@ -155,21 +199,21 @@ def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> Piecewise
                 box = _cube_spec_box(c)
             else:
                 b = spec["box"]
-                box = Box(tuple(b["lower"]), tuple(b["upper"]))
-            return PiecewiseFn(((box, complex(spec.get("value", 1.0))),), box.dim)
+                box = Box(tuple(_need_floats(b, "lower")), tuple(_need_floats(b, "upper")))
+            return PiecewiseFn(((box, _number(spec, "value", 1.0, complex)),), box.dim)
         if kind == "sampled":
             sup = spec["support"]
-            support = Box(tuple(sup["lower"]), tuple(sup["upper"]))
+            support = Box(tuple(_need_floats(sup, "lower")), tuple(_need_floats(sup, "upper")))
             fn, _err = sample_catalog_function(
-                spec["expression"], spec["step"], support, spec.get("p", 2.0)
+                spec["expression"], _number(spec, "step"), support, _number(spec, "p", 2.0)
             )
             return fn
         if kind is None and "pieces" in spec:
-            dim = int(spec["dimension"])
+            dim = _number(spec, "dimension", kind=int)
             raw = []
             for piece in spec["pieces"]:
-                box = Box(tuple(piece["lower"]), tuple(piece["upper"]))
-                raw.append((box, complex(piece.get("re", 0.0), piece.get("im", 0.0))))
+                box = Box(tuple(_need_floats(piece, "lower")), tuple(_need_floats(piece, "upper")))
+                raw.append((box, complex(_number(piece, "re", 0.0), _number(piece, "im", 0.0))))
             try:
                 return PiecewiseFn(tuple(raw), dim)
             except PreconditionError:
@@ -181,10 +225,8 @@ def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> Piecewise
 
 
 def _cube_spec_box(c: dict) -> Box:
-    if "center" not in c or "side" not in c:
-        raise InputError(f"cube spec needs 'center' and 'side', got keys {sorted(c)}")
-    center = tuple(float(v) for v in c["center"])
-    side = float(c["side"])
+    center = _need_floats(c, "center")
+    side = _number(c, "side")
     return Box(tuple(v - side / 2 for v in center), tuple(v + side / 2 for v in center))
 
 
@@ -219,7 +261,7 @@ def ingest_system(source, base_dir: Optional[Path] = None) -> TranslateSystem:
             raise InputError(f"cannot read system file {path}: {exc}") from exc
         base_dir = path.parent
     try:
-        p = ExponentPair(float(spec["p"]))
+        p = ExponentPair(_number(spec, "p"))
         gens = []
         for i, g in enumerate(spec["generators"]):
             f = function_from_spec(g["f"], base_dir) if isinstance(g["f"], dict) else ingest_function(g["f"], base_dir)

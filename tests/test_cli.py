@@ -520,3 +520,69 @@ def test_lattice_over_the_site_budget_exits_3(tmp_path, capsys, points):
     payload = {"command": "density", "points": points, "h_values": [1.0]}
     code, err = _run_exit(tmp_path, capsys, payload)
     assert code == 3 and "site budget" in err
+
+
+@pytest.mark.parametrize("terms", [0, -1, 64, 10**9])
+def test_haar_terms_outside_the_drawable_indices_exit_2(tmp_path, capsys, terms):
+    # levels 0..5 hold 63 distinct indices; more terms would never be drawn
+    code, err = _run_exit(tmp_path, capsys, {**HAAR, "terms": terms})
+    assert code == 2 and "'terms'" in err and "1..63" in err and "\n" not in err
+    assert not (tmp_path / "haar_check_report.json").exists()
+
+
+def test_haar_terms_at_the_limit_runs(tmp_path, capsys):
+    code, _ = _run_exit(tmp_path, capsys, {**HAAR, "terms": 63, "batch_size": 2})
+    assert code in (0, 4)
+    assert read_report(tmp_path, "haar-check")["spec"]["terms"] == 63
+
+
+def test_haar_cutoff_over_the_index_budget_exits_3(tmp_path, capsys):
+    code, err = _run_exit(tmp_path, capsys, {**HAAR, "cutoff": 40})
+    assert code == 3 and "budget" in err and "\n" not in err
+
+
+CUBE_FN = {"kind": "indicator", "cube": {"center": [0.0], "side": 1.0}}
+PIECES_FN = {"dimension": 1, "pieces": [{"lower": [0.0], "upper": [1.0], "re": 1.0}]}
+SAMPLED_FN = {
+    "kind": "sampled",
+    "expression": "tent",
+    "step": 0.25,
+    "support": {"lower": [-1.0], "upper": [1.0]},
+}
+
+
+def _density(points):
+    return {"command": "density", "points": points, "h_values": [1.0]}
+
+
+def _pair(h):
+    return {"command": "pair", "h": h, "f": UNIT_SPEC}
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"command": "bessel", "system": {**SYSTEM, "p": "x"}, "tests": [UNIT_SPEC]}, "'p'"),
+        (_density({**LATTICE_1D, "spacing": "x"}), "spacing"),
+        (_density({**LATTICE_1D, "window": [1]}), "window"),
+        (_density({**LATTICE_1D, "dimension": "x"}), "dimension"),
+        (_density({**LATTICE_1D, "offset": ["x"]}), "offset"),
+        (_density({"kind": "lattice", "basis": [["x", 0.0], [0.0, 1.0]], "window": 3}), "basis"),
+        (_density({"kind": "reciprocal", "N": "x"}), "'N'"),
+        (_density({"kind": "explicit", "rows": [["x"]]}), "rows"),
+        (_density({"kind": "explicit", "rows": [1.0, 2.0]}), "rows"),
+        (_pair({**UNIT_SPEC, "box": {"lower": ["x"], "upper": [1.0]}}), "lower"),
+        (_pair({**UNIT_SPEC, "value": "x"}), "value"),
+        (_pair({**CUBE_FN, "cube": {"center": ["x"], "side": 1.0}}), "center"),
+        (_pair({**CUBE_FN, "cube": {"center": [0.0], "side": "x"}}), "side"),
+        (_pair({**PIECES_FN, "dimension": "x"}), "dimension"),
+        (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": ["x"]}]}), "upper"),
+        (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "re": "x"}]}), "'re'"),
+        (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "im": [1]}]}), "'im'"),
+        (_pair({**SAMPLED_FN, "step": "x"}), "step"),
+        (_pair({**SAMPLED_FN, "p": "x"}), "'p'"),
+    ],
+)
+def test_ingested_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 2 and key in err and "\n" not in err
