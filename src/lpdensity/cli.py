@@ -34,6 +34,7 @@ from .haar_uncond import (
     unconditional_constant_estimate,
 )
 from .io import (
+    _cube_spec_box,
     _need,
     _need_floats,
     _number,
@@ -46,7 +47,7 @@ from .io import (
     write_csv,
 )
 from .lpfunc import Box, ExponentPair, PiecewiseFn, pair, pair_modulated, translate
-from .pointset import Cube, Point, decompose_separated, density_profile
+from .pointset import Point, decompose_separated, density_profile
 from .translate_system import (
     DichotomyConfig,
     Generator,
@@ -97,10 +98,6 @@ class _RunContext:
         if self.seed is None:
             raise PreconditionError("this analysis samples randomly: a seed is mandatory")
         return np.random.default_rng(self.seed)
-
-
-def _cube_from_spec(spec: dict) -> Cube:
-    return Cube(Point(tuple(_need_floats(spec, "center"))), _number(spec, "side"))
 
 
 def _generator_from_spec(spec: dict, ctx: _RunContext) -> Generator:
@@ -183,11 +180,13 @@ def _cmd_cq_sweep(spec, ctx):
 
 def _cmd_localized_mass(spec, ctx):
     gen = _generator_from_spec(_need(spec, "generator"), ctx)
-    report = localized_mass(gen, _cube_from_spec(_need(spec, "cube")), _number(spec, "p"))
+    cube = _need(spec, "cube")
+    report = localized_mass(gen, _cube_spec_box(cube), _number(spec, "p"))
     verdicts = {}
     if report.finiteness_bound is not None:
         verdicts["mass_within_bound"] = report.total <= report.finiteness_bound.value
-    return {"localized_mass": jsonable(report)}, verdicts, {}
+    echo = {"center": _need_floats(cube, "center"), "side": _number(cube, "side")}
+    return {"localized_mass": {**jsonable(report), "cube": echo}}, verdicts, {}
 
 
 def _cmd_mass_decay(spec, ctx):

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InputError, PreconditionError
 from .lpfunc import Box, ExponentPair, PiecewiseFn, canonicalize, sample_catalog_function
 from .pointset import (
-    Cube,
     Point,
     PointSet,
     make_lattice,
@@ -195,8 +194,7 @@ def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> Piecewise
     try:
         if kind == "indicator":
             if "cube" in spec:
-                c = spec["cube"]
-                box = _cube_spec_box(c)
+                box = _cube_spec_box(spec["cube"])
             else:
                 b = spec["box"]
                 box = Box(tuple(_need_floats(b, "lower")), tuple(_need_floats(b, "upper")))
@@ -225,9 +223,7 @@ def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> Piecewise
 
 
 def _cube_spec_box(c: dict) -> Box:
-    center = _need_floats(c, "center")
-    side = _number(c, "side")
-    return Box(tuple(v - side / 2 for v in center), tuple(v + side / 2 for v in center))
+    return Box.cube(_need_floats(c, "center"), _number(c, "side"))
 
 
 def function_spec(f: PiecewiseFn) -> dict:
@@ -290,8 +286,6 @@ def jsonable(obj):
         return {"im": obj.imag, "re": obj.real}
     if isinstance(obj, Point):
         return list(obj.coords)
-    if isinstance(obj, Cube):
-        return {"center": list(obj.center.coords), "side": obj.side}
     if isinstance(obj, Box):
         return {"lower": list(obj.lower), "upper": list(obj.upper)}
     if isinstance(obj, PiecewiseFn):

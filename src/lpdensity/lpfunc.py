@@ -13,12 +13,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
-from .pointset import Cube, Point
+from .pointset import Point
 
 
 def _coords(x, dim: Optional[int] = None) -> tuple:
@@ -50,6 +50,15 @@ class Box:
                 raise PreconditionError(f"box needs lower < upper componentwise, got {lo} .. {up}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+
+    @classmethod
+    def cube(cls, center, side: float) -> "Box":
+        """The half-open cube prod_i [c_i - side/2, c_i + side/2)."""
+        side = float(side)
+        if not (math.isfinite(side) and side > 0):
+            raise PreconditionError(f"cube side must be a positive finite real, got {side}")
+        c = _coords(center)
+        return cls(tuple(v - side / 2 for v in c), tuple(v + side / 2 for v in c))
 
     @property
     def dim(self) -> int:
@@ -88,12 +97,6 @@ class Box:
     def contains(self, x: Sequence[float]) -> bool:
         c = _coords(x, self.dim)
         return all(a <= v < b for a, v, b in zip(self.lower, c, self.upper))
-
-
-def _cube_box(region: Union[Cube, Box]) -> Box:
-    if isinstance(region, Box):
-        return region
-    return Box(region.lower, region.upper)
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,7 @@ def zero_fn(dimension: int) -> PiecewiseFn:
     return _build((), dimension)
 
 
-def indicator(region: Union[Cube, Box], value: complex = 1.0) -> PiecewiseFn:
-    box = _cube_box(region)
+def indicator(box: Box, value: complex = 1.0) -> PiecewiseFn:
     return PiecewiseFn(((box, complex(value)),), box.dim)
 
 
@@ -237,9 +239,8 @@ def lp_norm(f: PiecewiseFn, p: float) -> float:
     return lp_norm_pow(f, p) ** (1.0 / float(p))
 
 
-def restrict(f: PiecewiseFn, region: Union[Cube, Box]) -> PiecewiseFn:
-    """Pointwise multiplication by the indicator of a half-open cube or box."""
-    clip = _cube_box(region)
+def restrict(f: PiecewiseFn, clip: Box) -> PiecewiseFn:
+    """Pointwise multiplication by the indicator of a half-open box."""
     if clip.dim != f.dimension:
         raise DimensionMismatchError(
             f"restriction region dimension {clip.dim} does not match function dimension {f.dimension}"

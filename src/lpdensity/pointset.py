@@ -61,39 +61,6 @@ class Point:
         return iter(self.coords)
 
 
-@dataclass(frozen=True)
-class Cube:
-    """Half-open axis-aligned cube prod_i [c_i - side/2, c_i + side/2)."""
-
-    center: Point
-    side: float
-
-    def __post_init__(self):
-        side = float(self.side)
-        if not (math.isfinite(side) and side > 0):
-            raise PreconditionError(f"cube side must be a positive finite real, got {side}")
-        object.__setattr__(self, "side", side)
-
-    @property
-    def dim(self) -> int:
-        return self.center.dim
-
-    @property
-    def lower(self) -> tuple:
-        return tuple(c - self.side / 2 for c in self.center)
-
-    @property
-    def upper(self) -> tuple:
-        return tuple(c + self.side / 2 for c in self.center)
-
-    def contains(self, p: Point) -> bool:
-        if p.dim != self.dim:
-            raise DimensionMismatchError(
-                f"point dimension {p.dim} does not match cube dimension {self.dim}"
-            )
-        return all(l <= x < u for l, x, u in zip(self.lower, p.coords, self.upper))
-
-
 # ---------------------------------------------------------------------------
 # provenance descriptors
 
@@ -433,8 +400,9 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     )
 
 
-def count_in_cube(s: PointSet, q: Cube) -> int:
-    """Exact number of points in the half-open cube."""
+def count_in_cube(s: PointSet, q) -> int:
+    """Exact number of points in the half-open box q, such as
+    `lpfunc.Box.cube(center, side)`; only q.dim, q.lower and q.upper are read."""
     if s.dimension != q.dim:
         raise DimensionMismatchError(
             f"point set dimension {s.dimension} does not match cube dimension {q.dim}"

@@ -30,7 +30,6 @@ from .lpfunc import (
     translate,
 )
 from .pointset import (
-    Cube,
     LatticeProvenance,
     Point,
     PointSet,
@@ -137,7 +136,6 @@ class FinitenessBound:
 
 @dataclass(frozen=True)
 class LocalizedMassReport:
-    cube: Cube
     per_generator: tuple  # ((label, mass), ...)
     total: float
     finiteness_bound: Optional[FinitenessBound]
@@ -394,13 +392,12 @@ def _reach_check_set(gamma: PointSet, f_box: Box, test_box: Box) -> None:
         return
 
 
-def _bounding_cube(box: Box) -> Cube:
+def _bounding_cube(box: Box) -> Box:
     center = tuple((a + b) / 2 for a, b in zip(box.lower, box.upper))
-    side = max(b - a for a, b in zip(box.lower, box.upper))
-    return Cube(Point(center), side)
+    return Box.cube(center, max(b - a for a, b in zip(box.lower, box.upper)))
 
 
-def system_localized_mass(sys: TranslateSystem, region: Cube, p: float) -> float:
+def system_localized_mass(sys: TranslateSystem, region: Box, p: float) -> float:
     """sum_k sum_gamma ||restrict(T_gamma f_k, region)||_p^p."""
     total = 0.0
     for gen in sys.generators:
@@ -408,11 +405,10 @@ def system_localized_mass(sys: TranslateSystem, region: Cube, p: float) -> float
     return total
 
 
-def _generator_mass(gen: Generator, region: Cube, p: float) -> float:
+def _generator_mass(gen: Generator, region: Box, p: float) -> float:
     p = float(p)
-    region_box = Box(region.lower, region.upper)
     total = 0.0
-    for site in _overlapping_sites(gen.gamma, gen.f.support_box, region_box):
+    for site in _overlapping_sites(gen.gamma, gen.f.support_box, region):
         total += lp_norm_pow(restrict(translate(gen.f, site), region), p)
     return total
 
@@ -445,7 +441,7 @@ def cq_indicator_sweep(
     rows = []
     for h in hs:
         if fixed_test is None:
-            test = indicator(Cube(Point((0.0,) * d), 2.0 * h))
+            test = indicator(Box.cube((0.0,) * d, 2.0 * h))
         else:
             test = fixed_test
         if test.is_zero:
@@ -477,7 +473,7 @@ def cq_indicator_sweep(
 # localized mass
 
 
-def localized_mass(gen: Generator, region: Cube, p: float) -> LocalizedMassReport:
+def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport:
     """Exact localized mass sum_gamma ||restrict(T_gamma f, region)||_p^p.
 
     When the truncation has at least two sites the report carries the
@@ -494,14 +490,14 @@ def localized_mass(gen: Generator, region: Cube, p: float) -> LocalizedMassRepor
         d = region.dim
         delta = min_separation(gen.gamma)
         eps = delta / (2.0 * math.sqrt(d))
-        reach = max(abs(c) + region.side / 2 for c in region.center)
+        # max(-lower, upper) is |c| + side/2 bit for bit: rounding is symmetric
+        reach = max(max(-a, b) for a, b in zip(region.lower, region.upper))
         blocks = max(1, int(math.ceil(reach / eps)))
         value = (2.0 * blocks) ** d * lp_norm_pow(gen.f, p)
         bound = FinitenessBound(
             value=value, n_parts=1, delta=delta, epsilon=eps, blocks_per_side=blocks
         )
     return LocalizedMassReport(
-        cube=region,
         per_generator=((gen.label, mass),),
         total=mass,
         finiteness_bound=bound,
@@ -519,7 +515,7 @@ def mass_decay_sweep(gen: Generator, x: Point, h_values: Sequence[float], p: flo
         raise PreconditionError("h_values must be strictly decreasing")
     out = []
     for h in hs:
-        out.append((h, _generator_mass(gen, Cube(x, h), float(p))))
+        out.append((h, _generator_mass(gen, Box.cube(x, h), float(p))))
     return tuple(out)
 
 

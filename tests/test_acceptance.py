@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from lpdensity import (
-    Cube,
     DichotomyConfig,
     ExponentPair,
     Generator,
@@ -208,7 +207,7 @@ def test_criterion_6_localized_mass_tiling():
         # dyadic centers and sides keep every overlap subtraction exact
         center = float(rng.integers(-10240, 10241)) / 1024.0
         side = float(rng.integers(103, 3073)) / 1024.0
-        rep = localized_mass(gen, Cube(pt(center), side), 2.0)
+        rep = localized_mass(gen, Box.cube(pt(center), side), 2.0)
         c.check(rep.total == side, f"mass {rep.total} != vol {side}")
     rows = mass_decay_sweep(gen, pt(0.25), [2.0**-k for k in range(1, 10)], 2.0)
     for (_, a), (_, b) in zip(rows, rows[1:]):

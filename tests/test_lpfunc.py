@@ -7,7 +7,6 @@ import pytest
 
 from lpdensity import (
     Box,
-    Cube,
     DimensionMismatchError,
     ExponentPair,
     PiecewiseFn,
@@ -152,20 +151,20 @@ def test_norm_pow_avoids_root_round_trip():
 
 
 def test_restrict_clips_to_cube():
-    f = restrict(indicator_interval(0, 2), Cube(pt(0.0), 1.0))
+    f = restrict(indicator_interval(0, 2), Box.cube(pt(0.0), 1.0))
     assert f.pieces[0][0].lower == (0.0,)
     assert f.pieces[0][0].upper == (0.5,)
 
 
 def test_restrict_identity_when_support_inside():
     f = indicator_interval(-0.25, 0.25, 1.5)
-    assert restrict(f, Cube(pt(0.0), 2.0)) == f
+    assert restrict(f, Box.cube(pt(0.0), 2.0)) == f
 
 
 def test_restrict_overlap_measure():
     # |[0,1) ∩ [-h/2, h/2)| = min(h/2, 1)
     for h in (0.2, 0.7, 1.0, 1.9, 2.0, 3.5):
-        got = lp_norm_pow(restrict(indicator_interval(0, 1), Cube(pt(0.0), h)), 2.0)
+        got = lp_norm_pow(restrict(indicator_interval(0, 1), Box.cube(pt(0.0), h)), 2.0)
         assert got == pytest.approx(min(h / 2, 1.0), abs=1e-15)
 
 
@@ -173,7 +172,7 @@ def test_restrict_never_grows_norm():
     rng = np.random.default_rng(3)
     for _ in range(20):
         f = random_fn_1d(rng)
-        cube = Cube(pt(float(rng.normal())), float(rng.uniform(0.2, 3.0)))
+        cube = Box.cube(pt(float(rng.normal())), float(rng.uniform(0.2, 3.0)))
         assert lp_norm(restrict(f, cube), 2.0) <= lp_norm(f, 2.0) + 1e-12
 
 

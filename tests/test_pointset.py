@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lpdensity import (
-    Cube,
+    Box,
     DimensionMismatchError,
     PointSet,
     PreconditionError,
@@ -200,23 +200,23 @@ def test_decompose_delta_positive():
 
 def test_count_integers_in_unit_cube():
     s = make_lattice(1.0, 5, 1)
-    assert count_in_cube(s, Cube(pt(0.0), 1.0)) == 1
+    assert count_in_cube(s, Box.cube(pt(0.0), 1.0)) == 1
 
 
 def test_count_half_open_boundary():
     s = make_lattice(1.0, 5, 1)
     # Q_2(0.5) = [-0.5, 1.5) holds 0 and 1
-    assert count_in_cube(s, Cube(pt(0.5), 2.0)) == 2
+    assert count_in_cube(s, Box.cube(pt(0.5), 2.0)) == 2
 
 
 def test_count_excludes_right_face():
     s = line_set(0, 0.5, 1.0, 2.0)
-    assert count_in_cube(s, Cube(pt(0.5), 1.0)) == 2  # [0,1) excludes 1.0
+    assert count_in_cube(s, Box.cube(pt(0.5), 1.0)) == 2  # [0,1) excludes 1.0
 
 
 def test_count_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        count_in_cube(line_set(0, 1), Cube(pt(0, 0), 1.0))
+        count_in_cube(line_set(0, 1), Box.cube(pt(0, 0), 1.0))
 
 
 def test_grid_cubes_tile_the_set():
@@ -230,7 +230,7 @@ def test_grid_cubes_tile_the_set():
             assert sum(occ.values()) == n
             # bucket counts agree with direct half-open cube counting
             for key, c in occ.items():
-                cube = Cube(pt(*(k * h for k in key)), h)
+                cube = Box.cube(pt(*(k * h for k in key)), h)
                 assert count_in_cube(s, cube) == c
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from lpdensity import (
     Box,
-    Cube,
     ExponentPair,
     Generator,
     PiecewiseFn,
@@ -329,5 +328,5 @@ def test_masked_power_sum_matches_site_loop(case, exponent):
 def test_masked_mass_matches_site_loop(case, centre, side, p):
     sys, _ = case
     gen = sys.generators[0]
-    region = Cube(pt(*[centre] * gen.f.dimension), side)
+    region = Box.cube(pt(*[centre] * gen.f.dimension), side)
     assert _generator_mass(gen, region, p).hex() == loop_mass(gen, region, p).hex()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lpdensity import (
-    Cube,
     DichotomyConfig,
     ExponentPair,
     Generator,
@@ -244,7 +243,7 @@ def test_sweep_reach_check_recurses_into_unions():
 def test_localized_mass_tiling_identity():
     gen = Generator(UNIT, make_lattice(1.0, 30, 1), "Z")
     for center, h in ((0.0, 0.5), (0.3125, 0.5), (-2.25, 0.75)):
-        rep = localized_mass(gen, Cube(pt(center), h), 2.0)
+        rep = localized_mass(gen, Box.cube(pt(center), h), 2.0)
         assert rep.total == h  # integer translates of [0,1) tile the line
         assert rep.finiteness_bound is not None
         assert rep.total <= rep.finiteness_bound.value
@@ -252,7 +251,7 @@ def test_localized_mass_tiling_identity():
 
 def test_localized_mass_double_cover():
     gen = Generator(indicator_interval(0, 2), make_lattice(1.0, 30, 1), "Z")
-    rep = localized_mass(gen, Cube(pt(0.0), 0.5), 2.0)
+    rep = localized_mass(gen, Box.cube(pt(0.0), 0.5), 2.0)
     # direct summation oracle: every point of the window lies in two supports
     oracle = sum(
         max(0.0, min(0.25, g + 2) - max(-0.25, g))
@@ -276,7 +275,7 @@ def test_mass_growth_for_reciprocal_family():
     masses = {}
     for n in (100, 200):
         gen = Generator(UNIT, make_reciprocal(n), "recip")
-        rep = localized_mass(gen, Cube(pt(0.0), h), 2.0)
+        rep = localized_mass(gen, Box.cube(pt(0.0), h), 2.0)
         # direct summation oracle over n <= N
         oracle = sum(
             max(0.0, min(h / 2, 1.0 / k + 1.0) - max(-h / 2, 1.0 / k))
@@ -298,8 +297,8 @@ def test_localized_mass_translation_covariance():
     beta = 0.4375
     gamma = make_lattice(1.0, 10, 1)
     shifted = PointSet(tuple(pt(x.coords[0] + beta) for x in gamma))
-    base = localized_mass(Generator(UNIT, gamma, "Z"), Cube(pt(0.25), 0.5), 2.0)
-    moved = localized_mass(Generator(UNIT, shifted, "Z+b"), Cube(pt(0.25 + beta), 0.5), 2.0)
+    base = localized_mass(Generator(UNIT, gamma, "Z"), Box.cube(pt(0.25), 0.5), 2.0)
+    moved = localized_mass(Generator(UNIT, shifted, "Z+b"), Box.cube(pt(0.25 + beta), 0.5), 2.0)
     assert moved.total == pytest.approx(base.total, rel=1e-12)
 
 
@@ -307,7 +306,7 @@ def test_localized_mass_tiling_2d():
     square = PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)
     gen = Generator(square, make_lattice(1.0, 8, 2), "Z2")
     for center, h in (((0.0, 0.0), 0.5), ((0.25, -1.5), 1.25)):
-        rep = localized_mass(gen, Cube(pt(*center), h), 2.0)
+        rep = localized_mass(gen, Box.cube(pt(*center), h), 2.0)
         assert rep.total == pytest.approx(h * h, abs=1e-15)
 
 
@@ -327,7 +326,7 @@ def test_system_localized_mass_sums_generators():
     g1 = Generator(UNIT, make_lattice(1.0, 10, 1), "a")
     g2 = Generator(indicator_interval(0, 2), make_lattice(1.0, 10, 1), "b")
     sys_ = TranslateSystem((g1, g2), ExponentPair(2.0))
-    cube = Cube(pt(0.0), 0.5)
+    cube = Box.cube(pt(0.0), 0.5)
     assert system_localized_mass(sys_, cube, 2.0) == pytest.approx(
         localized_mass(g1, cube, 2.0).total + localized_mass(g2, cube, 2.0).total
     )
