@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import InputError, PreconditionError
 from .haar_uncond import (
+    _INDEX_BUDGET,
     HaarExpansion,
     HaarIndex,
     coefficient_sandwich_check,
@@ -213,6 +214,13 @@ def _cmd_haar_check(spec, ctx):
             f"0..{_LEVELS - 1}, got {terms}"
         )
     batch_size = _number(spec, "batch_size", 200, int)
+    num_tests = _number(spec, "num_tests", 20, int)
+    # refused before any draw; any cutoff above 20 is over the budget alone
+    if batch_size * terms > _INDEX_BUDGET or num_tests << min(max(cutoff, 0), 21) > _INDEX_BUDGET:
+        raise PreconditionError(
+            f"'batch_size' {batch_size} x 'terms' {terms} expansion terms or 'num_tests' "
+            f"{num_tests} x 2^'cutoff' {cutoff} Haar pairings are over the budget of {_INDEX_BUDGET}"
+        )
     rng = ctx.rng()
     # biorthogonality is always checked through level 6
     indices = haar_indices_below(7)
@@ -227,7 +235,7 @@ def _cmd_haar_check(spec, ctx):
                 max_diag_err = max(max_diag_err, abs(v - 1))
             else:
                 max_offdiag = max(max_offdiag, abs(v))
-    tests = [_random_test_fn(rng) for _ in range(_number(spec, "num_tests", 20, int))]
+    tests = [_random_test_fn(rng) for _ in range(num_tests)]
     p43 = prop43_check(p, cutoff, tests)
     batch = [_random_expansion(rng, terms) for _ in range(batch_size)]
     held = [_random_expansion(rng, terms) for _ in range(batch_size)]

@@ -63,8 +63,10 @@ class HaarIndex:
         return (self.level, self.offset)
 
 
-# the most indices haar_indices_below builds, as pointset's site budget
+# the most indices haar_indices_below builds, as pointset's site budget, and
+# the most entries of any matrix unconditional_constant_estimate builds
 _INDEX_BUDGET = 1 << 20
+_BUDGET_BITS = _INDEX_BUDGET.bit_length() - 1
 
 
 def haar_indices_below(cutoff: int) -> list:
@@ -72,7 +74,7 @@ def haar_indices_below(cutoff: int) -> list:
     cutoff = int(cutoff)
     if cutoff < 0:
         raise PreconditionError("cutoff must be >= 0")
-    if cutoff > _INDEX_BUDGET.bit_length() - 1:
+    if cutoff > _BUDGET_BITS:
         raise PreconditionError(
             f"cutoff {cutoff} gives 2^{cutoff} Haar indices, over the budget of {_INDEX_BUDGET}"
         )
@@ -102,10 +104,15 @@ def _halves(idx: HaarIndex, p: float) -> tuple:
     """(lo, mid, hi, v): the non-constant haar_fn(idx, p) is v on [lo, mid)
     and -v on [mid, hi)."""
     j, k = idx.level, idx.offset
-    lo = k * 2.0**-j
-    mid = (2 * k + 1) * 2.0 ** -(j + 1)
-    hi = (k + 1) * 2.0**-j
-    v = 2.0 ** (j / p)
+    try:
+        lo = k * 2.0**-j
+        mid = (2 * k + 1) * 2.0 ** -(j + 1)
+        hi = (k + 1) * 2.0**-j
+        v = 2.0 ** (j / p)
+    except OverflowError:
+        raise PreconditionError(
+            f"the Haar function of level {j} at p = {p} overflows double precision"
+        ) from None
     if not lo < mid < hi:
         raise PreconditionError(f"the halves of level {j} offset {k} collapse in double precision")
     return lo, mid, hi, v
@@ -254,11 +261,17 @@ def expansion_norms(batch: Sequence[HaarExpansion], p: float) -> list:
     return norms
 
 
+def _grid_depth(exp: HaarExpansion) -> int:
+    """log2 of the cell count of the finest dyadic grid on which every term of
+    the expansion is constant."""
+    levels = [idx.level for idx, _ in exp.terms if idx.level >= 0]
+    return (max(levels) + 1) if levels else 0
+
+
 def _cell_grid(exp: HaarExpansion, p: float):
     """Cell width and the (terms x cells) value matrix on the finest dyadic grid
     on which every term of the expansion is constant."""
-    levels = [idx.level for idx, _ in exp.terms if idx.level >= 0]
-    depth = (max(levels) + 1) if levels else 0
+    depth = _grid_depth(exp)
     n_cells = 2**depth
     m = np.zeros((len(exp.terms), n_cells))
     for row, (idx, _) in enumerate(exp.terms):
@@ -285,7 +298,9 @@ def unconditional_constant_estimate(
     Supports of size <= 12 are enumerated exhaustively (the first sign is
     pinned to +1 since theta and -theta give equal norms); larger supports are
     sampled with `trials` seeded patterns.  Always >= 1: the identity pattern
-    is included.
+    is included.  An expansion whose terms x cells grid, patterns x terms
+    signs or patterns x cells values would hold more than _INDEX_BUDGET
+    entries is refused before any expansion is evaluated.
     """
     p = float(p)
     trials = int(trials)
@@ -294,12 +309,21 @@ def unconditional_constant_estimate(
     expansions = list(expansions)
     if not expansions:
         raise PreconditionError("need at least one expansion")
-    rng = np.random.default_rng(seed)
-    best = 1.0
     for exp in expansions:
         n = len(exp)
         if n == 0:
             raise PreconditionError("cannot size the unconditional constant of 0")
+        depth = _grid_depth(exp)
+        rows = 2 ** (n - 1) if n <= 12 else trials
+        if depth > _BUDGET_BITS or max(n << depth, rows * n, rows << depth) > _INDEX_BUDGET:
+            raise PreconditionError(
+                f"an expansion with {n} terms, {rows} sign patterns and 2^{depth} cells "
+                f"is over the budget of {_INDEX_BUDGET} matrix entries"
+            )
+    rng = np.random.default_rng(seed)
+    best = 1.0
+    for exp in expansions:
+        n = len(exp)
         width, m = _cell_grid(exp, p)
         a = np.array([c for _, c in exp.terms], dtype=complex)
         base = float((((np.abs(a @ m)) ** p) * width).sum() ** (1.0 / p))

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
-from .pointset import Point
+from .pointset import _SITE_BUDGET, Point
 
 
 def _coords(x, dim: Optional[int] = None) -> tuple:
@@ -533,7 +533,7 @@ def sample_catalog_function(name: str, step: float, support: Box, p: float):
     Returns (PiecewiseFn, lp_error_bound).  The bound is the grid oscillation
     estimate L * sqrt(d)/2 * step times vol(support)^{1/p}, where L bounds the
     gradient norm of the sampled expression; dyadic steps keep the cell
-    endpoints exact.
+    endpoints exact.  A grid of more than _SITE_BUDGET cells is refused.
     """
     if name not in SAMPLER_CATALOG:
         raise PreconditionError(
@@ -544,7 +544,14 @@ def sample_catalog_function(name: str, step: float, support: Box, p: float):
         raise PreconditionError(f"grid step must be positive, got {step}")
     func, lip_per_dim = SAMPLER_CATALOG[name]
     d = support.dim
-    counts = [int(math.ceil((b - a) / step)) for a, b in zip(support.lower, support.upper)]
+    spans = [(b - a) / step for a, b in zip(support.lower, support.upper)]
+    # an infinite span fails the first test, before math.ceil sees it
+    if any(s > _SITE_BUDGET for s in spans) or math.prod(map(math.ceil, spans)) > _SITE_BUDGET:
+        raise PreconditionError(
+            f"grid step {step} on the support {support.lower} .. {support.upper} "
+            f"gives more than {_SITE_BUDGET} cells"
+        )
+    counts = [math.ceil(s) for s in spans]
     pieces = []
     for idx in itertools.product(*(range(c) for c in counts)):
         lo = tuple(a + i * step for a, i in zip(support.lower, idx))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
 from .lpfunc import (
+    _TILE,
     Box,
     ExponentPair,
     PiecewiseFn,
@@ -243,10 +244,14 @@ def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
     """
     arr = gamma.as_array
     anchored = _ranked(*anchored_windows(gamma, h), limit)
-    # site-centered windows, counted by direct half-open membership
-    lows = arr[:, None, :] - h / 2
-    inside = np.all((arr[None, :, :] >= lows) & (arr[None, :, :] < lows + h), axis=2)
-    centered = _ranked(arr, inside.sum(axis=1), limit)
+    # site-centered windows, counted by direct half-open membership in row
+    # tiles of at most _TILE entries
+    counts = np.empty(len(arr), dtype=int)
+    step = max(1, _TILE // max(1, arr.size))
+    for i in range(0, len(arr), step):
+        lows = arr[i : i + step, None, :] - h / 2
+        counts[i : i + step] = np.all((arr >= lows) & (arr < lows + h), axis=2).sum(axis=1)
+    centered = _ranked(arr, counts, limit)
     return list(dict.fromkeys(anchored + centered))
 
 

@@ -541,6 +541,27 @@ def test_haar_cutoff_over_the_index_budget_exits_3(tmp_path, capsys):
     assert code == 3 and "budget" in err and "\n" not in err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"terms": 63, "batch_size": 16645},  # 1,048,635 expansion terms
+        {"num_tests": 2**13, "cutoff": 8},  # 2^21 Haar pairings
+        {"num_tests": 10**9, "cutoff": 0},
+        {"num_tests": 1, "cutoff": 10**12},
+    ],
+)
+def test_haar_check_over_the_budget_exits_3_before_drawing(tmp_path, capsys, fields):
+    code, err = _run_exit(tmp_path, capsys, {**HAAR, **fields})
+    assert code == 3 and "budget of 1048576" in err and "\n" not in err
+    assert not (tmp_path / "haar_check_report.json").exists()
+
+
+def test_haar_check_sampled_sign_patterns_over_the_budget_exit_3(tmp_path, capsys):
+    # 13 terms are sampled with `trials` sign patterns
+    code, err = _run_exit(tmp_path, capsys, {**HAAR, "terms": 13, "trials": 10**12})
+    assert code == 3 and "budget" in err and "\n" not in err
+
+
 CUBE_FN = {"kind": "indicator", "cube": {"center": [0.0], "side": 1.0}}
 PIECES_FN = {"dimension": 1, "pieces": [{"lower": [0.0], "upper": [1.0], "re": 1.0}]}
 SAMPLED_FN = {
@@ -557,6 +578,11 @@ def _density(points):
 
 def _pair(h):
     return {"command": "pair", "h": h, "f": UNIT_SPEC}
+
+
+def test_sampled_grid_over_the_budget_exits_3(tmp_path, capsys):
+    code, err = _run_exit(tmp_path, capsys, _pair({**SAMPLED_FN, "step": 1e-320}))
+    assert code == 3 and "1048576 cells" in err and "\n" not in err
 
 
 @pytest.mark.parametrize(

@@ -23,14 +23,18 @@ from lpdensity import (
     blowup_witness,
     cross_pairings,
     pair,
+    make_lattice,
+    make_reciprocal,
     pt,
     sample_catalog_function,
     scale,
     translate,
 )
 from lpdensity import lpfunc
+from lpdensity import translate_system
 from lpdensity.errors import DimensionMismatchError
-from lpdensity.translate_system import _exceeds, _window_center_candidates
+from lpdensity.pointset import anchored_windows
+from lpdensity.translate_system import _exceeds, _ranked, _window_center_candidates
 
 
 def bits(z: complex) -> bytes:
@@ -327,3 +331,62 @@ def test_count_decision_matches_python_abs(zs):
         for epsilon in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)):
             if epsilon > 0:
                 assert _exceeds(vals, epsilon).tolist() == [abs(v) > epsilon for v in zs]
+
+
+# ---------------------------------------------------------------------------
+# the tiled candidate scan against the membership tensor it replaced
+
+
+def tensor_candidates(gamma, h, limit):
+    """Witness candidates with the site-centred windows counted on the full
+    n x n x d membership tensor."""
+    arr = gamma.as_array
+    anchored = _ranked(*anchored_windows(gamma, h), limit)
+    lows = arr[:, None, :] - h / 2
+    inside = np.all((arr[None, :, :] >= lows) & (arr[None, :, :] < lows + h), axis=2)
+    return list(dict.fromkeys(anchored + _ranked(arr, inside.sum(axis=1), limit)))
+
+
+grid_coords = st.one_of(
+    st.integers(-12, 12).map(lambda k: k / 8),
+    st.integers(-9, 9).map(lambda k: k / 3),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@st.composite
+def site_sets(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[grid_coords] * d), min_size=1, max_size=25, unique=True))
+    return PointSet(rows)
+
+
+@given(
+    site_sets(),
+    st.sampled_from([0.25, 1 / 3, 0.5, 1.0, 2.5]),
+    st.sampled_from([1, 3, 512]),
+    st.sampled_from([1, 5, 1 << 15]),
+)
+def test_tiled_candidates_match_the_tensor(gamma, h, limit, tile):
+    with mock.patch.object(translate_system, "_TILE", tile):
+        got = _window_center_candidates(gamma, h, limit)
+    assert got == tensor_candidates(gamma, h, limit)
+
+
+@pytest.mark.parametrize(
+    "gamma, h",
+    [(make_reciprocal(2000), 0.25), (make_lattice(0.5, 12, 2), 0.75)],
+    ids=["reciprocal-2000", "lattice-2d-2401"],
+)
+def test_candidate_scan_memory_is_bounded(gamma, h):
+    # the tensor held 8.2 MB for 2000 reciprocal sites and 24 MB for the
+    # lattice; a first call leaves out numpy's one-time allocations
+    want = tensor_candidates(gamma, h, 512)
+    tracemalloc.start()
+    try:
+        got = _window_center_candidates(gamma, h, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert got == want

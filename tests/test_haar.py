@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lpdensity import (
     count_sandwich_violations,
     dual_fn,
     expansion_norm,
+    expansion_norms,
     haar_fn,
     haar_indices_below,
     indicator_interval,
@@ -73,6 +75,16 @@ def test_haar_fn_level_one_values():
     assert f.value_at((0.3,)) == pytest.approx(-math.sqrt(2))
     g = haar_fn(HaarIndex(1, 0), 3.0)
     assert abs(g.value_at((0.1,))) == pytest.approx(2 ** (1 / 3))
+
+
+def test_levels_beyond_double_range_are_refused():
+    # 2^(1050/1) and the float corners of offset 2^1100 - 1 overflow
+    for idx, p in ((HaarIndex(1050, 0), 1.0), (HaarIndex(1100, 2**1100 - 1), 2.0)):
+        with pytest.raises(PreconditionError, match="overflows double precision"):
+            haar_fn(idx, p)
+        with pytest.raises(PreconditionError, match="overflows double precision"):
+            expansion_norms([HaarExpansion.from_mapping({idx: 1.0})], p)
+    assert haar_fn(HaarIndex(1023, 0), 1.0).pieces[0][1] == 2.0**1023
 
 
 def test_haar_fn_unit_norm():
@@ -210,6 +222,20 @@ def _bump(e):
             coeffs[idx] = 1e-9 + 0j
         k += 1
     return HaarExpansion.from_mapping(coeffs)
+
+
+def test_unconditional_constant_refuses_matrices_over_the_budget():
+    small = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0})
+    # a level-40 term: a 2 x 2^41 cell grid
+    deep = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0, HaarIndex(40, 0): 1.0})
+    # 13 terms on 2^7 cells: sampled patterns x cells reach 2^20 at 8192 trials
+    wide = _bump(HaarExpansion.from_mapping({HaarIndex(3, k): 1.0 for k in range(8)}))
+    for exp, trials in ((deep, 10), (wide, 10**12), (wide, 8193)):
+        # refused before any expansion, the small first one too, is evaluated
+        with mock.patch("lpdensity.haar_uncond._cell_grid", side_effect=AssertionError):
+            with pytest.raises(PreconditionError, match="budget"):
+                unconditional_constant_estimate([small, exp], 1.5, trials)
+    assert unconditional_constant_estimate([small, wide], 1.5, 8192) >= 1.0
 
 
 def test_sign_pattern_must_cover_support():

@@ -355,6 +355,19 @@ def test_sampled_tent_hits_exact_values_on_grid_centers():
     assert bound > 0
 
 
+@pytest.mark.parametrize(
+    "step, support",
+    [
+        (1e-320, Box((-1.0,), (1.0,))),
+        (1 / 1025, Box((0.0, 0.0), (1.0, 1.0))),
+        (1e-4, Box((-3.0, -3.0), (3.0, 3.0))),
+    ],
+)
+def test_sampled_grid_over_the_budget_is_refused(step, support):
+    with pytest.raises(PreconditionError, match="1048576 cells"):
+        sample_catalog_function("tent", step, support, 2.0)
+
+
 def test_sampled_unknown_name():
     with pytest.raises(PreconditionError):
         sample_catalog_function("sinc", 0.1, Box((0.0,), (1.0,)), 2.0)
