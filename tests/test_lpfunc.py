@@ -66,6 +66,15 @@ def test_box_needs_positive_volume():
         Box((0.0,), (0.0,))
 
 
+def test_box_cube_corners_and_side():
+    q = Box.cube(pt(0.3, -1.0), 0.7)
+    assert q.lower == (0.3 - 0.35, -1.0 - 0.35) and q.upper == (0.3 + 0.35, -1.0 + 0.35)
+    assert Box.cube([2.0], 1) == Box((1.5,), (2.5,))
+    for side in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="^cube side must be a positive finite real"):
+            Box.cube(pt(0.0), side)
+
+
 def test_overlapping_pieces_rejected():
     with pytest.raises(PreconditionError, match="canonicalize"):
         PiecewiseFn(((Box((0.0,), (1.0,)), 1.0), (Box((0.5,), (1.5,)), 1.0)), 1)
