@@ -495,7 +495,8 @@ def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport
         d = region.dim
         delta = min_separation(gen.gamma)
         eps = delta / (2.0 * math.sqrt(d))
-        # max(-lower, upper) is |c| + side/2 bit for bit: rounding is symmetric
+        # the box's farthest coordinate from 0; for Box.cube(c, side) it is
+        # |c| + side/2 bit for bit, since rounding is monotone and symmetric
         reach = max(max(-a, b) for a, b in zip(region.lower, region.upper))
         blocks = max(1, int(math.ceil(reach / eps)))
         value = (2.0 * blocks) ** d * lp_norm_pow(gen.f, p)
