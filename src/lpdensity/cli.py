@@ -32,6 +32,7 @@ from .haar_uncond import (
     haar_fn,
     haar_indices_below,
     prop43_check,
+    sign_pattern_count,
     unconditional_constant_estimate,
 )
 from .io import (
@@ -215,12 +216,14 @@ def _cmd_haar_check(spec, ctx):
         )
     batch_size = _number(spec, "batch_size", 200, int)
     num_tests = _number(spec, "num_tests", 20, int)
+    trials = _number(spec, "trials", 200, int)
     # refused before any draw; any cutoff above 20 is over the budget alone
     if batch_size * terms > _INDEX_BUDGET or num_tests << min(max(cutoff, 0), 21) > _INDEX_BUDGET:
         raise PreconditionError(
             f"'batch_size' {batch_size} x 'terms' {terms} expansion terms or 'num_tests' "
             f"{num_tests} x 2^'cutoff' {cutoff} Haar pairings are over the budget of {_INDEX_BUDGET}"
         )
+    sign_pattern_count(terms, trials)
     rng = ctx.rng()
     # biorthogonality is always checked through level 6
     indices = haar_indices_below(7)
@@ -240,13 +243,14 @@ def _cmd_haar_check(spec, ctx):
     batch = [_random_expansion(rng, terms) for _ in range(batch_size)]
     held = [_random_expansion(rng, terms) for _ in range(batch_size)]
     fit = coefficient_sandwich_check(batch, p)
-    held_rows = coefficient_sandwich_check(held, p).rows
+    held_fit = coefficient_sandwich_check(held, p)
     violations = count_sandwich_violations(
-        held_rows, fit.lower_constant, fit.upper_constant, headroom=1.1
+        held_fit.rows, fit.lower_constant, fit.upper_constant, headroom=1.1
     )
-    uncond = unconditional_constant_estimate(
-        batch[:10], p, trials=_number(spec, "trials", 200, int), seed=ctx.seed
-    )
+    uncond = unconditional_constant_estimate(batch[:10], p, trials=trials, seed=ctx.seed)
+    # Burkholder's sharp constant max(p, q) - 1 bounds every row and the estimate (README)
+    beta = max(p, p / (p - 1)) - 1.0
+    outside = count_sandwich_violations(fit.rows + held_fit.rows, beta, beta)
     outputs = {
         "biorthogonality": {"max_offdiag": max_offdiag, "max_diag_error": max_diag_err},
         "prop43": jsonable(p43),
@@ -256,10 +260,18 @@ def _cmd_haar_check(spec, ctx):
             "held_out_violations": violations,
         },
         "unconditional_constant_estimate": uncond,
+        "burkholder": {
+            "beta": beta,
+            "rows_outside": outside,
+            "lower_margin": beta - max(fit.lower_constant, held_fit.lower_constant),
+            "upper_margin": beta - max(fit.upper_constant, held_fit.upper_constant),
+            "estimate_margin": beta - uncond,
+        },
     }
+    # count_sandwich_violations' relative slack, which p = 2 (beta = 1) needs
     verdicts = {
         "biorthogonal_offdiag_zero": max_offdiag == 0.0,
-        "sandwich_no_violations": violations == 0,
+        "burkholder_bounds_hold": outside == 0 and uncond <= beta * (1 + 1e-12),
     }
     return outputs, verdicts, {}
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -560,6 +561,35 @@ def test_haar_check_sampled_sign_patterns_over_the_budget_exit_3(tmp_path, capsy
     # 13 terms are sampled with `trials` sign patterns
     code, err = _run_exit(tmp_path, capsys, {**HAAR, "terms": 13, "trials": 10**12})
     assert code == 3 and "budget" in err and "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"terms": 13, "trials": 10**12},
+        {"terms": 13, "trials": 27595},  # x 38 cut-grid cells is over 2^20
+        {"terms": 40, "trials": 8896},  # x 119 cells is over 2^20
+        {"trials": 0},
+    ],
+)
+def test_haar_check_refuses_sign_patterns_before_the_first_draw(tmp_path, capsys, fields):
+    with mock.patch("lpdensity.cli._RunContext.rng", side_effect=AssertionError):
+        code, err = _run_exit(tmp_path, capsys, {**HAAR, **fields})
+    assert code == 3 and "\n" not in err
+    assert not (tmp_path / "haar_check_report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [191451571, 1072204709])
+def test_haar_check_passes_where_fitted_constants_failed(tmp_path, capsys, seed):
+    # these seeds drew held-out rows above 1.1x the constants fitted on the
+    # first batch; Burkholder's beta = 2 bounds both batches
+    payload = {**HAAR, "seed": seed, "cutoff": 8, "num_tests": 20, "batch_size": 300}
+    code, _ = _run_exit(tmp_path, capsys, payload)
+    report = read_report(tmp_path, "haar-check")
+    assert code == 0
+    assert report["verdicts"] == {"biorthogonal_offdiag_zero": True, "burkholder_bounds_hold": True}
+    assert report["outputs"]["sandwich_fit"]["held_out_violations"] > 0
+    assert report["outputs"]["burkholder"]["beta"] == 2.0
 
 
 CUBE_FN = {"kind": "indicator", "cube": {"center": [0.0], "side": 1.0}}

@@ -224,18 +224,29 @@ def _bump(e):
     return HaarExpansion.from_mapping(coeffs)
 
 
+def _oracle_ratio(e, p):
+    """The largest sign-pattern norm ratio, every norm through build_expansion_fn."""
+    base = lp_norm(build_expansion_fn(e, p), p)
+    return max(
+        lp_norm(build_expansion_fn(e.signed(SignPattern(tuple(zip(e.support, signs)))), p), p)
+        / base
+        for signs in itertools.product((1, -1), repeat=len(e))
+    )
+
+
 def test_unconditional_constant_refuses_matrices_over_the_budget():
     small = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0})
-    # a level-40 term: a 2 x 2^41 cell grid
+    # a level-40 term: 5 cut-grid cells, not 2^41 dyadic ones
     deep = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0, HaarIndex(40, 0): 1.0})
-    # 13 terms on 2^7 cells: sampled patterns x cells reach 2^20 at 8192 trials
+    assert unconditional_constant_estimate([small, deep], 1.5, 10) == _oracle_ratio(deep, 1.5)
+    # 13 terms on 38 cells: sampled patterns x cells pass 2^20 at 27595 trials
     wide = _bump(HaarExpansion.from_mapping({HaarIndex(3, k): 1.0 for k in range(8)}))
-    for exp, trials in ((deep, 10), (wide, 10**12), (wide, 8193)):
+    for trials in (10**12, 27595, 0):
         # refused before any expansion, the small first one too, is evaluated
-        with mock.patch("lpdensity.haar_uncond._cell_grid", side_effect=AssertionError):
-            with pytest.raises(PreconditionError, match="budget"):
-                unconditional_constant_estimate([small, exp], 1.5, trials)
-    assert unconditional_constant_estimate([small, wide], 1.5, 8192) >= 1.0
+        with mock.patch("lpdensity.haar_uncond._cut_grid", side_effect=AssertionError):
+            with pytest.raises(PreconditionError, match="budget|trials"):
+                unconditional_constant_estimate([small, wide], 1.5, trials)
+    assert unconditional_constant_estimate([small, wide], 1.5, 27594) >= 1.0
 
 
 def test_sign_pattern_must_cover_support():

@@ -3,27 +3,33 @@
 `expansion_norms(batch, p)` must return lp_norm(build_expansion_fn(e, p), p)
 for every expansion, with the same bits, and `coefficient_sandwich_check`
 must give the rows it gave when every mid came from that oracle.
+`unconditional_constant_estimate`, on the same cut grid, must agree with the
+oracle to rounding, and both must stay within Burkholder's constant.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lpdensity import (
     HaarExpansion,
     HaarIndex,
     PreconditionError,
+    SignPattern,
     build_expansion_fn,
     coefficient_sandwich_check,
+    count_sandwich_violations,
     expansion_norm,
     expansion_norms,
     haar_fn,
     haar_indices_below,
     lp_norm,
     sandwich_triple,
+    unconditional_constant_estimate,
 )
 from lpdensity.haar_uncond import SandwichRow
 
@@ -214,6 +220,44 @@ def test_sandwich_refuses_empty_inputs():
         coefficient_sandwich_check([expansion(((1, 0.5), 1.0)), HaarExpansion(())], 3.0)
     with pytest.raises(PreconditionError, match="p must lie"):
         sandwich_triple(expansion(((1, 0.5), 1.0)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the unconditional constant and Burkholder's bounds
+
+
+def oracle_ratio(exp, p):
+    """The largest sign-pattern norm ratio, every norm through build_expansion_fn."""
+    signed = (
+        exp.signed(SignPattern(tuple(zip(exp.support, signs))))
+        for signs in itertools.product((1, -1), repeat=len(exp))
+    )
+    return max(oracle(e, p) for e in signed) / oracle(exp, p)
+
+
+nonzero_parts = st.one_of(
+    st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3), st.sampled_from((1.0, -1.0, 2.0**-30))
+)
+DEEP = (HaarIndex(40, 0), HaarIndex(40, 2**40 - 1), HaarIndex(40, 3 * 2**37 + 5))
+
+
+@st.composite
+def sign_test_expansions(draw):
+    """1 to 6 terms, often with a level-40 one, so every pattern is enumerated."""
+    keys = st.one_of(haar_indices(6), st.sampled_from(DEEP))
+    values = st.builds(complex, nonzero_parts, parts)
+    return HaarExpansion.from_mapping(draw(st.dictionaries(keys, values, min_size=1, max_size=6)))
+
+
+@given(st.lists(sign_test_expansions(), min_size=1, max_size=3), st.sampled_from(P_VALUES[2:]))
+@example([expansion(((0,), 1.0), ((40, 0.3), 2.0 - 0.5j), ((-1,), 0.5j))], 1.1)
+def test_estimate_matches_the_oracle_within_burkholder_bounds(batch, p):
+    beta = max(p, p / (p - 1)) - 1.0
+    estimate = unconditional_constant_estimate(batch, p, trials=1)
+    assert estimate == pytest.approx(max(oracle_ratio(e, p) for e in batch), rel=1e-12, abs=0)
+    assert estimate <= beta * (1 + 1e-12)
+    rows = coefficient_sandwich_check(batch, p).rows
+    assert count_sandwich_violations(rows, beta, beta) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Byte pins for the reports of the cube-measuring commands.
+"""Byte pins for the reports of the cube-measuring commands and haar-check.
 
 Each spec runs through `cli.main`; the report, with its timestamp line
 removed, and any CSV table must hash to the recorded sha256 digests.  The
 digests pin the exact bytes, so a change that moves any float of these
-reports by one ulp, or renames a field, fails here.
+reports by one ulp, or renames a field, fails here.  The haar-check reports
+also hold values rounded by numpy (the sandwich flanks and the
+unconditional constant estimate), so their digests hold for numpy builds
+that round those as the one they were recorded with.
 """
 
 import hashlib
@@ -67,6 +70,25 @@ SPECS = {
         },
         "h_values": [0.5, 0.3, 0.2, 0.1],
     },
+    # exhaustive sign patterns (12 terms) at p = 3, sampled ones at p = 1.5
+    "haar-check-p3": {
+        "command": "haar-check",
+        "p": 3.0,
+        "seed": 11,
+        "cutoff": 6,
+        "num_tests": 4,
+        "batch_size": 40,
+    },
+    "haar-check-p1.5": {
+        "command": "haar-check",
+        "p": 1.5,
+        "seed": 12,
+        "cutoff": 5,
+        "num_tests": 4,
+        "batch_size": 40,
+        "terms": 14,
+        "trials": 64,
+    },
 }
 
 # (exit code, {file name: sha256 of its bytes, timestamp line removed})
@@ -89,6 +111,14 @@ PINNED = {
             "cq_sweep.csv": "83b9f81fc2cc91e3ecd48d0ec56c6a3ed8ac2134edf9f543d789de16d266ec9f",
             "cq_sweep_report.json": "ceddfefcd76bcc0820b3825d05ade76ad82d46923f2ebcc4a474671ecd0b8573",
         },
+    ),
+    "haar-check-p3": (
+        0,
+        {"haar_check_report.json": "cfcd5837d26415fe700746b51b44b4e55faac1ef613901a6ce5f529e4fe7fed1"},
+    ),
+    "haar-check-p1.5": (
+        0,
+        {"haar_check_report.json": "0fbd076474b4ce000f5711d7bd127921caca43822c8a8bf323e4fb2821d3a890"},
     ),
 }
 
