@@ -268,7 +268,7 @@ def _cmd_haar_check(spec, ctx):
             "estimate_margin": beta - uncond,
         },
     }
-    # count_sandwich_violations' relative slack, which p = 2 (beta = 1) needs
+    # 1e-12 is count_sandwich_violations' relative slack, which p = 2 (beta = 1) needs
     verdicts = {
         "biorthogonal_offdiag_zero": max_offdiag == 0.0,
         "burkholder_bounds_hold": outside == 0 and uncond <= beta * (1 + 1e-12),

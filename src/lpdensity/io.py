@@ -187,6 +187,12 @@ def ingest_function(source, base_dir: Optional[Path] = None) -> PiecewiseFn:
     return function_from_spec(spec, base_dir=path.parent)
 
 
+# the most pieces an explicit function spec may list: PiecewiseFn tests
+# every pair of pieces for overlap, which takes about 2.5 s for 2048 pieces
+# (2-vCPU Xeon, Python 3.11)
+_PIECE_BUDGET = 1 << 11
+
+
 def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PiecewiseFn:
     if "path" in spec:
         return ingest_function(spec["path"], base_dir=base_dir)
@@ -208,8 +214,15 @@ def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> Piecewise
             return fn
         if kind is None and "pieces" in spec:
             dim = _number(spec, "dimension", kind=int)
+            pieces = spec["pieces"]
+            if not isinstance(pieces, list):
+                raise InputError("'pieces' must be a list of pieces")
+            if len(pieces) > _PIECE_BUDGET:
+                raise PreconditionError(
+                    f"{len(pieces)} pieces are over the budget of {_PIECE_BUDGET} pieces"
+                )
             raw = []
-            for piece in spec["pieces"]:
+            for piece in pieces:
                 box = Box(tuple(_need_floats(piece, "lower")), tuple(_need_floats(piece, "upper")))
                 raw.append((box, complex(_number(piece, "re", 0.0), _number(piece, "im", 0.0))))
             try:

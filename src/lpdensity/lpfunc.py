@@ -463,7 +463,8 @@ def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
     The piece endpoints induce an axis-aligned grid; overlapping values are
     summed per grid cell and exact-zero cells are dropped.  Pairings and norms
     of the result agree with the raw sum.  Accepts a PiecewiseFn or an
-    iterable of (Box, value) pairs.
+    iterable of (Box, value) pairs.  Pieces that cover more than _SITE_BUDGET
+    grid cells in all are refused before any cell is summed.
     """
     if isinstance(pieces, PiecewiseFn):
         dimension = pieces.dimension
@@ -483,15 +484,18 @@ def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
     for j in range(d):
         vals = {box.lower[j] for box, _ in raw} | {box.upper[j] for box, _ in raw}
         cuts.append(sorted(vals))
-    cells: dict = {}
+    covers = []  # each nonzero piece's cell index range per axis
     for box, v in raw:
-        if v == 0:
-            continue
-        ranges = []
-        for j in range(d):
-            i0 = bisect_left(cuts[j], box.lower[j])
-            i1 = bisect_left(cuts[j], box.upper[j])
-            ranges.append(range(i0, i1))
+        if v != 0:
+            axes = zip(cuts, box.lower, box.upper)
+            covers.append(([range(bisect_left(c, a), bisect_left(c, b)) for c, a, b in axes], v))
+    covered = sum(math.prod(map(len, ranges)) for ranges, _ in covers)
+    if covered > _SITE_BUDGET:
+        raise PreconditionError(
+            f"the pieces cover {covered} grid cells, over the budget of {_SITE_BUDGET}"
+        )
+    cells: dict = {}
+    for ranges, v in covers:
         for idx in itertools.product(*ranges):
             cells[idx] = cells.get(idx, 0j) + v
     out = []

@@ -41,19 +41,6 @@ class Point:
     def dim(self) -> int:
         return len(self.coords)
 
-    def distance_to(self, other: "Point") -> float:
-        if other.dim != self.dim:
-            raise DimensionMismatchError(
-                f"cannot measure distance between dimensions {self.dim} and {other.dim}"
-            )
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(self.coords, other.coords)))
-
-    def shifted(self, offset: Sequence[float]) -> "Point":
-        off = tuple(float(o) for o in offset)
-        if len(off) != self.dim:
-            raise DimensionMismatchError("offset dimension mismatch")
-        return Point(tuple(c + o for c, o in zip(self.coords, off)))
-
     def __getitem__(self, i):
         return self.coords[i]
 

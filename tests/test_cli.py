@@ -615,6 +615,25 @@ def test_sampled_grid_over_the_budget_exits_3(tmp_path, capsys):
     assert code == 3 and "1048576 cells" in err and "\n" not in err
 
 
+def _pieces(boxes):
+    pieces = [{"lower": list(lo), "upper": list(up), "re": 1.0} for lo, up in boxes]
+    return {"dimension": len(boxes[0][0]), "pieces": pieces}
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        # 200 nested squares cover 10,666,600 cells of their 399 x 399 grid
+        (_pieces([((-k, -k), (k, k)) for k in range(1, 201)]), "10666600 grid cells"),
+        (_pieces([((k,), (k + 1,)) for k in range(2049)]), "2049 pieces"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overlapping pieces")
+def test_explicit_pieces_over_the_budget_exit_3(tmp_path, capsys, h, message):
+    code, err = _run_exit(tmp_path, capsys, _pair(h))
+    assert code == 3 and message in err and "budget" in err and "\n" not in err
+
+
 @pytest.mark.parametrize(
     "payload, key",
     [
@@ -635,6 +654,7 @@ def test_sampled_grid_over_the_budget_exits_3(tmp_path, capsys):
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": ["x"]}]}), "upper"),
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "re": "x"}]}), "'re'"),
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "im": [1]}]}), "'im'"),
+        (_pair({**PIECES_FN, "pieces": 3}), "'pieces'"),
         (_pair({**SAMPLED_FN, "step": "x"}), "step"),
         (_pair({**SAMPLED_FN, "p": "x"}), "'p'"),
     ],

@@ -1,6 +1,7 @@
 """Exact piecewise-constant calculus: norms, pairings, canonical form."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -319,6 +320,18 @@ def test_canonicalize_drops_cancelled_pieces():
         [(Box((0.0,), (1.0,)), 1.0), (Box((0.0,), (1.0,)), -1.0)],
     )
     assert f.is_zero
+
+
+def test_canonicalize_refuses_pieces_over_the_cell_budget_before_summing():
+    # 100 nested squares: a 199 x 199 grid, but the pieces cover 1,333,300 cells
+    nested = [(Box((-k, -k), (k, k)), 1.0) for k in range(1, 101)]
+    with mock.patch("lpdensity.lpfunc.itertools.product", side_effect=AssertionError):
+        with pytest.raises(PreconditionError, match="1333300 grid cells"):
+            canonicalize(nested, 2)
+    # 50 cover 166,650 cells and are summed; zero pieces cover nothing
+    f = canonicalize(nested[:50] + [(box, 0.0) for box, _ in nested], 2)
+    assert len(f.pieces) == 99 * 99
+    assert f.pieces[0][1] == 1.0 and f.pieces[99 * 49 + 49][1] == 50.0
 
 
 def test_canonicalize_idempotent_and_invariant():
