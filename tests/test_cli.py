@@ -1,5 +1,6 @@
 """Experiment runner: spec dispatch, file formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from lpdensity import PointSet, indicator_interval, make_lattice, pt
+from lpdensity import cli
 from lpdensity.cli import main
 from lpdensity.io import (
     emit_json,
@@ -577,6 +579,44 @@ def test_haar_check_refuses_sign_patterns_before_the_first_draw(tmp_path, capsys
         code, err = _run_exit(tmp_path, capsys, {**HAAR, **fields})
     assert code == 3 and "\n" not in err
     assert not (tmp_path / "haar_check_report.json").exists()
+
+
+def _inflate_held_row(real):
+    """coefficient_sandwich_check whose second call (the held-out batch) puts
+    its first row at lhs = 2.5 mid, outside beta = 2."""
+    calls = []
+
+    def check(batch, p):
+        report = real(batch, p)
+        calls.append(report)
+        if len(calls) == 2:
+            row = report.rows[0]
+            rows = (dataclasses.replace(row, lhs=2.5 * row.mid),) + report.rows[1:]
+            report = dataclasses.replace(report, rows=rows)
+        return report
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "target, effect, code",
+    [
+        ("coefficient_sandwich_check", "held row", 4),
+        ("unconditional_constant_estimate", 2.0 * (1 + 1e-13), 0),  # inside the slack
+        ("unconditional_constant_estimate", 2.0 * (1 + 1e-11), 4),
+    ],
+)
+def test_burkholder_verdict_reads_both_batches_and_the_estimate(
+    tmp_path, capsys, target, effect, code
+):
+    real = getattr(cli, target)
+    fake = _inflate_held_row(real) if effect == "held row" else (lambda *a, **k: effect)
+    with mock.patch(f"lpdensity.cli.{target}", side_effect=fake):
+        got, _ = _run_exit(tmp_path, capsys, HAAR)
+    report = read_report(tmp_path, "haar-check")
+    assert got == code
+    assert report["verdicts"]["burkholder_bounds_hold"] is (code == 0)
+    assert report["outputs"]["burkholder"]["rows_outside"] == (effect == "held row")
 
 
 @pytest.mark.parametrize("seed", [191451571, 1072204709])
