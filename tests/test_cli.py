@@ -694,9 +694,9 @@ def test_explicit_pieces_over_the_budget_exit_3(tmp_path, capsys, h, message):
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": ["x"]}]}), "upper"),
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "re": "x"}]}), "'re'"),
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "im": [1]}]}), "'im'"),
-        (_pair({**PIECES_FN, "pieces": 3}), "'pieces'"),
         (_pair({**SAMPLED_FN, "step": "x"}), "step"),
         (_pair({**SAMPLED_FN, "p": "x"}), "'p'"),
+        (_pair({**PIECES_FN, "pieces": 3}), "'pieces'"),
     ],
 )
 def test_ingested_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
