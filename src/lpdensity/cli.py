@@ -26,6 +26,7 @@ from .haar_uncond import (
     _INDEX_BUDGET,
     HaarExpansion,
     HaarIndex,
+    burkholder_constant,
     coefficient_sandwich_check,
     count_sandwich_violations,
     dual_fn,
@@ -248,8 +249,8 @@ def _cmd_haar_check(spec, ctx):
         held_fit.rows, fit.lower_constant, fit.upper_constant, headroom=1.1
     )
     uncond = unconditional_constant_estimate(batch[:10], p, trials=trials, seed=ctx.seed)
-    # Burkholder's sharp constant max(p, q) - 1 bounds every row and the estimate (README)
-    beta = max(p, p / (p - 1)) - 1.0
+    # Burkholder's sharp constant bounds every row and the estimate (README)
+    beta = burkholder_constant(p)
     outside = count_sandwich_violations(fit.rows + held_fit.rows, beta, beta)
     outputs = {
         "biorthogonality": {"max_offdiag": max_offdiag, "max_diag_error": max_diag_err},

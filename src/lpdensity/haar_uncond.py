@@ -352,7 +352,7 @@ def sandwich_triple(exp: HaarExpansion, p: float) -> SandwichRow:
 
     mid is the exact expansion norm; for 1 < p <= 2 the flanks are the
     coefficient l2 norm (left) and lp norm (right), mirrored for p >= 2.
-    lhs / mid and mid / rhs are at most Burkholder's max(p, q) - 1.
+    lhs / mid and mid / rhs are at most burkholder_constant(p).
     """
     return _sandwich_rows([exp], float(p))[0]
 
@@ -396,6 +396,13 @@ def coefficient_sandwich_check(batch: Sequence[HaarExpansion], p: float) -> Sand
     )
 
 
+def burkholder_constant(p: float) -> float:
+    """Burkholder's sharp constant max(p, q) - 1 for Haar martingale transforms
+    and square functions; it bounds every sandwich ratio and the unconditional
+    constant estimate."""
+    return max(float(p), conjugate_exponent(p)) - 1.0
+
+
 def count_sandwich_violations(
     rows: Sequence[SandwichRow],
     lower_constant: float,
@@ -407,7 +414,7 @@ def count_sandwich_violations(
 
     `headroom` inflates both constants before checking.  Constants fitted on
     one batch and checked on another need it, and still fail for some seeds
-    at 1.1; Burkholder's max(p, q) - 1 for both constants needs none.
+    at 1.1; burkholder_constant(p) for both constants needs none.
     """
     bad = 0
     lo = lower_constant * headroom

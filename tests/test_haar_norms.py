@@ -21,6 +21,7 @@ from lpdensity import (
     PreconditionError,
     SignPattern,
     build_expansion_fn,
+    burkholder_constant,
     coefficient_sandwich_check,
     count_sandwich_violations,
     expansion_norm,
@@ -252,7 +253,7 @@ def sign_test_expansions(draw):
 @given(st.lists(sign_test_expansions(), min_size=1, max_size=3), st.sampled_from(P_VALUES[2:]))
 @example([expansion(((0,), 1.0), ((40, 0.3), 2.0 - 0.5j), ((-1,), 0.5j))], 1.1)
 def test_estimate_matches_the_oracle_within_burkholder_bounds(batch, p):
-    beta = max(p, p / (p - 1)) - 1.0
+    beta = burkholder_constant(p)
     estimate = unconditional_constant_estimate(batch, p, trials=1)
     assert estimate == pytest.approx(max(oracle_ratio(e, p) for e in batch), rel=1e-12, abs=0)
     assert estimate <= beta * (1 + 1e-12)

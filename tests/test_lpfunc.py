@@ -334,6 +334,17 @@ def test_canonicalize_refuses_pieces_over_the_cell_budget_before_summing():
     assert f.pieces[0][1] == 1.0 and f.pieces[99 * 49 + 49][1] == 50.0
 
 
+def test_add_shares_the_canonicalize_cell_budget():
+    # 1100 unit stripes along each axis cut the square [0, 1100]^2 into 1100 x 1100 cells
+    across = canonicalize([(Box((k, 0), (k + 1, 1)), 1.0) for k in range(1100)], 2)
+    down = canonicalize([(Box((2000, k), (2001, k + 1)), 1.0) for k in range(1100)], 2)
+    square = indicator(Box((0, 0), (1100, 1100)))
+    assert len(add(across, down).pieces) == 2200
+    with mock.patch("lpdensity.lpfunc.itertools.product", side_effect=AssertionError):
+        with pytest.raises(PreconditionError, match="1212200 grid cells"):
+            add(across, down, square)
+
+
 def test_canonicalize_idempotent_and_invariant():
     rng = np.random.default_rng(9)
     for _ in range(10):
