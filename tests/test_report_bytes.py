@@ -1,7 +1,9 @@
-"""Byte pins for the reports of the cube-measuring commands and haar-check.
+"""Byte pins for the reports of the cube-measuring commands, haar-check,
+blowup-witness and a density run over a CSV file.
 
-Each spec runs through `cli.main`; the report, with its timestamp line
-removed, and any CSV table must hash to the recorded sha256 digests.  The
+Each spec runs through `cli.main`, next to its input files; the report, with
+its timestamp line removed, and any CSV table must hash to the recorded
+sha256 digests.  The
 digests pin the exact bytes, so a change that moves any float of these
 reports by one ulp, or renames a field, fails here.  The haar-check reports
 also hold values rounded by numpy (the sandwich flanks and the
@@ -91,6 +93,26 @@ SPECS = {
     },
 }
 
+# a 2-d witness, whose centre beta the report serializes
+SPECS["blowup-witness"] = {
+    "command": "blowup-witness",
+    "f": BOX_2D,
+    "f_dual": {"kind": "indicator", "box": {"lower": [0.0, 0.0], "upper": [0.5, 1.0]}},
+    "points": {"kind": "lattice", "spacing": 0.25, "window": 2, "dimension": 2},
+    "epsilon": 0.1,
+    "p_prime": 2.0,
+}
+# sites read from a CSV in a subdirectory through a relative {"path": ...}
+SPECS["density-csv"] = {
+    "command": "density",
+    "points": {"path": "data/sites.csv"},
+    "h_values": [1.0, 2.0, 4.0],
+}
+SITES_CSV = "x,y\n" + "".join(f"{k % 7 + 0.125 * (k % 3)!r},{k // 7 - 0.25 * (k % 2)!r}\n" for k in range(49))
+
+# input files written next to each spec, by path relative to it
+INPUTS = {"density-csv": {"data/sites.csv": SITES_CSV}}
+
 # (exit code, {file name: sha256 of its bytes, timestamp line removed})
 PINNED = {
     "localized-mass-1d": (
@@ -120,16 +142,33 @@ PINNED = {
         0,
         {"haar_check_report.json": "0fbd076474b4ce000f5711d7bd127921caca43822c8a8bf323e4fb2821d3a890"},
     ),
+    "blowup-witness": (
+        0,
+        {"blowup_witness_report.json": "36b51600e17cbb09c44ebcb2e4a0fb1a5762f6598933c7dbeaba4d36fc41cdae"},
+    ),
+    "density-csv": (
+        0,
+        {
+            "density_profile.csv": "5b1a766ee40f60b8e4e5efa7f48cd6726a012cb6841436e0df67fa1578b5d8ad",
+            "density_report.json": "4e7fc6afec878086ccc5f2aa39afb3ce65ff9a4f804c4745427d3179c881ec83",
+        },
+    ),
 }
 
 
-def _digests(tmp_path, spec):
-    path = tmp_path / "spec.json"
+def _digests(tmp_path, spec, inputs):
+    spec_dir = tmp_path / "spec"
+    spec_dir.mkdir()
+    for rel, text in inputs.items():
+        (spec_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+        (spec_dir / rel).write_text(text)
+    path = spec_dir / "spec.json"
     path.write_text(json.dumps(spec))
-    code = main(["run", "--spec", str(path), "--out", str(tmp_path)])
+    out_dir = tmp_path / "out"
+    code = main(["run", "--spec", str(path), "--out", str(out_dir)])
     out = {}
-    for name in sorted(p.name for p in tmp_path.iterdir() if p.name != "spec.json"):
-        lines = (tmp_path / name).read_text().splitlines(keepends=True)
+    for name in sorted(p.name for p in out_dir.iterdir()):
+        lines = (out_dir / name).read_text().splitlines(keepends=True)
         kept = "".join(line for line in lines if '"timestamp"' not in line)
         out[name] = hashlib.sha256(kept.encode()).hexdigest()
     return code, out
@@ -137,4 +176,4 @@ def _digests(tmp_path, spec):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_report_bytes_are_pinned(tmp_path, name):
-    assert _digests(tmp_path, SPECS[name]) == PINNED[name]
+    assert _digests(tmp_path, SPECS[name], INPUTS.get(name, {})) == PINNED[name]
