@@ -50,7 +50,7 @@ from .io import (
     write_csv,
 )
 from .lpfunc import Box, ExponentPair, PiecewiseFn, pair, pair_modulated, translate
-from .pointset import Point, decompose_separated, density_profile
+from .pointset import decompose_separated, density_profile
 from .translate_system import (
     DichotomyConfig,
     Generator,
@@ -196,7 +196,7 @@ def _cmd_mass_decay(spec, ctx):
     gen = _generator_from_spec(_need(spec, "generator"), ctx)
     rows = mass_decay_sweep(
         gen,
-        Point(tuple(_need_floats(spec, "x"))),
+        _need_floats(spec, "x"),
         _need_floats(spec, "h_values"),
         _number(spec, "p"),
     )

@@ -1,7 +1,8 @@
 """Ingestion and emission of the toolkit's file formats.
 
-Point sets arrive as CSV (one point per row, optional header) or as JSON
-generator descriptors; functions and systems as JSON specs.  Reports go out
+Site sets arrive as CSV (one point per row, optional header) or as JSON
+generator descriptors; functions and systems as JSON specs.  Each may be
+given inline, as {"path": file} or as a file path (see _load).  Reports go out
 as JSON with decimal floats at 17 significant digits (round-trip exact) and
 sorted keys, so identical runs produce identical bytes.
 """
@@ -12,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Optional, Union
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import InputError, PreconditionError
 from .lpfunc import Box, ExponentPair, PiecewiseFn, canonicalize, sample_catalog_function
 from .pointset import (
-    Point,
     PointSet,
     make_lattice,
     make_lattice_basis,
@@ -37,6 +37,8 @@ _REQUIRED = object()
 
 def _need(spec: dict, key: str, default=_REQUIRED):
     """spec[key], or `default` when the key is absent and a default is given."""
+    if not isinstance(spec, dict):
+        raise InputError(f"expected an object holding {key!r}, got {spec!r}")
     if key in spec:
         return spec[key]
     if default is _REQUIRED:
@@ -72,23 +74,97 @@ def _need_rows(spec: dict, key: str) -> list:
     return _number(spec, key, kind=_float_rows, what="a list of rows of numbers")
 
 
+def _need_list(spec: dict, key: str) -> list:
+    value = _need(spec, key)
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# spec references
+
+
+def _load(source, base_dir: Optional[Path], what: str) -> tuple:
+    """(spec, base_dir) for a spec value that is an inline object, a
+    {"path": ...} reference or a path string.
+
+    A path is read relative to `base_dir`, and the references in the file it
+    names relative to that file's directory, which comes back as the new
+    base_dir.  A point-set path ending in .csv comes back as the path
+    itself.  A file that the chain of references reaches twice is refused.
+    """
+    seen = set()
+    while True:
+        if isinstance(source, dict):
+            if "path" not in source:
+                return source, base_dir
+            source = source["path"]
+        if not isinstance(source, (str, PurePath)):
+            raise InputError(f"a {what} must be an object or a path string, got {source!r}")
+        path = Path(source)
+        if not path.is_absolute() and base_dir is not None:
+            path = Path(base_dir) / path
+        if not path.exists():
+            raise InputError(f"input file not found: {path}")
+        if path.resolve() in seen:
+            raise InputError(f"{what} file {path} refers back to itself")
+        seen.add(path.resolve())
+        if what == "point set" and path.suffix.lower() == ".csv":
+            return path, path.parent
+        try:
+            source = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+        base_dir = path.parent
+
+
+def _box_spec(b: dict) -> Box:
+    return Box(_need_floats(b, "lower"), _need_floats(b, "upper"))
+
+
+def _cube_spec_box(c: dict) -> Box:
+    return Box.cube(_need_floats(c, "center"), _number(c, "side"))
+
+
 # ---------------------------------------------------------------------------
 # point sets
 
 
-def ingest_points(source, fmt: Optional[str] = None, base_dir: Optional[Path] = None) -> PointSet:
-    """Read a point set from a CSV/JSON file or an inline descriptor dict."""
-    if isinstance(source, dict):
-        return point_set_from_spec(source, base_dir=base_dir)
-    path = _resolve(source, base_dir)
-    kind = fmt or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if kind == "csv":
-        return _points_from_csv(path)
-    try:
-        spec = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read point-set file {path}: {exc}") from exc
-    return point_set_from_spec(spec, base_dir=path.parent)
+def ingest_points(source, base_dir: Optional[Path] = None) -> PointSet:
+    """Read a point set from a CSV file (one point per row, optional header)
+    or a JSON descriptor, given inline, as {"path": file} or as a path.
+
+    Kinds: "lattice" {spacing|basis, window, dimension, offset}, "reciprocal"
+    {N}, "union" {children: [{label, points}]}, "explicit" {rows}.
+    """
+    spec, base_dir = _load(source, base_dir, "point set")
+    if isinstance(spec, Path):
+        return _points_from_csv(spec)
+    kind = spec.get("kind")
+    if kind == "lattice":
+        window = _number(spec, "window")
+        offset = _need_floats(spec, "offset") if spec.get("offset") is not None else None
+        if "basis" in spec:
+            basis = _need_rows(spec, "basis")
+            try:
+                return make_lattice_basis(basis, window, offset=offset)
+            except np.linalg.LinAlgError as exc:
+                raise InputError(f"lattice basis {basis} is not invertible: {exc}") from None
+        return make_lattice(
+            _number(spec, "spacing"), window, _number(spec, "dimension", 1, int), offset=offset
+        )
+    if kind == "reciprocal":
+        return make_reciprocal(_number(spec, "N" if "N" in spec else "count", kind=int))
+    if kind == "union":
+        members = []
+        for i, m in enumerate(_need_list(spec, "children" if "children" in spec else "members")):
+            points = ingest_points(_need(m, "points"), base_dir)
+            members.append((m.get("label", f"part-{i}"), points))
+        return union_point_sets(members)
+    if kind == "explicit":
+        return PointSet(_need_rows(spec, "rows"))
+    raise InputError(f"unknown point-set kind {kind!r}")
 
 
 def _points_from_csv(path: Path) -> PointSet:
@@ -119,45 +195,6 @@ def _points_from_csv(path: Path) -> PointSet:
     return PointSet([coords for _, coords in rows])
 
 
-def point_set_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PointSet:
-    """Build a PointSet from a JSON descriptor.
-
-    Kinds: "lattice" {spacing|basis, window, dimension, offset}, "reciprocal"
-    {N}, "union" {children: [{label, points}]}, "explicit" {rows}; or
-    {"path": file} to defer to another file.
-    """
-    if "path" in spec:
-        return ingest_points(spec["path"], base_dir=base_dir)
-    kind = spec.get("kind")
-    try:
-        if kind == "lattice":
-            window = _number(spec, "window")
-            offset = _need_floats(spec, "offset") if spec.get("offset") is not None else None
-            if "basis" in spec:
-                basis = _need_rows(spec, "basis")
-                try:
-                    return make_lattice_basis(basis, window, offset=offset)
-                except np.linalg.LinAlgError as exc:
-                    raise InputError(f"lattice basis {basis} is not invertible: {exc}") from None
-            return make_lattice(
-                _number(spec, "spacing"), window, _number(spec, "dimension", 1, int), offset=offset
-            )
-        if kind == "reciprocal":
-            return make_reciprocal(_number(spec, "N" if "N" in spec else "count", kind=int))
-        if kind == "union":
-            children = spec["children"] if "children" in spec else spec["members"]
-            members = [
-                (m.get("label", f"part-{i}"), point_set_from_spec(m["points"], base_dir))
-                for i, m in enumerate(children)
-            ]
-            return union_point_sets(members)
-        if kind == "explicit":
-            return PointSet(_need_rows(spec, "rows"))
-    except KeyError as exc:
-        raise InputError(f"point-set spec is missing key {exc}") from exc
-    raise InputError(f"unknown point-set kind {kind!r}")
-
-
 def points_to_csv(s: PointSet, path: Union[str, Path]) -> None:
     path = Path(path)
     with path.open("w", newline="") as fh:
@@ -167,25 +204,12 @@ def points_to_csv(s: PointSet, path: Union[str, Path]) -> None:
 
 
 def point_set_spec(s: PointSet) -> dict:
-    """Explicit-rows descriptor that round-trips through point_set_from_spec."""
+    """Explicit-rows descriptor that round-trips through ingest_points."""
     return {"kind": "explicit", "rows": s.as_array.tolist()}
 
 
 # ---------------------------------------------------------------------------
 # functions
-
-
-def ingest_function(source, base_dir: Optional[Path] = None) -> PiecewiseFn:
-    """Read a piecewise-constant function from a JSON file or inline spec."""
-    if isinstance(source, dict):
-        return function_from_spec(source, base_dir=base_dir)
-    path = _resolve(source, base_dir)
-    try:
-        spec = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read function file {path}: {exc}") from exc
-    return function_from_spec(spec, base_dir=path.parent)
-
 
 # the most pieces an explicit function spec may list: PiecewiseFn tests
 # every pair of pieces for overlap, which takes about 2.5 s for 2048 pieces
@@ -193,50 +217,39 @@ def ingest_function(source, base_dir: Optional[Path] = None) -> PiecewiseFn:
 _PIECE_BUDGET = 1 << 11
 
 
-def function_from_spec(spec: dict, base_dir: Optional[Path] = None) -> PiecewiseFn:
-    if "path" in spec:
-        return ingest_function(spec["path"], base_dir=base_dir)
+def ingest_function(source, base_dir: Optional[Path] = None) -> PiecewiseFn:
+    """Read a piecewise-constant function from a JSON spec, given inline, as
+    {"path": file} or as a path."""
+    spec, _ = _load(source, base_dir, "function")
     kind = spec.get("kind")
-    try:
-        if kind == "indicator":
-            if "cube" in spec:
-                box = _cube_spec_box(spec["cube"])
-            else:
-                b = spec["box"]
-                box = Box(tuple(_need_floats(b, "lower")), tuple(_need_floats(b, "upper")))
-            return PiecewiseFn(((box, _number(spec, "value", 1.0, complex)),), box.dim)
-        if kind == "sampled":
-            sup = spec["support"]
-            support = Box(tuple(_need_floats(sup, "lower")), tuple(_need_floats(sup, "upper")))
-            fn, _err = sample_catalog_function(
-                spec["expression"], _number(spec, "step"), support, _number(spec, "p", 2.0)
+    if kind == "indicator":
+        box = _cube_spec_box(spec["cube"]) if "cube" in spec else _box_spec(_need(spec, "box"))
+        return PiecewiseFn(((box, _number(spec, "value", 1.0, complex)),), box.dim)
+    if kind == "sampled":
+        fn, _err = sample_catalog_function(
+            _need(spec, "expression"),
+            _number(spec, "step"),
+            _box_spec(_need(spec, "support")),
+            _number(spec, "p", 2.0),
+        )
+        return fn
+    if kind is None and "pieces" in spec:
+        dim = _number(spec, "dimension", kind=int)
+        pieces = _need_list(spec, "pieces")
+        if len(pieces) > _PIECE_BUDGET:
+            raise PreconditionError(
+                f"{len(pieces)} pieces are over the budget of {_PIECE_BUDGET} pieces"
             )
-            return fn
-        if kind is None and "pieces" in spec:
-            dim = _number(spec, "dimension", kind=int)
-            pieces = spec["pieces"]
-            if not isinstance(pieces, list):
-                raise InputError("'pieces' must be a list of pieces")
-            if len(pieces) > _PIECE_BUDGET:
-                raise PreconditionError(
-                    f"{len(pieces)} pieces are over the budget of {_PIECE_BUDGET} pieces"
-                )
-            raw = []
-            for piece in pieces:
-                box = Box(tuple(_need_floats(piece, "lower")), tuple(_need_floats(piece, "upper")))
-                raw.append((box, complex(_number(piece, "re", 0.0), _number(piece, "im", 0.0))))
-            try:
-                return PiecewiseFn(tuple(raw), dim)
-            except PreconditionError:
-                warnings.warn("overlapping pieces in function spec; canonicalizing")
-                return canonicalize(raw, dim)
-    except KeyError as exc:
-        raise InputError(f"function spec is missing key {exc}") from exc
+        raw = []
+        for piece in pieces:
+            value = complex(_number(piece, "re", 0.0), _number(piece, "im", 0.0))
+            raw.append((_box_spec(piece), value))
+        try:
+            return PiecewiseFn(tuple(raw), dim)
+        except PreconditionError:
+            warnings.warn("overlapping pieces in function spec; canonicalizing")
+            return canonicalize(raw, dim)
     raise InputError(f"unknown function spec kind {kind!r}")
-
-
-def _cube_spec_box(c: dict) -> Box:
-    return Box.cube(_need_floats(c, "center"), _number(c, "side"))
 
 
 def function_spec(f: PiecewiseFn) -> dict:
@@ -259,29 +272,15 @@ def function_spec(f: PiecewiseFn) -> dict:
 
 
 def ingest_system(source, base_dir: Optional[Path] = None) -> TranslateSystem:
-    """Read a translate system {p, generators:[{f, gamma, label}]} from JSON."""
-    if isinstance(source, dict):
-        spec = source
-    else:
-        path = _resolve(source, base_dir)
-        try:
-            spec = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read system file {path}: {exc}") from exc
-        base_dir = path.parent
-    try:
-        p = ExponentPair(_number(spec, "p"))
-        gens = []
-        for i, g in enumerate(spec["generators"]):
-            f = function_from_spec(g["f"], base_dir) if isinstance(g["f"], dict) else ingest_function(g["f"], base_dir)
-            gamma = (
-                point_set_from_spec(g["gamma"], base_dir)
-                if isinstance(g["gamma"], dict)
-                else ingest_points(g["gamma"], base_dir=base_dir)
-            )
-            gens.append(Generator(f, gamma, str(g.get("label", f"gen-{i}"))))
-    except KeyError as exc:
-        raise InputError(f"system spec is missing key {exc}") from exc
+    """Read a translate system {p, generators: [{f, gamma, label}]} given
+    inline, as {"path": file} or as a path."""
+    spec, base_dir = _load(source, base_dir, "system")
+    p = ExponentPair(_number(spec, "p"))
+    gens = []
+    for i, g in enumerate(_need_list(spec, "generators")):
+        f = ingest_function(_need(g, "f"), base_dir)
+        gamma = ingest_points(_need(g, "gamma"), base_dir)
+        gens.append(Generator(f, gamma, str(g.get("label", f"gen-{i}"))))
     return TranslateSystem(tuple(gens), p)
 
 
@@ -297,8 +296,6 @@ def jsonable(obj):
         return obj
     if isinstance(obj, complex):
         return {"im": obj.imag, "re": obj.real}
-    if isinstance(obj, Point):
-        return list(obj.coords)
     if isinstance(obj, Box):
         return {"lower": list(obj.lower), "upper": list(obj.upper)}
     if isinstance(obj, PiecewiseFn):
@@ -370,12 +367,3 @@ def file_digest(path: Union[str, Path]) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()
-
-
-def _resolve(source, base_dir: Optional[Path]) -> Path:
-    path = Path(source)
-    if not path.is_absolute() and base_dir is not None:
-        path = Path(base_dir) / path
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
-    return path

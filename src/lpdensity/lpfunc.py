@@ -18,13 +18,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
-from .pointset import _SITE_BUDGET, Point
+from .pointset import _SITE_BUDGET
 
 
 def _coords(x, dim: Optional[int] = None) -> tuple:
-    if isinstance(x, Point):
-        c = x.coords
-    elif isinstance(x, (int, float)):
+    if isinstance(x, (int, float)):
         c = (float(x),)
     else:
         c = tuple(float(v) for v in x)

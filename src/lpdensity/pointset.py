@@ -19,35 +19,6 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 
 
-def pt(*coords) -> "Point":
-    """Shorthand: pt(1.0, 2.0) == Point((1.0, 2.0))."""
-    return Point(tuple(coords))
-
-
-@dataclass(frozen=True)
-class Point:
-    coords: tuple
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        if not coords:
-            raise PreconditionError("a point needs at least one coordinate")
-        for c in coords:
-            if not math.isfinite(c):
-                raise PreconditionError(f"point coordinates must be finite, got {coords}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
 # ---------------------------------------------------------------------------
 # provenance descriptors
 
@@ -128,10 +99,10 @@ class UnionProvenance:
 class PointSet:
     """Finite list of distinct points of a common dimension.
 
-    `points` is an (n, d) array or a sequence of Points or coordinate
-    sequences.  The sites are kept as one read-only float64 array,
-    `as_array`, in input order; `order` is their lexicographic order, and
-    `points` builds Point objects from the array when first read.
+    `points` is an (n, d) array or a sequence of coordinate sequences.  The
+    sites are kept as one read-only float64 array, `as_array`, in input
+    order; `order` is their lexicographic order, and `points` gives the rows
+    as tuples of floats, built from the array when first read.
     Duplicates are rejected at construction: a repeated point would force the
     separation constant to 0 and make local counts multiset-dependent.
     """
@@ -180,7 +151,7 @@ class PointSet:
 
     @cached_property
     def points(self) -> tuple:
-        return tuple(Point(tuple(row)) for row in self.as_array.tolist())
+        return tuple(map(tuple, self.as_array.tolist()))
 
     def __len__(self):
         return len(self.as_array)
@@ -510,7 +481,8 @@ def density_profile(s: PointSet, h_values: Sequence[float]) -> DensityProfile:
 
 
 def detect_accumulation(s: PointSet, radius: float, threshold: int) -> list:
-    """Points whose open radius-ball holds >= threshold other points of s.
+    """Points, as tuples of floats, whose open radius-ball holds >= threshold
+    other points of s.
 
     A finite-truncation witness heuristic for accumulation, not a decision
     procedure: growing truncations of a family with an accumulation point
@@ -531,5 +503,5 @@ def detect_accumulation(s: PointSet, radius: float, threshold: int) -> list:
     for i in range(n):
         d2 = ((arr - arr[i]) ** 2).sum(axis=1)
         if int((d2 < r2).sum()) - 1 >= threshold:
-            out.append(Point(tuple(arr[i].tolist())))
+            out.append(tuple(arr[i].tolist()))
     return out

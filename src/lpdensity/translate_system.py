@@ -32,7 +32,6 @@ from .lpfunc import (
 )
 from .pointset import (
     LatticeProvenance,
-    Point,
     PointSet,
     ReciprocalProvenance,
     UnionProvenance,
@@ -101,7 +100,7 @@ class BesselEstimate:
 
 @dataclass(frozen=True)
 class BlowupWitness:
-    beta: Point
+    beta: tuple
     count: int
     sum_lower_bound: float
     window_side: float
@@ -338,7 +337,7 @@ def blowup_witness(
             best_count = count
             best_beta = beta
     return BlowupWitness(
-        beta=Point(best_beta),
+        beta=best_beta,
         count=best_count,
         sum_lower_bound=best_count * epsilon**p_prime,
         window_side=h,
@@ -510,7 +509,7 @@ def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport
     )
 
 
-def mass_decay_sweep(gen: Generator, x: Point, h_values: Sequence[float], p: float) -> tuple:
+def mass_decay_sweep(gen: Generator, x: Sequence[float], h_values: Sequence[float], p: float) -> tuple:
     """Masses at the nested cubes Q_h(x) for decreasing h; nonincreasing by nesting."""
     hs = [float(h) for h in h_values]
     if not hs:

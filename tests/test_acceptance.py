@@ -39,7 +39,6 @@ from lpdensity import (
     pair,
     pair_modulated,
     prop43_check,
-    pt,
     translate,
     union_point_sets,
 )
@@ -98,7 +97,7 @@ def test_criterion_2_nu_plus_oracle_equivalence():
     for _ in range(200):
         n = int(rng.integers(2, 201))
         xs = np.unique(rng.uniform(-10, 10, size=n))
-        s = PointSet(tuple(pt(float(x)) for x in xs))
+        s = PointSet(tuple((float(x),) for x in xs))
         h = float(rng.uniform(0.05, 3.0))
         oracle = 0
         for a in xs:  # brute force over every point anchor
@@ -108,7 +107,7 @@ def test_criterion_2_nu_plus_oracle_equivalence():
     for _ in range(50):
         n = int(rng.integers(2, 61))
         arr = rng.uniform(-5, 5, size=(n, 2))
-        s = PointSet(tuple(pt(*row) for row in arr))
+        s = PointSet(tuple(tuple(row) for row in arr))
         h = float(rng.uniform(0.2, 3.0))
         oracle = 0
         for ax in arr[:, 0]:  # brute force over every coordinate pair anchor
@@ -126,7 +125,7 @@ def test_criterion_2_nu_plus_oracle_equivalence():
     for _ in range(10):
         n = int(rng.integers(2, 80))
         xs = np.unique(rng.uniform(-5, 5, size=n))
-        s = PointSet(tuple(pt(float(x)) for x in xs))
+        s = PointSet(tuple((float(x),) for x in xs))
         h = float(rng.uniform(0.2, 2.0))
         grid = np.arange(-5.5, 5.5, h / 37)
         grid_max = max(int(((xs >= a) & (xs < a + h)).sum()) for a in grid)
@@ -207,9 +206,9 @@ def test_criterion_6_localized_mass_tiling():
         # dyadic centers and sides keep every overlap subtraction exact
         center = float(rng.integers(-10240, 10241)) / 1024.0
         side = float(rng.integers(103, 3073)) / 1024.0
-        rep = localized_mass(gen, Box.cube(pt(center), side), 2.0)
+        rep = localized_mass(gen, Box.cube((center,), side), 2.0)
         c.check(rep.total == side, f"mass {rep.total} != vol {side}")
-    rows = mass_decay_sweep(gen, pt(0.25), [2.0**-k for k in range(1, 10)], 2.0)
+    rows = mass_decay_sweep(gen, (0.25,), [2.0**-k for k in range(1, 10)], 2.0)
     for (_, a), (_, b) in zip(rows, rows[1:]):
         c.check(abs(b / a - 0.5) <= 1e-9, f"halving ratio {b / a}")
     c.check(rows[-1][1] < 0.01, "mass does not tend to zero")
@@ -219,7 +218,7 @@ def test_criterion_6_localized_mass_tiling():
 def test_criterion_7_blowup_witness():
     c = Criterion(7, "witness bound >= 0.2 N and below the direct Bessel sum", 10.0)
     for n in (100, 200, 400):
-        gamma = PointSet(tuple(pt(k / n) for k in range(n)))
+        gamma = PointSet(tuple((k / n,) for k in range(n)))
         w = blowup_witness(UNIT, UNIT, gamma, 0.5, 2.0)
         c.check(w.sum_lower_bound >= 0.2 * n, f"N={n}: bound {w.sum_lower_bound}")
         sys_ = TranslateSystem((Generator(UNIT, gamma, "g"),), ExponentPair(2.0))

@@ -8,15 +8,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lpdensity import PointSet, indicator_interval, make_lattice, pt
+from lpdensity import PointSet, indicator_interval, make_lattice
 from lpdensity import cli
 from lpdensity.cli import main
 from lpdensity.io import (
     emit_json,
-    function_from_spec,
     function_spec,
+    ingest_function,
     ingest_points,
-    point_set_from_spec,
     point_set_spec,
     points_to_csv,
 )
@@ -42,7 +41,7 @@ def test_points_csv_round_trip(tmp_path):
     path = tmp_path / "pts.csv"
     points_to_csv(s, path)
     back = ingest_points(str(path))
-    assert [p.coords for p in back.points] == [p.coords for p in s.points]
+    assert back.points == s.points
 
 
 def test_three_column_csv_gives_3d_points(tmp_path):
@@ -56,25 +55,25 @@ def test_three_column_csv_gives_3d_points(tmp_path):
 
 
 def test_point_set_spec_round_trip():
-    s = PointSet((pt(0.5, 1.0), pt(-1.25, 3.0)))
-    assert point_set_from_spec(point_set_spec(s)).points == s.points
+    s = PointSet(((0.5, 1.0), (-1.25, 3.0)))
+    assert ingest_points(point_set_spec(s)).points == s.points
 
 
 def test_function_spec_round_trip():
     f = indicator_interval(0.25, 1.5, 2.0 - 1.0j)
-    assert function_from_spec(function_spec(f)) == f
+    assert ingest_function(function_spec(f)) == f
 
 
 def test_reciprocal_descriptor():
-    s = point_set_from_spec({"kind": "reciprocal", "N": 50})
+    s = ingest_points({"kind": "reciprocal", "N": 50})
     assert len(s) == 50
-    assert min(p.coords[0] for p in s.points) == pytest.approx(1 / 50)
-    alias = point_set_from_spec({"kind": "reciprocal", "count": 50})
+    assert min(p[0] for p in s.points) == pytest.approx(1 / 50)
+    alias = ingest_points({"kind": "reciprocal", "count": 50})
     assert alias.points == s.points
 
 
 def test_union_descriptor_with_children():
-    s = point_set_from_spec(
+    s = ingest_points(
         {
             "kind": "union",
             "children": [
@@ -88,11 +87,11 @@ def test_union_descriptor_with_children():
 
 
 def test_shifted_lattice_descriptor():
-    s = point_set_from_spec(
+    s = ingest_points(
         {"kind": "lattice", "spacing": 1.0, "window": 3, "dimension": 1, "offset": [0.25]}
     )
-    assert all((p.coords[0] - 0.25) == int(p.coords[0] - 0.25) for p in s.points)
-    assert max(abs(p.coords[0]) for p in s.points) <= 3.0
+    assert all((p[0] - 0.25) == int(p[0] - 0.25) for p in s.points)
+    assert max(abs(p[0]) for p in s.points) <= 3.0
 
 
 def test_csv_duplicate_row_rejected(tmp_path):
@@ -111,7 +110,7 @@ def test_overlapping_pieces_canonicalized_with_warning():
         ],
     }
     with pytest.warns(UserWarning, match="canonicaliz"):
-        f = function_from_spec(spec)
+        f = ingest_function(spec)
     assert f.value_at((0.75,)) == 2.0
 
 

@@ -25,7 +25,6 @@ from lpdensity import (
     pair,
     make_lattice,
     make_reciprocal,
-    pt,
     sample_catalog_function,
     scale,
     translate,
@@ -260,7 +259,7 @@ def assert_witness_matches_scalar(f, f_dual, gamma, epsilon):
         count = scalar_count(f, f_dual, gamma, beta, epsilon)
         if count > best[0]:
             best = (count, beta)
-    assert (w.count, w.beta.coords) == best
+    assert (w.count, w.beta) == best
     return w
 
 
@@ -292,7 +291,7 @@ def witness_cases(draw):
         )
     )
     fraction = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
-    return f, f_dual, PointSet(tuple(pt(x) for x in sites)), fraction * base
+    return f, f_dual, PointSet(tuple((x,) for x in sites)), fraction * base
 
 
 @settings(max_examples=40)
@@ -311,7 +310,7 @@ def test_witness_with_complex_dual_and_epsilon_within_an_ulp():
     # can serve as a threshold
     f_dual = scale(f, 0.6 - 0.8j)
     sites = [k / 10 for k in range(-4, 5)] + [1 / k for k in range(11, 22)]
-    gamma = PointSet(tuple(pt(x) for x in sites))
+    gamma = PointSet(tuple((x,) for x in sites))
     base = abs(pair(f, f_dual))
     # each pairing at the densest centre becomes a threshold, nudged one ulp
     # either way, so the counts there turn on the last bit of a modulus

@@ -22,7 +22,6 @@ from lpdensity import (
     normalize,
     pair,
     pair_modulated,
-    pt,
     restrict,
     sample_catalog_function,
     scale,
@@ -68,12 +67,12 @@ def test_box_needs_positive_volume():
 
 
 def test_box_cube_corners_and_side():
-    q = Box.cube(pt(0.3, -1.0), 0.7)
+    q = Box.cube((0.3, -1.0), 0.7)
     assert q.lower == (0.3 - 0.35, -1.0 - 0.35) and q.upper == (0.3 + 0.35, -1.0 + 0.35)
     assert Box.cube([2.0], 1) == Box((1.5,), (2.5,))
     for side in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(PreconditionError, match="^cube side must be a positive finite real"):
-            Box.cube(pt(0.0), side)
+            Box.cube((0.0,), side)
 
 
 def test_overlapping_pieces_rejected():
@@ -161,20 +160,20 @@ def test_norm_pow_avoids_root_round_trip():
 
 
 def test_restrict_clips_to_cube():
-    f = restrict(indicator_interval(0, 2), Box.cube(pt(0.0), 1.0))
+    f = restrict(indicator_interval(0, 2), Box.cube((0.0,), 1.0))
     assert f.pieces[0][0].lower == (0.0,)
     assert f.pieces[0][0].upper == (0.5,)
 
 
 def test_restrict_identity_when_support_inside():
     f = indicator_interval(-0.25, 0.25, 1.5)
-    assert restrict(f, Box.cube(pt(0.0), 2.0)) == f
+    assert restrict(f, Box.cube((0.0,), 2.0)) == f
 
 
 def test_restrict_overlap_measure():
     # |[0,1) ∩ [-h/2, h/2)| = min(h/2, 1)
     for h in (0.2, 0.7, 1.0, 1.9, 2.0, 3.5):
-        got = lp_norm_pow(restrict(indicator_interval(0, 1), Box.cube(pt(0.0), h)), 2.0)
+        got = lp_norm_pow(restrict(indicator_interval(0, 1), Box.cube((0.0,), h)), 2.0)
         assert got == pytest.approx(min(h / 2, 1.0), abs=1e-15)
 
 
@@ -182,7 +181,7 @@ def test_restrict_never_grows_norm():
     rng = np.random.default_rng(3)
     for _ in range(20):
         f = random_fn_1d(rng)
-        cube = Box.cube(pt(float(rng.normal())), float(rng.uniform(0.2, 3.0)))
+        cube = Box.cube((float(rng.normal()),), float(rng.uniform(0.2, 3.0)))
         assert lp_norm(restrict(f, cube), 2.0) <= lp_norm(f, 2.0) + 1e-12
 
 

@@ -20,13 +20,12 @@ from lpdensity import (
     make_reciprocal,
     min_separation,
     nu_plus,
-    pt,
     union_point_sets,
 )
 
 
 def line_set(*xs):
-    return PointSet(tuple(pt(x) for x in xs))
+    return PointSet(tuple((x,) for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +100,12 @@ def exact_chromatic(coords, delta):
 
 def test_duplicate_points_rejected():
     with pytest.raises(PreconditionError, match="duplicate"):
-        PointSet((pt(0.0), pt(1.0), pt(0.0)))
+        PointSet(((0.0,), (1.0,), (0.0,)))
 
 
 def test_mixed_dimensions_rejected():
     with pytest.raises(DimensionMismatchError):
-        PointSet((pt(0.0), pt(1.0, 2.0)))
+        PointSet(((0.0,), (1.0, 2.0)))
 
 
 def test_empty_set_needs_dimension():
@@ -118,7 +117,7 @@ def test_empty_set_needs_dimension():
 
 def test_non_finite_coordinates_rejected():
     with pytest.raises(PreconditionError):
-        pt(math.inf)
+        PointSet(((math.inf,),))
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +129,12 @@ def test_min_separation_line():
 
 
 def test_min_separation_plane():
-    assert min_separation(PointSet((pt(0, 0), pt(3, 4)))) == 5.0
+    assert min_separation(PointSet(((0, 0), (3, 4)))) == 5.0
 
 
 def test_min_separation_reciprocal_vs_brute():
     s = make_reciprocal(100)
-    oracle = brute_min_gap([p.coords for p in s.points])
+    oracle = brute_min_gap(list(s.points))
     got = min_separation(s)
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(1.0 / 9900.0, rel=1e-12)  # 1/99 - 1/100
@@ -154,7 +153,7 @@ def test_decompose_two_interleaved_progressions():
     s = line_set(0, 0.1, 1, 1.1, 2, 2.1)
     rep = decompose_separated(s, 0.5)
     assert rep.part_count == 2
-    groups = [sorted(s.points[i].coords[0] for i in part) for part in rep.parts]
+    groups = [sorted(s.points[i][0] for i in part) for part in rep.parts]
     assert sorted(groups) == [[0.0, 1.0, 2.0], [0.1, 1.1, 2.1]]
 
 
@@ -168,13 +167,13 @@ def test_decompose_parts_are_delta_separated_and_partition():
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(2, 30))
-        s = PointSet(tuple(pt(*rng.uniform(-2, 2, size=2)) for _ in range(n)))
+        s = PointSet(tuple(tuple(rng.uniform(-2, 2, size=2)) for _ in range(n)))
         delta = float(rng.uniform(0.05, 1.0))
         rep = decompose_separated(s, delta)
         seen = sorted(i for part in rep.parts for i in part)
         assert seen == list(range(n))
         for part in rep.parts:
-            coords = [s.points[i].coords for i in part]
+            coords = [s.points[i] for i in part]
             if len(coords) >= 2:
                 assert brute_min_gap(coords) >= delta
 
@@ -182,7 +181,7 @@ def test_decompose_parts_are_delta_separated_and_partition():
 def test_decompose_reciprocal_vs_exact_coloring():
     s = make_reciprocal(10)
     rep = decompose_separated(s, 0.3)
-    oracle = exact_chromatic([p.coords for p in s.points], 0.3)
+    oracle = exact_chromatic(list(s.points), 0.3)
     # {1/3..1/10} is a conflict clique of size 8
     assert oracle == 8
     assert rep.part_count >= 4
@@ -200,23 +199,23 @@ def test_decompose_delta_positive():
 
 def test_count_integers_in_unit_cube():
     s = make_lattice(1.0, 5, 1)
-    assert count_in_cube(s, Box.cube(pt(0.0), 1.0)) == 1
+    assert count_in_cube(s, Box.cube((0.0,), 1.0)) == 1
 
 
 def test_count_half_open_boundary():
     s = make_lattice(1.0, 5, 1)
     # Q_2(0.5) = [-0.5, 1.5) holds 0 and 1
-    assert count_in_cube(s, Box.cube(pt(0.5), 2.0)) == 2
+    assert count_in_cube(s, Box.cube((0.5,), 2.0)) == 2
 
 
 def test_count_excludes_right_face():
     s = line_set(0, 0.5, 1.0, 2.0)
-    assert count_in_cube(s, Box.cube(pt(0.5), 1.0)) == 2  # [0,1) excludes 1.0
+    assert count_in_cube(s, Box.cube((0.5,), 1.0)) == 2  # [0,1) excludes 1.0
 
 
 def test_count_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        count_in_cube(line_set(0, 1), Box.cube(pt(0, 0), 1.0))
+        count_in_cube(line_set(0, 1), Box.cube((0, 0), 1.0))
 
 
 def test_grid_cubes_tile_the_set():
@@ -224,13 +223,13 @@ def test_grid_cubes_tile_the_set():
     for d in (1, 2, 3):
         for _ in range(10):
             n = int(rng.integers(1, 40))
-            s = PointSet(tuple(pt(*rng.uniform(-3, 3, size=d)) for _ in range(n)))
+            s = PointSet(tuple(tuple(rng.uniform(-3, 3, size=d)) for _ in range(n)))
             h = float(rng.uniform(0.2, 2.0))
             occ = grid_occupancy(s, h)
             assert sum(occ.values()) == n
             # bucket counts agree with direct half-open cube counting
             for key, c in occ.items():
-                cube = Box.cube(pt(*(k * h for k in key)), h)
+                cube = Box.cube(tuple(k * h for k in key), h)
                 assert count_in_cube(s, cube) == c
 
 
@@ -258,7 +257,7 @@ def test_nu_plus_random_1d_matches_oracle():
     for _ in range(25):
         n = int(rng.integers(1, 60))
         xs = list(rng.uniform(-5, 5, size=n))
-        s = PointSet(tuple(pt(x) for x in xs))
+        s = PointSet(tuple((x,) for x in xs))
         h = float(rng.uniform(0.1, 3.0))
         assert nu_plus(s, h).lower == brute_window_max_1d(xs, h)
 
@@ -268,7 +267,7 @@ def test_nu_plus_random_2d_matches_oracle():
     for _ in range(10):
         n = int(rng.integers(1, 30))
         points = [tuple(rng.uniform(-3, 3, size=2)) for _ in range(n)]
-        s = PointSet(tuple(pt(*c) for c in points))
+        s = PointSet(tuple(tuple(c) for c in points))
         h = float(rng.uniform(0.2, 2.5))
         assert nu_plus(s, h).lower == brute_window_max_2d(points, h)
 
@@ -277,7 +276,7 @@ def test_nu_plus_high_dim_sandwich():
     rng = np.random.default_rng(17)
     for _ in range(10):
         n = int(rng.integers(1, 50))
-        s = PointSet(tuple(pt(*rng.uniform(-2, 2, size=3)) for _ in range(n)))
+        s = PointSet(tuple(tuple(rng.uniform(-2, 2, size=3)) for _ in range(n)))
         h = float(rng.uniform(0.3, 1.5))
         lower, upper, exact = nu_plus(s, h)
         assert not exact
@@ -291,7 +290,7 @@ def test_nu_plus_grid_bound_brackets_exact_value():
     for d in (1, 2):
         for _ in range(10):
             n = int(rng.integers(2, 40))
-            s = PointSet(tuple(pt(*rng.uniform(-4, 4, size=d)) for _ in range(n)))
+            s = PointSet(tuple(tuple(rng.uniform(-4, 4, size=d)) for _ in range(n)))
             h = float(rng.uniform(0.3, 2.0))
             exact = nu_plus(s, h).lower
             n_h = max(grid_occupancy(s, h).values())
@@ -310,7 +309,7 @@ def test_density_profile_integer_lattice():
     assert prof.density_estimate == 1.0
     assert prof.truncation_bias
     # non-integer length: floor(h)+1 fit, confirmed by the anchor oracle
-    xs = [p.coords[0] for p in s.points]
+    xs = [p[0] for p in s.points]
     prof2 = density_profile(s, [10.5, 21.0])
     assert prof2.rows[0].nu_lower == 11 == brute_window_max_1d(xs, 10.5)
 
@@ -334,7 +333,7 @@ def test_density_profile_window_too_small():
 
 def test_density_profile_monotone_in_h():
     rng = np.random.default_rng(23)
-    s = PointSet(tuple(pt(*rng.uniform(-5, 5, size=1)) for _ in range(60)))
+    s = PointSet(tuple(tuple(rng.uniform(-5, 5, size=1)) for _ in range(60)))
     prof = density_profile(s, [0.5, 1.0, 2.0, 4.0])
     nus = [r.nu_lower for r in prof.rows]
     assert nus == sorted(nus)
@@ -343,7 +342,7 @@ def test_density_profile_monotone_in_h():
 def test_basis_lattice_matches_spacing_lattice():
     a = make_lattice(0.5, 3, 2)
     b = make_lattice_basis(((0.5, 0.0), (0.0, 0.5)), 3)
-    assert {p.coords for p in a.points} == {p.coords for p in b.points}
+    assert set(a.points) == set(b.points)
 
 
 def test_sheared_basis_lattice_matches_brute_enumeration():
@@ -354,12 +353,12 @@ def test_sheared_basis_lattice_matches_brute_enumeration():
             x, y = float(m), m * 0.5 + float(n)
             if abs(x) <= 4 and abs(y) <= 4:
                 brute.add((x, y))
-    assert {p.coords for p in s.points} == brute
+    assert set(s.points) == brute
 
 
 def test_grid_occupancy_half_open_boundary_snap():
     # points sitting exactly on a grid face belong to the right-hand cube
-    s = PointSet((pt(0.5, 0.5, 0.5), pt(-0.5, 0.0, 0.0), pt(0.0, 0.0, 0.0)))
+    s = PointSet(((0.5, 0.5, 0.5), (-0.5, 0.0, 0.0), (0.0, 0.0, 0.0)))
     occ = grid_occupancy(s, 1.0)
     assert occ == {(1, 1, 1): 1, (0, 0, 0): 2}
 
@@ -372,7 +371,7 @@ def test_accumulation_in_reciprocal_family():
     s = make_reciprocal(200)
     found = detect_accumulation(s, 0.01, 50)
     assert found
-    assert min(p.coords[0] for p in found) <= 1.0 / 100
+    assert min(p[0] for p in found) <= 1.0 / 100
 
 
 def test_no_accumulation_in_separated_lattice():
@@ -380,7 +379,7 @@ def test_no_accumulation_in_separated_lattice():
 
 
 def test_accumulation_cluster_at_origin():
-    s = PointSet((pt(0.0),) + tuple(pt(0.001 * k) for k in range(1, 101)))
+    s = PointSet(((0.0,),) + tuple((0.001 * k,) for k in range(1, 101)))
     assert detect_accumulation(s, 0.05, 10)
 
 
@@ -414,7 +413,7 @@ def test_reciprocal_counts_explode():
 
 def test_union_subadditivity():
     a = make_lattice(1.0, 20, 1)
-    b = PointSet(tuple(pt(x + 0.3) for x in np.arange(-20.0, 21.0)))
+    b = PointSet(tuple((x + 0.3,) for x in np.arange(-20.0, 21.0)))
     u = union_point_sets([("a", a), ("b", b)])
     for h in (0.7, 1.0, 2.3, 5.0):
         assert nu_plus(u, h).lower <= nu_plus(a, h).upper + nu_plus(b, h).upper

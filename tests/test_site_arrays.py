@@ -1,4 +1,4 @@
-"""Array-backed site sets against the tuple-of-Point code they replaced.
+"""Array-backed site sets against the per-site tuple code they replaced.
 
 The oracles below are the per-point constructions and loops that the array
 code replaced, kept as references: lattice, basis-lattice, reciprocal and
@@ -29,7 +29,6 @@ from lpdensity import (
     make_reciprocal,
     nu_plus,
     pair,
-    pt,
     restrict,
     translate,
     union_point_sets,
@@ -43,7 +42,7 @@ def hexrows(rows):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the tuple-of-Point code
+# oracles: the per-site tuple code
 
 
 def tuple_lattice(spacing, window, dimension, offset):
@@ -127,8 +126,8 @@ def loop_sites(gen, target):
     """The sites kept by the per-site prefilter, in lexicographic order."""
     return [
         site
-        for site in sorted(gen.gamma.points, key=lambda site: site.coords)
-        if shift_overlaps(gen.f.support_box, site.coords, target)
+        for site in sorted(gen.gamma.points)
+        if shift_overlaps(gen.f.support_box, site, target)
     ]
 
 
@@ -174,11 +173,11 @@ sides = st.sampled_from([0.25, 1 / 3, 0.5, 0.75, 1.0, 1.5])
 
 @given(
     dims.flatmap(lambda d: site_rows(d, max_size=10)),
-    st.sampled_from(["points", "tuples", "array"]),
+    st.sampled_from(["lists", "tuples", "array"]),
 )
 def test_construction_matches_tuple_of_points(rows, form):
     given_rows = {
-        "points": lambda: tuple(pt(*r) for r in rows),
+        "lists": lambda: [list(r) for r in rows],
         "tuples": lambda: rows,
         "array": lambda: np.array(rows, dtype=float),
     }[form]()
@@ -190,13 +189,13 @@ def test_construction_matches_tuple_of_points(rows, form):
         return
     s = PointSet(given_rows)
     assert hexrows(s.as_array.tolist()) == hexrows(rows)
-    assert hexrows(p.coords for p in s.points) == hexrows(rows)
+    assert hexrows(s.points) == hexrows(rows)
     assert s.order.tolist() == sorted(range(len(rows)), key=lambda i: rows[i])
 
 
 def test_duplicate_message_names_signed_zero():
     with pytest.raises(PreconditionError) as exc:
-        PointSet((pt(1.0, 0.0), pt(0.0, 2.0), pt(-0.0, 2.0), pt(0.0, 2.0)))
+        PointSet(((1.0, 0.0), (0.0, 2.0), (-0.0, 2.0), (0.0, 2.0)))
     assert str(exc.value) == "duplicate point (-0.0, 2.0) at positions 1 and 2"
 
 
@@ -321,12 +320,12 @@ def test_masked_power_sum_matches_site_loop(case, exponent):
     # the sum cannot tell whether the prefilter dropped it; compare the sites
     for gen in sys.generators:
         kept = _overlapping_sites(gen.gamma, gen.f.support_box, test.support_box)
-        assert kept == [list(site.coords) for site in loop_sites(gen, test.support_box)]
+        assert kept == [list(site) for site in loop_sites(gen, test.support_box)]
 
 
 @given(systems(), dyadic, st.sampled_from([0.5, 1.0, 2.25]), st.sampled_from([2.0, 3.0]))
 def test_masked_mass_matches_site_loop(case, centre, side, p):
     sys, _ = case
     gen = sys.generators[0]
-    region = Box.cube(pt(*[centre] * gen.f.dimension), side)
+    region = Box.cube((centre,) * gen.f.dimension, side)
     assert _generator_mass(gen, region, p).hex() == loop_mass(gen, region, p).hex()

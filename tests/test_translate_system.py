@@ -26,7 +26,6 @@ from lpdensity import (
     make_reciprocal,
     mass_decay_sweep,
     pair,
-    pt,
     scale,
     system_localized_mass,
     translate,
@@ -43,7 +42,7 @@ def z_system(window=10, p=2.0, f=UNIT):
 
 
 def explicit_line(*xs):
-    return PointSet(tuple(pt(x) for x in xs))
+    return PointSet(tuple((x,) for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +104,11 @@ def test_bessel_estimate_scale_invariant():
 
 
 def test_blowup_witness_dense_grid():
-    gamma = PointSet(tuple(pt(k / 100) for k in range(100)))
+    gamma = PointSet(tuple((k / 100,) for k in range(100)))
     w = blowup_witness(UNIT, UNIT, gamma, 0.5, 2.0)
     # enumeration oracle at the returned center: tent(g - beta) > 1/2
     direct = sum(
-        1 for g in gamma if max(0.0, 1.0 - abs(g.coords[0] - w.beta.coords[0])) > 0.5
+        1 for g in gamma if max(0.0, 1.0 - abs(g[0] - w.beta[0])) > 0.5
     )
     assert w.count == direct
     assert w.count >= 95
@@ -125,7 +124,7 @@ def test_blowup_witness_separated_lattice_count_one():
 def test_blowup_witness_single_point():
     w = blowup_witness(UNIT, UNIT, explicit_line(0.0), 0.99, 2.0)
     assert w.count == 1
-    assert w.beta.coords[0] == pytest.approx(0.5, abs=0.5)
+    assert w.beta[0] == pytest.approx(0.5, abs=0.5)
 
 
 def test_blowup_witness_epsilon_precondition():
@@ -135,12 +134,12 @@ def test_blowup_witness_epsilon_precondition():
 
 def test_blowup_witness_plane_grid():
     square = PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)
-    pts = PointSet(tuple(pt(i / 20, j / 20) for i in range(20) for j in range(20)))
+    pts = PointSet(tuple((i / 20, j / 20) for i in range(20) for j in range(20)))
     w = blowup_witness(square, square, pts, 0.5, 2.0)
     direct = sum(
         1
         for p in pts
-        if abs(pair(translate(square, p), translate(square, w.beta.coords))) > 0.5
+        if abs(pair(translate(square, p), translate(square, w.beta))) > 0.5
     )
     assert w.count == direct
     assert w.count >= 200  # most of the 400-point grid lands in the window
@@ -149,7 +148,7 @@ def test_blowup_witness_plane_grid():
 
 def test_blowup_witness_sound_against_bessel_sum():
     for n in (50, 150):
-        gamma = PointSet(tuple(pt(k / n) for k in range(n)))
+        gamma = PointSet(tuple((k / n,) for k in range(n)))
         w = blowup_witness(UNIT, UNIT, gamma, 0.5, 2.0)
         sys_ = TranslateSystem((Generator(UNIT, gamma, "g"),), ExponentPair(2.0))
         direct = bessel_sum(sys_, translate(UNIT, w.beta), 2.0)
@@ -170,7 +169,7 @@ def test_cq_required_closed_form():
 def test_cq_required_translation_covariance():
     beta = 0.375
     sys_a = z_system(window=20)
-    shifted = PointSet(tuple(pt(x.coords[0] + beta) for x in make_lattice(1.0, 20, 1)))
+    shifted = PointSet(tuple((x[0] + beta,) for x in make_lattice(1.0, 20, 1)))
     sys_b = TranslateSystem((Generator(UNIT, shifted, "Z+b"),), ExponentPair(2.0))
     test = indicator_interval(-0.25, 0.25)
     assert cq_required_constant(sys_b, translate(test, (beta,))) == pytest.approx(
@@ -243,7 +242,7 @@ def test_sweep_reach_check_recurses_into_unions():
 def test_localized_mass_tiling_identity():
     gen = Generator(UNIT, make_lattice(1.0, 30, 1), "Z")
     for center, h in ((0.0, 0.5), (0.3125, 0.5), (-2.25, 0.75)):
-        rep = localized_mass(gen, Box.cube(pt(center), h), 2.0)
+        rep = localized_mass(gen, Box.cube((center,), h), 2.0)
         assert rep.total == h  # integer translates of [0,1) tile the line
         assert rep.finiteness_bound is not None
         assert rep.total <= rep.finiteness_bound.value
@@ -251,7 +250,7 @@ def test_localized_mass_tiling_identity():
 
 def test_localized_mass_double_cover():
     gen = Generator(indicator_interval(0, 2), make_lattice(1.0, 30, 1), "Z")
-    rep = localized_mass(gen, Box.cube(pt(0.0), 0.5), 2.0)
+    rep = localized_mass(gen, Box.cube((0.0,), 0.5), 2.0)
     # direct summation oracle: every point of the window lies in two supports
     oracle = sum(
         max(0.0, min(0.25, g + 2) - max(-0.25, g))
@@ -264,7 +263,7 @@ def test_localized_mass_double_cover():
 
 def test_mass_decay_halves_exactly():
     gen = Generator(UNIT, make_lattice(1.0, 30, 1), "Z")
-    rows = mass_decay_sweep(gen, pt(0.0), [0.5, 0.25, 0.125, 0.0625], 2.0)
+    rows = mass_decay_sweep(gen, (0.0,), [0.5, 0.25, 0.125, 0.0625], 2.0)
     for (_, a), (_, b) in zip(rows, rows[1:]):
         assert b == a / 2
     assert rows[-1][1] < 0.1
@@ -275,7 +274,7 @@ def test_mass_growth_for_reciprocal_family():
     masses = {}
     for n in (100, 200):
         gen = Generator(UNIT, make_reciprocal(n), "recip")
-        rep = localized_mass(gen, Box.cube(pt(0.0), h), 2.0)
+        rep = localized_mass(gen, Box.cube((0.0,), h), 2.0)
         # direct summation oracle over n <= N
         oracle = sum(
             max(0.0, min(h / 2, 1.0 / k + 1.0) - max(-h / 2, 1.0 / k))
@@ -288,7 +287,7 @@ def test_mass_growth_for_reciprocal_family():
 
 def test_mass_single_point_small():
     gen = Generator(UNIT, explicit_line(0.0), "one")
-    rows = mass_decay_sweep(gen, pt(0.0), [0.5, 0.25], 2.0)
+    rows = mass_decay_sweep(gen, (0.0,), [0.5, 0.25], 2.0)
     assert rows[0][1] <= min(1.0, 0.5)
     assert rows[1][1] == rows[0][1] / 2
 
@@ -296,9 +295,9 @@ def test_mass_single_point_small():
 def test_localized_mass_translation_covariance():
     beta = 0.4375
     gamma = make_lattice(1.0, 10, 1)
-    shifted = PointSet(tuple(pt(x.coords[0] + beta) for x in gamma))
-    base = localized_mass(Generator(UNIT, gamma, "Z"), Box.cube(pt(0.25), 0.5), 2.0)
-    moved = localized_mass(Generator(UNIT, shifted, "Z+b"), Box.cube(pt(0.25 + beta), 0.5), 2.0)
+    shifted = PointSet(tuple((x[0] + beta,) for x in gamma))
+    base = localized_mass(Generator(UNIT, gamma, "Z"), Box.cube((0.25,), 0.5), 2.0)
+    moved = localized_mass(Generator(UNIT, shifted, "Z+b"), Box.cube((0.25 + beta,), 0.5), 2.0)
     assert moved.total == pytest.approx(base.total, rel=1e-12)
 
 
@@ -306,14 +305,14 @@ def test_localized_mass_tiling_2d():
     square = PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)
     gen = Generator(square, make_lattice(1.0, 8, 2), "Z2")
     for center, h in (((0.0, 0.0), 0.5), ((0.25, -1.5), 1.25)):
-        rep = localized_mass(gen, Box.cube(pt(*center), h), 2.0)
+        rep = localized_mass(gen, Box.cube(tuple(center), h), 2.0)
         assert rep.total == pytest.approx(h * h, abs=1e-15)
 
 
 def test_bessel_sum_translation_covariance():
     beta = 0.375
     gamma = make_lattice(1.0, 10, 1)
-    shifted = PointSet(tuple(pt(x.coords[0] + beta) for x in gamma))
+    shifted = PointSet(tuple((x[0] + beta,) for x in gamma))
     sys_a = TranslateSystem((Generator(UNIT, gamma, "Z"),), ExponentPair(2.0))
     sys_b = TranslateSystem((Generator(UNIT, shifted, "Z+b"),), ExponentPair(2.0))
     test = indicator_interval(-0.5, 1.25)
@@ -326,7 +325,7 @@ def test_system_localized_mass_sums_generators():
     g1 = Generator(UNIT, make_lattice(1.0, 10, 1), "a")
     g2 = Generator(indicator_interval(0, 2), make_lattice(1.0, 10, 1), "b")
     sys_ = TranslateSystem((g1, g2), ExponentPair(2.0))
-    cube = Box.cube(pt(0.0), 0.5)
+    cube = Box.cube((0.0,), 0.5)
     assert system_localized_mass(sys_, cube, 2.0) == pytest.approx(
         localized_mass(g1, cube, 2.0).total + localized_mass(g2, cube, 2.0).total
     )
@@ -374,7 +373,7 @@ def test_synthesis_oracle_consistent_with_required_constant():
     for _ in range(100):
         m = int(rng.integers(2, 9))
         sites = np.sort(rng.uniform(-2, 2, size=m))
-        gamma = PointSet(tuple(pt(float(x)) for x in np.unique(sites)))
+        gamma = PointSet(tuple((float(x),) for x in np.unique(sites)))
         sys_ = TranslateSystem((Generator(UNIT, gamma, "g"),), ExponentPair(2.0))
         cuts = np.sort(rng.uniform(-2.5, 2.5, size=4))
         pieces = [
