@@ -24,6 +24,7 @@ from . import __version__
 from .errors import InputError, PreconditionError
 from .haar_uncond import (
     _INDEX_BUDGET,
+    _SLACK,
     HaarExpansion,
     HaarIndex,
     burkholder_constant,
@@ -40,6 +41,7 @@ from .io import (
     _cube_spec_box,
     _need,
     _need_floats,
+    _need_list,
     _number,
     emit_json,
     file_digest,
@@ -137,7 +139,7 @@ def _cmd_separate(spec, ctx):
 def _cmd_pair(spec, ctx):
     h = ingest_function(_need(spec, "h"), base_dir=ctx.base_dir)
     if "freq" in spec:
-        value = pair_modulated(h, tuple(spec["freq"]))
+        value = pair_modulated(h, _need_floats(spec, "freq"))
         return {"modulated_pairing": jsonable(value)}, {}, {}
     f = ingest_function(_need(spec, "f"), base_dir=ctx.base_dir)
     return {"pairing": jsonable(pair(h, f))}, {}, {}
@@ -145,7 +147,7 @@ def _cmd_pair(spec, ctx):
 
 def _cmd_bessel(spec, ctx):
     sys_ = ingest_system(_need(spec, "system"), base_dir=ctx.base_dir)
-    tests = [ingest_function(t, base_dir=ctx.base_dir) for t in _need(spec, "tests")]
+    tests = [ingest_function(t, base_dir=ctx.base_dir) for t in _need_list(spec, "tests")]
     est = bessel_bound_estimate(sys_, tests, _number(spec, "p_prime"))
     return {"bessel": jsonable(est)}, {}, {}
 
@@ -269,10 +271,9 @@ def _cmd_haar_check(spec, ctx):
             "estimate_margin": beta - uncond,
         },
     }
-    # 1e-12 is count_sandwich_violations' relative slack, which p = 2 (beta = 1) needs
     verdicts = {
         "biorthogonal_offdiag_zero": max_offdiag == 0.0,
-        "burkholder_bounds_hold": outside == 0 and uncond <= beta * (1 + 1e-12),
+        "burkholder_bounds_hold": outside == 0 and uncond <= beta * (1 + _SLACK),
     }
     return outputs, verdicts, {}
 

@@ -157,12 +157,6 @@ class HaarExpansion:
     def __len__(self):
         return len(self.terms)
 
-    def coefficient(self, idx: HaarIndex) -> complex:
-        for i, c in self.terms:
-            if i == idx:
-                return c
-        return 0j
-
     def signed(self, pattern: "SignPattern") -> "HaarExpansion":
         return HaarExpansion(tuple((idx, pattern.sign_for(idx) * c) for idx, c in self.terms))
 
@@ -341,7 +335,6 @@ class SandwichRow:
 @dataclass(frozen=True)
 class SandwichReport:
     p: float
-    regime: str  # "p<=2" | "p>=2"
     rows: tuple
     lower_constant: float
     upper_constant: float
@@ -389,7 +382,6 @@ def coefficient_sandwich_check(batch: Sequence[HaarExpansion], p: float) -> Sand
     upper = max(r.mid / r.rhs for r in rows)
     return SandwichReport(
         p=p,
-        regime="p<=2" if p <= 2 else "p>=2",
         rows=rows,
         lower_constant=lower,
         upper_constant=upper,
@@ -403,14 +395,18 @@ def burkholder_constant(p: float) -> float:
     return max(float(p), conjugate_exponent(p)) - 1.0
 
 
+# relative slack of the sandwich and Burkholder checks, which p = 2
+# (beta = 1) needs: there both bounds hold with equality
+_SLACK = 1e-12
+
+
 def count_sandwich_violations(
     rows: Sequence[SandwichRow],
     lower_constant: float,
     upper_constant: float,
     headroom: float = 1.0,
-    rtol: float = 1e-12,
 ) -> int:
-    """How many rows break lhs <= lower*mid or mid <= upper*rhs (with float slack).
+    """How many rows break lhs <= lower*mid or mid <= upper*rhs, up to _SLACK.
 
     `headroom` inflates both constants before checking.  Constants fitted on
     one batch and checked on another need it, and still fail for some seeds
@@ -420,7 +416,7 @@ def count_sandwich_violations(
     lo = lower_constant * headroom
     up = upper_constant * headroom
     for r in rows:
-        if r.lhs > lo * r.mid * (1 + rtol) or r.mid > up * r.rhs * (1 + rtol):
+        if r.lhs > lo * r.mid * (1 + _SLACK) or r.mid > up * r.rhs * (1 + _SLACK):
             bad += 1
     return bad
 

@@ -222,6 +222,9 @@ def bessel_bound_estimate(
 # failing key, so a window that fails early is not paired in full
 _GRID_BATCH = 1024
 
+# window centres the witness tries from each family of candidates
+_MAX_CANDIDATES = 512
+
 
 def _exceeds(values: np.ndarray, epsilon: float) -> np.ndarray:
     # |v| > epsilon as Python's abs decides it: numpy's complex modulus can
@@ -267,7 +270,6 @@ def blowup_witness(
     gamma: PointSet,
     epsilon: float,
     p_prime: float,
-    max_candidates: int = 512,
 ):
     """Certified mass witness: a center beta and the number of sites gamma with
     |<T_gamma f, T_beta f_dual>| > epsilon, all verified by exact pairing
@@ -330,7 +332,7 @@ def blowup_witness(
     sites = gamma.as_array
     best_count = -1
     best_beta = None
-    for beta in _window_center_candidates(gamma, h, max_candidates):
+    for beta in _window_center_candidates(gamma, h, _MAX_CANDIDATES):
         values = cross_pairings(f, translate(f_dual, beta), sites)
         count = int(np.count_nonzero(_exceeds(values, epsilon)))
         if count > best_count:
@@ -410,6 +412,8 @@ def system_localized_mass(sys: TranslateSystem, region: Box, p: float) -> float:
 
 
 def _generator_mass(gen: Generator, region: Box, p: float) -> float:
+    if gen.f.dimension != region.dim:
+        raise DimensionMismatchError("cube dimension does not match the generator")
     p = float(p)
     total = 0.0
     for site in _overlapping_sites(gen.gamma, gen.f.support_box, region):
@@ -485,8 +489,6 @@ def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport
     truncation's separation constant: the mass can never exceed it, and the
     bound blowing up as separation degrades is exactly the failure signal.
     """
-    if gen.f.dimension != region.dim:
-        raise DimensionMismatchError("cube dimension does not match the generator")
     p = float(p)
     mass = _generator_mass(gen, region, p)
     bound = None
@@ -539,7 +541,6 @@ class DichotomyConfig:
     epsilon_fraction: float = 0.5
     bessel_variation_tol: float = 0.10
     subadditivity_h_values: tuple = (1.0, 2.0, 4.0)
-    density_h: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -556,6 +557,10 @@ class SubadditivityRow:
     union_count: int
     parts_sum: int
     holds: bool
+
+
+# side of the cube in which the dichotomy's density rows count union sites
+_DENSITY_H = 1.0
 
 
 @dataclass(frozen=True)
@@ -666,7 +671,7 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
             DensityGrowthRow(
                 radius=radius,
                 total_sites=sum(len(g.gamma) for g in gens_r),
-                nu_plus_at_h=nu_plus(union_r, config.density_h).lower,
+                nu_plus_at_h=nu_plus(union_r, _DENSITY_H).lower,
             )
         )
 

@@ -696,8 +696,56 @@ def test_explicit_pieces_over_the_budget_exit_3(tmp_path, capsys, h, message):
         (_pair({**SAMPLED_FN, "step": "x"}), "step"),
         (_pair({**SAMPLED_FN, "p": "x"}), "'p'"),
         (_pair({**PIECES_FN, "pieces": 3}), "'pieces'"),
+        ({"command": "pair", "h": UNIT_SPEC, "freq": "ab"}, "'freq'"),
+        ({"command": "pair", "h": UNIT_SPEC, "freq": 3}, "'freq'"),
     ],
 )
 def test_ingested_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
     code, err = _run_exit(tmp_path, capsys, payload)
     assert code == 2 and key in err and "\n" not in err
+
+
+def _bessel(system, tests=(UNIT_SPEC,)):
+    return {"command": "bessel", "system": system, "tests": tests, "p_prime": 2.0}
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        (_bessel({**SYSTEM, "generators": 3}), "'generators'"),
+        (_bessel({**SYSTEM, "generators": [7]}), "'f'"),
+        (_bessel(SYSTEM, tests=3), "'tests'"),
+        (_density({"kind": "union", "children": 5}), "'children'"),
+        (_density(5), "point set"),
+    ],
+)
+def test_spec_of_the_wrong_shape_exits_2(tmp_path, capsys, payload, key):
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 2 and key in err and "\n" not in err
+
+
+@pytest.mark.parametrize("chain", [["self.json"], ["a.json", "b.json"]])
+def test_point_set_file_that_refers_back_to_itself_exits_2(tmp_path, capsys, chain):
+    # each file holds {"path": <the next file>}, and the last names the first
+    for name, target in zip(chain, chain[1:] + chain[:1]):
+        (tmp_path / name).write_text(json.dumps({"path": target}))
+    code, err = _run_exit(tmp_path, capsys, _density({"path": chain[0]}))
+    assert code == 2 and "refers back to itself" in err and "\n" not in err
+
+
+def test_references_resolve_against_the_file_that_holds_them(tmp_path, capsys):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "unit.json").write_text(json.dumps(UNIT_SPEC))
+    (sub / "sites.csv").write_text("x\n0.0\n1.0\n2.0\n")
+    system = {"p": 2.0, "generators": [{"f": {"path": "unit.json"}, "gamma": "sites.csv"}]}
+    (sub / "system.json").write_text(json.dumps(system))
+    code, _ = _run_exit(tmp_path, capsys, _bessel("sub/system.json", tests=[{"path": "sub/unit.json"}]))
+    assert code == 0
+    assert read_report(tmp_path, "bessel")["outputs"]["bessel"]["bound_estimate"] == 1.0
+
+
+def test_mass_decay_point_of_another_dimension_exits_3(tmp_path, capsys):
+    code, err = _run_exit(tmp_path, capsys, {**DECAY, "x": [0.0, 7.0]})
+    assert code == 3 and "dimension" in err and "\n" not in err
+    assert not (tmp_path / "mass_decay_report.json").exists()
