@@ -36,7 +36,8 @@ _REQUIRED = object()
 
 
 def _need(spec: dict, key: str, default=_REQUIRED):
-    """spec[key], or `default` when the key is absent and a default is given."""
+    """spec[key], or `default` when the key is absent and a default is given;
+    a spec that is no JSON object is an input error."""
     if not isinstance(spec, dict):
         raise InputError(f"expected an object holding {key!r}, got {spec!r}")
     if key in spec:
@@ -107,9 +108,10 @@ def _load(source, base_dir: Optional[Path], what: str) -> tuple:
             path = Path(base_dir) / path
         if not path.exists():
             raise InputError(f"input file not found: {path}")
-        if path.resolve() in seen:
+        real = path.resolve()
+        if real in seen:
             raise InputError(f"{what} file {path} refers back to itself")
-        seen.add(path.resolve())
+        seen.add(real)
         if what == "point set" and path.suffix.lower() == ".csv":
             return path, path.parent
         try:
