@@ -38,17 +38,16 @@ from .haar_uncond import (
     unconditional_constant_estimate,
 )
 from .io import (
+    Inputs,
     _cube_spec_box,
     _need,
     _need_floats,
     _need_list,
     _number,
     emit_json,
-    file_digest,
     ingest_function,
     ingest_points,
     ingest_system,
-    jsonable,
     write_csv,
 )
 from .lpfunc import Box, ExponentPair, PiecewiseFn, pair, pair_modulated, translate
@@ -73,31 +72,10 @@ EXIT_VERDICT = 4
 
 
 class _RunContext:
-    def __init__(self, base_dir: Path, out_dir: Path, seed):
-        self.base_dir = base_dir
+    def __init__(self, inputs: Inputs, out_dir: Path, seed):
+        self.inputs = inputs
         self.out_dir = out_dir
         self.seed = seed
-        self.digests = {}
-
-    def track(self, spec_value):
-        """Record digests for any {"path": ...} references inside a spec value."""
-        if isinstance(spec_value, dict):
-            if "path" in spec_value:
-                self._digest(spec_value["path"])
-            for v in spec_value.values():
-                self.track(v)
-        elif isinstance(spec_value, list):
-            for v in spec_value:
-                self.track(v)
-        elif isinstance(spec_value, str) and spec_value.endswith((".csv", ".json")):
-            self._digest(spec_value)
-
-    def _digest(self, ref):
-        path = Path(ref)
-        if not path.is_absolute():
-            path = self.base_dir / path
-        if path.exists():
-            self.digests[str(ref)] = file_digest(path)
 
     def rng(self):
         if self.seed is None:
@@ -106,8 +84,8 @@ class _RunContext:
 
 
 def _generator_from_spec(spec: dict, ctx: _RunContext) -> Generator:
-    f = ingest_function(_need(spec, "f"), base_dir=ctx.base_dir)
-    gamma = ingest_points(_need(spec, "gamma"), base_dir=ctx.base_dir)
+    f = ingest_function(_need(spec, "f"), ctx.inputs)
+    gamma = ingest_points(_need(spec, "gamma"), ctx.inputs)
     return Generator(f, gamma, str(spec.get("label", "gen")))
 
 
@@ -116,7 +94,7 @@ def _generator_from_spec(spec: dict, ctx: _RunContext) -> Generator:
 
 
 def _cmd_density(spec, ctx):
-    points = ingest_points(_need(spec, "points"), base_dir=ctx.base_dir)
+    points = ingest_points(_need(spec, "points"), ctx.inputs)
     profile = density_profile(points, _need_floats(spec, "h_values"))
     rows = [
         (r.h, r.nu_lower, r.nu_upper, r.ratio_lower, r.ratio_upper) for r in profile.rows
@@ -127,45 +105,45 @@ def _cmd_density(spec, ctx):
             rows,
         )
     }
-    return {"profile": jsonable(profile), "size": len(points)}, {}, csvs
+    return {"profile": profile, "size": len(points)}, {}, csvs
 
 
 def _cmd_separate(spec, ctx):
-    points = ingest_points(_need(spec, "points"), base_dir=ctx.base_dir)
+    points = ingest_points(_need(spec, "points"), ctx.inputs)
     report = decompose_separated(points, _number(spec, "delta"))
-    return {"separation": jsonable(report)}, {}, {}
+    return {"separation": report}, {}, {}
 
 
 def _cmd_pair(spec, ctx):
-    h = ingest_function(_need(spec, "h"), base_dir=ctx.base_dir)
+    h = ingest_function(_need(spec, "h"), ctx.inputs)
     if "freq" in spec:
         value = pair_modulated(h, _need_floats(spec, "freq"))
-        return {"modulated_pairing": jsonable(value)}, {}, {}
-    f = ingest_function(_need(spec, "f"), base_dir=ctx.base_dir)
-    return {"pairing": jsonable(pair(h, f))}, {}, {}
+        return {"modulated_pairing": value}, {}, {}
+    f = ingest_function(_need(spec, "f"), ctx.inputs)
+    return {"pairing": pair(h, f)}, {}, {}
 
 
 def _cmd_bessel(spec, ctx):
-    sys_ = ingest_system(_need(spec, "system"), base_dir=ctx.base_dir)
-    tests = [ingest_function(t, base_dir=ctx.base_dir) for t in _need_list(spec, "tests")]
+    sys_ = ingest_system(_need(spec, "system"), ctx.inputs)
+    tests = [ingest_function(t, ctx.inputs) for t in _need_list(spec, "tests")]
     est = bessel_bound_estimate(sys_, tests, _number(spec, "p_prime"))
-    return {"bessel": jsonable(est)}, {}, {}
+    return {"bessel": est}, {}, {}
 
 
 def _cmd_blowup(spec, ctx):
-    f = ingest_function(_need(spec, "f"), base_dir=ctx.base_dir)
-    f_dual = ingest_function(_need(spec, "f_dual"), base_dir=ctx.base_dir)
-    gamma = ingest_points(_need(spec, "points"), base_dir=ctx.base_dir)
+    f = ingest_function(_need(spec, "f"), ctx.inputs)
+    f_dual = ingest_function(_need(spec, "f_dual"), ctx.inputs)
+    gamma = ingest_points(_need(spec, "points"), ctx.inputs)
     p_prime = _number(spec, "p_prime")
     witness = blowup_witness(f, f_dual, gamma, _number(spec, "epsilon"), p_prime)
     system = TranslateSystem((Generator(f, gamma, "gen"),), ExponentPair(_number(spec, "p", 2.0)))
     direct = bessel_sum(system, translate(f_dual, witness.beta), p_prime)
     verdicts = {"witness_sound": witness.sum_lower_bound <= direct}
-    return {"witness": jsonable(witness), "direct_bessel_sum": direct}, verdicts, {}
+    return {"witness": witness, "direct_bessel_sum": direct}, verdicts, {}
 
 
 def _cmd_cq_sweep(spec, ctx):
-    sys_ = ingest_system(_need(spec, "system"), base_dir=ctx.base_dir)
+    sys_ = ingest_system(_need(spec, "system"), ctx.inputs)
     sweep = cq_indicator_sweep(sys_, _need_floats(spec, "h_values"))
     p = sys_.p.p
     ok = all(
@@ -180,7 +158,7 @@ def _cmd_cq_sweep(spec, ctx):
             rows,
         )
     }
-    return {"sweep": jsonable(sweep)}, {"proof_inequality": ok}, csvs
+    return {"sweep": sweep}, {"proof_inequality": ok}, csvs
 
 
 def _cmd_localized_mass(spec, ctx):
@@ -191,7 +169,7 @@ def _cmd_localized_mass(spec, ctx):
     if report.finiteness_bound is not None:
         verdicts["mass_within_bound"] = report.total <= report.finiteness_bound.value
     echo = {"center": _need_floats(cube, "center"), "side": _number(cube, "side")}
-    return {"localized_mass": {**jsonable(report), "cube": echo}}, verdicts, {}
+    return {"localized_mass": {**vars(report), "cube": echo}}, verdicts, {}
 
 
 def _cmd_mass_decay(spec, ctx):
@@ -205,7 +183,7 @@ def _cmd_mass_decay(spec, ctx):
     verdicts = {"monotone": all(b <= a for (_, a), (_, b) in zip(rows, rows[1:]))}
     if "tolerance" in spec:
         verdicts["decays_below_tolerance"] = rows[-1][1] <= _number(spec, "tolerance")
-    return {"rows": jsonable(rows)}, verdicts, {}
+    return {"rows": rows}, verdicts, {}
 
 
 def _cmd_haar_check(spec, ctx):
@@ -256,7 +234,7 @@ def _cmd_haar_check(spec, ctx):
     outside = count_sandwich_violations(fit.rows + held_fit.rows, beta, beta)
     outputs = {
         "biorthogonality": {"max_offdiag": max_offdiag, "max_diag_error": max_diag_err},
-        "prop43": jsonable(p43),
+        "prop43": p43,
         "sandwich_fit": {
             "lower_constant": fit.lower_constant,
             "upper_constant": fit.upper_constant,
@@ -279,14 +257,14 @@ def _cmd_haar_check(spec, ctx):
 
 
 def _cmd_dichotomy(spec, ctx):
-    sys_ = ingest_system(_need(spec, "system"), base_dir=ctx.base_dir)
+    sys_ = ingest_system(_need(spec, "system"), ctx.inputs)
     tests = spec.get("bessel_tests")
     tol = {**spec.get("tolerances", {}), **spec}  # flat keys win over the block
     config = DichotomyConfig(
         truncation_radii=tuple(_need_floats(spec, "truncation_radii")),
         sweep_h_values=tuple(_need_floats(spec, "h_values")),
         p_prime=_number(spec, "p_prime"),
-        bessel_tests=tuple(ingest_function(t, base_dir=ctx.base_dir) for t in tests)
+        bessel_tests=tuple(ingest_function(t, ctx.inputs) for t in tests)
         if tests
         else None,
         accumulation_radius=_number(tol, "accumulation_radius", 0.05),
@@ -302,7 +280,7 @@ def _cmd_dichotomy(spec, ctx):
         "dichotomy_holds": report.dichotomy_holds,
         "subadditivity_holds": report.subadditivity_holds,
     }
-    return {"dichotomy": jsonable(report)}, verdicts, {}
+    return {"dichotomy": report}, verdicts, {}
 
 
 def _random_test_fn(rng) -> PiecewiseFn:
@@ -347,7 +325,6 @@ COMMANDS = {
 
 def run(command: str, spec: dict, ctx: _RunContext) -> int:
     """Execute one analysis and write its report; returns the exit code."""
-    ctx.track(spec)
     try:
         outputs, verdicts, csvs = COMMANDS[command](spec, ctx)
     except InputError as exc:
@@ -362,7 +339,7 @@ def run(command: str, spec: dict, ctx: _RunContext) -> int:
         "outputs": outputs,
         "verdicts": verdicts,
         "provenance": {
-            "inputs": ctx.digests,
+            "inputs": ctx.inputs.digests,
             "toolkit_version": __version__,
             "seed": ctx.seed,
         },
@@ -432,7 +409,7 @@ def main(argv=None) -> int:
     worst = EXIT_OK
     for command, entry in zip(commands, chained):
         seed = args.seed if args.seed is not None else entry.get("seed")
-        ctx = _RunContext(spec_path.parent, out_dir, seed)
+        ctx = _RunContext(Inputs(spec_path.parent), out_dir, seed)
         worst = max(worst, run(command, entry, ctx))
     return worst
 

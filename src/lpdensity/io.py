@@ -7,11 +7,13 @@ as JSON with decimal floats at 17 significant digits (round-trip exact) and
 sorted keys, so identical runs produce identical bytes.
 """
 
+import copy
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import warnings
 from pathlib import Path, PurePath
 from typing import Optional, Union
@@ -86,39 +88,55 @@ def _need_list(spec: dict, key: str) -> list:
 # spec references
 
 
-def _load(source, base_dir: Optional[Path], what: str) -> tuple:
-    """(spec, base_dir) for a spec value that is an inline object, a
+class Inputs:
+    """The input files of one run.
+
+    References resolve against `dir`, at first the spec file's directory.
+    Each file that is parsed goes into `digests` as the sha256 of its bytes,
+    keyed by its path relative to the spec's directory; an absolute reference
+    keeps its absolute path.  `reading` holds the files whose references are
+    still being read.
+    """
+
+    def __init__(self, spec_dir: Union[str, Path] = "."):
+        self.spec_dir = self.dir = Path(spec_dir)
+        self.digests = {}
+        self.reading = frozenset()
+
+
+def _load(source, inputs: Inputs, what: str) -> tuple:
+    """(spec, inputs) for a spec value that is an inline object, a
     {"path": ...} reference or a path string.
 
-    A path is read relative to `base_dir`, and the references in the file it
-    names relative to that file's directory, which comes back as the new
-    base_dir.  A point-set path ending in .csv comes back as the path
-    itself.  A file that the chain of references reaches twice is refused.
+    Each file is read once: its bytes are digested and then parsed.  The
+    references in a file are read relative to its directory, by the reader
+    that comes back as the new `inputs`.  A point-set path ending in .csv
+    comes back as the PointSet it holds.  A file that refers back to one
+    whose references are still being read is refused.
     """
-    seen = set()
     while True:
         if isinstance(source, dict):
             if "path" not in source:
-                return source, base_dir
+                return source, inputs
             source = source["path"]
         if not isinstance(source, (str, PurePath)):
             raise InputError(f"a {what} must be an object or a path string, got {source!r}")
-        path = Path(source)
-        if not path.is_absolute() and base_dir is not None:
-            path = Path(base_dir) / path
-        if not path.exists():
-            raise InputError(f"input file not found: {path}")
-        real = path.resolve()
-        if real in seen:
-            raise InputError(f"{what} file {path} refers back to itself")
-        seen.add(real)
-        if what == "point set" and path.suffix.lower() == ".csv":
-            return path, path.parent
+        path = inputs.dir / source
+        key = str(path) if PurePath(source).is_absolute() else os.path.relpath(path, inputs.spec_dir)
+        is_csv = what == "point set" and path.suffix.lower() == ".csv"
         try:
-            source = json.loads(path.read_text())
+            real = path.resolve()
+            data = path.read_bytes()
+            source = data.decode() if is_csv else json.loads(data)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-        base_dir = path.parent
+        if real in inputs.reading:
+            raise InputError(f"{what} file {path} refers back to itself")
+        inputs.digests[key] = hashlib.sha256(data).hexdigest()
+        inputs = copy.copy(inputs)
+        inputs.dir, inputs.reading = path.parent, inputs.reading | {real}
+        if is_csv:
+            return _points_from_csv(source, path), inputs
 
 
 def _box_spec(b: dict) -> Box:
@@ -133,16 +151,16 @@ def _cube_spec_box(c: dict) -> Box:
 # point sets
 
 
-def ingest_points(source, base_dir: Optional[Path] = None) -> PointSet:
+def ingest_points(source, inputs: Optional[Inputs] = None) -> PointSet:
     """Read a point set from a CSV file (one point per row, optional header)
     or a JSON descriptor, given inline, as {"path": file} or as a path.
 
     Kinds: "lattice" {spacing|basis, window, dimension, offset}, "reciprocal"
     {N}, "union" {children: [{label, points}]}, "explicit" {rows}.
     """
-    spec, base_dir = _load(source, base_dir, "point set")
-    if isinstance(spec, Path):
-        return _points_from_csv(spec)
+    spec, inputs = _load(source, inputs or Inputs(), "point set")
+    if isinstance(spec, PointSet):
+        return spec
     kind = spec.get("kind")
     if kind == "lattice":
         window = _number(spec, "window")
@@ -161,7 +179,7 @@ def ingest_points(source, base_dir: Optional[Path] = None) -> PointSet:
     if kind == "union":
         members = []
         for i, m in enumerate(_need_list(spec, "children" if "children" in spec else "members")):
-            points = ingest_points(_need(m, "points"), base_dir)
+            points = ingest_points(_need(m, "points"), inputs)
             members.append((m.get("label", f"part-{i}"), points))
         return union_point_sets(members)
     if kind == "explicit":
@@ -169,11 +187,7 @@ def ingest_points(source, base_dir: Optional[Path] = None) -> PointSet:
     raise InputError(f"unknown point-set kind {kind!r}")
 
 
-def _points_from_csv(path: Path) -> PointSet:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+def _points_from_csv(text: str, path: Path) -> PointSet:
     rows = []
     reader = csv.reader(text.splitlines())
     for lineno, row in enumerate(reader, start=1):
@@ -219,10 +233,10 @@ def point_set_spec(s: PointSet) -> dict:
 _PIECE_BUDGET = 1 << 11
 
 
-def ingest_function(source, base_dir: Optional[Path] = None) -> PiecewiseFn:
+def ingest_function(source, inputs: Optional[Inputs] = None) -> PiecewiseFn:
     """Read a piecewise-constant function from a JSON spec, given inline, as
     {"path": file} or as a path."""
-    spec, _ = _load(source, base_dir, "function")
+    spec, _ = _load(source, inputs or Inputs(), "function")
     kind = spec.get("kind")
     if kind == "indicator":
         box = _cube_spec_box(spec["cube"]) if "cube" in spec else _box_spec(_need(spec, "box"))
@@ -273,46 +287,21 @@ def function_spec(f: PiecewiseFn) -> dict:
 # systems
 
 
-def ingest_system(source, base_dir: Optional[Path] = None) -> TranslateSystem:
+def ingest_system(source, inputs: Optional[Inputs] = None) -> TranslateSystem:
     """Read a translate system {p, generators: [{f, gamma, label}]} given
     inline, as {"path": file} or as a path."""
-    spec, base_dir = _load(source, base_dir, "system")
+    spec, inputs = _load(source, inputs or Inputs(), "system")
     p = ExponentPair(_number(spec, "p"))
     gens = []
     for i, g in enumerate(_need_list(spec, "generators")):
-        f = ingest_function(_need(g, "f"), base_dir)
-        gamma = ingest_points(_need(g, "gamma"), base_dir)
+        f = ingest_function(_need(g, "f"), inputs)
+        gamma = ingest_points(_need(g, "gamma"), inputs)
         gens.append(Generator(f, gamma, str(g.get("label", f"gen-{i}"))))
     return TranslateSystem(tuple(gens), p)
 
 
 # ---------------------------------------------------------------------------
 # JSON emission
-
-
-def jsonable(obj):
-    """Recursively convert domain objects to plain JSON-ready structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, complex):
-        return {"im": obj.imag, "re": obj.real}
-    if isinstance(obj, Box):
-        return {"lower": list(obj.lower), "upper": list(obj.upper)}
-    if isinstance(obj, PiecewiseFn):
-        return function_spec(obj)
-    if isinstance(obj, PointSet):
-        return point_set_spec(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalars
-        return jsonable(obj.item())
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _fmt_float(x: float) -> str:
@@ -325,7 +314,9 @@ def _fmt_float(x: float) -> str:
 
 def emit_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats as decimals with 17 significant
-    digits (exact double round trip); identical structures give identical bytes."""
+    digits (exact double round trip); identical structures give identical bytes.
+    Complex numbers, functions, point sets, dataclasses and numpy scalars are
+    written as plain JSON structures."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -351,6 +342,16 @@ def emit_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{emit_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, complex):
+        return emit_json({"im": obj.imag, "re": obj.real}, indent)
+    if isinstance(obj, PiecewiseFn):
+        return emit_json(function_spec(obj), indent)
+    if isinstance(obj, PointSet):
+        return emit_json(point_set_spec(obj), indent)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):  # Box and reports
+        return emit_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
+    if hasattr(obj, "item"):  # numpy scalars
+        return emit_json(obj.item(), indent)
     raise TypeError(f"emit_json got unsupported type {type(obj)!r}")
 
 
@@ -364,8 +365,3 @@ def write_csv(path: Union[str, Path], header, rows) -> None:
                 [format(v, ".17g") if isinstance(v, float) else v for v in row]
             )
 
-
-def file_digest(path: Union[str, Path]) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()

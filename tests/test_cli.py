@@ -1,6 +1,7 @@
 """Experiment runner: spec dispatch, file formats, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from unittest import mock
@@ -743,6 +744,74 @@ def test_references_resolve_against_the_file_that_holds_them(tmp_path, capsys):
     code, _ = _run_exit(tmp_path, capsys, _bessel("sub/system.json", tests=[{"path": "sub/unit.json"}]))
     assert code == 0
     assert read_report(tmp_path, "bessel")["outputs"]["bessel"]["bound_estimate"] == 1.0
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_report_digests_every_file_the_run_parsed(tmp_path):
+    # the README's layout: chain.json -> data/system.json -> unit.json, sites.csv
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "unit.json").write_text(json.dumps(UNIT_SPEC) + "\n")
+    (data / "sites.csv").write_text("x\n0.0\n1.0\n2.5\n")
+    system = {"p": 2.0, "generators": [{"f": {"path": "unit.json"}, "gamma": {"path": "sites.csv"}}]}
+    (data / "system.json").write_text(json.dumps(system) + "\n")
+    chain = [
+        {"command": "density", "points": {"path": "data/sites.csv"}, "h_values": [1.0, 2.0]},
+        _bessel({"path": "data/system.json"}, tests=[{"path": "data/unit.json"}]),
+    ]
+    spec = write_spec(tmp_path, "chain.json", chain)
+    assert main(["run", "--spec", spec, "--out", str(tmp_path / "out")]) == 0
+    inputs = read_report(tmp_path / "out", "bessel")["provenance"]["inputs"]
+    names = ("data/system.json", "data/unit.json", "data/sites.csv")
+    assert inputs == {name: _sha256(tmp_path / name) for name in names}
+    density = read_report(tmp_path / "out", "density")["provenance"]["inputs"]
+    assert density == {"data/sites.csv": _sha256(data / "sites.csv")}
+
+
+@pytest.mark.parametrize("unread", [{"path": "unit.json"}, "unit.json"])
+def test_report_leaves_out_references_the_command_never_reads(tmp_path, unread):
+    (tmp_path / "unit.json").write_text(json.dumps(UNIT_SPEC))
+    (tmp_path / "h.json").write_text(json.dumps(UNIT_SPEC))
+    # with "freq" present, pair reads no "f"
+    spec = write_spec(tmp_path, "mod.json", {"h": "h.json", "freq": [1.0], "f": unread})
+    assert main(["pair", "--spec", spec, "--out", str(tmp_path)]) == 0
+    inputs = read_report(tmp_path, "pair")["provenance"]["inputs"]
+    assert inputs == {"h.json": _sha256(tmp_path / "h.json")}
+
+
+def test_digest_keys_are_paths_relative_to_the_spec(tmp_path):
+    points_to_csv(make_lattice(1.0, 3, 1), tmp_path / "z.csv")
+    absolute = str(tmp_path / "z.csv")
+    spec = write_spec(tmp_path, "density.json", _density({"path": "./z.csv"}))
+    assert main(["run", "--spec", spec, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path, "density")["provenance"]["inputs"] == {"z.csv": _sha256(tmp_path / "z.csv")}
+    spec = write_spec(tmp_path, "density.json", _density(absolute))
+    assert main(["run", "--spec", spec, "--out", str(tmp_path)]) == 0
+    assert read_report(tmp_path, "density")["provenance"]["inputs"] == {absolute: _sha256(tmp_path / "z.csv")}
+
+
+def test_two_generators_may_read_the_same_csv(tmp_path, capsys):
+    (tmp_path / "sites.csv").write_text("0.0\n1.0\n2.0\n")
+    gen = {"f": UNIT_SPEC, "gamma": "sites.csv"}
+    code, _ = _run_exit(tmp_path, capsys, _bessel({"p": 2.0, "generators": [gen, gen]}))
+    assert code == 0
+    assert list(read_report(tmp_path, "bessel")["provenance"]["inputs"]) == ["sites.csv"]
+
+
+def test_union_child_that_names_its_own_file_exits_2(tmp_path, capsys):
+    union = {"kind": "union", "children": [{"points": {"path": "u.json"}}]}
+    (tmp_path / "u.json").write_text(json.dumps(union))
+    code, err = _run_exit(tmp_path, capsys, _density("u.json"))
+    assert code == 2 and "refers back to itself" in err and "\n" not in err
+
+
+def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    (tmp_path / "latin1.csv").write_bytes("x\n0.5\n1.5\n# caf\xe9\n".encode("latin-1"))
+    code, err = _run_exit(tmp_path, capsys, _density({"path": "latin1.csv"}))
+    assert code == 2 and "latin1.csv" in err and "\n" not in err
 
 
 def test_mass_decay_point_of_another_dimension_exits_3(tmp_path, capsys):

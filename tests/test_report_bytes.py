@@ -1,5 +1,6 @@
 """Byte pins for the reports of the cube-measuring commands, haar-check,
-blowup-witness and a density run over a CSV file.
+blowup-witness, a density run over a CSV file and a bessel run over a system
+file that names further files.
 
 Each spec runs through `cli.main`, next to its input files; the report, with
 its timestamp line removed, and any CSV table must hash to the recorded
@@ -110,8 +111,25 @@ SPECS["density-csv"] = {
 }
 SITES_CSV = "x,y\n" + "".join(f"{k % 7 + 0.125 * (k % 3)!r},{k // 7 - 0.25 * (k % 2)!r}\n" for k in range(49))
 
+# a system file whose generator names its own function and site files,
+# read against data/; the report digests all three
+SPECS["bessel-nested"] = {
+    "command": "bessel",
+    "system": {"path": "data/system.json"},
+    "tests": [UNIT_1D, {"kind": "indicator", "box": {"lower": [-0.5], "upper": [0.75]}, "value": 2.0}],
+    "p_prime": 1.5,
+}
+NESTED_SYSTEM = {"p": 3.0, "generators": [{"f": {"path": "unit.json"}, "gamma": {"path": "sites.csv"}}]}
+
 # input files written next to each spec, by path relative to it
-INPUTS = {"density-csv": {"data/sites.csv": SITES_CSV}}
+INPUTS = {
+    "density-csv": {"data/sites.csv": SITES_CSV},
+    "bessel-nested": {
+        "data/system.json": json.dumps(NESTED_SYSTEM) + "\n",
+        "data/unit.json": json.dumps(UNIT_1D) + "\n",
+        "data/sites.csv": "x\n0.0\n1.0\n2.5\n-1.25\n",
+    },
+}
 
 # (exit code, {file name: sha256 of its bytes, timestamp line removed})
 PINNED = {
@@ -145,6 +163,10 @@ PINNED = {
     "blowup-witness": (
         0,
         {"blowup_witness_report.json": "36b51600e17cbb09c44ebcb2e4a0fb1a5762f6598933c7dbeaba4d36fc41cdae"},
+    ),
+    "bessel-nested": (
+        0,
+        {"bessel_report.json": "98c1ed5ce061015735f5963c3652a5df0c36bd54eacc5a1632bb7cd198fa237d"},
     ),
     "density-csv": (
         0,
