@@ -43,6 +43,7 @@ from .io import (
     _need,
     _need_floats,
     _need_list,
+    _need_object,
     _number,
     emit_json,
     ingest_function,
@@ -258,8 +259,8 @@ def _cmd_haar_check(spec, ctx):
 
 def _cmd_dichotomy(spec, ctx):
     sys_ = ingest_system(_need(spec, "system"), ctx.inputs)
-    tests = spec.get("bessel_tests")
-    tol = {**spec.get("tolerances", {}), **spec}  # flat keys win over the block
+    tests = _need_list(spec, "bessel_tests") if "bessel_tests" in spec else None
+    tol = {**_need_object(spec, "tolerances", {}), **spec}  # flat keys win over the block
     config = DichotomyConfig(
         truncation_radii=tuple(_need_floats(spec, "truncation_radii")),
         sweep_h_values=tuple(_need_floats(spec, "h_values")),
@@ -371,15 +372,15 @@ def main(argv=None) -> int:
         print(f"lpdensity: spec file not found: {spec_path}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        spec = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as exc:
+        spec = json.loads(spec_path.read_bytes())
+    except (OSError, ValueError) as exc:
         print(f"lpdensity: cannot parse {spec_path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     out_dir = Path(args.out or os.environ.get("LPDENSITY_OUT", "."))
     chained = spec if isinstance(spec, list) else [spec]
     # every entry is checked before any runs
-    commands = []
+    commands, seeds = [], []
     for entry in chained:
         if not isinstance(entry, dict):
             print("lpdensity: each spec entry must be a JSON object", file=sys.stderr)
@@ -406,9 +407,13 @@ def main(argv=None) -> int:
             )
             return EXIT_INPUT
         commands.append(command)
-    worst = EXIT_OK
-    for command, entry in zip(commands, chained):
         seed = args.seed if args.seed is not None else entry.get("seed")
+        if seed is not None and (type(seed) is not int or seed < 0):
+            print(f"lpdensity: 'seed' must be a non-negative integer, got {seed!r}", file=sys.stderr)
+            return EXIT_INPUT
+        seeds.append(seed)
+    worst = EXIT_OK
+    for command, entry, seed in zip(commands, chained, seeds):
         ctx = _RunContext(Inputs(spec_path.parent), out_dir, seed)
         worst = max(worst, run(command, entry, ctx))
     return worst

@@ -62,6 +62,8 @@ def _number(spec: dict, key: str, default=_REQUIRED, kind=float, what="a number"
 
 
 def _floats(values) -> list:
+    if isinstance(values, str):  # no list of its characters
+        raise TypeError(values)
     return [float(v) for v in values]
 
 
@@ -81,6 +83,13 @@ def _need_list(spec: dict, key: str) -> list:
     value = _need(spec, key)
     if not isinstance(value, list):
         raise InputError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _need_object(spec: dict, key: str, default=_REQUIRED) -> dict:
+    value = _need(spec, key, default)
+    if not isinstance(value, dict):
+        raise InputError(f"{key!r} must be an object, got {value!r}")
     return value
 
 

@@ -156,6 +156,14 @@ def test_malformed_spec_exits_2(tmp_path):
     assert main(["density", "--spec", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("content", [b'{"h_values": [1.0]} \xe9', b"\xff\xfe{"])
+def test_spec_file_that_is_no_utf8_json_exits_2(tmp_path, capsys, content):
+    (tmp_path / "spec.json").write_bytes(content)
+    assert main(["density", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "cannot parse" in err and "\n" not in err
+
+
 def test_duplicate_csv_row_exits_3(tmp_path):
     (tmp_path / "dup.csv").write_text("1.0\n1.0\n")
     spec = write_spec(
@@ -503,6 +511,19 @@ def test_scalar_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
     assert code == 2 and key in err and "\n" not in err
 
 
+@pytest.mark.parametrize(
+    "spec_seed, flag",
+    [("x", None), (1.5, None), (-1, None), (True, None), (None, "-1")],
+)
+def test_seed_that_is_no_non_negative_integer_exits_2(tmp_path, capsys, spec_seed, flag):
+    spec = write_spec(tmp_path, "haar.json", {**HAAR, "seed": spec_seed})
+    argv = ["run", "--spec", spec, "--out", str(tmp_path)] + (["--seed", flag] if flag else [])
+    with mock.patch("lpdensity.cli.run", side_effect=AssertionError):
+        code = main(argv)
+    err = capsys.readouterr().err.strip()
+    assert code == 2 and "'seed'" in err and "\n" not in err
+
+
 def test_chain_repeating_a_command_exits_2_before_running(tmp_path, capsys):
     density = {"command": "density", "points": LATTICE_1D, "h_values": [1.0]}
     chain = [density, {"command": "separate", "points": LATTICE_1D, "delta": 0.5}, density]
@@ -718,6 +739,12 @@ def _bessel(system, tests=(UNIT_SPEC,)):
         (_bessel(SYSTEM, tests=3), "'tests'"),
         (_density({"kind": "union", "children": 5}), "'children'"),
         (_density(5), "point set"),
+        ({**DICHOTOMY, "bessel_tests": 3}, "'bessel_tests'"),
+        ({**DICHOTOMY, "tolerances": 3}, "'tolerances'"),
+        # a string is no list of its characters
+        ({"command": "density", "points": LATTICE_1D, "h_values": "124"}, "'h_values'"),
+        (_density({"kind": "explicit", "rows": ["12", "34"]}), "'rows'"),
+        ({**DECAY, "x": "12"}, "'x'"),
     ],
 )
 def test_spec_of_the_wrong_shape_exits_2(tmp_path, capsys, payload, key):
