@@ -307,40 +307,61 @@ def _piece_arrays(f: PiecewiseFn) -> _Pieces:
     return _Pieces(lower, upper, values, np.maximum.accumulate(upper[0]), order)
 
 
-def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts) -> np.ndarray:
+def _shift_rows(shifts, d: int, name: str) -> np.ndarray:
+    s = np.asarray(shifts, dtype=float)
+    if s.ndim == 1 and (d == 1 or s.size == 0):
+        s = s.reshape(-1, d)
+    if s.ndim != 2 or s.shape[1] != d:
+        raise DimensionMismatchError(f"{name} must have shape (n, {d}), got {s.shape}")
+    return s
+
+
+def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.ndarray:
     """Batched pairings: entry i is pair(translate(h, shifts[i]), f), bit for bit.
 
-    `shifts` is an (n, d) array (or n numbers when d == 1).  Each entry is
-    built from the same float operations as the scalar pair: the translated
-    corners a + s, the widths min(a1, b1) - max(a0, b0), the product
-    vh * conj(vf) * vol, and one sequential sum over (h piece, f piece) in
-    lexicographic order.  Piece pairs that cannot overlap on axis 0 are
-    pruned with a sorted-interval test; the remaining candidates are laid out
-    in that order with zero padding (adding +0.0 to a sum that started at 0j
-    changes nothing) and added one column at a time, never by a pairwise
+    `shifts` is an (n, d) array (or n numbers when d == 1).  With `f_shifts`,
+    an (m, d) array, f is translated too: the result is the (m, n) matrix
+    whose entry [j, i] is pair(translate(h, shifts[i]), translate(f,
+    f_shifts[j])), bit for bit.
+
+    Each entry is built from the same float operations as the scalar pair:
+    the translated corners a + s, the widths min(a1, b1) - max(a0, b0), the
+    product vh * conj(vf) * vol, and one sequential sum over (h piece, f
+    piece) in lexicographic order.  Piece pairs that cannot overlap on axis 0
+    are pruned with a sorted-interval test; the remaining candidates are laid
+    out in that order with zero padding (adding +0.0 to a sum that started at
+    0j changes nothing) and added one column at a time, never by a pairwise
     reduction.  Shifts and candidates go through tiles of at most _TILE
     entries, so scratch memory does not grow with n, and grows with the
-    piece counts only through one index per candidate column.
+    piece counts only through one index per candidate column.  Up to
+    _DENSE_PAIRS piece pairs, every f shift of a tile is broadcast against
+    its rows at once; past it, each f shift is pruned on its own.
 
-    As in translate, a shift that collapses a piece of h, or is not finite,
-    raises PreconditionError.  A shift under which rounding ties two pieces
-    of h on the coordinate that orders them would make translate re-sort h;
-    such rows fall back to the scalar pair.
+    As in translate, a shift that collapses a piece of h, or an f shift that
+    collapses a piece of f, or one that is not finite, raises
+    PreconditionError.  A shift under which rounding ties two pieces of h (or
+    of f) on the coordinate that orders them would make translate re-sort
+    that function; such rows (or f shifts) fall back to the scalar pair.
     """
     if h.dimension != f.dimension:
         raise DimensionMismatchError(
             f"pairing dimensions differ: {h.dimension} vs {f.dimension}"
         )
     d = h.dimension
-    s = np.asarray(shifts, dtype=float)
-    if s.ndim == 1 and (d == 1 or s.size == 0):
-        s = s.reshape(-1, d)
-    if s.ndim != 2 or s.shape[1] != d:
-        raise DimensionMismatchError(f"shifts must have shape (n, {d}), got {s.shape}")
-    out = np.zeros((2, len(s)))
-    if len(s) and h.pieces and f.pieces:
+    s = _shift_rows(shifts, d, "shifts")
+    t = np.zeros((1, d)) if f_shifts is None else _shift_rows(f_shifts, d, "f_shifts")
+    out = np.zeros((2, len(t), len(s)))
+    if len(s) and len(t) and h.pieces and f.pieces:
         hp, fp = h._arrays, f._arrays
-        axes, k = hp.order
+        # f's corners translated as translate computes them: (d, P_f, m)
+        f_lower = fp.lower[:, :, None] + t.T[:, None, :]
+        f_upper = fp.upper[:, :, None] + t.T[:, None, :]
+        if not (f_lower < f_upper).all():
+            raise PreconditionError("an f shift collapses a piece of f")
+
+        def f_at(c):
+            return f if f_shifts is None else translate(f, t[c])
+
         n_pairs = len(h.pieces) * len(f.pieces)
         dense = n_pairs <= _DENSE_PAIRS
         rows = max(1, _TILE // (n_pairs if dense else len(h.pieces)))
@@ -351,26 +372,53 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts) -> np.ndarray:
             upper = hp.upper[:, :, None] + block[:, None, :]
             if not (lower < upper).all():
                 raise PreconditionError("a shift collapses a piece of the translated function")
+            n = block.shape[1]
             if dense:
-                out[:, r0 : r0 + rows] = _add_terms(
-                    np.zeros((2, block.shape[1])),
-                    lower[:, :, None],
-                    upper[:, :, None],
-                    hp.values[:, :, None, None],
-                    fp.lower[:, None, :, None],
-                    fp.upper[:, None, :, None],
-                    fp.values[:, None, :, None],
-                )
+                # (f shift, row) pairs flatten into the kernel's row axis
+                step = max(1, rows // n)
+                for c0 in range(0, len(t), step):
+                    fl = f_lower[:, None, :, c0 : c0 + step, None]
+                    out[:, c0 : c0 + step, r0 : r0 + rows] = _add_terms(
+                        np.zeros((2, fl.shape[3] * n)),
+                        lower[:, :, None, None],
+                        upper[:, :, None, None],
+                        hp.values[:, :, None, None, None],
+                        fl,
+                        f_upper[:, None, :, c0 : c0 + step, None],
+                        fp.values[:, None, :, None, None],
+                    ).reshape(2, -1, n)
             else:
-                out[:, r0 : r0 + rows] = _pruned_sums(lower, upper, hp.values, fp)
-            # a rounding tie on the axis that orders two pieces of h makes
-            # translate re-sort them; such rows take the scalar pair
-            for r in np.flatnonzero((lower[axes, k] >= lower[axes, k + 1]).any(axis=0)):
-                v = pair(translate(h, block[:, r]), f)
-                out[:, r0 + r] = v.real, v.imag
-    result = np.empty(len(s), dtype=complex)
+                for c in range(len(t)):
+                    moved = fp._replace(
+                        lower=f_lower[:, :, c],
+                        upper=f_upper[:, :, c],
+                        upper0_max=fp.upper0_max + t[c, 0],
+                    )
+                    out[:, c, r0 : r0 + rows] = _pruned_sums(lower, upper, hp.values, moved)
+            # rows and f shifts that translate would re-sort take the scalar pair
+            for r in _tied(lower, hp.order):
+                th = translate(h, block[:, r])
+                for c in range(len(t)):
+                    v = pair(th, f_at(c))
+                    out[:, c, r0 + r] = v.real, v.imag
+        for c in _tied(f_lower, fp.order):
+            tf = f_at(c)
+            for r, row in enumerate(s):
+                v = pair(translate(h, row), tf)
+                out[:, c, r] = v.real, v.imag
+    result = np.empty(out.shape[1:], dtype=complex)
     result.real, result.imag = out
-    return result
+    return result if f_shifts is not None else result[0]
+
+
+def _tied(lower, order) -> np.ndarray:
+    """The copies, along the last axis of translated (d, P, copies) corners,
+    under which rounding ties two consecutive pieces on the axis that orders
+    them.  translate would re-sort such a copy, so it takes the scalar pair."""
+    axes, k = order
+    if not k.size:
+        return k
+    return np.flatnonzero((lower[axes, k] >= lower[axes, k + 1]).any(axis=0))
 
 
 def _add_terms(acc, h_lower, h_upper, h_values, f_lower, f_upper, f_values, mask=True):

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
 from .lpfunc import (
-    _TILE,
     Box,
     ExponentPair,
     PiecewiseFn,
@@ -225,6 +224,11 @@ _GRID_BATCH = 1024
 # window centres the witness tries from each family of candidates
 _MAX_CANDIDATES = 512
 
+# entries per scratch array in the witness's scans: site-centred window
+# counts take rows of at most this many coordinates, and one kernel call
+# scores at most this many (centre, site, piece pair) terms
+_TILE = 1 << 10
+
 
 def _exceeds(values: np.ndarray, epsilon: float) -> np.ndarray:
     # |v| > epsilon as Python's abs decides it: numpy's complex modulus can
@@ -232,7 +236,7 @@ def _exceeds(values: np.ndarray, epsilon: float) -> np.ndarray:
     mod = np.abs(values)
     out = mod > epsilon
     for k in np.flatnonzero(np.abs(mod - epsilon) <= 1e-12 * epsilon):
-        out[k] = abs(complex(values[k])) > epsilon
+        out.flat[k] = abs(complex(values.flat[k])) > epsilon
     return out
 
 
@@ -330,18 +334,20 @@ def blowup_witness(
     h = lo * step
 
     sites = gamma.as_array
-    best_count = -1
-    best_beta = None
-    for beta in _window_center_candidates(gamma, h, _MAX_CANDIDATES):
-        values = cross_pairings(f, translate(f_dual, beta), sites)
-        count = int(np.count_nonzero(_exceeds(values, epsilon)))
-        if count > best_count:
-            best_count = count
-            best_beta = beta
+    centres = _window_center_candidates(gamma, h, _MAX_CANDIDATES)
+    # centres per kernel call: at most _TILE (centre, site, piece pair) terms
+    chunk = max(1, _TILE // (len(sites) * len(f.pieces) * len(f_dual.pieces)))
+    counts = np.empty(len(centres), dtype=int)
+    for c0 in range(0, len(centres), chunk):
+        values = cross_pairings(f, f_dual, sites, centres[c0 : c0 + chunk])
+        counts[c0 : c0 + chunk] = np.count_nonzero(_exceeds(values, epsilon), axis=1)
+    # the first centre with the largest count, as the scalar scan kept it
+    best = int(np.argmax(counts))
+    count = int(counts[best])
     return BlowupWitness(
-        beta=best_beta,
-        count=best_count,
-        sum_lower_bound=best_count * epsilon**p_prime,
+        beta=centres[best],
+        count=count,
+        sum_lower_bound=count * epsilon**p_prime,
         window_side=h,
         epsilon=epsilon,
         p_prime=p_prime,

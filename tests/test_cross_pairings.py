@@ -1,8 +1,10 @@
 """The batched pairing kernel against the scalar pair it replaces.
 
 `cross_pairings(h, f, shifts)[i]` must carry the same bits as
-`pair(translate(h, shifts[i]), f)`, and the blowup witness built on it must
-count exactly what the per-site scalar loop counted.
+`pair(translate(h, shifts[i]), f)`, and `cross_pairings(h, f, shifts,
+f_shifts)[j, i]` those of `pair(translate(h, shifts[i]), translate(f,
+f_shifts[j]))`.  The blowup witness built on it must count exactly what the
+per-site scalar loop counted.
 """
 
 import math
@@ -25,6 +27,7 @@ from lpdensity import (
     pair,
     make_lattice,
     make_reciprocal,
+    union_point_sets,
     sample_catalog_function,
     scale,
     translate,
@@ -48,6 +51,15 @@ def assert_matches_scalar(h, f, shifts):
         assert bits(g) == bits(pair(translate(h, tuple(s)), f)), s
 
 
+def assert_both_sides_match_scalar(h, f, shifts, f_shifts):
+    got = cross_pairings(h, f, shifts, f_shifts)
+    assert got.shape == (len(f_shifts), len(shifts))
+    for t, row in zip(f_shifts, got):
+        moved = translate(f, tuple(t))
+        for s, g in zip(shifts, row):
+            assert bits(g) == bits(pair(translate(h, tuple(s)), moved)), (s, t)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -61,13 +73,29 @@ endpoints = st.one_of(
 parts = st.floats(-8.0, 8.0, allow_nan=False).filter(lambda x: x == 0 or abs(x) > 1e-6)
 values = st.one_of(parts.map(complex), st.builds(complex, parts, parts))
 cuts = st.lists(endpoints, min_size=2, max_size=6, unique=True).map(sorted)
+short_cuts = st.lists(endpoints, min_size=2, max_size=4, unique=True).map(sorted)
 
 
 @st.composite
 def step_functions(draw, dim):
     """Disjoint pieces in a guillotine layout: strips along one axis, each cut
     independently along the other, so upper[0] is not monotone in the
-    lexicographic piece order when the strips run along axis 1."""
+    lexicographic piece order when the strips run along axis 1.  In 3-d the
+    slabs are cut twice more, along the axes in a drawn order."""
+    if dim == 3:
+        order = draw(st.permutations(range(3)))
+        pieces = []
+        slabs = draw(short_cuts)
+        for a, b in zip(slabs, slabs[1:]):
+            rows = draw(short_cuts)
+            for c, e in zip(rows, rows[1:]):
+                cells = draw(short_cuts)
+                for g, k in zip(cells, cells[1:]):
+                    lo, up = [0.0] * 3, [0.0] * 3
+                    for axis, (x, y) in zip(order, ((a, b), (c, e), (g, k))):
+                        lo[axis], up[axis] = x, y
+                    pieces.append((Box(lo, up), draw(values)))
+        return PiecewiseFn(tuple(pieces), 3)
     if dim == 1:
         xs = draw(cuts)
         pieces = [(Box((a,), (b,)), draw(values)) for a, b in zip(xs, xs[1:])]
@@ -83,13 +111,13 @@ def step_functions(draw, dim):
     return PiecewiseFn(tuple(pieces), dim)
 
 
-def shift_arrays(dim):
+def shift_arrays(dim, max_size=12):
     coord = st.one_of(
         endpoints,
         st.floats(-12.0, 12.0, allow_nan=False),
         st.sampled_from([-100.0, 100.0, 1e6]),  # no overlap at all
     )
-    return st.lists(st.tuples(*[coord] * dim), max_size=12).map(
+    return st.lists(st.tuples(*[coord] * dim), max_size=max_size).map(
         lambda rows: np.array(rows, dtype=float).reshape(-1, dim)
     )
 
@@ -124,6 +152,35 @@ def test_kernel_is_bit_identical_to_scalar_pair(case, layout):
         got = cross_pairings(h, f, shifts)
     for s, th, g in zip(shifts, translated, got):
         assert bits(g) == bits(pair(th, f)), s
+
+
+@st.composite
+def two_sided_cases(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    h, f = draw(step_functions(dim)), draw(step_functions(dim))
+    return h, f, draw(shift_arrays(dim, 6)), draw(shift_arrays(dim, 4))
+
+
+@settings(max_examples=200)
+@given(two_sided_cases(), layouts)
+def test_translated_right_argument_is_bit_identical_to_scalar_pair(case, layout):
+    h, f, shifts, f_shifts = case
+    with mock.patch.multiple(lpfunc, _TILE=layout[0], _DENSE_PAIRS=layout[1]):
+        try:
+            moved_h = [translate(h, tuple(s)) for s in shifts]
+            moved_f = [translate(f, tuple(t)) for t in f_shifts]
+        except PreconditionError:
+            # translate refuses a shift; so must the kernel whenever it has
+            # a term to compute
+            if len(shifts) and len(f_shifts) and not (h.is_zero or f.is_zero):
+                with pytest.raises(PreconditionError):
+                    cross_pairings(h, f, shifts, f_shifts)
+            return
+        got = cross_pairings(h, f, shifts, f_shifts)
+    assert got.shape == (len(f_shifts), len(shifts))
+    for t, tf, row in zip(f_shifts, moved_f, got):
+        for s, th, g in zip(shifts, moved_h, row):
+            assert bits(g) == bits(pair(th, tf)), (s, t)
 
 
 def test_sampled_functions_on_grid_and_off_grid_shifts():
@@ -195,6 +252,38 @@ def test_rows_whose_translation_re_sorts_the_pieces_follow_translate():
     # the sum in h's own order would round differently
     assert (1.0 + 1e-16) + 1e-16 != (1e-16 + 1e-16) + 1.0
     assert_matches_scalar(h, f, np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]]))
+
+
+def test_f_shifts_whose_translation_re_sorts_the_pieces_follow_translate():
+    # the same pieces on the right: under the f shift (1, 0) translate
+    # re-sorts f to B, C, A, and that column must sum in that order
+    a = (Box((0.0, 5.0), (1.0, 6.0)), 1.0)
+    b = (Box((1e-20, 0.0), (2.0, 1.0)), 5e-17)
+    c = (Box((1e-20, 1.0), (2.0, 2.0)), 5e-17)
+    f = PiecewiseFn((a, b, c), 2)
+    h = PiecewiseFn(((Box((-10.0, -10.0), (10.0, 10.0)), 1.0),), 2)
+    assert [v for _, v in translate(f, (1.0, 0.0)).pieces] == [5e-17, 5e-17, 1.0]
+    f_shifts = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]])
+    shifts = np.array([[0.0, 0.0], [0.25, -0.5], [1.0, 0.0]])
+    assert_both_sides_match_scalar(h, f, shifts, f_shifts)
+    assert_both_sides_match_scalar(f, f, shifts, f_shifts)
+    got = cross_pairings(h, f, shifts, f_shifts)
+    assert bits(got[0, 0]) != bits(pair(h, f))  # the re-sorted order rounds differently
+
+
+@pytest.mark.parametrize("layout", [(lpfunc._TILE, lpfunc._DENSE_PAIRS), (1, 0)])
+def test_f_shift_that_collapses_a_piece_or_is_not_finite_is_refused(layout):
+    f = PiecewiseFn(((Box((0.0,), (1e-12,)), 1.0), (Box((1.0,), (2.0,)), 2j)), 1)
+    h = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    for bad in (1e6, math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            translate(f, bad)
+        with mock.patch.multiple(lpfunc, _TILE=layout[0], _DENSE_PAIRS=layout[1]):
+            with pytest.raises(PreconditionError):
+                cross_pairings(h, f, [[0.0], [0.5]], [[0.0], [bad]])
+    with pytest.raises(DimensionMismatchError):
+        cross_pairings(h, f, [[0.0]], [[0.0, 0.0]])
+    assert cross_pairings(h, f, [[0.0], [0.5]], np.zeros((0, 1))).shape == (0, 2)
 
 
 def test_memory_stays_bounded_on_large_functions():
@@ -320,6 +409,38 @@ def test_witness_with_complex_dual_and_epsilon_within_an_ulp():
         for epsilon in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)):
             if epsilon < base:
                 assert_witness_matches_scalar(f, f_dual, gamma, epsilon)
+
+
+@pytest.mark.parametrize("tile", [1, 1 << 10, 1 << 15])
+def test_witness_in_the_plane_matches_the_scalar_loop(tile):
+    # a 2 x 2-piece generator on a coarse lattice plus a cluster near the
+    # origin; tile 1 scores one centre per kernel call, 1 << 15 all at once
+    cells = ((0.0, 0.0, 1.0), (0.0, 0.5, 0.5j), (0.5, 0.0, -0.25), (0.5, 0.5, 0.75 + 0.25j))
+    f = PiecewiseFn(tuple((Box((x, y), (x + 0.5, y + 0.5)), v) for x, y, v in cells), 2)
+    cluster = PointSet(tuple((1 / k, 1 / (k + 1)) for k in range(2, 14)))
+    gamma = union_point_sets([("lattice", make_lattice(1.0, 2, 2)), ("cluster", cluster)])
+    with mock.patch.object(translate_system, "_TILE", tile):
+        for f_dual in (f, scale(f, 0.6 - 0.8j)):
+            base = abs(pair(f, f_dual))
+            w = assert_witness_matches_scalar(f, f_dual, gamma, base / 3)
+            assert w.count >= 2
+
+
+def test_witness_memory_on_a_large_reciprocal_family_is_bounded():
+    # 2000 sites: each kernel call scores one centre, and the counts go into
+    # one preallocated array; a first call leaves out numpy's one-time
+    # allocations
+    f = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    gamma = make_reciprocal(2000)
+    blowup_witness(f, f, make_reciprocal(50), 0.5, 2.0)
+    tracemalloc.start()
+    try:
+        w = blowup_witness(f, f, gamma, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+    assert w.count == scalar_count(f, f, gamma, w.beta, 0.5)
 
 
 @given(st.lists(st.builds(complex, parts, parts), min_size=1, max_size=30))
