@@ -7,8 +7,8 @@ localized-mass, mass-decay, haar-check, dichotomy, and `run` (command taken
 from the spec file; a list spec chains several analyses).  Each run writes
 <out>/<command>_report.json plus CSV tables where the analysis has one.
 
-Exit codes: 0 success, 2 unresolvable input, 3 precondition violation,
-4 a declared verdict check failed.
+Exit codes: 0 success, 2 unresolvable input or an unwritable report,
+3 precondition violation, 4 a declared verdict check failed.
 """
 
 import argparse
@@ -42,6 +42,7 @@ from .io import (
     _cube_spec_box,
     _need,
     _need_floats,
+    _need_int,
     _need_list,
     _need_object,
     _number,
@@ -189,16 +190,16 @@ def _cmd_mass_decay(spec, ctx):
 
 def _cmd_haar_check(spec, ctx):
     p = _number(spec, "p")
-    cutoff = _number(spec, "cutoff", 6, int)
-    terms = _number(spec, "terms", 12, int)
+    cutoff = _need_int(spec, "cutoff", 6)
+    terms = _need_int(spec, "terms", 12)
     if not 1 <= terms <= _MAX_TERMS:
         raise InputError(
             f"'terms' must lie in 1..{_MAX_TERMS}, the distinct indices of levels "
             f"0..{_LEVELS - 1}, got {terms}"
         )
-    batch_size = _number(spec, "batch_size", 200, int)
-    num_tests = _number(spec, "num_tests", 20, int)
-    trials = _number(spec, "trials", 200, int)
+    batch_size = _need_int(spec, "batch_size", 200)
+    num_tests = _need_int(spec, "num_tests", 20)
+    trials = _need_int(spec, "trials", 200)
     # refused before any draw; any cutoff above 20 is over the budget alone
     if batch_size * terms > _INDEX_BUDGET or num_tests << min(max(cutoff, 0), 21) > _INDEX_BUDGET:
         raise PreconditionError(
@@ -269,7 +270,7 @@ def _cmd_dichotomy(spec, ctx):
         if tests
         else None,
         accumulation_radius=_number(tol, "accumulation_radius", 0.05),
-        accumulation_threshold=_number(tol, "accumulation_threshold", 10, int),
+        accumulation_threshold=_need_int(tol, "accumulation_threshold", 10),
         epsilon_fraction=_number(tol, "epsilon_fraction", 0.5),
         bessel_variation_tol=_number(tol, "bessel_variation_tol", 0.10),
         subadditivity_h_values=tuple(
@@ -346,11 +347,15 @@ def run(command: str, spec: dict, ctx: _RunContext) -> int:
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    ctx.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = ctx.out_dir / f"{command.replace('-', '_')}_report.json"
-    out_path.write_text(emit_json(report) + "\n")
-    for name, (header, rows) in csvs.items():
-        write_csv(ctx.out_dir / name, header, rows)
+    try:
+        ctx.out_dir.mkdir(parents=True, exist_ok=True)
+        out_path = ctx.out_dir / f"{command.replace('-', '_')}_report.json"
+        out_path.write_text(emit_json(report) + "\n")
+        for name, (header, rows) in csvs.items():
+            write_csv(ctx.out_dir / name, header, rows)
+    except OSError as exc:
+        print(f"lpdensity {command}: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if any(v is False for v in verdicts.values()):
         print(f"lpdensity {command}: verdict check failed: {verdicts}", file=sys.stderr)
         return EXIT_VERDICT
@@ -412,6 +417,9 @@ def main(argv=None) -> int:
             print(f"lpdensity: 'seed' must be a non-negative integer, got {seed!r}", file=sys.stderr)
             return EXIT_INPUT
         seeds.append(seed)
+    if out_dir.exists() and not out_dir.is_dir():
+        print(f"lpdensity: the output directory {out_dir} is an existing file", file=sys.stderr)
+        return EXIT_INPUT
     worst = EXIT_OK
     for command, entry, seed in zip(commands, chained, seeds):
         ctx = _RunContext(Inputs(spec_path.parent), out_dir, seed)

@@ -51,14 +51,21 @@ def _need(spec: dict, key: str, default=_REQUIRED):
 
 def _number(spec: dict, key: str, default=_REQUIRED, kind=float, what="a number"):
     """spec[key] (or `default`) converted by `kind`; a value it cannot convert
-    is an input error.  `kind` is a plain converter such as float, int,
-    complex or _floats, never a domain constructor: PreconditionError is a
+    is an input error.  `kind` is a plain converter such as float, complex,
+    _integer or _floats, never a domain constructor: PreconditionError is a
     ValueError too, and would be reported as an input error."""
     value = _need(spec, key, default)
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{key!r} must be {what}, got {value!r}") from None
+
+
+def _integer(value) -> int:
+    # a JSON integer only: int() would truncate 10.7 and read true as 1
+    if type(value) is not int:
+        raise TypeError(value)
+    return value
 
 
 def _floats(values) -> list:
@@ -69,6 +76,10 @@ def _floats(values) -> list:
 
 def _float_rows(rows) -> list:
     return [_floats(row) for row in rows]
+
+
+def _need_int(spec: dict, key: str, default=_REQUIRED) -> int:
+    return _number(spec, key, default, _integer, "an integer")
 
 
 def _need_floats(spec: dict, key: str, default=_REQUIRED) -> list:
@@ -181,10 +192,10 @@ def ingest_points(source, inputs: Optional[Inputs] = None) -> PointSet:
             except np.linalg.LinAlgError as exc:
                 raise InputError(f"lattice basis {basis} is not invertible: {exc}") from None
         return make_lattice(
-            _number(spec, "spacing"), window, _number(spec, "dimension", 1, int), offset=offset
+            _number(spec, "spacing"), window, _need_int(spec, "dimension", 1), offset=offset
         )
     if kind == "reciprocal":
-        return make_reciprocal(_number(spec, "N" if "N" in spec else "count", kind=int))
+        return make_reciprocal(_need_int(spec, "N" if "N" in spec else "count"))
     if kind == "union":
         members = []
         for i, m in enumerate(_need_list(spec, "children" if "children" in spec else "members")):
@@ -259,7 +270,7 @@ def ingest_function(source, inputs: Optional[Inputs] = None) -> PiecewiseFn:
         )
         return fn
     if kind is None and "pieces" in spec:
-        dim = _number(spec, "dimension", kind=int)
+        dim = _need_int(spec, "dimension")
         pieces = _need_list(spec, "pieces")
         if len(pieces) > _PIECE_BUDGET:
             raise PreconditionError(

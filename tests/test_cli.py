@@ -504,6 +504,9 @@ DECAY = {"command": "mass-decay", "generator": GENERATOR, "x": [0.0], "h_values"
         ({**HAAR, "terms": "x"}, "terms"),
         ({**HAAR, "batch_size": 1.5e400}, "batch_size"),
         ({**HAAR, "trials": "x"}, "trials"),
+        # integer fields take JSON integers only, never a float or a boolean
+        ({**HAAR, "terms": 12.5}, "terms"),
+        ({**DICHOTOMY, "accumulation_threshold": True}, "accumulation_threshold"),
     ],
 )
 def test_scalar_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
@@ -522,6 +525,36 @@ def test_seed_that_is_no_non_negative_integer_exits_2(tmp_path, capsys, spec_see
         code = main(argv)
     err = capsys.readouterr().err.strip()
     assert code == 2 and "'seed'" in err and "\n" not in err
+
+
+def test_out_naming_an_existing_file_exits_2_before_running(tmp_path, capsys):
+    spec = write_spec(tmp_path, "spec.json", _density(LATTICE_1D))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    with mock.patch("lpdensity.cli.run", side_effect=AssertionError):
+        code = main(["run", "--spec", spec, "--out", str(afile)])
+    err = capsys.readouterr().err.strip()
+    assert code == 2 and "afile" in err and "\n" not in err
+    assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "blocked, out",
+    [("density_report.json", "out"), ("density_profile.csv", "out"), (None, "afile/out")],
+    ids=["report", "csv", "under-a-file"],
+)
+def test_report_that_cannot_be_written_exits_2(tmp_path, capsys, blocked, out):
+    # a directory where the report or the CSV goes, or an output directory
+    # below a file, makes the write raise OSError
+    (tmp_path / "out").mkdir()
+    (tmp_path / "afile").write_text("")
+    if blocked:
+        (tmp_path / "out" / blocked).mkdir()
+    spec = write_spec(tmp_path, "spec.json", _density(LATTICE_1D))
+    code = main(["run", "--spec", spec, "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err.strip()
+    assert "Traceback" not in err
+    assert code == 2 and "cannot write the report" in err and "\n" not in err
 
 
 def test_chain_repeating_a_command_exits_2_before_running(tmp_path, capsys):
@@ -720,6 +753,10 @@ def test_explicit_pieces_over_the_budget_exit_3(tmp_path, capsys, h, message):
         (_pair({**PIECES_FN, "pieces": 3}), "'pieces'"),
         ({"command": "pair", "h": UNIT_SPEC, "freq": "ab"}, "'freq'"),
         ({"command": "pair", "h": UNIT_SPEC, "freq": 3}, "'freq'"),
+        # int() would run 10 sites for 10.7 and 1 site for true
+        (_density({"kind": "reciprocal", "N": 10.7}), "'N'"),
+        (_density({"kind": "reciprocal", "N": True}), "'N'"),
+        (_density({"kind": "reciprocal", "N": "10"}), "'N'"),
     ],
 )
 def test_ingested_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
