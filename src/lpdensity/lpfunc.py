@@ -350,6 +350,11 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     d = h.dimension
     s = _shift_rows(shifts, d, "shifts")
     t = np.zeros((1, d)) if f_shifts is None else _shift_rows(f_shifts, d, "f_shifts")
+    # as translate refuses them, even where no term is left to compute
+    if h.pieces and not np.isfinite(s).all():
+        raise PreconditionError("shifts must be finite")
+    if f.pieces and not np.isfinite(t).all():
+        raise PreconditionError("f shifts must be finite")
     out = np.zeros((2, len(t), len(s)))
     if len(s) and len(t) and h.pieces and f.pieces:
         hp, fp = h._arrays, f._arrays

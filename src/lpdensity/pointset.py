@@ -305,20 +305,82 @@ class NuPlusBound(NamedTuple):
 # operations
 
 
+# (site, band member) pairs per scratch tile in the fixed-radius scans
+_PAIR_TILE = 1 << 12
+
+
+def _band_starts(xs: np.ndarray, r2: float) -> np.ndarray:
+    """Per position i of the ascending array xs, the first position a_i of
+    the run of positions j <= i with (xs[j] - xs[i]) ** 2 < r2.
+
+    The run is contiguous because rounding is monotone.  searchsorted on
+    xs - sqrt(r2) finds its start up to rounding; the start then moves by
+    whole runs of equal values until that same test holds just inside it
+    and fails just outside.  For r2 = 0 not even i passes; the run is then
+    taken as i alone, which no caller counts as a neighbour of i.
+    """
+    at = np.arange(xs.size)
+    if not r2 > 0:
+        return at
+    first = np.searchsorted(xs, xs, side="left")
+    past = np.searchsorted(xs, xs, side="right")
+    a = np.minimum(np.searchsorted(xs, xs - math.sqrt(r2), side="left"), first)
+    todo = at
+    # squares of arrays, x * x as in the pair tests; a scalar ** 2 goes
+    # through libm's pow, which can round otherwise
+    while todo.size:
+        j = a[todo]
+        drop = (j < first[todo]) & ~((xs[j] - xs[todo]) ** 2 < r2)
+        grow = (j > 0) & ((xs[j - 1] - xs[todo]) ** 2 < r2)
+        a[todo[drop]] = past[j[drop]]
+        a[todo[grow]] = first[j[grow] - 1]
+        todo = todo[drop | grow]
+    return a
+
+
+def _bands(xs: np.ndarray, r2: float) -> tuple:
+    """Per position i of the ascending array xs, the run [a_i, b_i) of the
+    positions j with (xs[j] - xs[i]) ** 2 < r2.  The ends are the starts of
+    the mirrored array -xs[::-1], whose squared differences are the same."""
+    return _band_starts(xs, r2), xs.size - _band_starts(-xs[::-1], r2)[::-1]
+
+
+def _pair_tiles(lo: np.ndarray, hi: np.ndarray):
+    """Index arrays (i, j) running over j in [lo[i], hi[i]) for every i, in
+    order, in tiles of at most _PAIR_TILE pairs."""
+    sizes = np.maximum(hi - lo, 0)
+    ends = np.cumsum(sizes)
+    total = int(sizes.sum())
+    for k0 in range(0, total, _PAIR_TILE):
+        k = np.arange(k0, min(k0 + _PAIR_TILE, total))
+        i = np.searchsorted(ends, k, side="right")
+        yield i, lo[i] + k - (ends[i] - sizes[i])
+
+
+def _close_earlier(ranked: np.ndarray, r2: float):
+    """Tiles (i, j, d2) of the pairs j < i of lexicographically sorted rows
+    with d2 = ((ranked[i] - ranked[j]) ** 2).sum(axis=-1) < r2.
+
+    Only the earlier members of i's axis-0 band are tested: a sum of
+    squares is at least its axis-0 term, so no other pair passes."""
+    a = _band_starts(ranked[:, 0], r2)
+    for i, j in _pair_tiles(a, np.arange(len(ranked))):
+        d2 = ((ranked[i] - ranked[j]) ** 2).sum(axis=-1)
+        close = d2 < r2
+        yield i[close], j[close], d2[close]
+
+
 def min_separation(s: PointSet) -> float:
     """inf over i != j of the Euclidean distance |p_i - p_j|."""
-    n = len(s)
-    if n < 2:
+    if len(s) < 2:
         raise PreconditionError("undefined separation: need at least 2 points")
-    arr = s.as_array
-    best = math.inf
-    chunk = 512
-    for i0 in range(0, n, chunk):
-        block = arr[i0 : i0 + chunk]
-        d2 = ((block[:, None, :] - arr[None, :, :]) ** 2).sum(axis=-1)
-        for r in range(block.shape[0]):
-            d2[r, i0 + r] = np.inf
-        best = min(best, float(d2.min()))
+    ranked = s.as_array[s.order]
+    # lexicographic neighbours give the minimum in 1-d, and a bound above it
+    # otherwise, which only pairs of the axis-0 band can beat
+    best = float(((ranked[1:] - ranked[:-1]) ** 2).sum(axis=-1).min())
+    if s.dimension > 1:
+        for _, _, d2 in _close_earlier(ranked, best):
+            best = float(d2.min(initial=best))
     return math.sqrt(best)
 
 
@@ -334,27 +396,33 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     if not (math.isfinite(delta) and delta > 0):
         raise PreconditionError(f"delta must be positive, got {delta}")
     n = len(s)
-    arr = s.as_array
+    ranked = s.as_array[s.order]
     d2_min = delta * delta
-    parts: list = []  # list of (index list, coordinate row list)
-    for i in s.order.tolist():
-        row = arr[i]
-        placed = False
-        for idxs, rows in parts:
-            d2 = ((np.array(rows) - row) ** 2).sum(axis=1)
-            if float(d2.min()) >= d2_min:
-                idxs.append(i)
-                rows.append(row)
-                placed = True
-                break
-        if not placed:
-            parts.append(([i], [row]))
+    # the earlier sites each site conflicts with, by position in `ranked`
+    if s.dimension == 1:
+        a = _band_starts(ranked[:, 0], d2_min)
+        earlier = [range(lo, pos) for pos, lo in enumerate(a.tolist())]
+    else:
+        earlier = [[] for _ in range(n)]
+        for i, j, _ in _close_earlier(ranked, d2_min):
+            for later, k in zip(i.tolist(), j.tolist()):
+                earlier[later].append(k)
+    part: list = []  # part index per position
+    for near in earlier:
+        used = set(map(part.__getitem__, near))
+        k = 0
+        while k in used:
+            k += 1
+        part.append(k)
+    members: list = [[] for _ in range(max(part, default=-1) + 1)]
+    for i, k in zip(s.order.tolist(), part):
+        members[k].append(i)
     min_gap = min_separation(s) if n >= 2 else math.inf
     return SeparationReport(
         min_gap=min_gap,
         delta=delta,
-        part_count=len(parts),
-        parts=tuple(tuple(sorted(idxs)) for idxs, _ in parts),
+        part_count=len(members),
+        parts=tuple(tuple(sorted(m)) for m in members),
     )
 
 
@@ -480,6 +548,30 @@ def density_profile(s: PointSet, h_values: Sequence[float]) -> DensityProfile:
     return DensityProfile(rows=tuple(rows), density_estimate=estimate, truncation_bias=bias)
 
 
+def centred_windows(s: PointSet, h: float) -> tuple:
+    """Side-h windows centred on the sites: (centres (n, d), counts (n,)),
+    the centres being the sites in lexicographic order and each count the
+    exact number of sites in the half-open cube Q_h(site).
+
+    Axis 0 is counted by bisection of the sorted sites: the run of sites
+    whose axis-0 coordinate lies in [x - h/2, x - h/2 + h).  In d >= 2 the
+    other axes are tested for the members of that run only.
+    """
+    ranked = s.as_array[s.order]
+    lows = ranked - h / 2
+    xs = ranked[:, 0]
+    lo = np.searchsorted(xs, lows[:, 0], side="left")
+    hi = np.searchsorted(xs, lows[:, 0] + h, side="left")
+    if s.dimension == 1:
+        return ranked, hi - lo
+    counts = np.zeros(len(s), dtype=int)
+    for i, j in _pair_tiles(lo, hi):
+        rest, low = ranked[j, 1:], lows[i, 1:]
+        inside = np.all((rest >= low) & (rest < low + h), axis=1)
+        counts += np.bincount(i[inside], minlength=len(s))
+    return ranked, counts
+
+
 def detect_accumulation(s: PointSet, radius: float, threshold: int) -> list:
     """Points, as tuples of floats, whose open radius-ball holds >= threshold
     other points of s.
@@ -495,13 +587,15 @@ def detect_accumulation(s: PointSet, radius: float, threshold: int) -> list:
     if threshold < 2:
         raise PreconditionError(f"threshold must be >= 2, got {threshold}")
     n = len(s)
-    if n == 0:
-        return []
-    arr = s.as_array
+    ranked = s.as_array[s.order]
     r2 = radius * radius
-    out = []
-    for i in range(n):
-        d2 = ((arr - arr[i]) ** 2).sum(axis=1)
-        if int((d2 < r2).sum()) - 1 >= threshold:
-            out.append(tuple(arr[i].tolist()))
-    return out
+    if s.dimension == 1:
+        a, b = _bands(ranked[:, 0], r2)
+        counts = b - a - 1
+    else:
+        counts = np.zeros(n, dtype=int)
+        for i, j, _ in _close_earlier(ranked, r2):
+            counts += np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    # the sites in input order, as tuples of floats
+    hits = np.sort(s.order[counts >= threshold])
+    return [tuple(p) for p in s.as_array[hits].tolist()]

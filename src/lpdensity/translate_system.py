@@ -35,6 +35,7 @@ from .pointset import (
     ReciprocalProvenance,
     UnionProvenance,
     anchored_windows,
+    centred_windows,
     detect_accumulation,
     min_separation,
     nu_plus,
@@ -224,9 +225,7 @@ _GRID_BATCH = 1024
 # window centres the witness tries from each family of candidates
 _MAX_CANDIDATES = 512
 
-# entries per scratch array in the witness's scans: site-centred window
-# counts take rows of at most this many coordinates, and one kernel call
-# scores at most this many (centre, site, piece pair) terms
+# (centre, site, piece pair) terms one kernel call of the witness scores
 _TILE = 1 << 10
 
 
@@ -248,16 +247,8 @@ def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
     centered directly on sites (the degenerate witness beta = gamma).  Ranked
     by count, ties broken lexicographically, capped at `limit` per family.
     """
-    arr = gamma.as_array
     anchored = _ranked(*anchored_windows(gamma, h), limit)
-    # site-centered windows, counted by direct half-open membership in row
-    # tiles of at most _TILE entries
-    counts = np.empty(len(arr), dtype=int)
-    step = max(1, _TILE // max(1, arr.size))
-    for i in range(0, len(arr), step):
-        lows = arr[i : i + step, None, :] - h / 2
-        counts[i : i + step] = np.all((arr >= lows) & (arr < lows + h), axis=2).sum(axis=1)
-    centered = _ranked(arr, counts, limit)
+    centered = _ranked(*centred_windows(gamma, h), limit)
     return list(dict.fromkeys(anchored + centered))
 
 

@@ -31,8 +31,9 @@ from lpdensity import (
     sample_catalog_function,
     scale,
     translate,
+    zero_fn,
 )
-from lpdensity import lpfunc
+from lpdensity import lpfunc, pointset
 from lpdensity import translate_system
 from lpdensity.errors import DimensionMismatchError
 from lpdensity.pointset import anchored_windows
@@ -286,6 +287,28 @@ def test_f_shift_that_collapses_a_piece_or_is_not_finite_is_refused(layout):
     assert cross_pairings(h, f, [[0.0], [0.5]], np.zeros((0, 1))).shape == (0, 2)
 
 
+def test_non_finite_shift_is_refused_even_with_no_term_to_compute():
+    h = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    zero = zero_fn(1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            translate(h, bad)
+        # f has no pieces, or there is no f shift: no pairing is left to compute
+        with pytest.raises(PreconditionError):
+            cross_pairings(h, zero, [[bad]])
+        with pytest.raises(PreconditionError):
+            cross_pairings(h, h, [[bad]], [])
+        # the same on the right: there are no shifts, or h has no pieces
+        with pytest.raises(PreconditionError):
+            cross_pairings(h, h, [], [[bad]])
+        with pytest.raises(PreconditionError):
+            cross_pairings(zero, h, [[0.0]], [[bad]])
+        # translate takes any offset of a function with no pieces, and so do these
+        assert translate(zero, bad) == zero
+        assert cross_pairings(zero, h, [[bad]]).tolist() == [0j]
+        assert cross_pairings(h, zero, [[0.0]], [[bad]]).tolist() == [[0j]]
+
+
 def test_memory_stays_bounded_on_large_functions():
     # 384 x 384 piece pairs at 2000 shifts: an unpruned broadcast would hold
     # 2000 * 384 * 384 complex terms, about 4.7 GB
@@ -488,7 +511,7 @@ def site_sets(draw):
     st.sampled_from([1, 5, 1 << 15]),
 )
 def test_tiled_candidates_match_the_tensor(gamma, h, limit, tile):
-    with mock.patch.object(translate_system, "_TILE", tile):
+    with mock.patch.object(pointset, "_PAIR_TILE", tile):
         got = _window_center_candidates(gamma, h, limit)
     assert got == tensor_candidates(gamma, h, limit)
 
