@@ -33,6 +33,7 @@ from .haar_uncond import (
     dual_fn,
     haar_fn,
     haar_indices_below,
+    haar_pairings,
     prop43_check,
     sign_pattern_count,
     unconditional_constant_estimate,
@@ -214,9 +215,8 @@ def _cmd_haar_check(spec, ctx):
     duals = [dual_fn(i, p) for i in indices]
     max_offdiag = 0.0
     max_diag_err = 0.0
-    for a, g in enumerate(duals):
-        for b, f in enumerate(fns):
-            v = pair(g, f)
+    for a, row in enumerate(haar_pairings(duals, indices, fns)):
+        for b, v in enumerate(row):
             if a == b:
                 max_diag_err = max(max_diag_err, abs(v - 1))
             else:

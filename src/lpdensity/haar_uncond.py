@@ -9,7 +9,7 @@ truncated system can be checked with no quadrature error.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -123,6 +123,37 @@ def dual_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
     dual equals the Haar function itself."""
     q = conjugate_exponent(p)
     return haar_fn(idx, q)
+
+
+def haar_pairings(hs: Iterable, indices: Sequence[HaarIndex], fns: Sequence[PiecewiseFn]):
+    """Yield [pair(h, f) for f in fns] for each h in hs, bit for bit, reading
+    hs lazily; fns[i] is haar_fn(indices[i], p) for one p, indices distinct.
+
+    Scalar pair runs only for the constant index and for each (j, k) whose
+    support has an endpoint e of a piece of h strictly inside it: e 2^j is
+    no integer and k = floor(e 2^j), in integers.  On any other support each
+    piece of h misses it or covers it, adding v conj(a) w and v conj(-a) w
+    over its two halves: exact negations, so pair returns 0j.  An h with a
+    |Re v| + |Im v| whose product with the largest Haar value is not finite,
+    where those terms could be inf and -inf, takes pair for every f.
+    """
+    where = {(idx.level, idx.offset): pos for pos, idx in enumerate(indices)}
+    levels = sorted({j for j, _ in where if j >= 0})
+    top = max((abs(v) for f in fns for _, v in f.pieces), default=0.0)
+    for h in hs:
+        if h.dimension != 1:
+            raise DimensionMismatchError(f"pairing dimensions differ: {h.dimension} vs 1")
+        hits = range(len(fns))
+        if all(math.isfinite((abs(v.real) + abs(v.imag)) * top) for _, v in h.pieces):
+            ends = {e for box, _ in h.pieces for e in (box.lower[0], box.upper[0]) if 0 < e < 1}
+            # e = n / den exactly, den a power of 2: e 2^j is (n << j) / den
+            ratios = [e.as_integer_ratio() for e in ends]
+            keys = [(j, (n << j) // den) for n, den in ratios for j in levels if (n << j) % den]
+            hits = {where[key] for key in [(-1, 0), *keys] if key in where}
+        out = [0j] * len(fns)
+        for i in hits:
+            out[i] = pair(h, fns[i])
+        yield out
 
 
 @dataclass(frozen=True)
@@ -478,6 +509,7 @@ def prop43_check(
     dual_e = 2.0 if p <= 2 else q
     unit = Box((0.0,), (1.0,))
     rows = []
+    pairings = haar_pairings(tests, indices, fns)  # one test per next(), once it is checked
     for tid, test in zip(ids, tests):
         if test.is_zero:
             raise PreconditionError(f"zero test function {tid!r}")
@@ -486,7 +518,7 @@ def prop43_check(
         sb = test.support_box
         if sb.lower[0] < unit.lower[0] or sb.upper[0] > unit.upper[0]:
             raise PreconditionError(f"test {tid!r} must be supported in [0, 1)")
-        mags = [abs(pair(test, fn)) for fn in fns]
+        mags = [abs(v) for v in next(pairings)]
         qn = lp_norm(test, q)
         bsum = sum(v**bessel_e for v in mags)
         dsum = sum(v**dual_e for v in mags)

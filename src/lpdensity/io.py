@@ -231,14 +231,6 @@ def _points_from_csv(text: str, path: Path) -> PointSet:
     return PointSet([coords for _, coords in rows])
 
 
-def points_to_csv(s: PointSet, path: Union[str, Path]) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in s.as_array.tolist():
-            writer.writerow([format(c, ".17g") for c in row])
-
-
 def point_set_spec(s: PointSet) -> dict:
     """Explicit-rows descriptor that round-trips through ingest_points."""
     return {"kind": "explicit", "rows": s.as_array.tolist()}
@@ -247,9 +239,9 @@ def point_set_spec(s: PointSet) -> dict:
 # ---------------------------------------------------------------------------
 # functions
 
-# the most pieces an explicit function spec may list: PiecewiseFn tests
-# every pair of pieces for overlap, which takes about 2.5 s for 2048 pieces
-# (2-vCPU Xeon, Python 3.11)
+# the most pieces an explicit function spec may list: PiecewiseFn's overlap
+# test is near linear in 1-d, but bessel's scalar pair of two such functions
+# takes O(n m) piece pairs, unmeasured past this size
 _PIECE_BUDGET = 1 << 11
 
 

@@ -122,8 +122,10 @@ class PiecewiseFn:
             if v != 0:
                 cleaned.append((box, v))
         cleaned.sort(key=lambda bv: (bv[0].lower, bv[0].upper))
+        # only later pieces that start below bi.upper[0] on axis 0 can meet bi
+        lows = [b.lower[0] for b, _ in cleaned]
         for i, (bi, _) in enumerate(cleaned):
-            for bj, _ in cleaned[i + 1 :]:
+            for bj, _ in cleaned[i + 1 : bisect_left(lows, bi.upper[0], i + 1)]:
                 if bi.overlap_volume(bj) > 0.0:
                     raise PreconditionError(
                         f"overlapping pieces {bi.lower}..{bi.upper} and {bj.lower}..{bj.upper}; "
@@ -338,7 +340,7 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     its rows at once; past it, each f shift is pruned on its own.
 
     As in translate, a shift that collapses a piece of h, or an f shift that
-    collapses a piece of f, or one that is not finite, raises
+    collapses a piece of f, or one that leaves a corner not finite, raises
     PreconditionError.  A shift under which rounding ties two pieces of h (or
     of f) on the coordinate that orders them would make translate re-sort
     that function; such rows (or f shifts) fall back to the scalar pair.
@@ -350,33 +352,33 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     d = h.dimension
     s = _shift_rows(shifts, d, "shifts")
     t = np.zeros((1, d)) if f_shifts is None else _shift_rows(f_shifts, d, "f_shifts")
-    # as translate refuses them, even where no term is left to compute
-    if h.pieces and not np.isfinite(s).all():
-        raise PreconditionError("shifts must be finite")
-    if f.pieces and not np.isfinite(t).all():
-        raise PreconditionError("f shifts must be finite")
     out = np.zeros((2, len(t), len(s)))
-    if len(s) and len(t) and h.pieces and f.pieces:
-        hp, fp = h._arrays, f._arrays
+    # translate refuses these shifts, even where no term is left to compute
+    if f.pieces:
+        fp = f._arrays
         # f's corners translated as translate computes them: (d, P_f, m)
         f_lower = fp.lower[:, :, None] + t.T[:, None, :]
         f_upper = fp.upper[:, :, None] + t.T[:, None, :]
-        if not (f_lower < f_upper).all():
-            raise PreconditionError("an f shift collapses a piece of f")
+        if _refused(f_lower, f_upper):
+            raise PreconditionError("an f shift is not finite or collapses a piece of f")
+    if h.pieces:
+        hp = h._arrays
 
         def f_at(c):
             return f if f_shifts is None else translate(f, t[c])
 
         n_pairs = len(h.pieces) * len(f.pieces)
         dense = n_pairs <= _DENSE_PAIRS
-        rows = max(1, _TILE // (n_pairs if dense else len(h.pieces)))
+        rows = max(1, _TILE // max(n_pairs if dense else 0, len(h.pieces)))
         for r0 in range(0, len(s), rows):
             block = s[r0 : r0 + rows].T
             # h's corners translated as translate computes them: (d, P_h, rows)
             lower = hp.lower[:, :, None] + block[:, None, :]
             upper = hp.upper[:, :, None] + block[:, None, :]
-            if not (lower < upper).all():
-                raise PreconditionError("a shift collapses a piece of the translated function")
+            if _refused(lower, upper):
+                raise PreconditionError("a shift is not finite or collapses a piece of h")
+            if not (len(t) and f.pieces):
+                continue
             n = block.shape[1]
             if dense:
                 # (f shift, row) pairs flatten into the kernel's row axis
@@ -406,7 +408,7 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
                 for c in range(len(t)):
                     v = pair(th, f_at(c))
                     out[:, c, r0 + r] = v.real, v.imag
-        for c in _tied(f_lower, fp.order):
+        for c in _tied(f_lower, fp.order) if f.pieces else ():
             tf = f_at(c)
             for r, row in enumerate(s):
                 v = pair(translate(h, row), tf)
@@ -414,6 +416,12 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     result = np.empty(out.shape[1:], dtype=complex)
     result.real, result.imag = out
     return result if f_shifts is not None else result[0]
+
+
+def _refused(lower, upper) -> bool:
+    """Whether translated (d, P, copies) corners hold a piece translate
+    would refuse: a corner that is not finite, or lower >= upper."""
+    return not ((-np.inf < lower) & (lower < upper) & (upper < np.inf)).all()
 
 
 def _tied(lower, order) -> np.ndarray:

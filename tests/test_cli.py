@@ -1,5 +1,6 @@
 """Experiment runner: spec dispatch, file formats, exit codes, determinism."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -18,7 +19,6 @@ from lpdensity.io import (
     ingest_function,
     ingest_points,
     point_set_spec,
-    points_to_csv,
 )
 
 
@@ -26,6 +26,12 @@ def write_spec(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def points_to_csv(s, path):
+    """Write each site of s as one CSV row of .17g coordinates."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([format(c, ".17g") for c in row] for row in s.as_array.tolist())
 
 
 def read_report(tmp_path, command):

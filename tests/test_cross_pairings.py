@@ -309,6 +309,42 @@ def test_non_finite_shift_is_refused_even_with_no_term_to_compute():
         assert cross_pairings(h, zero, [[0.0]], [[bad]]).tolist() == [[0j]]
 
 
+@pytest.mark.parametrize("tile", [lpfunc._TILE, 1])
+def test_collapsing_shift_is_refused_even_with_no_term_to_compute(tile):
+    h = PiecewiseFn(((Box((0.0,), (1e-12,)), 1.0),), 1)
+    zero = zero_fn(1)
+    with pytest.raises(PreconditionError):
+        translate(h, 1e6)
+    with mock.patch.object(lpfunc, "_TILE", tile):
+        # f has no pieces, or there is no f shift: no pairing is left to compute
+        with pytest.raises(PreconditionError, match="collapses a piece of h"):
+            cross_pairings(h, zero, [[0.0], [1e6]])
+        with pytest.raises(PreconditionError, match="collapses a piece of h"):
+            cross_pairings(h, h, [[0.0], [1e6]], [])
+        # the same on the right: there are no shifts, or h has no pieces
+        with pytest.raises(PreconditionError, match="collapses a piece of f"):
+            cross_pairings(h, h, [], [[0.0], [1e6]])
+        with pytest.raises(PreconditionError, match="collapses a piece of f"):
+            cross_pairings(zero, h, [[0.0]], [[0.0], [1e6]])
+        # translate moves a function with no pieces anywhere, and so do these
+        assert cross_pairings(zero, h, [[1e6]]).tolist() == [0j]
+        assert cross_pairings(h, zero, [[0.0]], [[1e6]]).tolist() == [[0j]]
+
+
+def test_shift_that_overflows_a_corner_is_refused_like_translate():
+    big = PiecewiseFn(((Box((0.0,), (1.7e308,)), 1.0),), 1)
+    f = PiecewiseFn(((Box((1e308,), (1.5e308,)), 1.0),), 1)
+    with pytest.raises(PreconditionError):
+        translate(big, 1e308)
+    with np.errstate(over="ignore"):
+        with pytest.raises(PreconditionError, match="not finite or collapses a piece of h"):
+            cross_pairings(big, f, [[0.0], [1e308]])
+        with pytest.raises(PreconditionError, match="not finite or collapses a piece of f"):
+            cross_pairings(f, big, [[0.0]], [[1e308]])
+    # the shift that moves the upper corner down to 0 is fine
+    assert cross_pairings(big, f, [[-1.7e308]]).tolist() == [pair(translate(big, -1.7e308), f)]
+
+
 def test_memory_stays_bounded_on_large_functions():
     # 384 x 384 piece pairs at 2000 shifts: an unpruned broadcast would hold
     # 2000 * 384 * 384 complex terms, about 4.7 GB

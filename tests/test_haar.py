@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import struct
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpdensity import (
+    DimensionMismatchError,
     HaarExpansion,
     HaarIndex,
     PiecewiseFn,
@@ -28,6 +32,8 @@ from lpdensity import (
     sandwich_triple,
     unconditional_constant_estimate,
 )
+from lpdensity import haar_uncond
+from lpdensity.haar_uncond import haar_pairings
 from lpdensity.lpfunc import Box
 
 
@@ -349,3 +355,107 @@ def test_prop43_stability_between_cutoffs():
         r10 = prop43_check(p, 10, tests)
         assert abs(r10.max_bessel_ratio - r8.max_bessel_ratio) <= 0.2 * r8.max_bessel_ratio
         assert abs(r10.max_k_required - r8.max_k_required) <= 0.2 * r8.max_k_required
+
+
+# ---------------------------------------------------------------------------
+# haar_pairings against the scalar pair
+
+
+def bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def abs_bits(z: complex) -> bytes:
+    """The bits of abs(z); a modulus past the double range reads as inf."""
+    try:
+        return struct.pack("<d", abs(z))
+    except OverflowError:
+        return struct.pack("<d", math.inf)
+
+
+# endpoints on the dyadic grid, on Haar midpoints, off both, and outside [0, 1)
+_dyadic = st.builds(lambda m, k: k / 2**m, st.integers(0, 9), st.integers(0, 2**9))
+_midpoint = st.builds(
+    lambda j, k: (2 * k + 1) / 2 ** (j + 1), st.integers(0, 8), st.integers(0, 255)
+)
+_endpoint = st.one_of(
+    _dyadic,
+    _midpoint,
+    st.floats(0.0, 1.0),
+    st.sampled_from([-1.5, -0.25, -0.0, 1.0, 1.0 + 2**-52, 1.75, 1e300]),
+)
+_part = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(1e299, 1e301),
+    st.floats(1.5e308, 1.7976931348623157e308),
+    st.sampled_from([5e-324, -1e-310, 2.2250738585072014e-308, 0.0]),
+)
+
+
+@st.composite
+def _step_fn(draw):
+    """A 1-d step function whose pieces run between sorted drawn endpoints,
+    with some runs left out as gaps."""
+    ends = sorted(set(draw(st.lists(_endpoint, min_size=2, max_size=9))))
+    pieces = [
+        (Box((a,), (b,)), complex(draw(_part), draw(_part)))
+        for a, b in zip(ends, ends[1:])
+        if draw(st.booleans())
+    ]
+    return PiecewiseFn(tuple(pieces), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.floats(1.0, 10.0, exclude_min=True),
+    cutoff=st.integers(0, 7),
+    duals=st.booleans(),
+    h=st.one_of(
+        _step_fn(),
+        st.builds(lambda j, k: HaarIndex(j, k % 2**j), st.integers(0, 9), st.integers(0, 511)),
+    ),
+)
+def test_haar_pairings_match_scalar_pair(p, cutoff, duals, h):
+    indices = haar_indices_below(cutoff)
+    fns = [(dual_fn if duals else haar_fn)(i, p) for i in indices]
+    if isinstance(h, HaarIndex):
+        h = dual_fn(h, p)
+    want = [pair(h, f) for f in fns]
+    (got,) = haar_pairings([h], indices, fns)
+    assert [bits(z) for z in got] == [bits(z) for z in want]
+    assert [abs_bits(z) for z in got] == [abs_bits(z) for z in want]
+
+
+def test_haar_pairings_skip_disjoint_and_covering_supports():
+    indices = haar_indices_below(7)
+    fns = [haar_fn(i, 3.0) for i in indices]
+    duals = [dual_fn(i, 3.0) for i in indices]
+    with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
+        rows = list(haar_pairings(duals, indices, fns))
+    assert rows == [[complex(a == b) for b in range(128)] for a in range(128)]
+    # the constant index, plus each support that a dual's lo, mid or hi cuts
+    assert spy.call_count == 897
+    # a piece covering every support leaves only the constant index
+    with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
+        (row,) = haar_pairings([indicator_interval(-1.0, 2.0, 2.0)], indices, fns)
+    assert spy.call_count == 1 and row == [2.0] + [0j] * 127
+
+
+def test_haar_pairings_overflow_dimension_and_deep_levels():
+    indices = haar_indices_below(3)
+    fns = [haar_fn(i, 2.0) for i in indices]
+    # v * sqrt(2) overflows from level 1 on: pair sums inf and -inf to nan
+    # on supports it covers, which a skip would leave at 0j
+    big = indicator_interval(0.0, 1.0, 1.7e308)
+    (row,) = haar_pairings([big], indices, fns)
+    assert [bits(z) for z in row] == [bits(pair(big, f)) for f in fns]
+    assert all(z != z for z in row[2:])
+    with pytest.raises(DimensionMismatchError):
+        next(haar_pairings([PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)], indices, fns))
+    # levels past the double range of 2^j: the supports are found in integers
+    deep = [HaarIndex.constant(), HaarIndex(1030, 0), HaarIndex(1030, 1), HaarIndex(1030, 2)]
+    fns = [haar_fn(i, 2.0) for i in deep]
+    h = PiecewiseFn(((Box((0.0,), (1.5 * 2.0**-1030,)), 1.0 + 2j), (Box((0.5,), (1.0,)), -1.0)), 1)
+    (row,) = haar_pairings([h], deep, fns)
+    assert [bits(z) for z in row] == [bits(pair(h, f)) for f in fns]
+    assert row[2] != 0 and row[1] == row[3] == 0

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpdensity import (
     Box,
@@ -78,6 +80,47 @@ def test_box_cube_corners_and_side():
 def test_overlapping_pieces_rejected():
     with pytest.raises(PreconditionError, match="canonicalize"):
         PiecewiseFn(((Box((0.0,), (1.0,)), 1.0), (Box((0.5,), (1.5,)), 1.0)), 1)
+
+
+def first_overlap(pieces):
+    """The all-pairs overlap test, oracle of PiecewiseFn's bisection: the
+    message for the first overlapping pair of the sorted pieces, or None."""
+    kept = sorted(((b, v) for b, v in pieces if v != 0), key=lambda bv: (bv[0].lower, bv[0].upper))
+    for i, (bi, _) in enumerate(kept):
+        for bj, _ in kept[i + 1 :]:
+            if bi.overlap_volume(bj) > 0.0:
+                return (
+                    f"overlapping pieces {bi.lower}..{bi.upper} and {bj.lower}..{bj.upper}; "
+                    "use canonicalize() to merge raw piece lists"
+                )
+    return None
+
+
+@st.composite
+def _raw_pieces(draw):
+    """Boxes on a coarse grid, so that overlaps, shared faces and repeats are
+    common, in 1-d to 3-d; some values are zero."""
+    d = draw(st.integers(1, 3))
+    corner = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0])
+    pieces = []
+    for _ in range(draw(st.integers(0, 10))):
+        lower = tuple(draw(corner) for _ in range(d))
+        upper = tuple(a + draw(st.sampled_from([0.5, 1.0, 2.0])) for a in lower)
+        pieces.append((Box(lower, upper), draw(st.sampled_from([0.0, 1.0, -2j]))))
+    return pieces, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_raw_pieces())
+def test_overlap_test_finds_the_all_pairs_first_pair(case):
+    pieces, d = case
+    want = first_overlap(pieces)
+    if want is None:
+        assert len(PiecewiseFn(tuple(pieces), d).pieces) == sum(v != 0 for _, v in pieces)
+    else:
+        with pytest.raises(PreconditionError) as err:
+            PiecewiseFn(tuple(pieces), d)
+        assert str(err.value) == want
 
 
 def test_zero_pieces_dropped():
