@@ -31,7 +31,6 @@ from .haar_uncond import (
     coefficient_sandwich_check,
     count_sandwich_violations,
     dual_fn,
-    haar_fn,
     haar_indices_below,
     haar_pairings,
     prop43_check,
@@ -211,16 +210,11 @@ def _cmd_haar_check(spec, ctx):
     rng = ctx.rng()
     # biorthogonality is always checked through level 6
     indices = haar_indices_below(7)
-    fns = [haar_fn(i, p) for i in indices]
-    duals = [dual_fn(i, p) for i in indices]
-    max_offdiag = 0.0
-    max_diag_err = 0.0
-    for a, row in enumerate(haar_pairings(duals, indices, fns)):
-        for b, v in enumerate(row):
-            if a == b:
-                max_diag_err = max(max_diag_err, abs(v - 1))
-            else:
-                max_offdiag = max(max_offdiag, abs(v))
+    duals = (dual_fn(i, p) for i in indices)
+    max_offdiag = max_diag_err = 0.0
+    for a, row in enumerate(haar_pairings(duals, indices, p)):
+        max_diag_err = max(max_diag_err, abs(row[a] - 1))
+        max_offdiag = max([max_offdiag] + [abs(v) for b, v in enumerate(row) if b != a])
     tests = [_random_test_fn(rng) for _ in range(num_tests)]
     p43 = prop43_check(p, cutoff, tests)
     batch = [_random_expansion(rng, terms) for _ in range(batch_size)]

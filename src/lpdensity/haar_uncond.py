@@ -7,7 +7,9 @@ coefficient inequalities and the Bessel/required-constant behaviour of the
 truncated system can be checked with no quadrature error.
 """
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,17 +27,15 @@ from .lpfunc import (
 )
 
 
-@dataclass(frozen=True)
-class HaarIndex:
+class HaarIndex(namedtuple("HaarIndex", "level offset")):
     """Dyadic index (level j >= 0, offset k in [0, 2^j)); level -1 is the
-    distinguished constant function on [0,1)."""
+    distinguished constant function on [0,1).  Indices sort and hash as the
+    plain (level, offset) tuple."""
 
-    level: int
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        level = int(self.level)
-        offset = int(self.offset)
+    def __new__(cls, level: int, offset: int = 0):
+        level, offset = int(level), int(offset)
         if level == -1:
             if offset != 0:
                 raise PreconditionError("the constant index has offset 0")
@@ -46,20 +46,15 @@ class HaarIndex:
                 )
         else:
             raise PreconditionError(f"invalid Haar level {level}")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "offset", offset)
+        return super().__new__(cls, level, offset)
 
     @classmethod
     def constant(cls) -> "HaarIndex":
-        return cls(-1, 0)
+        return cls(-1)
 
     @property
     def is_constant(self) -> bool:
         return self.level < 0
-
-    @property
-    def sort_key(self):
-        return (self.level, self.offset)
 
 
 # the most indices haar_indices_below builds, as pointset's site budget, and
@@ -77,10 +72,7 @@ def haar_indices_below(cutoff: int) -> list:
         raise PreconditionError(
             f"cutoff {cutoff} gives 2^{cutoff} Haar indices, over the budget of {_INDEX_BUDGET}"
         )
-    out = [HaarIndex.constant()]
-    for j in range(cutoff):
-        out.extend(HaarIndex(j, k) for k in range(2**j))
-    return out
+    return [HaarIndex.constant()] + [HaarIndex(j, k) for j in range(cutoff) for k in range(2**j)]
 
 
 def haar_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
@@ -125,34 +117,37 @@ def dual_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
     return haar_fn(idx, q)
 
 
-def haar_pairings(hs: Iterable, indices: Sequence[HaarIndex], fns: Sequence[PiecewiseFn]):
-    """Yield [pair(h, f) for f in fns] for each h in hs, bit for bit, reading
-    hs lazily; fns[i] is haar_fn(indices[i], p) for one p, indices distinct.
+def haar_pairings(hs: Iterable, indices: Sequence[HaarIndex], p: float):
+    """Yield [pair(h, haar_fn(i, p)) for i in indices] for each h in hs, bit
+    for bit, reading hs lazily; indices distinct.
 
     Scalar pair runs only for the constant index and for each (j, k) whose
     support has an endpoint e of a piece of h strictly inside it: e 2^j is
     no integer and k = floor(e 2^j), in integers.  On any other support each
     piece of h misses it or covers it, adding v conj(a) w and v conj(-a) w
     over its two halves: exact negations, so pair returns 0j.  An h with a
-    |Re v| + |Im v| whose product with the largest Haar value is not finite,
-    where those terms could be inf and -inf, takes pair for every f.
+    |Re v| + |Im v| whose product with the largest Haar value, the deepest
+    index's, is not finite, where those terms could be inf and -inf, takes
+    pair for every index.  haar_fn runs only for the indices paired and the
+    deepest, once each.
     """
-    where = {(idx.level, idx.offset): pos for pos, idx in enumerate(indices)}
-    levels = sorted({j for j, _ in where if j >= 0})
-    top = max((abs(v) for f in fns for _, v in f.pieces), default=0.0)
+    where = {idx: pos for pos, idx in enumerate(indices)}
+    levels = sorted({j for j, _ in indices if j >= 0})
+    fn = functools.cache(lambda idx: haar_fn(idx, p))  # built once, when first paired
+    top = max(abs(v) for _, v in fn(max(indices)).pieces) if indices else 0.0
     for h in hs:
         if h.dimension != 1:
             raise DimensionMismatchError(f"pairing dimensions differ: {h.dimension} vs 1")
-        hits = range(len(fns))
+        hits = range(len(indices))
         if all(math.isfinite((abs(v.real) + abs(v.imag)) * top) for _, v in h.pieces):
             ends = {e for box, _ in h.pieces for e in (box.lower[0], box.upper[0]) if 0 < e < 1}
             # e = n / den exactly, den a power of 2: e 2^j is (n << j) / den
             ratios = [e.as_integer_ratio() for e in ends]
             keys = [(j, (n << j) // den) for n, den in ratios for j in levels if (n << j) % den]
             hits = {where[key] for key in [(-1, 0), *keys] if key in where}
-        out = [0j] * len(fns)
+        out = [0j] * len(indices)
         for i in hits:
-            out[i] = pair(h, fns[i])
+            out[i] = pair(h, fn(indices[i]))
         yield out
 
 
@@ -174,7 +169,7 @@ class HaarExpansion:
             c = complex(c)
             if c != 0:
                 cleaned.append((idx, c))
-        cleaned.sort(key=lambda t: t[0].sort_key)
+        cleaned.sort(key=lambda t: t[0])
         object.__setattr__(self, "terms", tuple(cleaned))
 
     @classmethod
@@ -205,7 +200,7 @@ class SignPattern:
             if s not in (-1, 1):
                 raise PreconditionError(f"signs must be +-1, got {s}")
             cleaned.append((idx, s))
-        cleaned.sort(key=lambda t: t[0].sort_key)
+        cleaned.sort(key=lambda t: t[0])
         object.__setattr__(self, "signs", tuple(cleaned))
 
     @classmethod
@@ -504,19 +499,17 @@ def prop43_check(
     if len(ids) != len(tests):
         raise PreconditionError("labels must match tests one to one")
     indices = haar_indices_below(cutoff)
-    fns = [haar_fn(i, p) for i in indices]
     bessel_e = q if p <= 2 else 2.0
     dual_e = 2.0 if p <= 2 else q
-    unit = Box((0.0,), (1.0,))
     rows = []
-    pairings = haar_pairings(tests, indices, fns)  # one test per next(), once it is checked
+    pairings = haar_pairings(tests, indices, p)  # one test per next(), once it is checked
     for tid, test in zip(ids, tests):
         if test.is_zero:
             raise PreconditionError(f"zero test function {tid!r}")
         if test.dimension != 1:
             raise DimensionMismatchError("Haar tests live on the line")
         sb = test.support_box
-        if sb.lower[0] < unit.lower[0] or sb.upper[0] > unit.upper[0]:
+        if sb.lower[0] < 0.0 or sb.upper[0] > 1.0:
             raise PreconditionError(f"test {tid!r} must be supported in [0, 1)")
         mags = [abs(v) for v in next(pairings)]
         qn = lp_norm(test, q)
@@ -525,7 +518,9 @@ def prop43_check(
         bratio = bsum ** (1.0 / bessel_e) / qn
         k_req = math.inf if dsum == 0.0 else qn / dsum ** (1.0 / dual_e)
         rows.append(Prop43Row(tid, bratio, k_req))
-    duals = [dual_fn(i, p) for i in indices]
+    # every offset of a level gives the same norms: the halves of level
+    # j <= 20 are exactly 2^-(j+1) wide and carry +-v
+    duals = [dual_fn(HaarIndex(j), p) for j in range(-1, int(cutoff))]
     qnorms = [lp_norm(g, q) for g in duals]
     pnorms = [lp_norm(g, p) for g in duals]
     return Prop43Report(

@@ -214,6 +214,8 @@ def make_lattice_basis(basis, window: float, offset: Optional[Sequence[float]] =
     if any(len(r) != d for r in rows):
         raise PreconditionError("lattice basis must be a d x d set of vectors")
     window = float(window)
+    if not window > 0:
+        raise PreconditionError("lattice window must be positive")
     off = np.array(offset, dtype=float) if offset is not None else np.zeros(d)
     if off.shape != (d,):
         raise DimensionMismatchError("lattice offset dimension mismatch")

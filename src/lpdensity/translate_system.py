@@ -429,10 +429,11 @@ def cq_indicator_sweep(
     K_required = q_norm / sum^{1/p} and the localized-mass column that
     dominates the sum via Holder.  The verdict is "divergent" when log
     K_required against log(1/h), fitted over the smallest half of the h
-    values, has a positive slope with R^2 > 0.99 (slopes below 1e-9 count as
-    flat); rows with a zero power sum make the required constant literally
-    unbounded and force the divergent verdict.  `fixed_test` replaces the
-    indicators by one fixed test in every row, as a flat control experiment.
+    values but never fewer than two, has a positive slope with R^2 > 0.99
+    (slopes below 1e-9 count as flat); rows with a zero power sum make the
+    required constant literally unbounded and force the divergent verdict.
+    `fixed_test` replaces the indicators by one fixed test in every row, as a
+    flat control experiment.
     """
     hs = [float(h) for h in h_values]
     if len(hs) < 2:
@@ -459,7 +460,7 @@ def cq_indicator_sweep(
         k_req = math.inf if psum == 0.0 else qn / psum ** (1.0 / p)
         mass = system_localized_mass(sys, mass_cube, p)
         rows.append(CqSweepRow(h, qn, psum, k_req, mass))
-    tail = rows[-((len(rows) + 1) // 2) :]
+    tail = rows[-max(2, (len(rows) + 1) // 2) :]
     if any(math.isinf(r.k_required) for r in tail):
         verdict, slope, r2 = "divergent", math.inf, 1.0
     else:
@@ -611,6 +612,11 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("truncation radii must be strictly increasing")
     p_prime = float(config.p_prime)
+    tol = float(config.bessel_variation_tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"bessel_variation_tol must be positive and finite, got {tol}")
+    if not 0 < float(config.epsilon_fraction) < 1:
+        raise PreconditionError(f"epsilon_fraction must lie in (0, 1), got {config.epsilon_fraction}")
 
     base_tests = list(config.bessel_tests) if config.bessel_tests else [
         g.f for g in sys.generators
@@ -675,7 +681,7 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
     b_prev, b_last = bessel_rows[-2].bound_estimate, bessel_rows[-1].bound_estimate
     top = max(abs(b_prev), abs(b_last))
     variation = 0.0 if top == 0.0 else abs(b_last - b_prev) / top
-    bessel_bounded = variation < config.bessel_variation_tol
+    bessel_bounded = variation < tol
 
     cq_sweep_result = None
     cq_failure = None

@@ -521,6 +521,31 @@ def test_scalar_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        *[("bessel_variation_tol", v) for v in (math.nan, -1.0, 0.0, math.inf)],
+        *[("epsilon_fraction", v) for v in (math.nan, -1.0, 0.0, math.inf, 1.0)],
+    ],
+)
+def test_dichotomy_tolerance_out_of_range_exits_3(tmp_path, capsys, key, value):
+    # refused before any work, with or without accumulation on the lattice
+    with mock.patch("lpdensity.translate_system.bessel_bound_estimate") as work:
+        code, err = _run_exit(tmp_path, capsys, {**DICHOTOMY, "tolerances": {key: value}})
+    assert code == 3 and key in err and "\n" not in err
+    assert not work.called
+
+
+def test_cq_sweep_over_two_h_values(tmp_path):
+    z20 = {"f": UNIT_SPEC, "gamma": {**LATTICE_1D, "window": 20}, "label": "Z"}
+    spec = {"command": "cq-sweep", "system": {"p": 2.0, "generators": [z20]}, "h_values": [0.25, 0.125]}
+    assert main(["run", "--spec", write_spec(tmp_path, "s.json", spec), "--out", str(tmp_path)]) == 0
+    sweep = read_report(tmp_path, "cq-sweep")["outputs"]["sweep"]
+    # K_required = h^(-1/2) on Z: the fit over both rows, not the last alone
+    assert sweep["growth_exponent"] == pytest.approx(0.5, abs=1e-9)
+    assert sweep["verdict"] == "divergent"
+
+
+@pytest.mark.parametrize(
     "spec_seed, flag",
     [("x", None), (1.5, None), (-1, None), (True, None), (None, "-1")],
 )

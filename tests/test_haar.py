@@ -18,6 +18,7 @@ from lpdensity import (
     PreconditionError,
     SignPattern,
     build_expansion_fn,
+    conjugate_exponent,
     coefficient_sandwich_check,
     count_sandwich_violations,
     dual_fn,
@@ -421,7 +422,7 @@ def test_haar_pairings_match_scalar_pair(p, cutoff, duals, h):
     if isinstance(h, HaarIndex):
         h = dual_fn(h, p)
     want = [pair(h, f) for f in fns]
-    (got,) = haar_pairings([h], indices, fns)
+    (got,) = haar_pairings([h], indices, conjugate_exponent(p) if duals else p)
     assert [bits(z) for z in got] == [bits(z) for z in want]
     assert [abs_bits(z) for z in got] == [abs_bits(z) for z in want]
 
@@ -431,14 +432,47 @@ def test_haar_pairings_skip_disjoint_and_covering_supports():
     fns = [haar_fn(i, 3.0) for i in indices]
     duals = [dual_fn(i, 3.0) for i in indices]
     with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
-        rows = list(haar_pairings(duals, indices, fns))
+        rows = list(haar_pairings(duals, indices, 3.0))
+    assert rows == [[pair(h, f) for f in fns] for h in duals]
     assert rows == [[complex(a == b) for b in range(128)] for a in range(128)]
     # the constant index, plus each support that a dual's lo, mid or hi cuts
     assert spy.call_count == 897
     # a piece covering every support leaves only the constant index
     with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
-        (row,) = haar_pairings([indicator_interval(-1.0, 2.0, 2.0)], indices, fns)
+        (row,) = haar_pairings([indicator_interval(-1.0, 2.0, 2.0)], indices, 3.0)
     assert spy.call_count == 1 and row == [2.0] + [0j] * 127
+
+
+def test_haar_pairings_build_only_the_functions_they_pair():
+    indices = haar_indices_below(7)
+    duals = [dual_fn(i, 3.0) for i in indices]
+    with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
+        rows = list(haar_pairings(duals, indices, 3.0))
+    assert len(rows) == 128 and spy.call_count <= 128
+    assert len({c.args for c in spy.call_args_list}) == spy.call_count  # once per index
+    # a piece covering [0, 1) pairs only the constant; the deepest level
+    # gives the overflow bound
+    with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
+        (row,) = haar_pairings([indicator_interval(0.0, 1.0, 2.0)], indices, 3.0)
+    assert row == [2.0] + [0j] * 127
+    assert sorted(c.args[0] for c in spy.call_args_list) == [(-1, 0), (6, 63)]
+    # prop43_check at cutoff 20, not 2^20 functions: the constant, the four
+    # supports 1/4 or 5/8 splits, the deepest index and a dual per level -1..19
+    with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
+        prop43_check(3.0, 20, [indicator_interval(0.25, 0.625, 1.0)])
+    assert spy.call_count == 1 + 4 + 1 + 21
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(1.0, 10.0, exclude_min=True), cutoff=st.integers(0, 12))
+def test_prop43_dual_norm_ranges_match_every_offset(p, cutoff):
+    rep = prop43_check(p, cutoff, [indicator_interval(0.0, 0.75)])
+    q = conjugate_exponent(p)
+    duals = [dual_fn(i, p) for i in haar_indices_below(cutoff)]
+    qnorms = [lp_norm(g, q) for g in duals]
+    pnorms = [lp_norm(g, p) for g in duals]
+    assert [bits(x) for x in rep.dual_q_norm_range] == [bits(min(qnorms)), bits(max(qnorms))]
+    assert [bits(x) for x in rep.dual_p_norm_range] == [bits(min(pnorms)), bits(max(pnorms))]
 
 
 def test_haar_pairings_overflow_dimension_and_deep_levels():
@@ -447,15 +481,15 @@ def test_haar_pairings_overflow_dimension_and_deep_levels():
     # v * sqrt(2) overflows from level 1 on: pair sums inf and -inf to nan
     # on supports it covers, which a skip would leave at 0j
     big = indicator_interval(0.0, 1.0, 1.7e308)
-    (row,) = haar_pairings([big], indices, fns)
+    (row,) = haar_pairings([big], indices, 2.0)
     assert [bits(z) for z in row] == [bits(pair(big, f)) for f in fns]
     assert all(z != z for z in row[2:])
     with pytest.raises(DimensionMismatchError):
-        next(haar_pairings([PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)], indices, fns))
+        next(haar_pairings([PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)], indices, 2.0))
     # levels past the double range of 2^j: the supports are found in integers
     deep = [HaarIndex.constant(), HaarIndex(1030, 0), HaarIndex(1030, 1), HaarIndex(1030, 2)]
     fns = [haar_fn(i, 2.0) for i in deep]
     h = PiecewiseFn(((Box((0.0,), (1.5 * 2.0**-1030,)), 1.0 + 2j), (Box((0.5,), (1.0,)), -1.0)), 1)
-    (row,) = haar_pairings([h], deep, fns)
+    (row,) = haar_pairings([h], deep, 2.0)
     assert [bits(z) for z in row] == [bits(pair(h, f)) for f in fns]
     assert row[2] != 0 and row[1] == row[3] == 0

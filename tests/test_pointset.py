@@ -345,6 +345,15 @@ def test_basis_lattice_matches_spacing_lattice():
     assert set(a.points) == set(b.points)
 
 
+@pytest.mark.parametrize("window", [-5.0, 0.0, math.nan])
+def test_basis_lattice_refuses_a_window_that_is_not_positive(window):
+    # as make_lattice does: no empty or single-site set from a bad window
+    with pytest.raises(PreconditionError, match="window must be positive"):
+        make_lattice_basis(((1.0, 0.0), (0.0, 1.0)), window)
+    with pytest.raises(PreconditionError):
+        make_lattice(1.0, window, 2)
+
+
 def test_sheared_basis_lattice_matches_brute_enumeration():
     s = make_lattice_basis(((1.0, 0.5), (0.0, 1.0)), 4)
     brute = set()

@@ -1,6 +1,7 @@
 """Translate-system analysis: Bessel sums, witnesses, required constants, mass."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ def test_sweep_fixed_test_is_bounded():
     ks = [r.k_required for r in sw.rows]
     assert max(ks) == pytest.approx(min(ks), rel=1e-12)
     assert sw.verdict == "bounded"
+
+
+def test_sweep_with_two_h_values_fits_both_rows():
+    # the fit runs over at least two rows: one row gives polyfit a
+    # minimum-norm slope with R^2 = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = cq_indicator_sweep(
+            z_system(window=20), [0.25, 0.125], fixed_test=indicator_interval(0.0, 0.5)
+        )
+        sw = cq_indicator_sweep(z_system(window=20), [0.25, 0.125])
+    assert [r.k_required for r in flat.rows] == [pytest.approx(math.sqrt(2), rel=1e-12)] * 2
+    assert flat.verdict == "bounded" and abs(flat.growth_exponent) <= 1e-9
+    assert sw.verdict == "divergent"
+    assert sw.growth_exponent == pytest.approx(0.5, abs=1e-9)
 
 
 def test_sweep_empty_overlap_unbounded_rows():
