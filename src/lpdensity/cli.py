@@ -212,9 +212,9 @@ def _cmd_haar_check(spec, ctx):
     indices = haar_indices_below(7)
     duals = (dual_fn(i, p) for i in indices)
     max_offdiag = max_diag_err = 0.0
-    for a, row in enumerate(haar_pairings(duals, indices, p)):
+    for a, row in zip(indices, haar_pairings(duals, 7, p)):
         max_diag_err = max(max_diag_err, abs(row[a] - 1))
-        max_offdiag = max([max_offdiag] + [abs(v) for b, v in enumerate(row) if b != a])
+        max_offdiag = max([max_offdiag] + [abs(v) for b, v in row.items() if b != a])
     tests = [_random_test_fn(rng) for _ in range(num_tests)]
     p43 = prop43_check(p, cutoff, tests)
     batch = [_random_expansion(rng, terms) for _ in range(batch_size)]

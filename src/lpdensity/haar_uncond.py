@@ -10,7 +10,7 @@ truncated system can be checked with no quadrature error.
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -63,8 +63,8 @@ _INDEX_BUDGET = 1 << 20
 _BUDGET_BITS = _INDEX_BUDGET.bit_length() - 1
 
 
-def haar_indices_below(cutoff: int) -> list:
-    """Constant index plus every (j, k) with j < cutoff: 2^cutoff indices."""
+def _levels(cutoff: int) -> range:
+    """range(cutoff), refusing a negative cutoff and one over the index budget."""
     cutoff = int(cutoff)
     if cutoff < 0:
         raise PreconditionError("cutoff must be >= 0")
@@ -72,7 +72,12 @@ def haar_indices_below(cutoff: int) -> list:
         raise PreconditionError(
             f"cutoff {cutoff} gives 2^{cutoff} Haar indices, over the budget of {_INDEX_BUDGET}"
         )
-    return [HaarIndex.constant()] + [HaarIndex(j, k) for j in range(cutoff) for k in range(2**j)]
+    return range(cutoff)
+
+
+def haar_indices_below(cutoff: int) -> list:
+    """Constant index plus every (j, k) with j < cutoff: 2^cutoff indices."""
+    return [HaarIndex.constant()] + [HaarIndex(j, k) for j in _levels(cutoff) for k in range(2**j)]
 
 
 def haar_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
@@ -117,38 +122,32 @@ def dual_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
     return haar_fn(idx, q)
 
 
-def haar_pairings(hs: Iterable, indices: Sequence[HaarIndex], p: float):
-    """Yield [pair(h, haar_fn(i, p)) for i in indices] for each h in hs, bit
-    for bit, reading hs lazily; indices distinct.
-
-    Scalar pair runs only for the constant index and for each (j, k) whose
-    support has an endpoint e of a piece of h strictly inside it: e 2^j is
-    no integer and k = floor(e 2^j), in integers.  On any other support each
-    piece of h misses it or covers it, adding v conj(a) w and v conj(-a) w
-    over its two halves: exact negations, so pair returns 0j.  An h with a
-    |Re v| + |Im v| whose product with the largest Haar value, the deepest
-    index's, is not finite, where those terms could be inf and -inf, takes
-    pair for every index.  haar_fn runs only for the indices paired and the
-    deepest, once each.
+def haar_pairings(hs: Iterable, cutoff: int, p: float):
+    """Yield {i: pair(h, haar_fn(i, p))} for each h in hs, reading hs lazily,
+    over the indices below cutoff that can pair to nonzero, in index order:
+    the constant index and each (j, k) whose support has an endpoint e of a
+    piece of h strictly inside it (e 2^j no integer, k = floor(e 2^j), in
+    integers).  On any other support each piece of h misses it or covers it,
+    adding v conj(a) w and v conj(-a) w over its two halves: the pairing is
+    exactly 0j.  An h whose |Re v| + |Im v| times the largest Haar value, the
+    deepest level's, is not finite could make those terms inf and -inf, so it
+    pairs every index.  haar_fn runs once for each index paired and one
+    deepest index.
     """
-    where = {idx: pos for pos, idx in enumerate(indices)}
-    levels = sorted({j for j, _ in indices if j >= 0})
+    levels = _levels(cutoff)
     fn = functools.cache(lambda idx: haar_fn(idx, p))  # built once, when first paired
-    top = max(abs(v) for _, v in fn(max(indices)).pieces) if indices else 0.0
-    for h in hs:
-        if h.dimension != 1:
-            raise DimensionMismatchError(f"pairing dimensions differ: {h.dimension} vs 1")
-        hits = range(len(indices))
+    deepest = HaarIndex(levels[-1], 2 ** levels[-1] - 1) if levels else HaarIndex.constant()
+    top = max(abs(v) for _, v in fn(deepest).pieces)
+    for h in hs:  # pair refuses an h that is not 1-d, at the constant index
         if all(math.isfinite((abs(v.real) + abs(v.imag)) * top) for _, v in h.pieces):
             ends = {e for box, _ in h.pieces for e in (box.lower[0], box.upper[0]) if 0 < e < 1}
             # e = n / den exactly, den a power of 2: e 2^j is (n << j) / den
             ratios = [e.as_integer_ratio() for e in ends]
-            keys = [(j, (n << j) // den) for n, den in ratios for j in levels if (n << j) % den]
-            hits = {where[key] for key in [(-1, 0), *keys] if key in where}
-        out = [0j] * len(indices)
-        for i in hits:
-            out[i] = pair(h, fn(indices[i]))
-        yield out
+            keys = {(j, (n << j) // den) for n, den in ratios for j in levels if (n << j) % den}
+            paired = sorted(HaarIndex(*key) for key in keys | {(-1, 0)})
+        else:
+            paired = haar_indices_below(cutoff)
+        yield {i: pair(h, fn(i)) for i in paired}
 
 
 @dataclass(frozen=True)
@@ -189,29 +188,31 @@ class HaarExpansion:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """A +-1 choice per index; must cover the support it is applied to."""
+    """A +-1 choice per distinct index; must cover the support it is applied to."""
 
     signs: tuple  # ((HaarIndex, int), ...)
+    _sign: dict = field(init=False, repr=False, compare=False)  # index -> sign
 
     def __post_init__(self):
-        cleaned = []
+        sign = {}
         for idx, s in self.signs:
             s = int(s)
             if s not in (-1, 1):
                 raise PreconditionError(f"signs must be +-1, got {s}")
-            cleaned.append((idx, s))
-        cleaned.sort(key=lambda t: t[0])
-        object.__setattr__(self, "signs", tuple(cleaned))
+            if idx in sign:
+                raise PreconditionError(f"repeated index {idx} in sign pattern")
+            sign[idx] = s
+        object.__setattr__(self, "signs", tuple(sorted(sign.items())))
+        object.__setattr__(self, "_sign", sign)
 
     @classmethod
     def from_mapping(cls, mapping) -> "SignPattern":
         return cls(tuple(mapping.items()))
 
     def sign_for(self, idx: HaarIndex) -> int:
-        for i, s in self.signs:
-            if i == idx:
-                return s
-        raise PreconditionError(f"sign pattern does not cover index {idx}")
+        if idx not in self._sign:
+            raise PreconditionError(f"sign pattern does not cover index {idx}")
+        return self._sign[idx]
 
 
 def build_expansion_fn(exp: HaarExpansion, p: float) -> PiecewiseFn:
@@ -498,11 +499,10 @@ def prop43_check(
     ids = list(labels) if labels is not None else [f"test-{i}" for i in range(len(tests))]
     if len(ids) != len(tests):
         raise PreconditionError("labels must match tests one to one")
-    indices = haar_indices_below(cutoff)
     bessel_e = q if p <= 2 else 2.0
     dual_e = 2.0 if p <= 2 else q
     rows = []
-    pairings = haar_pairings(tests, indices, p)  # one test per next(), once it is checked
+    pairings = haar_pairings(tests, cutoff, p)  # one test per next(), once it is checked
     for tid, test in zip(ids, tests):
         if test.is_zero:
             raise PreconditionError(f"zero test function {tid!r}")
@@ -511,7 +511,7 @@ def prop43_check(
         sb = test.support_box
         if sb.lower[0] < 0.0 or sb.upper[0] > 1.0:
             raise PreconditionError(f"test {tid!r} must be supported in [0, 1)")
-        mags = [abs(v) for v in next(pairings)]
+        mags = [abs(v) for v in next(pairings).values()]
         qn = lp_norm(test, q)
         bsum = sum(v**bessel_e for v in mags)
         dsum = sum(v**dual_e for v in mags)

@@ -275,8 +275,9 @@ def ingest_function(source, inputs: Optional[Inputs] = None) -> PiecewiseFn:
         try:
             return PiecewiseFn(tuple(raw), dim)
         except PreconditionError:
+            fn = canonicalize(raw, dim)  # refuses what is not an overlap, as PiecewiseFn does
             warnings.warn("overlapping pieces in function spec; canonicalizing")
-            return canonicalize(raw, dim)
+            return fn
     raise InputError(f"unknown function spec kind {kind!r}")
 
 

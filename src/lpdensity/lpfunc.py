@@ -97,6 +97,14 @@ class Box:
         return all(a <= v < b for a, v, b in zip(self.lower, c, self.upper))
 
 
+def _value(v) -> complex:
+    """v as a complex piece value, refused unless both parts are finite."""
+    v = complex(v)
+    if not cmath.isfinite(v):
+        raise PreconditionError(f"piece values must be finite, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class PiecewiseFn:
     """Complex step function: finitely many disjoint boxes with constant values.
@@ -114,7 +122,7 @@ class PiecewiseFn:
         for box, v in self.pieces:
             if not isinstance(box, Box):
                 box = Box(*box)
-            v = complex(v)
+            v = _value(v)
             if box.dim != self.dimension:
                 raise DimensionMismatchError(
                     f"piece dimension {box.dim} does not match function dimension {self.dimension}"
@@ -489,6 +497,8 @@ def pair_modulated(f: PiecewiseFn, freq) -> complex:
     available.
     """
     b = _coords(freq, f.dimension)
+    if not all(map(math.isfinite, b)):
+        raise PreconditionError(f"frequency must be finite, got {b}")
     acc = 0j
     for box, v in f.pieces:
         factor = 1 + 0j
@@ -497,7 +507,12 @@ def pair_modulated(f: PiecewiseFn, freq) -> complex:
                 factor *= up - lo
             else:
                 tau = -2j * math.pi * bj
-                factor *= (cmath.exp(tau * up) - cmath.exp(tau * lo)) / tau
+                at_up, at_lo = tau * up, tau * lo
+                if not (cmath.isfinite(at_up) and cmath.isfinite(at_lo)):
+                    raise PreconditionError(
+                        f"the phase -2 pi i b x overflows at frequency {bj} on [{lo}, {up})"
+                    )
+                factor *= (cmath.exp(at_up) - cmath.exp(at_lo)) / tau
         acc += v * factor
     return acc
 
@@ -529,7 +544,7 @@ def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
         dimension = pieces.dimension
         raw = list(pieces.pieces)
     else:
-        raw = [(box if isinstance(box, Box) else Box(*box), complex(v)) for box, v in pieces]
+        raw = [(box if isinstance(box, Box) else Box(*box), _value(v)) for box, v in pieces]
     if not raw:
         if dimension is None:
             raise PreconditionError("empty piece list needs an explicit dimension")

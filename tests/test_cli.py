@@ -1,5 +1,6 @@
 """Experiment runner: spec dispatch, file formats, exit codes, determinism."""
 
+import cmath
 import csv
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 from lpdensity import PointSet, indicator_interval, make_lattice
 from lpdensity import cli
 from lpdensity.cli import main
+from lpdensity.lpfunc import pair_modulated
 from lpdensity.io import (
     emit_json,
     function_spec,
@@ -797,6 +799,40 @@ def test_ingested_field_that_is_no_number_exits_2(tmp_path, capsys, payload, key
 
 def _bessel(system, tests=(UNIT_SPEC,)):
     return {"command": "bessel", "system": system, "tests": tests, "p_prime": 2.0}
+
+
+_INF_GENERATOR = {"f": {**UNIT_SPEC, "value": "inf"}, "gamma": LATTICE_1D}
+_INF_PIECES = {**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "re": "1e400"}]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_pair({**UNIT_SPEC, "value": math.nan}), "piece values must be finite"),
+        (_pair(_INF_PIECES), "piece values must be finite"),
+        (_bessel({**SYSTEM, "generators": [_INF_GENERATOR]}), "piece values must be finite"),
+        ({"command": "pair", "h": UNIT_SPEC, "freq": [math.nan]}, "frequency must be finite"),
+        ({"command": "pair", "h": UNIT_SPEC, "freq": [math.inf]}, "frequency must be finite"),
+        ({"command": "pair", "h": UNIT_SPEC, "freq": [1e308]}, "phase"),
+    ],
+)
+def test_non_finite_values_and_frequencies_exit_3(tmp_path, capsys, payload, message):
+    # each of these used to write a NaN value with exit code 0; json writes
+    # nan and inf as NaN and Infinity, and "1e400" becomes a bare 1e400
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload).replace('"1e400"', "1e400"))
+    code = main(["run", "--spec", str(spec), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    assert code == 3 and message in err and "\n" not in err and "Traceback" not in err
+
+
+def test_finite_frequencies_keep_their_bits():
+    piece = {"lower": [-0.5], "upper": [0.75], "re": 2.0, "im": -1.0}
+    h = ingest_function({"dimension": 1, "pieces": [piece]})
+    for b in (1.0, 3e-7, 1e300, -2.5e10):
+        tau = -2j * math.pi * b
+        want = complex(2.0, -1.0) * ((cmath.exp(tau * 0.75) - cmath.exp(tau * -0.5)) / tau)
+        assert pair_modulated(h, [b]) == want
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -258,6 +259,14 @@ def test_sign_pattern_must_cover_support():
         e.signed(pat)
 
 
+def test_sign_pattern_refuses_a_repeated_index():
+    with pytest.raises(PreconditionError, match="repeated index"):
+        SignPattern(((HaarIndex(1, 0), 1), (HaarIndex(0, 0), -1), (HaarIndex(1, 0), -1)))
+    pat = SignPattern(((HaarIndex(1, 0), 1), (HaarIndex(0, 0), -1)))
+    assert pat.signs == ((HaarIndex(0, 0), -1), (HaarIndex(1, 0), 1))
+    assert [pat.sign_for(HaarIndex(j, 0)) for j in (0, 1)] == [-1, 1]
+
+
 # ---------------------------------------------------------------------------
 # coefficient sandwich
 
@@ -394,12 +403,12 @@ _part = st.one_of(
 
 
 @st.composite
-def _step_fn(draw):
+def _step_fn(draw, part=_part):
     """A 1-d step function whose pieces run between sorted drawn endpoints,
     with some runs left out as gaps."""
     ends = sorted(set(draw(st.lists(_endpoint, min_size=2, max_size=9))))
     pieces = [
-        (Box((a,), (b,)), complex(draw(_part), draw(_part)))
+        (Box((a,), (b,)), complex(draw(part), draw(part)))
         for a, b in zip(ends, ends[1:])
         if draw(st.booleans())
     ]
@@ -422,9 +431,32 @@ def test_haar_pairings_match_scalar_pair(p, cutoff, duals, h):
     if isinstance(h, HaarIndex):
         h = dual_fn(h, p)
     want = [pair(h, f) for f in fns]
-    (got,) = haar_pairings([h], indices, conjugate_exponent(p) if duals else p)
+    (row,) = haar_pairings([h], cutoff, conjugate_exponent(p) if duals else p)
+    got = dense(row, cutoff)
     assert [bits(z) for z in got] == [bits(z) for z in want]
     assert [abs_bits(z) for z in got] == [abs_bits(z) for z in want]
+
+
+def dense(row: dict, cutoff: int) -> list:
+    """A haar_pairings row over every index below cutoff, 0j where left out."""
+    return [row.get(i, 0j) for i in haar_indices_below(cutoff)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cutoff=st.integers(0, 9), h=_step_fn(part=st.floats(-4.0, 4.0)))
+def test_haar_pairings_rows_hold_the_constant_and_the_split_supports(cutoff, h):
+    (row,) = haar_pairings([h], cutoff, 2.0)
+    ends = [e for box, _ in h.pieces for e in (box.lower[0], box.upper[0])]
+    split = [
+        i
+        for i in haar_indices_below(cutoff)[1:]
+        if any(i.offset < e * 2**i.level < i.offset + 1 for e in ends)
+    ]
+    assert list(row) == [HaarIndex.constant()] + split
+    assert all(type(i) is HaarIndex for i in row)
+    # 1/4 splits the supports of levels 0 and 1, 5/8 those of levels 0..2
+    (row,) = haar_pairings([indicator_interval(0.25, 0.625)], 8, 3.0)
+    assert list(row) == [(-1, 0), (0, 0), (1, 0), (1, 1), (2, 2)]
 
 
 def test_haar_pairings_skip_disjoint_and_covering_supports():
@@ -432,35 +464,47 @@ def test_haar_pairings_skip_disjoint_and_covering_supports():
     fns = [haar_fn(i, 3.0) for i in indices]
     duals = [dual_fn(i, 3.0) for i in indices]
     with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
-        rows = list(haar_pairings(duals, indices, 3.0))
+        rows = [dense(row, 7) for row in haar_pairings(duals, 7, 3.0)]
     assert rows == [[pair(h, f) for f in fns] for h in duals]
     assert rows == [[complex(a == b) for b in range(128)] for a in range(128)]
     # the constant index, plus each support that a dual's lo, mid or hi cuts
     assert spy.call_count == 897
     # a piece covering every support leaves only the constant index
     with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
-        (row,) = haar_pairings([indicator_interval(-1.0, 2.0, 2.0)], indices, 3.0)
-    assert spy.call_count == 1 and row == [2.0] + [0j] * 127
+        (row,) = haar_pairings([indicator_interval(-1.0, 2.0, 2.0)], 7, 3.0)
+    assert spy.call_count == 1 and row == {HaarIndex.constant(): 2.0}
+    assert dense(row, 7) == [2.0] + [0j] * 127
 
 
 def test_haar_pairings_build_only_the_functions_they_pair():
     indices = haar_indices_below(7)
     duals = [dual_fn(i, 3.0) for i in indices]
     with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
-        rows = list(haar_pairings(duals, indices, 3.0))
+        rows = list(haar_pairings(duals, 7, 3.0))
     assert len(rows) == 128 and spy.call_count <= 128
     assert len({c.args for c in spy.call_args_list}) == spy.call_count  # once per index
     # a piece covering [0, 1) pairs only the constant; the deepest level
     # gives the overflow bound
     with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
-        (row,) = haar_pairings([indicator_interval(0.0, 1.0, 2.0)], indices, 3.0)
-    assert row == [2.0] + [0j] * 127
+        (row,) = haar_pairings([indicator_interval(0.0, 1.0, 2.0)], 7, 3.0)
+    assert dense(row, 7) == [2.0] + [0j] * 127
     assert sorted(c.args[0] for c in spy.call_args_list) == [(-1, 0), (6, 63)]
     # prop43_check at cutoff 20, not 2^20 functions: the constant, the four
     # supports 1/4 or 5/8 splits, the deepest index and a dual per level -1..19
     with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
         prop43_check(3.0, 20, [indicator_interval(0.25, 0.625, 1.0)])
     assert spy.call_count == 1 + 4 + 1 + 21
+
+
+def test_prop43_at_the_budget_holds_nothing_of_size_2_to_the_cutoff():
+    # a dense row of 2^20 pairings and its magnitudes peaked at 222 MB
+    tracemalloc.start()
+    try:
+        prop43_check(3.0, 20, [indicator_interval(0.25, 0.625, 1.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,15 +525,20 @@ def test_haar_pairings_overflow_dimension_and_deep_levels():
     # v * sqrt(2) overflows from level 1 on: pair sums inf and -inf to nan
     # on supports it covers, which a skip would leave at 0j
     big = indicator_interval(0.0, 1.0, 1.7e308)
-    (row,) = haar_pairings([big], indices, 2.0)
-    assert [bits(z) for z in row] == [bits(pair(big, f)) for f in fns]
-    assert all(z != z for z in row[2:])
+    (row,) = haar_pairings([big], 3, 2.0)
+    assert list(row) == indices
+    assert [bits(z) for z in dense(row, 3)] == [bits(pair(big, f)) for f in fns]
+    assert all(z != z for z in dense(row, 3)[2:])
     with pytest.raises(DimensionMismatchError):
-        next(haar_pairings([PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)], indices, 2.0))
-    # levels past the double range of 2^j: the supports are found in integers
-    deep = [HaarIndex.constant(), HaarIndex(1030, 0), HaarIndex(1030, 1), HaarIndex(1030, 2)]
-    fns = [haar_fn(i, 2.0) for i in deep]
-    h = PiecewiseFn(((Box((0.0,), (1.5 * 2.0**-1030,)), 1.0 + 2j), (Box((0.5,), (1.0,)), -1.0)), 1)
-    (row,) = haar_pairings([h], deep, 2.0)
-    assert [bits(z) for z in row] == [bits(pair(h, f)) for f in fns]
-    assert row[2] != 0 and row[1] == row[3] == 0
+        next(haar_pairings([PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)], 3, 2.0))
+    # the deepest level the budget admits: 1.5 2^-19 splits (19, 1) and no
+    # other support of level 19; the supports are found in integers
+    h = PiecewiseFn(((Box((0.0,), (1.5 * 2.0**-19,)), 1.0 + 2j), (Box((0.5,), (1.0,)), -1.0)), 1)
+    (row,) = haar_pairings([h], 20, 2.0)
+    assert [i for i in row if i.level == 19] == [(19, 1)]
+    assert [bits(z) for z in row.values()] == [bits(pair(h, haar_fn(i, 2.0))) for i in row]
+    assert row[19, 1] != 0
+    assert all(pair(h, haar_fn(HaarIndex(19, k), 2.0)) == 0 for k in (0, 2, 3, 2**19 - 1))
+    for cutoff in (-1, 21):
+        with pytest.raises(PreconditionError, match="cutoff"):
+            next(haar_pairings([h], cutoff, 2.0))
