@@ -217,8 +217,8 @@ def _cmd_haar_check(spec, ctx):
         max_offdiag = max([max_offdiag] + [abs(v) for b, v in row.items() if b != a])
     tests = [_random_test_fn(rng) for _ in range(num_tests)]
     p43 = prop43_check(p, cutoff, tests)
-    batch = [_random_expansion(rng, terms) for _ in range(batch_size)]
-    held = [_random_expansion(rng, terms) for _ in range(batch_size)]
+    batch = _random_expansions(rng, terms, batch_size)
+    held = _random_expansions(rng, terms, batch_size)
     fit = coefficient_sandwich_check(batch, p)
     held_fit = coefficient_sandwich_check(held, p)
     violations = count_sandwich_violations(
@@ -291,18 +291,37 @@ def _random_test_fn(rng) -> PiecewiseFn:
 
 
 # random expansions draw their indices from levels 0.._LEVELS - 1, which hold
-# _MAX_TERMS distinct indices
+# _MAX_TERMS distinct indices; _HAAR_TABLE[2^j - 1 + k] is HaarIndex(j, k)
 _LEVELS = 6
 _MAX_TERMS = 2**_LEVELS - 1
+_HAAR_TABLE = tuple(HaarIndex(j, k) for j in range(_LEVELS) for k in range(2**j))
 
 
-def _random_expansion(rng, terms: int) -> HaarExpansion:
-    coeffs = {}
-    while len(coeffs) < terms:
-        level = int(rng.integers(0, _LEVELS))
-        offset = int(rng.integers(0, 2**level))
-        coeffs[HaarIndex(level, offset)] = complex(rng.normal(), rng.normal())
-    return HaarExpansion.from_mapping(coeffs)
+def _random_expansions(rng, terms: int, count: int) -> list:
+    """count expansions of terms distinct indices each.
+
+    Each draw is a uniform level below _LEVELS, a uniform offset within it and
+    a standard normal real and imaginary part.  An expansion keeps the first
+    terms distinct indices in draw order, a repeated index taking the
+    coefficient drawn last.  Draws come in blocks, one row of 2 terms draws
+    per expansion; an expansion still short after its row carries on into the
+    next block, which holds rows for the short expansions only.
+    """
+    rows = [{} for _ in range(count)]
+    short = list(range(count))
+    while short:
+        levels = rng.integers(0, _LEVELS, size=(len(short), 2 * terms))
+        offsets = rng.integers(0, 1 << levels)
+        coeffs = rng.normal(size=(len(short), 2 * terms, 2)).view(np.complex128)[..., 0]
+        keys = (1 << levels) - 1 + offsets
+        for r, row_keys, row_coeffs in zip(short, keys.tolist(), coeffs.tolist()):
+            row = rows[r]
+            for key, c in zip(row_keys, row_coeffs):
+                row[_HAAR_TABLE[key]] = c
+                if len(row) == terms:
+                    break
+        short = [r for r in short if len(rows[r]) < terms]
+    return [HaarExpansion.from_mapping(row) for row in rows]
 
 
 COMMANDS = {

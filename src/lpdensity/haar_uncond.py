@@ -19,6 +19,7 @@ from .errors import DimensionMismatchError, PreconditionError
 from .lpfunc import (
     Box,
     PiecewiseFn,
+    _value,
     canonicalize,
     conjugate_exponent,
     lp_norm,
@@ -152,7 +153,8 @@ def haar_pairings(hs: Iterable, cutoff: int, p: float):
 
 @dataclass(frozen=True)
 class HaarExpansion:
-    """Finite complex coefficient map over Haar indices; zeros are dropped."""
+    """Finite complex coefficient map over Haar indices; zeros are dropped and
+    a coefficient that is not finite is refused."""
 
     terms: tuple  # ((HaarIndex, complex), ...) sorted by index
 
@@ -165,7 +167,7 @@ class HaarExpansion:
             if idx in seen:
                 raise PreconditionError(f"repeated index {idx} in expansion")
             seen.add(idx)
-            c = complex(c)
+            c = _value(c)
             if c != 0:
                 cleaned.append((idx, c))
         cleaned.sort(key=lambda t: t[0])

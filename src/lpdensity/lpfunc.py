@@ -518,10 +518,11 @@ def pair_modulated(f: PiecewiseFn, freq) -> complex:
 
 
 def scale(f: PiecewiseFn, c: complex) -> PiecewiseFn:
+    """c f, refused where a product is not finite."""
     c = complex(c)
     if c == 0:
         return zero_fn(f.dimension)
-    return _build(tuple((box, v * c) for box, v in f.pieces), f.dimension)
+    return _build(tuple((box, _value(v * c)) for box, v in f.pieces), f.dimension)
 
 
 def normalize(f: PiecewiseFn, p: float) -> PiecewiseFn:

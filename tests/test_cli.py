@@ -10,8 +10,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpdensity import PointSet, indicator_interval, make_lattice
+from lpdensity import HaarExpansion, HaarIndex, PointSet, indicator_interval, make_lattice
 from lpdensity import cli
 from lpdensity.cli import main
 from lpdensity.lpfunc import pair_modulated
@@ -706,7 +708,7 @@ def test_burkholder_verdict_reads_both_batches_and_the_estimate(
     assert report["outputs"]["burkholder"]["rows_outside"] == (effect == "held row")
 
 
-@pytest.mark.parametrize("seed", [191451571, 1072204709])
+@pytest.mark.parametrize("seed", [1443871097, 1691932228])
 def test_haar_check_passes_where_fitted_constants_failed(tmp_path, capsys, seed):
     # these seeds drew held-out rows above 1.1x the constants fitted on the
     # first batch; Burkholder's beta = 2 bounds both batches
@@ -717,6 +719,88 @@ def test_haar_check_passes_where_fitted_constants_failed(tmp_path, capsys, seed)
     assert report["verdicts"] == {"biorthogonal_offdiag_zero": True, "burkholder_bounds_hold": True}
     assert report["outputs"]["sandwich_fit"]["held_out_violations"] > 0
     assert report["outputs"]["burkholder"]["beta"] == 2.0
+
+
+class _GivenDraws:
+    """An rng that returns the given (levels, offsets, normals) blocks in
+    turn, checking that each call asks for the shape the block has."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self.levels = None
+
+    def integers(self, low, high, size=None):
+        assert low == 0
+        if self.levels is None:
+            self.levels, self.offsets, self.normals = map(np.array, self.blocks.pop(0))
+            assert high == cli._LEVELS and size == self.levels.shape
+            return self.levels
+        assert size is None and np.array_equal(high, 1 << self.levels)
+        self.levels = None
+        return self.offsets
+
+    def normal(self, size):
+        assert size == self.normals.shape
+        return self.normals
+
+
+def _expansion_term_by_term(draws, terms):
+    """The per-term loop: draw (level, offset, re, im) until terms distinct
+    indices are held, a repeated index taking the coefficient drawn last."""
+    coeffs = {}
+    for level, offset, re, im in draws:
+        coeffs[HaarIndex(level, offset)] = complex(re, im)
+        if len(coeffs) == terms:
+            break
+    return HaarExpansion.from_mapping(coeffs)
+
+
+def test_random_expansions_follow_the_term_by_term_loop():
+    terms = 3  # blocks of 6 draws per row
+    first = [
+        [(0, 0), (1, 1), (0, 0), (2, 3), (1, 0), (1, 1)],  # repeat, then full at the 4th draw
+        [(0, 0)] * 6,  # one index: carries on into the second block
+        [(2, 0), (2, 1), (2, 2), (2, 3), (0, 0), (0, 0)],
+        [(1, 0), (1, 1), (1, 0), (1, 1), (1, 0), (1, 1)],  # two indices: carries on
+    ]
+    second = [
+        [(0, 0), (1, 0), (1, 0), (5, 31), (4, 9), (3, 2)],
+        [(1, 1), (5, 0), (5, 0), (5, 1), (3, 7), (3, 7)],
+    ]
+    blocks, draws = [], [[] for _ in first]
+    for rows, owners in ((first, [0, 1, 2, 3]), (second, [1, 3])):
+        keys = np.array(rows)
+        normals = np.arange(keys[..., 0].size * 2, dtype=float).reshape(*keys.shape[:2], 2)
+        normals += 1000 * len(blocks) + 0.5
+        blocks.append((keys[..., 0], keys[..., 1], normals))
+        for r, row_keys, row_normals in zip(owners, rows, normals.tolist()):
+            draws[r] += [(*key, *n) for key, n in zip(row_keys, row_normals)]
+    rng = _GivenDraws(blocks)
+    got = cli._random_expansions(rng, terms, len(first))
+    assert rng.blocks == [] and rng.levels is None
+    assert got == [_expansion_term_by_term(row, terms) for row in draws]
+    assert [e.support for e in got] == [
+        ((0, 0), (1, 1), (2, 3)),
+        ((0, 0), (1, 0), (5, 31)),
+        ((2, 0), (2, 1), (2, 2)),
+        ((1, 0), (1, 1), (5, 0)),
+    ]
+    assert dict(got[0].terms)[HaarIndex(0, 0)] == complex(*draws[0][2][2:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    terms=st.integers(1, cli._MAX_TERMS),
+    count=st.integers(0, 12),
+)
+def test_random_expansions_hold_terms_distinct_indices(seed, terms, count):
+    got = cli._random_expansions(np.random.default_rng(seed), terms, count)
+    assert len(got) == count
+    for e in got:
+        assert len(e) == len(set(e.support)) == terms
+        assert all(0 <= i.level < cli._LEVELS and 0 <= i.offset < 2**i.level for i in e.support)
+    assert cli._random_expansions(np.random.default_rng(seed), terms, count) == got
 
 
 CUBE_FN = {"kind": "indicator", "cube": {"center": [0.0], "side": 1.0}}

@@ -267,6 +267,14 @@ def test_sign_pattern_refuses_a_repeated_index():
     assert [pat.sign_for(HaarIndex(j, 0)) for j in (0, 1)] == [-1, 1]
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)])
+def test_expansion_refuses_a_coefficient_that_is_not_finite(c):
+    with pytest.raises(PreconditionError, match="must be finite"):
+        HaarExpansion(((HaarIndex(0, 0), 1.0), (HaarIndex(1, 0), c)))
+    with pytest.raises(PreconditionError, match="must be finite"):
+        HaarExpansion.from_mapping({HaarIndex(0, 0): c})
+
+
 # ---------------------------------------------------------------------------
 # coefficient sandwich
 

@@ -128,6 +128,14 @@ def test_zero_pieces_dropped():
     assert len(f.pieces) == 1
 
 
+def test_scale_refuses_a_product_that_is_not_finite():
+    f = indicator_interval(0.0, 1.0, 1e308)
+    for c in (10.0, 1e308j, math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="must be finite"):
+            scale(f, c)
+    assert scale(f, 0.5).pieces == ((Box((0.0,), (1.0,)), 5e307 + 0j),)
+
+
 def test_exponent_pair():
     e = ExponentPair(1.5)
     assert e.q == pytest.approx(3.0)

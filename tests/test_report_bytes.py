@@ -154,11 +154,11 @@ PINNED = {
     ),
     "haar-check-p3": (
         0,
-        {"haar_check_report.json": "cfcd5837d26415fe700746b51b44b4e55faac1ef613901a6ce5f529e4fe7fed1"},
+        {"haar_check_report.json": "7a66b9c479ecfc761b987da245d7962e33fc30343cbf6aaf9d9a0e4dc4bc442a"},
     ),
     "haar-check-p1.5": (
         0,
-        {"haar_check_report.json": "0fbd076474b4ce000f5711d7bd127921caca43822c8a8bf323e4fb2821d3a890"},
+        {"haar_check_report.json": "73b0d6875df638f2731f1cfbcc6ca6f699db8941fddf878336ac6627f31663e5"},
     ),
     "blowup-witness": (
         0,
