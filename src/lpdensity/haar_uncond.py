@@ -19,6 +19,7 @@ from .errors import DimensionMismatchError, PreconditionError
 from .lpfunc import (
     Box,
     PiecewiseFn,
+    _finite_power_sum,
     _value,
     canonicalize,
     conjugate_exponent,
@@ -281,15 +282,21 @@ def expansion_norms(batch: Sequence[HaarExpansion], p: float) -> list:
     batch = list(batch)
     widths, coeffs, values = _cut_grid(batch, p)
     cells = np.zeros(widths.shape, dtype=complex)
-    for c, s in zip(coeffs.T, values):
-        # s * c casts s to s + 0j: the operands CPython's complex(s) * c has
-        cells = np.where(s != 0.0, cells + s * c[:, None], cells)
+    # a cell past the double range is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, s in zip(coeffs.T, values):
+            # s * c casts s to s + 0j: the operands CPython's complex(s) * c has
+            cells = np.where(s != 0.0, cells + s * c[:, None], cells)
     norms = []
     for row, row_w in zip(cells.tolist(), widths.tolist()):
         total = 0.0
         for z, w in zip(row, row_w):
             if w > 0.0 and z:
-                total += abs(z) ** p * w
+                try:
+                    total += abs(z) ** p * w
+                except OverflowError:
+                    total = math.inf
+        total = _finite_power_sum(total, f"the Lp norm of an expansion at p = {p}")
         norms.append(total ** (1.0 / p))
     return norms
 
@@ -338,14 +345,20 @@ def unconditional_constant_estimate(
         widths, coeffs, values = _cut_grid([exp], p)
         m = np.concatenate(list(values))  # (terms, cells)
         a = coeffs[0]
-        base = float(((np.abs(a @ m) ** p) * widths[0]).sum() ** (1.0 / p))
         if n <= 12:
             # row r's signs are the bits of r < 2^(n-1): the first is always +1
             bits = np.arange(rows)[:, None] >> np.arange(n - 1, -1, -1)
             patterns = 1.0 - 2.0 * (bits & 1)
         else:
             patterns = rng.choice((1.0, -1.0), size=(rows, n))
-        norms = ((np.abs((patterns * a) @ m) ** p) * widths[0]).sum(axis=1) ** (1.0 / p)
+        # a norm past the double range would make the ratios inf / inf = nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = float(((np.abs(a @ m) ** p) * widths[0]).sum() ** (1.0 / p))
+            norms = ((np.abs((patterns * a) @ m) ** p) * widths[0]).sum(axis=1) ** (1.0 / p)
+        if not (math.isfinite(base) and np.isfinite(norms).all()):
+            raise PreconditionError(
+                f"the Lp norm of a sign-flipped expansion at p = {p} overflows double precision"
+            )
         best = max(best, float(norms.max()) / base)
     return best
 

@@ -232,13 +232,27 @@ def translate(f: PiecewiseFn, gamma) -> PiecewiseFn:
 
 def lp_norm_pow(f: PiecewiseFn, p: float) -> float:
     """sum |v|^p vol over the pieces: the p-th power of the Lp norm, computed
-    without the root/power round trip (keeps dyadic masses exact)."""
+    without the root/power round trip (keeps dyadic masses exact).  A sum
+    past the double range is refused."""
     p = float(p)
     if not (math.isfinite(p) and p >= 1):
         raise PreconditionError(f"lp norms need p >= 1, got {p}")
     total = 0.0
-    for box, v in f.pieces:
-        total += abs(v) ** p * box.volume
+    try:
+        for box, v in f.pieces:
+            total += abs(v) ** p * box.volume
+    except OverflowError:
+        total = math.inf
+    return _finite_power_sum(total, f"the Lp norm of a step function at p = {p}")
+
+
+def _finite_power_sum(total: float, what: str) -> float:
+    """total, refused unless finite.  A sum of p-th powers of finite values
+    that is not finite has overflowed: callers read a Python ** that raised
+    OverflowError as inf, and + or * round past the range to inf (and
+    inf - inf to nan)."""
+    if not math.isfinite(total):
+        raise PreconditionError(f"{what} overflows double precision")
     return total
 
 
@@ -342,16 +356,37 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     out in that order with zero padding (adding +0.0 to a sum that started at
     0j changes nothing) and added one column at a time, never by a pairwise
     reduction.  Shifts and candidates go through tiles of at most _TILE
-    entries, so scratch memory does not grow with n, and grows with the
+    entries, so scratch memory does not grow with n or m, and grows with the
     piece counts only through one index per candidate column.  Up to
-    _DENSE_PAIRS piece pairs, every f shift of a tile is broadcast against
-    its rows at once; past it, each f shift is pruned on its own.
+    _DENSE_PAIRS piece pairs, a run of f shifts is broadcast against a tile
+    of rows at once; past it, each f shift is pruned on its own.  The matrix
+    is filled from the blocks of _pairing_blocks.
 
     As in translate, a shift that collapses a piece of h, or an f shift that
     collapses a piece of f, or one that leaves a corner not finite, raises
     PreconditionError.  A shift under which rounding ties two pieces of h (or
     of f) on the coordinate that orders them would make translate re-sort
     that function; such rows (or f shifts) fall back to the scalar pair.
+    """
+    shape, blocks = _pairing_blocks(h, f, shifts, f_shifts, _TILE)
+    result = np.zeros(shape, dtype=complex)
+    for cols, rows, values in blocks:
+        result[cols, rows] = values
+    return result if f_shifts is not None else result[0]
+
+
+def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int):
+    """Set up the pairings of cross_pairings(h, f, shifts, f_shifts) once.
+
+    Returns the matrix's shape (m, n), m = 1 without f_shifts, and an
+    iterator of blocks (cols, rows, values): slices of the f shifts and of
+    the rows, and the complex matrix[cols, rows], bit for bit.  Entries in
+    no block are 0j.  The set-up parses the shifts, raises the refusals of
+    cross_pairings, and finds the tied rows and tied f shifts, translating
+    the corners in tiles of at most _TILE.  Each block pairs a tile of rows
+    with a run of max(1, terms // (rows x piece pairs)) f shifts, whose
+    corners are translated for that block alone, so a block holds at most
+    `terms` terms, or one f shift's when they are more.
     """
     if h.dimension != f.dimension:
         raise DimensionMismatchError(
@@ -360,70 +395,88 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     d = h.dimension
     s = _shift_rows(shifts, d, "shifts")
     t = np.zeros((1, d)) if f_shifts is None else _shift_rows(f_shifts, d, "f_shifts")
-    out = np.zeros((2, len(t), len(s)))
     # translate refuses these shifts, even where no term is left to compute
-    if f.pieces:
-        fp = f._arrays
-        # f's corners translated as translate computes them: (d, P_f, m)
-        f_lower = fp.lower[:, :, None] + t.T[:, None, :]
-        f_upper = fp.upper[:, :, None] + t.T[:, None, :]
-        if _refused(f_lower, f_upper):
-            raise PreconditionError("an f shift is not finite or collapses a piece of f")
-    if h.pieces:
-        hp = h._arrays
+    tied_cols = _tied_copies(f, t, "an f shift is not finite or collapses a piece of f")
+    tied_rows = _tied_copies(h, s, "a shift is not finite or collapses a piece of h")
 
-        def f_at(c):
-            return f if f_shifts is None else translate(f, t[c])
+    def f_at(c):
+        return f if f_shifts is None else translate(f, t[c])
 
+    def blocks():
+        if not (h.pieces and f.pieces):
+            return
+        hp, fp = h._arrays, f._arrays
         n_pairs = len(h.pieces) * len(f.pieces)
         dense = n_pairs <= _DENSE_PAIRS
-        rows = max(1, _TILE // max(n_pairs if dense else 0, len(h.pieces)))
-        for r0 in range(0, len(s), rows):
-            block = s[r0 : r0 + rows].T
-            # h's corners translated as translate computes them: (d, P_h, rows)
-            lower = hp.lower[:, :, None] + block[:, None, :]
-            upper = hp.upper[:, :, None] + block[:, None, :]
-            if _refused(lower, upper):
-                raise PreconditionError("a shift is not finite or collapses a piece of h")
-            if not (len(t) and f.pieces):
-                continue
-            n = block.shape[1]
-            if dense:
-                # (f shift, row) pairs flatten into the kernel's row axis
-                step = max(1, rows // n)
-                for c0 in range(0, len(t), step):
-                    fl = f_lower[:, None, :, c0 : c0 + step, None]
-                    out[:, c0 : c0 + step, r0 : r0 + rows] = _add_terms(
-                        np.zeros((2, fl.shape[3] * n)),
+        tile = max(1, _TILE // max(n_pairs if dense else 0, len(h.pieces)))
+        for r0 in range(0, len(s), tile):
+            # h's corners translated as translate computes them: (d, P_h, n)
+            lower, upper = _moved(hp, s[r0 : r0 + tile])
+            n = lower.shape[2]
+            # rows and f shifts that translate would re-sort take the scalar pair
+            tied = tied_rows[bisect_left(tied_rows, r0) : bisect_left(tied_rows, r0 + n)]
+            moved_h = [(r - r0, translate(h, s[r])) for r in tied]
+            run = max(1, terms // (n * n_pairs))
+            for c0 in range(0, len(t), run):
+                f_lower, f_upper = _moved(fp, t[c0 : c0 + run])
+                k = f_lower.shape[2]
+                if dense:
+                    # (f shift, row) pairs flatten into the kernel's row axis
+                    out = _add_terms(
+                        np.zeros((2, k * n)),
                         lower[:, :, None, None],
                         upper[:, :, None, None],
                         hp.values[:, :, None, None, None],
-                        fl,
-                        f_upper[:, None, :, c0 : c0 + step, None],
+                        f_lower[:, None, :, :, None],
+                        f_upper[:, None, :, :, None],
                         fp.values[:, None, :, None, None],
-                    ).reshape(2, -1, n)
-            else:
-                for c in range(len(t)):
-                    moved = fp._replace(
-                        lower=f_lower[:, :, c],
-                        upper=f_upper[:, :, c],
-                        upper0_max=fp.upper0_max + t[c, 0],
-                    )
-                    out[:, c, r0 : r0 + rows] = _pruned_sums(lower, upper, hp.values, moved)
-            # rows and f shifts that translate would re-sort take the scalar pair
-            for r in _tied(lower, hp.order):
-                th = translate(h, block[:, r])
-                for c in range(len(t)):
-                    v = pair(th, f_at(c))
-                    out[:, c, r0 + r] = v.real, v.imag
-        for c in _tied(f_lower, fp.order) if f.pieces else ():
-            tf = f_at(c)
-            for r, row in enumerate(s):
-                v = pair(translate(h, row), tf)
-                out[:, c, r] = v.real, v.imag
-    result = np.empty(out.shape[1:], dtype=complex)
-    result.real, result.imag = out
-    return result if f_shifts is not None else result[0]
+                    ).reshape(2, k, n)
+                else:
+                    out = np.empty((2, k, n))
+                    for c in range(k):
+                        moved = fp._replace(
+                            lower=f_lower[:, :, c],
+                            upper=f_upper[:, :, c],
+                            upper0_max=fp.upper0_max + t[c0 + c, 0],
+                        )
+                        out[:, c] = _pruned_sums(lower, upper, hp.values, moved)
+                values = np.empty((k, n), dtype=complex)
+                values.real, values.imag = out
+                for r, th in moved_h:
+                    for c in range(k):
+                        values[c, r] = pair(th, f_at(c0 + c))
+                for c in tied_cols[bisect_left(tied_cols, c0) : bisect_left(tied_cols, c0 + k)]:
+                    tf = f_at(c)
+                    for r in range(n):
+                        values[c - c0, r] = pair(translate(h, s[r0 + r]), tf)
+                yield slice(c0, c0 + k), slice(r0, r0 + n), values
+
+    return (len(t), len(s)), blocks()
+
+
+def _moved(p: _Pieces, shifts: np.ndarray) -> tuple:
+    """p's corners translated by each of the k rows of shifts, as translate
+    computes them: two (d, P, k) arrays."""
+    off = shifts.T[:, None, :]
+    return p.lower[:, :, None] + off, p.upper[:, :, None] + off
+
+
+def _tied_copies(fn: PiecewiseFn, shifts: np.ndarray, refusal: str) -> list:
+    """The rows of shifts, in order, under which rounding ties two pieces of
+    fn as _tied finds them.  Raises PreconditionError(refusal) if a row moves
+    fn as translate refuses to; fn's corners are translated in tiles of at
+    most _TILE, and a function with no pieces moves anywhere."""
+    if not fn.pieces:
+        return []
+    p = fn._arrays
+    step = max(1, _TILE // len(fn.pieces))
+    tied = []
+    for k0 in range(0, len(shifts), step):
+        lower, upper = _moved(p, shifts[k0 : k0 + step])
+        if _refused(lower, upper):
+            raise PreconditionError(refusal)
+        tied += (k0 + _tied(lower, p.order)).tolist()
+    return tied
 
 
 def _refused(lower, upper) -> bool:

@@ -21,6 +21,8 @@ from .lpfunc import (
     Box,
     ExponentPair,
     PiecewiseFn,
+    _finite_power_sum,
+    _pairing_blocks,
     cross_pairings,
     indicator,
     lp_norm,
@@ -164,8 +166,11 @@ def _system_power_sum(sys: TranslateSystem, test: PiecewiseFn, exponent: float) 
         for site in _overlapping_sites(gen.gamma, gen.f.support_box, test.support_box):
             v = pair(test, translate(gen.f, site))
             if v != 0:
-                total += abs(v) ** exponent
-    return total
+                try:
+                    total += abs(v) ** exponent
+                except OverflowError:
+                    total = math.inf
+    return _finite_power_sum(total, f"the power sum at exponent {exponent}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +230,7 @@ _GRID_BATCH = 1024
 # window centres the witness tries from each family of candidates
 _MAX_CANDIDATES = 512
 
-# (centre, site, piece pair) terms one kernel call of the witness scores
+# (centre, site, piece pair) terms in one block of the witness's centre scan
 _TILE = 1 << 10
 
 
@@ -324,14 +329,13 @@ def blowup_witness(
             hi = mid - 1
     h = lo * step
 
-    sites = gamma.as_array
     centres = _window_center_candidates(gamma, h, _MAX_CANDIDATES)
-    # centres per kernel call: at most _TILE (centre, site, piece pair) terms
-    chunk = max(1, _TILE // (len(sites) * len(f.pieces) * len(f_dual.pieces)))
-    counts = np.empty(len(centres), dtype=int)
-    for c0 in range(0, len(centres), chunk):
-        values = cross_pairings(f, f_dual, sites, centres[c0 : c0 + chunk])
-        counts[c0 : c0 + chunk] = np.count_nonzero(_exceeds(values, epsilon), axis=1)
+    counts = np.zeros(len(centres), dtype=int)
+    # one set-up for every centre; each block of about _TILE terms is
+    # counted as it arrives
+    _, blocks = _pairing_blocks(f, f_dual, gamma.as_array, centres, _TILE)
+    for cols, _, values in blocks:
+        counts[cols] += np.count_nonzero(_exceeds(values, epsilon), axis=1)
     # the first centre with the largest count, as the scalar scan kept it
     best = int(np.argmax(counts))
     count = int(counts[best])

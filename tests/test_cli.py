@@ -910,6 +910,24 @@ def test_non_finite_values_and_frequencies_exit_3(tmp_path, capsys, payload, mes
     assert code == 3 and message in err and "\n" not in err and "Traceback" not in err
 
 
+_BIG_GENERATOR = {"f": {**UNIT_SPEC, "value": 1e200}, "gamma": LATTICE_1D}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**MASS, "generator": _BIG_GENERATOR, "p": 2.0},
+        _bessel({**SYSTEM, "generators": [{**_BIG_GENERATOR, "label": "Z"}]}),
+    ],
+    ids=["localized-mass", "bessel"],
+)
+def test_finite_values_whose_powers_overflow_exit_3(tmp_path, capsys, payload):
+    # 1e200 squared is past the double range: both ended in an OverflowError
+    # traceback, exit code 1
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and "overflows double precision" in err and "Traceback" not in err
+
+
 def test_finite_frequencies_keep_their_bits():
     piece = {"lower": [-0.5], "upper": [0.75], "re": 2.0, "im": -1.0}
     h = ingest_function({"dimension": 1, "pieces": [piece]})

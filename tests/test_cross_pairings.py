@@ -363,6 +363,74 @@ def test_memory_stays_bounded_on_large_functions():
 
 
 # ---------------------------------------------------------------------------
+# tied rows and f shifts at the edges of the kernel's blocks
+
+# the pieces of the re-sorting tests above: a shift with an axis-0
+# coordinate of 0 keeps their order, one of 1/4 or more in size ties A with
+# B and C, since x + 1e-20 rounds to x
+RESORTING = PiecewiseFn(
+    (
+        (Box((0.0, 5.0), (1.0, 6.0)), 1.0),
+        (Box((1e-20, 0.0), (2.0, 1.0)), 5e-17),
+        (Box((1e-20, 1.0), (2.0, 2.0)), 5e-17 - 1e-17j),
+    ),
+    2,
+)
+WIDE = PiecewiseFn(((Box((-10.0, -10.0), (10.0, 10.0)), 1.0 + 0.5j),), 2)
+
+
+def tied_at(xs, ys):
+    """Shift rows (x, y); those with x != 0 tie the pieces of RESORTING."""
+    return np.array(list(zip(xs, ys)), dtype=float)
+
+
+# 11 rows, tied at 0, 2, 4, 7 and 10: with RESORTING on both sides (9 piece
+# pairs) and _TILE 27, the row tiles are 0-2, 3-5, 6-8 and 9-10, so tied rows
+# open, close and sit inside tiles.  7 f shifts, tied at 0, 2, 4 and 6: with
+# _TILE 297 a block runs over 3 of them, 0-2, 3-5 and 6.
+BLOCK_ROWS = tied_at(
+    [1.0, 0.0, -0.5, 0.0, 2.0, 0.0, 0.0, 0.25, 0.0, 0.0, 1.0], [k / 8 for k in range(11)]
+)
+BLOCK_F_SHIFTS = tied_at([1.0, 0.0, 0.5, 0.0, -1.0, 0.0, 3.0], [k / 4 - 1 for k in range(7)])
+
+
+@pytest.mark.parametrize("dense", [lpfunc._DENSE_PAIRS, 0])
+@pytest.mark.parametrize("tile", [1, 5, 27, 297, lpfunc._TILE])
+def test_tied_rows_and_f_shifts_at_block_edges_take_the_scalar_pair(tile, dense):
+    assert [k for k, (x, _) in enumerate(BLOCK_ROWS) if x] == [0, 2, 4, 7, 10]
+    assert [k for k, (x, _) in enumerate(BLOCK_F_SHIFTS) if x] == [0, 2, 4, 6]
+    for shifts in (BLOCK_ROWS, BLOCK_F_SHIFTS):
+        for x, y in shifts:
+            # translate re-sorts the tied copies: A, valued 1, comes last
+            assert (translate(RESORTING, (x, y)).pieces[0][1] == 1.0) == (x == 0.0)
+    with mock.patch.multiple(lpfunc, _TILE=tile, _DENSE_PAIRS=dense):
+        for h, f in ((RESORTING, RESORTING), (RESORTING, WIDE), (WIDE, RESORTING)):
+            assert_both_sides_match_scalar(h, f, BLOCK_ROWS, BLOCK_F_SHIFTS)
+            assert_matches_scalar(h, f, BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("terms", [1, 9, 50, 99, 10**6])
+@pytest.mark.parametrize("tile", [5, 27, lpfunc._TILE])
+def test_blocks_cover_the_matrix_once_within_their_term_budget(terms, tile):
+    with mock.patch.object(lpfunc, "_TILE", tile):
+        want = cross_pairings(RESORTING, RESORTING, BLOCK_ROWS, BLOCK_F_SHIFTS)
+        shape, blocks = lpfunc._pairing_blocks(
+            RESORTING, RESORTING, BLOCK_ROWS, BLOCK_F_SHIFTS, terms
+        )
+        seen = np.zeros(shape, dtype=int)
+        got = np.zeros(shape, dtype=complex)
+        for cols, rows, values in blocks:
+            m, n = values.shape
+            # one f shift per block past the budget; every row tile within _TILE
+            assert m == 1 or m * n * 9 <= terms
+            assert n * 9 <= max(tile, 9)
+            seen[cols, rows] += 1
+            got[cols, rows] = values
+    assert shape == (7, 11) and (seen == 1).all()
+    assert [bits(z) for z in got.flat] == [bits(z) for z in want.flat]
+
+
+# ---------------------------------------------------------------------------
 # the witness against the scalar loop it replaced
 
 
@@ -473,7 +541,7 @@ def test_witness_with_complex_dual_and_epsilon_within_an_ulp():
 @pytest.mark.parametrize("tile", [1, 1 << 10, 1 << 15])
 def test_witness_in_the_plane_matches_the_scalar_loop(tile):
     # a 2 x 2-piece generator on a coarse lattice plus a cluster near the
-    # origin; tile 1 scores one centre per kernel call, 1 << 15 all at once
+    # origin; tile 1 scores one centre per block, 1 << 15 all at once
     cells = ((0.0, 0.0, 1.0), (0.0, 0.5, 0.5j), (0.5, 0.0, -0.25), (0.5, 0.5, 0.75 + 0.25j))
     f = PiecewiseFn(tuple((Box((x, y), (x + 0.5, y + 0.5)), v) for x, y, v in cells), 2)
     cluster = PointSet(tuple((1 / k, 1 / (k + 1)) for k in range(2, 14)))
@@ -485,9 +553,27 @@ def test_witness_in_the_plane_matches_the_scalar_loop(tile):
             assert w.count >= 2
 
 
+@pytest.mark.parametrize("witness_tile", [1, 7, 1 << 10])
+@pytest.mark.parametrize("kernel_tile", [9, 27, lpfunc._TILE])
+def test_witness_with_tied_sites_and_centres_matches_the_scalar_loop(witness_tile, kernel_tile):
+    # sites with x != 0 tie the pieces of RESORTING, and so do most of the
+    # centres the witness draws from them; kernel tiles of 1 and 3 rows put
+    # tied sites at the first, an inner and the last row of a tile, and a
+    # witness tile of 2^10 scores every centre in one block
+    sites = tied_at([0.5, 0.0, 1.0, -0.25, 0.0, 0.0, 0.0, 0.75, 0.125], [k / 8 for k in range(9)])
+    assert [k for k, (x, _) in enumerate(sites) if x] == [0, 2, 3, 7, 8]
+    gamma = PointSet(sites)
+    with mock.patch.object(translate_system, "_TILE", witness_tile):
+        with mock.patch.object(lpfunc, "_TILE", kernel_tile):
+            w = assert_witness_matches_scalar(RESORTING, RESORTING, gamma, 0.25)
+            centres = _window_center_candidates(gamma, w.window_side, 512)
+    assert w.count >= 2
+    assert {x == 0.0 for x, _ in centres} == {True, False}
+
+
 def test_witness_memory_on_a_large_reciprocal_family_is_bounded():
-    # 2000 sites: each kernel call scores one centre, and the counts go into
-    # one preallocated array; a first call leaves out numpy's one-time
+    # 2000 sites: each block scores one centre, and the counts go into one
+    # preallocated array; a first call leaves out numpy's one-time
     # allocations
     f = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
     gamma = make_reciprocal(2000)
@@ -500,6 +586,28 @@ def test_witness_memory_on_a_large_reciprocal_family_is_bounded():
         tracemalloc.stop()
     assert peak < 0.5e6
     assert w.count == scalar_count(f, f, gamma, w.beta, 0.5)
+
+
+def test_witness_memory_with_a_many_piece_dual_is_bounded():
+    # the 192-piece Gaussian as the dual, scored at 1,024 centres: their
+    # translated corners alone are 2 x 192 x 1024 doubles, 3.1 MB, where the
+    # set-up translates them in tiles and each block only its own; a first
+    # call leaves out numpy's one-time allocations
+    gauss, _ = sample_catalog_function("gaussian", 1 / 32, Box((-3.0,), (3.0,)), 2.0)
+    f = PiecewiseFn(((Box((0.0,), (1 / 16,)), 1.0),), 1)
+    gamma = make_reciprocal(520)
+    epsilon = abs(pair(f, gauss)) / 2
+    blowup_witness(f, gauss, make_reciprocal(50), epsilon, 2.0)
+    tracemalloc.start()
+    try:
+        w = blowup_witness(f, gauss, gamma, epsilon, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gauss.pieces) == 192
+    assert len(_window_center_candidates(gamma, w.window_side, 512)) >= 1000
+    assert peak < 2.5e6
+    assert w.count == scalar_count(f, gauss, gamma, w.beta, epsilon)
 
 
 @given(st.lists(st.builds(complex, parts, parts), min_size=1, max_size=30))

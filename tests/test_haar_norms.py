@@ -261,6 +261,29 @@ def test_estimate_matches_the_oracle_within_burkholder_bounds(batch, p):
     assert count_sandwich_violations(rows, beta, beta) == 0
 
 
+def test_norms_past_the_double_range_are_refused():
+    # cubes of 1e110 overflow: expansion_norms raised OverflowError from
+    # Python's ** and the estimate returned 1.0 from ratios inf / inf = nan
+    coeffs = {HaarIndex(1, 0): 1.0, HaarIndex(0, 0): -3.0, HaarIndex(2, 1): 2.0 - 1j}
+    big = HaarExpansion.from_mapping({i: c * 1e110 for i, c in coeffs.items()})
+    refused = (
+        lambda: expansion_norm(big, 3.0),
+        lambda: sandwich_triple(big, 3.0),
+        lambda: coefficient_sandwich_check([expansion(((0,), 1.0)), big], 3.0),
+        lambda: lp_norm(build_expansion_fn(big, 3.0), 3.0),
+        lambda: unconditional_constant_estimate([big], 3.0, trials=1),
+        lambda: unconditional_constant_estimate([expansion(((0,), 1.0)), big], 3.0, trials=1),
+    )
+    for call in refused:
+        with pytest.raises(PreconditionError, match="overflows double precision"):
+            call()
+    # inside the range every bit stays
+    ok = HaarExpansion.from_mapping({i: c * 1e100 for i, c in coeffs.items()})
+    assert expansion_norm(ok, 3.0).hex() == oracle(ok, 3.0).hex()
+    estimate = unconditional_constant_estimate([ok], 3.0, trials=1)
+    assert estimate == pytest.approx(oracle_ratio(ok, 3.0), rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # index budget
 

@@ -210,6 +210,24 @@ def test_norm_pow_avoids_root_round_trip():
 # restrict
 
 
+
+def test_norm_pow_past_the_double_range_is_refused():
+    # a power past the range raises OverflowError in Python's **, a product
+    # with the volume rounds to inf, and so does abs of a huge complex value
+    for f in (
+        indicator_interval(0.0, 1.0, 1e200),
+        indicator_interval(0.0, 1e10, 1e150),
+        indicator_interval(0.0, 1.0, complex(1e308, 1e308)),
+    ):
+        with pytest.raises(PreconditionError, match="overflows double precision"):
+            lp_norm_pow(f, 2.0)
+        with pytest.raises(PreconditionError, match="overflows double precision"):
+            lp_norm(f, 2.0)
+    # inside the range every bit stays
+    v = complex(1e153, -3e152)
+    assert lp_norm_pow(indicator_interval(0.0, 2.0, v), 2.0) == abs(v) ** 2.0 * 2.0
+
+
 def test_restrict_clips_to_cube():
     f = restrict(indicator_interval(0, 2), Box.cube((0.0,), 1.0))
     assert f.pieces[0][0].lower == (0.0,)

@@ -42,6 +42,23 @@ def z_system(window=10, p=2.0, f=UNIT):
     return TranslateSystem((Generator(f, make_lattice(1.0, window, 1), "Z"),), ExponentPair(p))
 
 
+def test_power_sums_and_masses_past_the_double_range_are_refused():
+    # the unit test pairs to 1e200 with the site-0 copy of a 1e200 generator
+    big = indicator_interval(0, 1, 1e200)
+    with pytest.raises(PreconditionError, match="overflows double precision"):
+        bessel_sum(z_system(f=big), UNIT, 2.0)
+    with pytest.raises(PreconditionError, match="overflows double precision"):
+        cq_required_constant(z_system(f=big), UNIT)
+    gen = Generator(big, make_lattice(1.0, 3, 1), "Z")
+    with pytest.raises(PreconditionError, match="overflows double precision"):
+        localized_mass(gen, Box.cube((0.0,), 1.0), 2.0)
+    # inside the range every bit stays
+    ok = indicator_interval(0, 1, 1e150 + 2e149j)
+    assert bessel_sum(z_system(f=ok), UNIT, 2.0) == abs(pair(UNIT, ok)) ** 2.0
+    mass = localized_mass(Generator(ok, make_lattice(1.0, 3, 1), "Z"), Box.cube((0.0,), 1.0), 2.0)
+    assert mass.total == 2 * (abs(1e150 + 2e149j) ** 2.0 * 0.5)
+
+
 def explicit_line(*xs):
     return PointSet(tuple((x,) for x in xs))
 
