@@ -226,11 +226,6 @@ def build_expansion_fn(exp: HaarExpansion, p: float) -> PiecewiseFn:
     return canonicalize(raw, 1)
 
 
-def expansion_norm(exp: HaarExpansion, p: float) -> float:
-    """Exact Lp norm of the expansion (for p = 2 this is the coefficient l2 norm)."""
-    return expansion_norms([exp], p)[0]
-
-
 def _cut_grid(batch: Sequence[HaarExpansion], p: float):
     """Cell widths, coefficients and a generator of term values on the cut grid.
 
@@ -382,29 +377,33 @@ class SandwichReport:
     upper_constant: float
 
 
-def sandwich_triple(exp: HaarExpansion, p: float) -> SandwichRow:
-    """(lhs, mid, rhs) of the coefficient sandwich at p.
+def _sandwich_rows(batch: Sequence[HaarExpansion], p: float) -> tuple:
+    """(lhs, mid, rhs) of the coefficient sandwich at p for every expansion,
+    with every mid from one expansion_norms call.
 
     mid is the exact expansion norm; for 1 < p <= 2 the flanks are the
     coefficient l2 norm (left) and lp norm (right), mirrored for p >= 2.
-    lhs / mid and mid / rhs are at most burkholder_constant(p).
+    lhs / mid and mid / rhs are at most burkholder_constant(p).  A norm that
+    rounds to 0 or past the double range is refused: a nonzero expansion has
+    three positive norms, and the ratios need them finite.
     """
-    return _sandwich_rows([exp], float(p))[0]
-
-
-def _sandwich_rows(batch: Sequence[HaarExpansion], p: float) -> tuple:
-    """sandwich_triple(e, p) for every expansion e, with every mid from one
-    expansion_norms call."""
     if not (math.isfinite(p) and p > 1):
         raise PreconditionError(f"p must lie in (1, inf), got {p}")
     if any(len(exp) == 0 for exp in batch):
         raise PreconditionError("empty expansion has no sandwich")
+    mids = expansion_norms(batch, p)
     rows = []
-    for exp, mid in zip(batch, expansion_norms(batch, p)):
-        a = np.array([c for _, c in exp.terms], dtype=complex)
-        l2 = float(np.sqrt((np.abs(a) ** 2).sum()))
-        lp = float(((np.abs(a) ** p).sum()) ** (1.0 / p))
-        rows.append(SandwichRow(l2, mid, lp) if p <= 2 else SandwichRow(lp, mid, l2))
+    with np.errstate(over="ignore"):  # a flank past the double range is refused below
+        for exp, mid in zip(batch, mids):
+            a = np.array([c for _, c in exp.terms], dtype=complex)
+            l2 = float(np.sqrt((np.abs(a) ** 2).sum()))
+            lp = float(((np.abs(a) ** p).sum()) ** (1.0 / p))
+            if not (0.0 < l2 < math.inf and 0.0 < mid < math.inf and 0.0 < lp < math.inf):
+                raise PreconditionError(
+                    f"a sandwich norm of an expansion at p = {p} is 0 or overflows double "
+                    f"precision: l2 {l2}, Lp {mid}, lp {lp}"
+                )
+            rows.append(SandwichRow(l2, mid, lp) if p <= 2 else SandwichRow(lp, mid, l2))
     return tuple(rows)
 
 

@@ -193,11 +193,6 @@ def indicator(box: Box, value: complex = 1.0) -> PiecewiseFn:
     return PiecewiseFn(((box, complex(value)),), box.dim)
 
 
-def indicator_interval(lo: float, hi: float, value: complex = 1.0) -> PiecewiseFn:
-    """chi_{[lo, hi)} scaled by value, on the line."""
-    return indicator(Box((lo,), (hi,)), value)
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     """Conjugate exponents 1/p + 1/q = 1 with 1 < p < infinity; q is derived."""
@@ -578,13 +573,6 @@ def scale(f: PiecewiseFn, c: complex) -> PiecewiseFn:
     return _build(tuple((box, _value(v * c)) for box, v in f.pieces), f.dimension)
 
 
-def normalize(f: PiecewiseFn, p: float) -> PiecewiseFn:
-    """Scale so the Lp norm is 1."""
-    if f.is_zero:
-        raise PreconditionError("cannot normalize the zero function")
-    return scale(f, 1.0 / lp_norm(f, p))
-
-
 def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
     """Merge an arbitrary (possibly overlapping) piece list into disjoint form.
 
@@ -634,19 +622,6 @@ def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
             up = tuple(cuts[j][i + 1] for j, i in enumerate(idx))
             out.append((Box(lo, up), v))
     return _build(tuple(out), d)
-
-
-def add(*fns: PiecewiseFn) -> PiecewiseFn:
-    """Canonical sum of step functions."""
-    if not fns:
-        raise PreconditionError("add needs at least one function")
-    d = fns[0].dimension
-    raw = []
-    for f in fns:
-        if f.dimension != d:
-            raise DimensionMismatchError("mixed function dimensions in sum")
-        raw.extend(f.pieces)
-    return canonicalize(raw, d)
 
 
 # ---------------------------------------------------------------------------

@@ -409,7 +409,7 @@ def system_localized_mass(sys: TranslateSystem, region: Box, p: float) -> float:
     total = 0.0
     for gen in sys.generators:
         total += _generator_mass(gen, region, p)
-    return total
+    return _finite_power_sum(total, f"the localized mass at p = {p}")
 
 
 def _generator_mass(gen: Generator, region: Box, p: float) -> float:
@@ -419,7 +419,7 @@ def _generator_mass(gen: Generator, region: Box, p: float) -> float:
     total = 0.0
     for site in _overlapping_sites(gen.gamma, gen.f.support_box, region):
         total += lp_norm_pow(restrict(translate(gen.f, site), region), p)
-    return total
+    return _finite_power_sum(total, f"the localized mass at p = {p}")
 
 
 def cq_indicator_sweep(
@@ -490,6 +490,8 @@ def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport
     enclosing-block finiteness bound n (2N)^d ||f||_p^p computed from the
     truncation's separation constant: the mass can never exceed it, and the
     bound blowing up as separation degrades is exactly the failure signal.
+    A separation that reads 0 or inf and a bound past the double range are
+    refused.
     """
     p = float(p)
     mass = _generator_mass(gen, region, p)
@@ -498,11 +500,20 @@ def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport
         d = region.dim
         delta = min_separation(gen.gamma)
         eps = delta / (2.0 * math.sqrt(d))
+        if not 0.0 < eps < math.inf:  # a squared gap under- or overflowed
+            raise PreconditionError(
+                f"the separation of the sites of {gen.label!r} reads {delta} in double "
+                "precision, so the finiteness bound has no block size"
+            )
         # the box's farthest coordinate from 0; for Box.cube(c, side) it is
         # |c| + side/2 bit for bit, since rounding is monotone and symmetric
         reach = max(max(-a, b) for a, b in zip(region.lower, region.upper))
-        blocks = max(1, int(math.ceil(reach / eps)))
-        value = (2.0 * blocks) ** d * lp_norm_pow(gen.f, p)
+        try:
+            blocks = max(1, int(math.ceil(reach / eps)))
+            value = (2.0 * blocks) ** d * lp_norm_pow(gen.f, p)
+        except OverflowError:  # an infinite block count, or its d-th power
+            value = math.inf
+        value = _finite_power_sum(value, f"the finiteness bound at p = {p}")
         bound = FinitenessBound(
             value=value, n_parts=1, delta=delta, epsilon=eps, blocks_per_side=blocks
         )
@@ -701,7 +712,7 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
     union = None
     if len(sys_r.generators) >= 2:
         parts = [(g.label, g.gamma) for g in sys_r.generators]
-        union = union_point_sets(parts)
+        union = union_r  # the last radius's union of the same sets
     elif isinstance(sys_r.generators[0].gamma.provenance, UnionProvenance):
         parts = list(sys_r.generators[0].gamma.provenance.members)
         union = sys_r.generators[0].gamma

@@ -13,8 +13,6 @@ from lpdensity import (
     DichotomyConfig,
     ExponentPair,
     Generator,
-    HaarExpansion,
-    HaarIndex,
     PiecewiseFn,
     PointSet,
     TranslateSystem,
@@ -27,10 +25,9 @@ from lpdensity import (
     density_profile,
     dichotomy_report,
     dual_fn,
-    expansion_norm,
+    expansion_norms,
     haar_fn,
     haar_indices_below,
-    indicator_interval,
     localized_mass,
     make_lattice,
     make_reciprocal,
@@ -44,7 +41,9 @@ from lpdensity import (
 )
 from lpdensity.lpfunc import Box
 
-UNIT = indicator_interval(0, 1)
+from oracles import brute_nu_plus, interval, random_expansion, random_unit_fn
+
+UNIT = interval(0, 1)
 
 
 class Criterion:
@@ -99,9 +98,7 @@ def test_criterion_2_nu_plus_oracle_equivalence():
         xs = np.unique(rng.uniform(-10, 10, size=n))
         s = PointSet(tuple((float(x),) for x in xs))
         h = float(rng.uniform(0.05, 3.0))
-        oracle = 0
-        for a in xs:  # brute force over every point anchor
-            oracle = max(oracle, int(((xs >= a) & (xs < a + h)).sum()))
+        oracle = brute_nu_plus(xs, h)  # brute force over every point anchor
         got = nu_plus(s, h)
         c.check(got.exact and got.lower == oracle, f"d=1 n={n} h={h}")
     for _ in range(50):
@@ -109,16 +106,7 @@ def test_criterion_2_nu_plus_oracle_equivalence():
         arr = rng.uniform(-5, 5, size=(n, 2))
         s = PointSet(tuple(tuple(row) for row in arr))
         h = float(rng.uniform(0.2, 3.0))
-        oracle = 0
-        for ax in arr[:, 0]:  # brute force over every coordinate pair anchor
-            for ay in arr[:, 1]:
-                inside = (
-                    (arr[:, 0] >= ax)
-                    & (arr[:, 0] < ax + h)
-                    & (arr[:, 1] >= ay)
-                    & (arr[:, 1] < ay + h)
-                )
-                oracle = max(oracle, int(inside.sum()))
+        oracle = brute_nu_plus(arr, h)  # brute force over every coordinate pair anchor
         got = nu_plus(s, h)
         c.check(got.exact and got.lower == oracle, f"d=2 n={n} h={h}")
     # independent fine-grid anchors can never beat the exact value
@@ -229,8 +217,8 @@ def test_criterion_7_blowup_witness():
 
 def test_criterion_8_dichotomy_suite():
     c = Criterion(8, "no system reports both horns bounded", 60.0)
-    wide = indicator_interval(0, 2)
-    gauss_like = indicator_interval(-0.5, 0.5, 1.5)
+    wide = interval(0, 2)
+    gauss_like = interval(-0.5, 0.5, 1.5)
     shifted_union = union_point_sets(
         [("Z", make_lattice(1.0, 20, 1)), ("Z+0.3", _shifted_lattice(0.3, 20))]
     )
@@ -314,9 +302,9 @@ def test_criterion_9_haar_suite():
     rng = np.random.default_rng(20240609)
     worst = 0.0
     for _ in range(1000):
-        e = _random_expansion(rng, int(rng.integers(1, 13)))
+        e = random_expansion(rng, int(rng.integers(1, 13)))
         l2 = math.sqrt(sum(abs(v) ** 2 for _, v in e.terms))
-        worst = max(worst, abs(expansion_norm(e, 2.0) - l2))
+        worst = max(worst, abs(expansion_norms([e], 2.0)[0] - l2))
     c.check(worst <= 1e-12, f"p=2 isometry error {worst}")
 
     # sandwich: fit on one batch, zero violations on a held-out batch.  The
@@ -324,8 +312,8 @@ def test_criterion_9_haar_suite():
     # maxima (both estimate the same supremum); raw constants must agree
     # within a factor of 2 across batches.
     for p in (1.5, 3.0):
-        batch_a = [_random_expansion(np.random.default_rng(3000 + i), 16) for i in range(1000)]
-        batch_b = [_random_expansion(np.random.default_rng(7000 + i), 16) for i in range(1000)]
+        batch_a = [random_expansion(np.random.default_rng(3000 + i), 16) for i in range(1000)]
+        batch_b = [random_expansion(np.random.default_rng(7000 + i), 16) for i in range(1000)]
         fit_a = coefficient_sandwich_check(batch_a, p)
         fit_b = coefficient_sandwich_check(batch_b, p)
         viol = count_sandwich_violations(
@@ -338,7 +326,7 @@ def test_criterion_9_haar_suite():
         ):
             c.check(max(x / y, y / x) < 2.0, f"p={p}: constants unstable {x} vs {y}")
 
-    tests = [_random_unit_fn(rng) for _ in range(50)]
+    tests = [random_unit_fn(rng) for _ in range(50)]
     for p in (1.5, 3.0):
         r8 = prop43_check(p, 8, tests)
         r10 = prop43_check(p, 10, tests)
@@ -351,22 +339,3 @@ def test_criterion_9_haar_suite():
             f"p={p}: K_required drift {r8.max_k_required} -> {r10.max_k_required}",
         )
     c.finish()
-
-
-def _random_expansion(rng, terms, max_level=6):
-    coeffs = {}
-    while len(coeffs) < terms:
-        j = int(rng.integers(0, max_level))
-        k = int(rng.integers(0, 2**j))
-        coeffs[HaarIndex(j, k)] = complex(rng.normal(), rng.normal())
-    return HaarExpansion.from_mapping(coeffs)
-
-
-def _random_unit_fn(rng):
-    xs = np.sort(rng.uniform(0.0, 1.0, size=6))
-    pieces = [
-        (Box((float(a),), (float(b),)), complex(rng.normal(), rng.normal()))
-        for a, b in zip(xs, xs[1:])
-        if b > a
-    ]
-    return PiecewiseFn(tuple(pieces), 1)

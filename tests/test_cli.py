@@ -1,11 +1,15 @@
 """Experiment runner: spec dispatch, file formats, exit codes, determinism."""
 
 import cmath
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpdensity import HaarExpansion, HaarIndex, PointSet, indicator_interval, make_lattice
+from lpdensity import HaarIndex, PointSet, make_lattice
 from lpdensity import cli
 from lpdensity.cli import main
 from lpdensity.lpfunc import pair_modulated
@@ -24,6 +28,8 @@ from lpdensity.io import (
     ingest_points,
     point_set_spec,
 )
+
+from oracles import expansion_from_draws, interval
 
 
 def write_spec(tmp_path, name, payload):
@@ -71,7 +77,7 @@ def test_point_set_spec_round_trip():
 
 
 def test_function_spec_round_trip():
-    f = indicator_interval(0.25, 1.5, 2.0 - 1.0j)
+    f = interval(0.25, 1.5, 2.0 - 1.0j)
     assert ingest_function(function_spec(f)) == f
 
 
@@ -744,17 +750,6 @@ class _GivenDraws:
         return self.normals
 
 
-def _expansion_term_by_term(draws, terms):
-    """The per-term loop: draw (level, offset, re, im) until terms distinct
-    indices are held, a repeated index taking the coefficient drawn last."""
-    coeffs = {}
-    for level, offset, re, im in draws:
-        coeffs[HaarIndex(level, offset)] = complex(re, im)
-        if len(coeffs) == terms:
-            break
-    return HaarExpansion.from_mapping(coeffs)
-
-
 def test_random_expansions_follow_the_term_by_term_loop():
     terms = 3  # blocks of 6 draws per row
     first = [
@@ -778,7 +773,7 @@ def test_random_expansions_follow_the_term_by_term_loop():
     rng = _GivenDraws(blocks)
     got = cli._random_expansions(rng, terms, len(first))
     assert rng.blocks == [] and rng.levels is None
-    assert got == [_expansion_term_by_term(row, terms) for row in draws]
+    assert got == [expansion_from_draws(row, terms) for row in draws]
     assert [e.support for e in got] == [
         ((0, 0), (1, 1), (2, 3)),
         ((0, 0), (1, 0), (5, 31)),
@@ -926,6 +921,82 @@ def test_finite_values_whose_powers_overflow_exit_3(tmp_path, capsys, payload):
     # traceback, exit code 1
     code, err = _run_exit(tmp_path, capsys, payload)
     assert code == 3 and "overflows double precision" in err and "Traceback" not in err
+
+
+def _mass(rows, center, side, value=1.0, p=2.0):
+    """A localized-mass spec: value times the indicator of [0, 1)^d at rows."""
+    d = len(rows[0])
+    f = {"kind": "indicator", "box": {"lower": [0.0] * d, "upper": [1.0] * d}, "value": value}
+    generator = {"f": f, "gamma": {"kind": "explicit", "rows": rows}}
+    cube = {"center": center, "side": side}
+    return {"command": "localized-mass", "generator": generator, "cube": cube, "p": p}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # the squared gap underflows, min_separation reads 0 and the block
+        # size was 0: ZeroDivisionError
+        (_mass([[0.0], [1e-300]], [0.0], 1.0), "separation of the sites of 'gen' reads 0.0"),
+        # reach / epsilon is inf: math.ceil raised OverflowError
+        (_mass([[0.0], [1e-10]], [0.0], 1e300), "finiteness bound"),
+        # (2 blocks)^2 is past the double range: ** raised OverflowError
+        (_mass([[0.0, 0.0], [1e-10, 0.0]], [0.0, 0.0], 1e200), "finiteness bound"),
+        # two masses of 1.44e308 each: the report read "total": Infinity, exit 0
+        (_mass([[0.0], [0.5]], [0.5], 3.0, value=1.2e154), "localized mass"),
+    ],
+    ids=["zero-separation", "infinite-block-count", "block-power", "mass-sum"],
+)
+def test_localized_mass_out_of_the_double_range_exits_3(tmp_path, capsys, payload, message):
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and message in err and "\n" not in err
+    assert not (tmp_path / "localized_mass_report.json").exists()
+
+
+def test_localized_mass_within_the_double_range_keeps_its_bits(tmp_path, capsys):
+    # two masses of 1e300 and a bound of 2 x 8 blocks times 1e300 stay finite
+    code, _ = _run_exit(tmp_path, capsys, _mass([[0.0], [0.5]], [0.5], 3.0, value=1e150))
+    report = read_report(tmp_path, "localized_mass")["outputs"]["localized_mass"]
+    assert code == 0 and report["total"] == 2 * (abs(1e150) ** 2.0 * 1.0)
+    bound = report["finiteness_bound"]
+    assert bound["blocks_per_side"] == 8 and bound["value"] == 16 * (abs(1e150) ** 2.0 * 1.0)
+
+
+_extreme = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-10, 0.5, 1.0, 1e154, 1e300, 1.7e308])
+_coordinates = st.one_of(_extreme, _extreme.map(lambda x: -x), st.floats(-1e6, 1e6))
+_positive = st.one_of(_extreme.filter(lambda x: x > 0), st.floats(1e-300, 1e308))
+
+
+@st.composite
+def _mass_specs(draw):
+    """localized-mass and mass-decay specs with tiny gaps, huge sides,
+    centres and values, and large p, on at most 4 sites."""
+    d = draw(st.integers(1, 2))
+    site = st.lists(_coordinates, min_size=d, max_size=d)
+    rows = draw(st.lists(site, min_size=1, max_size=4, unique_by=tuple))
+    value = draw(st.one_of(_positive, _positive.map(lambda x: -x), st.just(1.2e154)))
+    center = draw(st.lists(_coordinates, min_size=d, max_size=d))
+    p = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 1e3, 1e300]), st.floats(1.0, 1e6)))
+    spec = _mass(rows, center, draw(_positive), value, p)
+    if draw(st.booleans()):
+        return spec
+    h_values = sorted(set(draw(st.lists(_positive, min_size=1, max_size=3))), reverse=True)
+    return {"command": "mass-decay", "generator": spec["generator"], "x": center, "h_values": h_values, "p": p}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mass_specs())
+def test_mass_specs_exit_cleanly_with_finite_reports(payload):
+    # main() runs in-process, so a traceback would be an exception here
+    with tempfile.TemporaryDirectory() as out:
+        spec = pathlib.Path(out) / "spec.json"
+        spec.write_text(json.dumps(payload))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["run", "--spec", str(spec), "--out", out])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 0:
+            text = (pathlib.Path(out) / f"{payload['command'].replace('-', '_')}_report.json").read_text()
+            assert "Infinity" not in text and "NaN" not in text
 
 
 def test_finite_frequencies_keep_their_bits():

@@ -8,7 +8,6 @@ per-site scalar loop counted.
 """
 
 import math
-import struct
 import tracemalloc
 from unittest import mock
 
@@ -36,13 +35,9 @@ from lpdensity import (
 from lpdensity import lpfunc, pointset
 from lpdensity import translate_system
 from lpdensity.errors import DimensionMismatchError
-from lpdensity.pointset import anchored_windows
-from lpdensity.translate_system import _exceeds, _ranked, _window_center_candidates
+from lpdensity.translate_system import _exceeds, _window_center_candidates
 
-
-def bits(z: complex) -> bytes:
-    z = complex(z)
-    return struct.pack("<dd", z.real, z.imag)
+from oracles import bits, line_set, scalar_count, scalar_grid_side, scan_candidates
 
 
 def assert_matches_scalar(h, f, shifts):
@@ -434,39 +429,6 @@ def test_blocks_cover_the_matrix_once_within_their_term_budget(terms, tile):
 # the witness against the scalar loop it replaced
 
 
-def scalar_grid_side(f, f_dual, epsilon):
-    """The witness's epsilon-grid search with one scalar pair per grid point."""
-    d = f.dimension
-    step = min(f.min_piece_side, f_dual.min_piece_side) / 4.0
-    fb, db = f.support_box, f_dual.support_box
-    reach = max(
-        max(abs(db.lower[j] - fb.upper[j]), abs(db.upper[j] - fb.lower[j])) for j in range(d)
-    )
-    kmax = max(1, int(math.ceil(reach / step)))
-
-    def ok(m):
-        rng = range(-(m // 2), m - m // 2)
-        keys = [()]
-        for _ in range(d):
-            keys = [key + (k,) for key in keys for k in rng]
-        return all(
-            abs(pair(translate(f, tuple(k * step for k in key)), f_dual)) > epsilon
-            for key in keys
-        )
-
-    lo, hi = 1, 2 * kmax
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if ok(mid) else (lo, mid - 1)
-    return lo * step
-
-
-def scalar_count(f, f_dual, gamma, beta, epsilon):
-    """The per-site loop: one translated copy and one scalar pair per site."""
-    t_dual = translate(f_dual, beta)
-    return sum(1 for site in gamma.points if abs(pair(translate(f, site), t_dual)) > epsilon)
-
-
 def assert_witness_matches_scalar(f, f_dual, gamma, epsilon):
     w = blowup_witness(f, f_dual, gamma, epsilon, 2.0)
     assert w.window_side == scalar_grid_side(f, f_dual, epsilon)
@@ -507,7 +469,7 @@ def witness_cases(draw):
         )
     )
     fraction = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
-    return f, f_dual, PointSet(tuple((x,) for x in sites)), fraction * base
+    return f, f_dual, line_set(*sites), fraction * base
 
 
 @settings(max_examples=40)
@@ -526,7 +488,7 @@ def test_witness_with_complex_dual_and_epsilon_within_an_ulp():
     # can serve as a threshold
     f_dual = scale(f, 0.6 - 0.8j)
     sites = [k / 10 for k in range(-4, 5)] + [1 / k for k in range(11, 22)]
-    gamma = PointSet(tuple((x,) for x in sites))
+    gamma = line_set(*sites)
     base = abs(pair(f, f_dual))
     # each pairing at the densest centre becomes a threshold, nudged one ulp
     # either way, so the counts there turn on the last bit of a modulus
@@ -621,17 +583,7 @@ def test_count_decision_matches_python_abs(zs):
 
 
 # ---------------------------------------------------------------------------
-# the tiled candidate scan against the membership tensor it replaced
-
-
-def tensor_candidates(gamma, h, limit):
-    """Witness candidates with the site-centred windows counted on the full
-    n x n x d membership tensor."""
-    arr = gamma.as_array
-    anchored = _ranked(*anchored_windows(gamma, h), limit)
-    lows = arr[:, None, :] - h / 2
-    inside = np.all((arr[None, :, :] >= lows) & (arr[None, :, :] < lows + h), axis=2)
-    return list(dict.fromkeys(anchored + _ranked(arr, inside.sum(axis=1), limit)))
+# the tiled candidate scan against the per-site window counts
 
 
 grid_coords = st.one_of(
@@ -657,7 +609,7 @@ def site_sets(draw):
 def test_tiled_candidates_match_the_tensor(gamma, h, limit, tile):
     with mock.patch.object(pointset, "_PAIR_TILE", tile):
         got = _window_center_candidates(gamma, h, limit)
-    assert got == tensor_candidates(gamma, h, limit)
+    assert got == scan_candidates(gamma, h, limit)
 
 
 @pytest.mark.parametrize(
@@ -668,7 +620,7 @@ def test_tiled_candidates_match_the_tensor(gamma, h, limit, tile):
 def test_candidate_scan_memory_is_bounded(gamma, h):
     # the tensor held 8.2 MB for 2000 reciprocal sites and 24 MB for the
     # lattice; a first call leaves out numpy's one-time allocations
-    want = tensor_candidates(gamma, h, 512)
+    want = scan_candidates(gamma, h, 512)
     tracemalloc.start()
     try:
         got = _window_center_candidates(gamma, h, 512)

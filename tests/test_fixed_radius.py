@@ -4,8 +4,8 @@
 site-centred window counts find each site's neighbours in the run of
 lexicographically sorted sites whose axis-0 offset passes the exact test
 (`pointset._bands`).  Each must return what the per-site scan returned, bit
-for bit and in the same order.  The scans below are those per-site loops,
-kept as oracles.
+for bit and in the same order.  Those per-site scans are the oracles, in
+`oracles.py`.
 """
 
 import math
@@ -27,80 +27,15 @@ from lpdensity import (
     union_point_sets,
 )
 from lpdensity import pointset
-from lpdensity.pointset import SeparationReport, _bands, centred_windows
+from lpdensity.pointset import _bands, centred_windows
 
-
-# ---------------------------------------------------------------------------
-# oracles: the per-site scans
-
-
-def scan_min_separation(s):
-    n = len(s)
-    arr = s.as_array
-    best = math.inf
-    chunk = 512
-    for i0 in range(0, n, chunk):
-        block = arr[i0 : i0 + chunk]
-        d2 = ((block[:, None, :] - arr[None, :, :]) ** 2).sum(axis=-1)
-        for r in range(block.shape[0]):
-            d2[r, i0 + r] = np.inf
-        best = min(best, float(d2.min()))
-    return math.sqrt(best)
-
-
-def scan_decompose_separated(s, delta):
-    n = len(s)
-    arr = s.as_array
-    d2_min = delta * delta
-    parts = []  # (index list, coordinate row list)
-    for i in s.order.tolist():
-        row = arr[i]
-        for idxs, rows in parts:
-            d2 = ((np.array(rows) - row) ** 2).sum(axis=1)
-            if float(d2.min()) >= d2_min:
-                idxs.append(i)
-                rows.append(row)
-                break
-        else:
-            parts.append(([i], [row]))
-    return SeparationReport(
-        min_gap=scan_min_separation(s) if n >= 2 else math.inf,
-        delta=delta,
-        part_count=len(parts),
-        parts=tuple(tuple(sorted(idxs)) for idxs, _ in parts),
-    )
-
-
-def scan_detect_accumulation(s, radius, threshold):
-    arr = s.as_array
-    r2 = radius * radius
-    out = []
-    for i in range(len(s)):
-        d2 = ((arr - arr[i]) ** 2).sum(axis=1)
-        if int((d2 < r2).sum()) - 1 >= threshold:
-            out.append(tuple(arr[i].tolist()))
-    return out
-
-
-def scan_centred_counts(s, h):
-    arr = s.as_array
-    counts = np.empty(len(arr), dtype=int)
-    step = max(1, 1024 // arr.size)
-    for i in range(0, len(arr), step):
-        lows = arr[i : i + step, None, :] - h / 2
-        counts[i : i + step] = np.all((arr >= lows) & (arr < lows + h), axis=2).sum(axis=1)
-    return counts
-
-
-def brute_bands(xs, r2):
-    # the band as numpy's array square decides it, as the scans did; r2 > 0
-    a, b = [], []
-    for i in range(xs.size):
-        inside = np.flatnonzero((xs - xs[i]) ** 2 < r2)
-        assert inside.tolist() == list(range(inside.min(), inside.max() + 1))  # one run
-        a.append(int(inside.min()))
-        b.append(int(inside.max()) + 1)
-    return a, b
+from oracles import (
+    brute_bands,
+    centred_counts,
+    min_gap,
+    scan_decompose_separated,
+    scan_detect_accumulation,
+)
 
 
 def assert_scans_agree(s, radius, threshold, h):
@@ -109,10 +44,10 @@ def assert_scans_agree(s, radius, threshold, h):
     )
     assert decompose_separated(s, radius) == scan_decompose_separated(s, radius)
     if len(s) >= 2:
-        assert min_separation(s) == scan_min_separation(s)
+        assert min_separation(s) == min_gap(s.as_array)
     centres, counts = centred_windows(s, h)
     assert centres.tolist() == s.as_array[s.order].tolist()
-    assert counts.tolist() == scan_centred_counts(s, h)[s.order].tolist()
+    assert counts.tolist() == centred_counts(s.as_array, h)[s.order].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Haar system on [0,1): biorthogonality, norms, sign flips, sandwich, prop checks."""
 
-import itertools
 import math
 import struct
 import tracemalloc
@@ -23,39 +22,27 @@ from lpdensity import (
     coefficient_sandwich_check,
     count_sandwich_violations,
     dual_fn,
-    expansion_norm,
     expansion_norms,
     haar_fn,
     haar_indices_below,
-    indicator_interval,
     lp_norm,
     pair,
     prop43_check,
-    sandwich_triple,
     unconditional_constant_estimate,
 )
 from lpdensity import haar_uncond
 from lpdensity.haar_uncond import haar_pairings
 from lpdensity.lpfunc import Box
 
-
-def random_expansion(rng, terms, max_level=6):
-    coeffs = {}
-    while len(coeffs) < terms:
-        j = int(rng.integers(0, max_level))
-        k = int(rng.integers(0, 2**j))
-        coeffs[HaarIndex(j, k)] = complex(rng.normal(), rng.normal())
-    return HaarExpansion.from_mapping(coeffs)
-
-
-def random_unit_test_fn(rng, cuts=6):
-    xs = np.sort(rng.uniform(0.0, 1.0, size=cuts))
-    pieces = [
-        (Box((float(a),), (float(b),)), complex(rng.normal(), rng.normal()))
-        for a, b in zip(xs, xs[1:])
-        if b > a
-    ]
-    return PiecewiseFn(tuple(pieces), 1)
+from oracles import (
+    bits,
+    built_norm,
+    built_ratio,
+    interval,
+    random_expansion,
+    random_unit_fn,
+    riemann_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +140,7 @@ def test_reconstruction_of_dyadic_functions():
 def test_expansion_norm_single_term_is_modulus():
     for p in (1.5, 2.0, 3.0):
         e = HaarExpansion.from_mapping({HaarIndex(3, 5): 2.0 - 1.0j})
-        assert expansion_norm(e, p) == pytest.approx(abs(2.0 - 1.0j), rel=1e-12)
+        assert expansion_norms([e], p)[0] == pytest.approx(abs(2.0 - 1.0j), rel=1e-12)
 
 
 def test_expansion_norm_p2_isometry():
@@ -161,7 +148,7 @@ def test_expansion_norm_p2_isometry():
     for _ in range(100):
         e = random_expansion(rng, int(rng.integers(1, 13)))
         l2 = math.sqrt(sum(abs(c) ** 2 for _, c in e.terms))
-        assert abs(expansion_norm(e, 2.0) - l2) <= 1e-12
+        assert abs(expansion_norms([e], 2.0)[0] - l2) <= 1e-12
 
 
 def test_expansion_norm_riemann_cross_check():
@@ -169,14 +156,10 @@ def test_expansion_norm_riemann_cross_check():
     rng = np.random.default_rng(35)
     p = 1.5
     e = random_expansion(rng, 8)
-    f = build_expansion_fn(e, p)
     n = 2**20
-    xs = (np.arange(n) + 0.5) / n
-    vals = np.zeros(n, dtype=complex)
-    for box, v in f.pieces:
-        vals[(xs >= box.lower[0]) & (xs < box.upper[0])] += v
+    vals = riemann_value(build_expansion_fn(e, p), (np.arange(n) + 0.5) / n)
     riemann = float((np.abs(vals) ** p).sum() / n) ** (1 / p)
-    assert expansion_norm(e, p) == pytest.approx(riemann, abs=1e-9)
+    assert expansion_norms([e], p)[0] == pytest.approx(riemann, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +183,7 @@ def test_unconditional_constant_matches_direct_enumeration():
     p = 1.5
     e = random_expansion(rng, 6)
     est = unconditional_constant_estimate([e], p, 10)
-    base = expansion_norm(e, p)
-    direct = max(
-        expansion_norm(e.signed(SignPattern(tuple(zip(e.support, signs)))), p) / base
-        for signs in itertools.product((1, -1), repeat=len(e))
-    )
-    assert est == pytest.approx(direct, rel=1e-12)
+    assert est == pytest.approx(built_ratio(e, p), rel=1e-12)
 
 
 def test_unconditional_exhaustive_vs_sampled():
@@ -237,7 +215,7 @@ def test_unconditional_constant_refuses_matrices_over_the_budget():
     # a level-40 term: 5 cut-grid cells, not 2^41 dyadic ones
     deep = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0, HaarIndex(40, 0): 1.0})
     flipped = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0, HaarIndex(40, 0): -1.0})
-    ratio = lp_norm(build_expansion_fn(flipped, 1.5), 1.5) / lp_norm(build_expansion_fn(deep, 1.5), 1.5)
+    ratio = built_norm(flipped, 1.5) / built_norm(deep, 1.5)
     assert unconditional_constant_estimate([small, deep], 1.5, 10) == max(1.0, ratio)
     # 13 terms on 38 cells: sampled patterns x cells pass 2^20 at 27595 trials
     wide = _bump(HaarExpansion.from_mapping({HaarIndex(3, k): 1.0 for k in range(8)}))
@@ -283,7 +261,7 @@ def test_sandwich_p2_parseval_collapse():
     e = HaarExpansion.from_mapping(
         {HaarIndex(0, 0): 1.0, HaarIndex(2, 1): -2.0, HaarIndex.constant(): 0.5}
     )
-    row = sandwich_triple(e, 2.0)
+    (row,) = coefficient_sandwich_check([e], 2.0).rows
     assert row.lhs == pytest.approx(row.mid, abs=1e-12)
     assert row.mid == pytest.approx(row.rhs, abs=1e-12)
 
@@ -291,7 +269,7 @@ def test_sandwich_p2_parseval_collapse():
 def test_sandwich_single_term_all_equal():
     e = HaarExpansion.from_mapping({HaarIndex(1, 1): -1.3})
     for p in (1.5, 3.0):
-        row = sandwich_triple(e, p)
+        (row,) = coefficient_sandwich_check([e], p).rows
         assert row.lhs == pytest.approx(1.3, rel=1e-12)
         assert row.mid == pytest.approx(1.3, rel=1e-12)
         assert row.rhs == pytest.approx(1.3, rel=1e-12)
@@ -327,7 +305,7 @@ def test_sandwich_stability_across_batches():
 
 
 def test_prop43_constant_test_p2():
-    rep = prop43_check(2.0, 8, [indicator_interval(0, 1)])
+    rep = prop43_check(2.0, 8, [interval(0, 1)])
     # only the constant Haar function pairs nonzero with chi_[0,1)
     assert rep.max_bessel_ratio == pytest.approx(1.0)
     assert rep.rows[0].k_required == pytest.approx(1.0)
@@ -335,23 +313,23 @@ def test_prop43_constant_test_p2():
 
 def test_prop43_parseval_limit():
     rng = np.random.default_rng(45)
-    tests = [random_unit_test_fn(rng) for _ in range(5)]
+    tests = [random_unit_fn(rng) for _ in range(5)]
     rep = prop43_check(2.0, 9, tests)
     for row in rep.rows:
         assert row.k_required == pytest.approx(1.0, abs=0.01)
 
 
 def test_prop43_exponent_selection():
-    rep_low = prop43_check(1.5, 3, [indicator_interval(0.0, 0.5)])
+    rep_low = prop43_check(1.5, 3, [interval(0.0, 0.5)])
     assert rep_low.bessel_exponent == pytest.approx(3.0)  # q-Bessel
     assert rep_low.dual_exponent == 2.0  # l2-budget dual form
-    rep_high = prop43_check(3.0, 3, [indicator_interval(0.0, 0.5)])
+    rep_high = prop43_check(3.0, 3, [interval(0.0, 0.5)])
     assert rep_high.bessel_exponent == 2.0  # Bessel
     assert rep_high.dual_exponent == pytest.approx(1.5)  # lp-budget dual form
 
 
 def test_prop43_dual_family_norms():
-    rep = prop43_check(1.5, 6, [indicator_interval(0, 1)])
+    rep = prop43_check(1.5, 6, [interval(0, 1)])
     lo_q, hi_q = rep.dual_q_norm_range
     assert lo_q == pytest.approx(1.0, abs=1e-12)
     assert hi_q == pytest.approx(1.0, abs=1e-12)
@@ -362,12 +340,12 @@ def test_prop43_dual_family_norms():
 
 def test_prop43_requires_unit_support():
     with pytest.raises(PreconditionError, match="supported"):
-        prop43_check(2.0, 4, [indicator_interval(-0.5, 0.5)])
+        prop43_check(2.0, 4, [interval(-0.5, 0.5)])
 
 
 def test_prop43_stability_between_cutoffs():
     rng = np.random.default_rng(47)
-    tests = [random_unit_test_fn(rng) for _ in range(10)]
+    tests = [random_unit_fn(rng) for _ in range(10)]
     for p in (1.5, 3.0):
         r8 = prop43_check(p, 8, tests)
         r10 = prop43_check(p, 10, tests)
@@ -377,10 +355,6 @@ def test_prop43_stability_between_cutoffs():
 
 # ---------------------------------------------------------------------------
 # haar_pairings against the scalar pair
-
-
-def bits(z: complex) -> bytes:
-    return struct.pack("<dd", z.real, z.imag)
 
 
 def abs_bits(z: complex) -> bytes:
@@ -463,7 +437,7 @@ def test_haar_pairings_rows_hold_the_constant_and_the_split_supports(cutoff, h):
     assert list(row) == [HaarIndex.constant()] + split
     assert all(type(i) is HaarIndex for i in row)
     # 1/4 splits the supports of levels 0 and 1, 5/8 those of levels 0..2
-    (row,) = haar_pairings([indicator_interval(0.25, 0.625)], 8, 3.0)
+    (row,) = haar_pairings([interval(0.25, 0.625)], 8, 3.0)
     assert list(row) == [(-1, 0), (0, 0), (1, 0), (1, 1), (2, 2)]
 
 
@@ -479,7 +453,7 @@ def test_haar_pairings_skip_disjoint_and_covering_supports():
     assert spy.call_count == 897
     # a piece covering every support leaves only the constant index
     with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
-        (row,) = haar_pairings([indicator_interval(-1.0, 2.0, 2.0)], 7, 3.0)
+        (row,) = haar_pairings([interval(-1.0, 2.0, 2.0)], 7, 3.0)
     assert spy.call_count == 1 and row == {HaarIndex.constant(): 2.0}
     assert dense(row, 7) == [2.0] + [0j] * 127
 
@@ -494,13 +468,13 @@ def test_haar_pairings_build_only_the_functions_they_pair():
     # a piece covering [0, 1) pairs only the constant; the deepest level
     # gives the overflow bound
     with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
-        (row,) = haar_pairings([indicator_interval(0.0, 1.0, 2.0)], 7, 3.0)
+        (row,) = haar_pairings([interval(0.0, 1.0, 2.0)], 7, 3.0)
     assert dense(row, 7) == [2.0] + [0j] * 127
     assert sorted(c.args[0] for c in spy.call_args_list) == [(-1, 0), (6, 63)]
     # prop43_check at cutoff 20, not 2^20 functions: the constant, the four
     # supports 1/4 or 5/8 splits, the deepest index and a dual per level -1..19
     with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
-        prop43_check(3.0, 20, [indicator_interval(0.25, 0.625, 1.0)])
+        prop43_check(3.0, 20, [interval(0.25, 0.625, 1.0)])
     assert spy.call_count == 1 + 4 + 1 + 21
 
 
@@ -508,7 +482,7 @@ def test_prop43_at_the_budget_holds_nothing_of_size_2_to_the_cutoff():
     # a dense row of 2^20 pairings and its magnitudes peaked at 222 MB
     tracemalloc.start()
     try:
-        prop43_check(3.0, 20, [indicator_interval(0.25, 0.625, 1.0)])
+        prop43_check(3.0, 20, [interval(0.25, 0.625, 1.0)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -518,7 +492,7 @@ def test_prop43_at_the_budget_holds_nothing_of_size_2_to_the_cutoff():
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(1.0, 10.0, exclude_min=True), cutoff=st.integers(0, 12))
 def test_prop43_dual_norm_ranges_match_every_offset(p, cutoff):
-    rep = prop43_check(p, cutoff, [indicator_interval(0.0, 0.75)])
+    rep = prop43_check(p, cutoff, [interval(0.0, 0.75)])
     q = conjugate_exponent(p)
     duals = [dual_fn(i, p) for i in haar_indices_below(cutoff)]
     qnorms = [lp_norm(g, q) for g in duals]
@@ -532,7 +506,7 @@ def test_haar_pairings_overflow_dimension_and_deep_levels():
     fns = [haar_fn(i, 2.0) for i in indices]
     # v * sqrt(2) overflows from level 1 on: pair sums inf and -inf to nan
     # on supports it covers, which a skip would leave at 0j
-    big = indicator_interval(0.0, 1.0, 1.7e308)
+    big = interval(0.0, 1.0, 1.7e308)
     (row,) = haar_pairings([big], 3, 2.0)
     assert list(row) == indices
     assert [bits(z) for z in dense(row, 3)] == [bits(pair(big, f)) for f in fns]

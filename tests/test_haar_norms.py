@@ -7,8 +7,8 @@ must give the rows it gave when every mid came from that oracle.
 oracle to rounding, and both must stay within Burkholder's constant.
 """
 
-import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,33 +19,26 @@ from lpdensity import (
     HaarExpansion,
     HaarIndex,
     PreconditionError,
-    SignPattern,
     build_expansion_fn,
     burkholder_constant,
     coefficient_sandwich_check,
     count_sandwich_violations,
-    expansion_norm,
     expansion_norms,
     haar_fn,
     haar_indices_below,
-    lp_norm,
-    sandwich_triple,
     unconditional_constant_estimate,
 )
-from lpdensity.haar_uncond import SandwichRow
+
+from oracles import built_norm, built_ratio, built_row
 
 P_VALUES = (1.0, 1.0000001, 1.1, 1.5, 2.0, 3.0, 7.3)
-
-
-def oracle(exp, p):
-    return lp_norm(build_expansion_fn(exp, p), p)
 
 
 def assert_same_bits(batch, p):
     got = expansion_norms(batch, p)
     assert len(got) == len(batch)
     for exp, value in zip(batch, got):
-        assert value.hex() == oracle(exp, p).hex(), exp
+        assert value.hex() == built_norm(exp, p).hex(), exp
 
 
 def index(level, offset_frac=0.0):
@@ -131,14 +124,8 @@ def test_named_shapes_match_the_oracle(p):
 def test_cancelling_terms_leave_zero_cells_out():
     # the constant and the level-0 function cancel exactly on [1/2, 1)
     exp = expansion(((-1,), 1.0), ((0,), 1.0))
-    assert expansion_norms([exp], 2.0)[0] == oracle(exp, 2.0) == 2.0 ** (1 / 2)
+    assert expansion_norms([exp], 2.0)[0] == built_norm(exp, 2.0) == 2.0 ** (1 / 2)
     assert build_expansion_fn(exp, 2.0).pieces[-1][0].upper == (0.5,)
-
-
-def test_expansion_norm_is_the_one_entry_batch():
-    exp = expansion(((4, 0.7), 1 - 1j), ((-1,), 0.5))
-    for p in P_VALUES:
-        assert expansion_norm(exp, p) == expansion_norms([exp], p)[0] == oracle(exp, p)
 
 
 def test_empty_batch_and_generator_input():
@@ -186,14 +173,6 @@ def test_scratch_memory_does_not_grow_with_the_level():
 # the coefficient sandwich
 
 
-def oracle_row(exp, p):
-    a = np.array([c for _, c in exp.terms], dtype=complex)
-    l2 = float(np.sqrt((np.abs(a) ** 2).sum()))
-    lp = float(((np.abs(a) ** p).sum()) ** (1.0 / p))
-    mid = oracle(exp, p)
-    return SandwichRow(l2, mid, lp) if p <= 2 else SandwichRow(lp, mid, l2)
-
-
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.3])
 def test_sandwich_rows_equal_the_oracle_rows(p):
     rng = np.random.default_rng(17)
@@ -207,11 +186,12 @@ def test_sandwich_rows_equal_the_oracle_rows(p):
             mapping[idx] = complex(rng.normal(), rng.normal())
         batch.append(HaarExpansion.from_mapping(mapping))
     report = coefficient_sandwich_check(batch, p)
-    want = tuple(oracle_row(exp, p) for exp in batch)
+    want = tuple(built_row(exp, p) for exp in batch)
     assert report.rows == want
     assert report.lower_constant == max(r.lhs / r.mid for r in want)
     assert report.upper_constant == max(r.mid / r.rhs for r in want)
-    assert [sandwich_triple(exp, p) for exp in batch[:5]] == list(want[:5])
+    # each row is independent of the rest of its batch
+    assert [coefficient_sandwich_check([exp], p).rows[0] for exp in batch[:5]] == list(want[:5])
 
 
 def test_sandwich_refuses_empty_inputs():
@@ -220,20 +200,28 @@ def test_sandwich_refuses_empty_inputs():
     with pytest.raises(PreconditionError, match="empty expansion"):
         coefficient_sandwich_check([expansion(((1, 0.5), 1.0)), HaarExpansion(())], 3.0)
     with pytest.raises(PreconditionError, match="p must lie"):
-        sandwich_triple(expansion(((1, 0.5), 1.0)), 1.0)
+        coefficient_sandwich_check([expansion(((1, 0.5), 1.0))], 1.0)
+
+
+@pytest.mark.parametrize("size, p", [(1e200, 1.5), (1e-200, 2.0), (1e-120, 3.0)])
+def test_sandwich_refuses_norms_that_leave_the_double_range(size, p):
+    # at 1e200 the expansion norm is finite at p = 1.5, but the squares of
+    # the l2 flank overflowed: lhs read inf, with a numpy RuntimeWarning; at
+    # 1e-200 (p = 2) and 1e-120 (p = 3) every norm rounds to 0 and the
+    # fitted constants divided by it
+    coeffs = {HaarIndex(0, 0): 1.0, HaarIndex(1, 0): 2.0 - 1j}
+    exp = HaarExpansion.from_mapping({i: c * size for i, c in coeffs.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="sandwich norm"):
+            coefficient_sandwich_check([expansion(((0,), 1.0)), exp], p)
+    # nearer 1 every bit stays
+    ok = HaarExpansion.from_mapping({i: c * size**0.5 for i, c in coeffs.items()})
+    assert coefficient_sandwich_check([ok], p).rows == (built_row(ok, p),)
 
 
 # ---------------------------------------------------------------------------
 # the unconditional constant and Burkholder's bounds
-
-
-def oracle_ratio(exp, p):
-    """The largest sign-pattern norm ratio, every norm through build_expansion_fn."""
-    signed = (
-        exp.signed(SignPattern(tuple(zip(exp.support, signs))))
-        for signs in itertools.product((1, -1), repeat=len(exp))
-    )
-    return max(oracle(e, p) for e in signed) / oracle(exp, p)
 
 
 nonzero_parts = st.one_of(
@@ -255,7 +243,7 @@ def sign_test_expansions(draw):
 def test_estimate_matches_the_oracle_within_burkholder_bounds(batch, p):
     beta = burkholder_constant(p)
     estimate = unconditional_constant_estimate(batch, p, trials=1)
-    assert estimate == pytest.approx(max(oracle_ratio(e, p) for e in batch), rel=1e-12, abs=0)
+    assert estimate == pytest.approx(max(built_ratio(e, p) for e in batch), rel=1e-12, abs=0)
     assert estimate <= beta * (1 + 1e-12)
     rows = coefficient_sandwich_check(batch, p).rows
     assert count_sandwich_violations(rows, beta, beta) == 0
@@ -267,10 +255,10 @@ def test_norms_past_the_double_range_are_refused():
     coeffs = {HaarIndex(1, 0): 1.0, HaarIndex(0, 0): -3.0, HaarIndex(2, 1): 2.0 - 1j}
     big = HaarExpansion.from_mapping({i: c * 1e110 for i, c in coeffs.items()})
     refused = (
-        lambda: expansion_norm(big, 3.0),
-        lambda: sandwich_triple(big, 3.0),
+        lambda: expansion_norms([big], 3.0),
+        lambda: coefficient_sandwich_check([big], 3.0),
         lambda: coefficient_sandwich_check([expansion(((0,), 1.0)), big], 3.0),
-        lambda: lp_norm(build_expansion_fn(big, 3.0), 3.0),
+        lambda: built_norm(big, 3.0),
         lambda: unconditional_constant_estimate([big], 3.0, trials=1),
         lambda: unconditional_constant_estimate([expansion(((0,), 1.0)), big], 3.0, trials=1),
     )
@@ -279,9 +267,9 @@ def test_norms_past_the_double_range_are_refused():
             call()
     # inside the range every bit stays
     ok = HaarExpansion.from_mapping({i: c * 1e100 for i, c in coeffs.items()})
-    assert expansion_norm(ok, 3.0).hex() == oracle(ok, 3.0).hex()
+    assert expansion_norms([ok], 3.0)[0].hex() == built_norm(ok, 3.0).hex()
     estimate = unconditional_constant_estimate([ok], 3.0, trials=1)
-    assert estimate == pytest.approx(oracle_ratio(ok, 3.0), rel=1e-12, abs=0)
+    assert estimate == pytest.approx(built_ratio(ok, 3.0), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,20 @@ from lpdensity import (
     ExponentPair,
     PiecewiseFn,
     PreconditionError,
-    add,
     canonicalize,
     conjugate_exponent,
     indicator,
-    indicator_interval,
     lp_norm,
     lp_norm_pow,
-    normalize,
     pair,
     pair_modulated,
     restrict,
     sample_catalog_function,
     scale,
     translate,
-    zero_fn,
 )
+
+from oracles import first_overlap, interval, riemann_value
 
 
 def random_fn_1d(rng, max_pieces=4, lo=-3.0, hi=3.0, dyadic=False):
@@ -49,14 +47,6 @@ def random_fn_1d(rng, max_pieces=4, lo=-3.0, hi=3.0, dyadic=False):
     if not pieces:
         pieces = [(Box((float(cuts[0]),), (float(cuts[-1]),)), 1.0 + 0j)]
     return PiecewiseFn(tuple(pieces), 1)
-
-
-def riemann_value(f, xs):
-    """Pointwise evaluation on a 1-d sample grid, independent of pair()."""
-    vals = np.zeros(xs.size, dtype=complex)
-    for box, v in f.pieces:
-        vals[(xs >= box.lower[0]) & (xs < box.upper[0])] += v
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +70,6 @@ def test_box_cube_corners_and_side():
 def test_overlapping_pieces_rejected():
     with pytest.raises(PreconditionError, match="canonicalize"):
         PiecewiseFn(((Box((0.0,), (1.0,)), 1.0), (Box((0.5,), (1.5,)), 1.0)), 1)
-
-
-def first_overlap(pieces):
-    """The all-pairs overlap test, oracle of PiecewiseFn's bisection: the
-    message for the first overlapping pair of the sorted pieces, or None."""
-    kept = sorted(((b, v) for b, v in pieces if v != 0), key=lambda bv: (bv[0].lower, bv[0].upper))
-    for i, (bi, _) in enumerate(kept):
-        for bj, _ in kept[i + 1 :]:
-            if bi.overlap_volume(bj) > 0.0:
-                return (
-                    f"overlapping pieces {bi.lower}..{bi.upper} and {bj.lower}..{bj.upper}; "
-                    "use canonicalize() to merge raw piece lists"
-                )
-    return None
 
 
 @st.composite
@@ -129,7 +105,7 @@ def test_zero_pieces_dropped():
 
 
 def test_scale_refuses_a_product_that_is_not_finite():
-    f = indicator_interval(0.0, 1.0, 1e308)
+    f = interval(0.0, 1.0, 1e308)
     for c in (10.0, 1e308j, math.inf, math.nan):
         with pytest.raises(PreconditionError, match="must be finite"):
             scale(f, c)
@@ -150,7 +126,7 @@ def test_exponent_pair():
 
 
 def test_translate_shifts_box():
-    f = translate(indicator_interval(0, 1), (2.0,))
+    f = translate(interval(0, 1), (2.0,))
     assert f.pieces[0][0].lower == (2.0,)
     assert f.pieces[0][0].upper == (3.0,)
 
@@ -176,7 +152,7 @@ def test_translate_preserves_norm():
 
 def test_translate_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        translate(indicator_interval(0, 1), (1.0, 2.0))
+        translate(interval(0, 1), (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +160,25 @@ def test_translate_dimension_mismatch():
 
 
 def test_norm_unit_indicator():
-    f = indicator_interval(0, 1)
+    f = interval(0, 1)
     for p in (1.0, 1.5, 2.0, 7.0):
         assert lp_norm(f, p) == 1.0
 
 
 def test_norm_scaled_half_interval():
-    f = indicator_interval(0, 0.5, 2.0)
+    f = interval(0, 0.5, 2.0)
     assert lp_norm(f, 2.0) == pytest.approx(math.sqrt(2.0))
 
 
 def test_norm_symmetric_interval_conjugate_exponent():
     for h in (0.25, 0.5, 1.0, 2.0):
         for q in (1.5, 2.0, 3.0):
-            f = indicator_interval(-h, h)
+            f = interval(-h, h)
             assert lp_norm(f, q) == pytest.approx((2 * h) ** (1 / q), rel=1e-14)
 
 
 def test_norm_pow_avoids_root_round_trip():
-    f = indicator_interval(0, 0.125)
+    f = interval(0, 0.125)
     assert lp_norm_pow(f, 2.0) == 0.125
 
 
@@ -215,9 +191,9 @@ def test_norm_pow_past_the_double_range_is_refused():
     # a power past the range raises OverflowError in Python's **, a product
     # with the volume rounds to inf, and so does abs of a huge complex value
     for f in (
-        indicator_interval(0.0, 1.0, 1e200),
-        indicator_interval(0.0, 1e10, 1e150),
-        indicator_interval(0.0, 1.0, complex(1e308, 1e308)),
+        interval(0.0, 1.0, 1e200),
+        interval(0.0, 1e10, 1e150),
+        interval(0.0, 1.0, complex(1e308, 1e308)),
     ):
         with pytest.raises(PreconditionError, match="overflows double precision"):
             lp_norm_pow(f, 2.0)
@@ -225,24 +201,24 @@ def test_norm_pow_past_the_double_range_is_refused():
             lp_norm(f, 2.0)
     # inside the range every bit stays
     v = complex(1e153, -3e152)
-    assert lp_norm_pow(indicator_interval(0.0, 2.0, v), 2.0) == abs(v) ** 2.0 * 2.0
+    assert lp_norm_pow(interval(0.0, 2.0, v), 2.0) == abs(v) ** 2.0 * 2.0
 
 
 def test_restrict_clips_to_cube():
-    f = restrict(indicator_interval(0, 2), Box.cube((0.0,), 1.0))
+    f = restrict(interval(0, 2), Box.cube((0.0,), 1.0))
     assert f.pieces[0][0].lower == (0.0,)
     assert f.pieces[0][0].upper == (0.5,)
 
 
 def test_restrict_identity_when_support_inside():
-    f = indicator_interval(-0.25, 0.25, 1.5)
+    f = interval(-0.25, 0.25, 1.5)
     assert restrict(f, Box.cube((0.0,), 2.0)) == f
 
 
 def test_restrict_overlap_measure():
     # |[0,1) ∩ [-h/2, h/2)| = min(h/2, 1)
     for h in (0.2, 0.7, 1.0, 1.9, 2.0, 3.5):
-        got = lp_norm_pow(restrict(indicator_interval(0, 1), Box.cube((0.0,), h)), 2.0)
+        got = lp_norm_pow(restrict(interval(0, 1), Box.cube((0.0,), h)), 2.0)
         assert got == pytest.approx(min(h / 2, 1.0), abs=1e-15)
 
 
@@ -259,12 +235,12 @@ def test_restrict_never_grows_norm():
 
 
 def test_pair_unit_overlap():
-    f = indicator_interval(0, 1)
+    f = interval(0, 1)
     assert pair(f, f) == 1.0 + 0j
 
 
 def test_pair_tent_function():
-    f = indicator_interval(0, 1)
+    f = interval(0, 1)
     rng = np.random.default_rng(4)
     for x in rng.uniform(-1.5, 1.5, size=50):
         got = pair(translate(f, (float(x),)), f)
@@ -273,8 +249,8 @@ def test_pair_tent_function():
 
 
 def test_pair_conjugates_second_slot():
-    f = indicator_interval(0, 1)
-    g = indicator_interval(0.5, 1.5, 1j)
+    f = interval(0, 1)
+    g = interval(0.5, 1.5, 1j)
     assert pair(f, g) == pytest.approx(-0.5j)
 
 
@@ -293,9 +269,10 @@ def test_pair_sesquilinear():
     g = random_fn_1d(rng)
     h = random_fn_1d(rng)
     a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-    lhs = pair(add(scale(f, a), scale(g, b)), h)
+    combo = canonicalize(scale(f, a).pieces + scale(g, b).pieces, 1)
+    lhs = pair(combo, h)
     assert lhs == pytest.approx(a * pair(f, h) + b * pair(g, h), rel=1e-12)
-    rhs = pair(h, add(scale(f, a), scale(g, b)))
+    rhs = pair(h, combo)
     assert rhs == pytest.approx(
         a.conjugate() * pair(h, f) + b.conjugate() * pair(h, g), rel=1e-12
     )
@@ -316,18 +293,18 @@ def test_holder_inequality():
 
 
 def test_modulated_zero_frequency_is_measure():
-    f = indicator_interval(0, 1)
+    f = interval(0, 1)
     assert pair_modulated(f, (0.0,)) == pytest.approx(1.0)
 
 
 def test_modulated_integer_frequency_vanishes():
-    f = indicator_interval(0, 1)
+    f = interval(0, 1)
     for m in (1, 2, -3):
         assert abs(pair_modulated(f, (float(m),))) < 1e-15
 
 
 def test_modulated_half_interval_closed_form():
-    got = pair_modulated(indicator_interval(0, 0.5), (1.0,))
+    got = pair_modulated(interval(0, 0.5), (1.0,))
     assert got == pytest.approx(-1j / math.pi, abs=1e-15)
 
 
@@ -353,23 +330,7 @@ def test_modulated_2d_product_structure():
 
 
 # ---------------------------------------------------------------------------
-# normalize / canonicalize
-
-
-def test_normalize_examples():
-    f = normalize(indicator_interval(0, 4), 2.0)
-    assert f.pieces[0][1] == pytest.approx(0.5)
-    for h, p in ((0.5, 1.5), (2.0, 3.0)):
-        g = normalize(indicator_interval(0, h), p)
-        assert g.pieces[0][1] == pytest.approx(h ** (-1.0 / p))
-        assert lp_norm(g, p) == pytest.approx(1.0, abs=1e-12)
-    again = normalize(f, 2.0)
-    assert lp_norm(again, 2.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_normalize_zero_rejected():
-    with pytest.raises(PreconditionError):
-        normalize(zero_fn(1), 2.0)
+# canonicalize
 
 
 def test_canonicalize_overlapping_indicators():
@@ -402,15 +363,15 @@ def test_canonicalize_refuses_pieces_over_the_cell_budget_before_summing():
     assert f.pieces[0][1] == 1.0 and f.pieces[99 * 49 + 49][1] == 50.0
 
 
-def test_add_shares_the_canonicalize_cell_budget():
+def test_joined_functions_share_the_canonicalize_cell_budget():
     # 1100 unit stripes along each axis cut the square [0, 1100]^2 into 1100 x 1100 cells
     across = canonicalize([(Box((k, 0), (k + 1, 1)), 1.0) for k in range(1100)], 2)
     down = canonicalize([(Box((2000, k), (2001, k + 1)), 1.0) for k in range(1100)], 2)
     square = indicator(Box((0, 0), (1100, 1100)))
-    assert len(add(across, down).pieces) == 2200
+    assert len(canonicalize(across.pieces + down.pieces, 2).pieces) == 2200
     with mock.patch("lpdensity.lpfunc.itertools.product", side_effect=AssertionError):
         with pytest.raises(PreconditionError, match="1212200 grid cells"):
-            add(across, down, square)
+            canonicalize(across.pieces + down.pieces + square.pieces, 2)
 
 
 def test_canonicalize_idempotent_and_invariant():

@@ -23,75 +23,7 @@ from lpdensity import (
     union_point_sets,
 )
 
-
-def line_set(*xs):
-    return PointSet(tuple((x,) for x in xs))
-
-
-# ---------------------------------------------------------------------------
-# oracles
-
-
-def brute_min_gap(coords):
-    best = math.inf
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            d = math.dist(coords[i], coords[j])
-            best = min(best, d)
-    return best
-
-
-def brute_window_max_1d(xs, h):
-    """Max count over windows [a, a+h) anchored at every point."""
-    best = 0
-    for a in xs:
-        best = max(best, sum(1 for x in xs if a <= x < a + h))
-    return best
-
-
-def brute_window_max_2d(points, h):
-    """Max count over boxes anchored at every (x_i, y_j) coordinate pair."""
-    xs = sorted({x for x, _ in points})
-    ys = sorted({y for _, y in points})
-    best = 0
-    for ax in xs:
-        for ay in ys:
-            c = sum(1 for x, y in points if ax <= x < ax + h and ay <= y < ay + h)
-            best = max(best, c)
-    return best
-
-
-def exact_chromatic(coords, delta):
-    """Exact chromatic number of the conflict graph (distance < delta), n <= 16."""
-    n = len(coords)
-    adj = [
-        [math.dist(coords[i], coords[j]) < delta for j in range(n)] for i in range(n)
-    ]
-    order = sorted(range(n), key=lambda i: -sum(adj[i]))
-
-    def feasible(k):
-        colors = [-1] * n
-
-        def rec(pos, used_max):
-            if pos == n:
-                return True
-            v = order[pos]
-            taken = {colors[u] for u in range(n) if colors[u] >= 0 and adj[v][u]}
-            for c in range(min(k, used_max + 2)):
-                if c in taken:
-                    continue
-                colors[v] = c
-                if rec(pos + 1, max(used_max, c)):
-                    return True
-                colors[v] = -1
-            return False
-
-        return rec(0, -1)
-
-    for k in range(1, n + 1):
-        if feasible(k):
-            return k
-    return n
+from oracles import brute_nu_plus, exact_chromatic, line_set, min_gap
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +66,7 @@ def test_min_separation_plane():
 
 def test_min_separation_reciprocal_vs_brute():
     s = make_reciprocal(100)
-    oracle = brute_min_gap(list(s.points))
+    oracle = min_gap(list(s.points))
     got = min_separation(s)
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(1.0 / 9900.0, rel=1e-12)  # 1/99 - 1/100
@@ -175,7 +107,7 @@ def test_decompose_parts_are_delta_separated_and_partition():
         for part in rep.parts:
             coords = [s.points[i] for i in part]
             if len(coords) >= 2:
-                assert brute_min_gap(coords) >= delta
+                assert min_gap(coords) >= delta
 
 
 def test_decompose_reciprocal_vs_exact_coloring():
@@ -243,8 +175,8 @@ def test_nu_plus_window_examples():
     assert nu_plus(s, 1.1) == (3, 3, True)
     # oracle agreement
     xs = [0, 0.5, 1.0, 2.0]
-    assert brute_window_max_1d(xs, 1.0) == 2
-    assert brute_window_max_1d(xs, 1.1) == 3
+    assert brute_nu_plus(xs, 1.0) == 2
+    assert brute_nu_plus(xs, 1.1) == 3
 
 
 def test_nu_plus_half_integer_plane():
@@ -257,9 +189,9 @@ def test_nu_plus_random_1d_matches_oracle():
     for _ in range(25):
         n = int(rng.integers(1, 60))
         xs = list(rng.uniform(-5, 5, size=n))
-        s = PointSet(tuple((x,) for x in xs))
+        s = line_set(*xs)
         h = float(rng.uniform(0.1, 3.0))
-        assert nu_plus(s, h).lower == brute_window_max_1d(xs, h)
+        assert nu_plus(s, h).lower == brute_nu_plus(xs, h)
 
 
 def test_nu_plus_random_2d_matches_oracle():
@@ -269,7 +201,7 @@ def test_nu_plus_random_2d_matches_oracle():
         points = [tuple(rng.uniform(-3, 3, size=2)) for _ in range(n)]
         s = PointSet(tuple(tuple(c) for c in points))
         h = float(rng.uniform(0.2, 2.5))
-        assert nu_plus(s, h).lower == brute_window_max_2d(points, h)
+        assert nu_plus(s, h).lower == brute_nu_plus(points, h)
 
 
 def test_nu_plus_high_dim_sandwich():
@@ -311,7 +243,7 @@ def test_density_profile_integer_lattice():
     # non-integer length: floor(h)+1 fit, confirmed by the anchor oracle
     xs = [p[0] for p in s.points]
     prof2 = density_profile(s, [10.5, 21.0])
-    assert prof2.rows[0].nu_lower == 11 == brute_window_max_1d(xs, 10.5)
+    assert prof2.rows[0].nu_lower == 11 == brute_nu_plus(xs, 10.5)
 
 
 def test_density_profile_half_integer_lattice():

@@ -1,13 +1,12 @@
 """Array-backed site sets against the per-site tuple code they replaced.
 
-The oracles below are the per-point constructions and loops that the array
-code replaced, kept as references: lattice, basis-lattice, reciprocal and
+The oracles, in `oracles.py`, are the per-point constructions and loops that
+the array code replaced: lattice, basis-lattice, reciprocal and
 union construction, the duplicate check and its message, the anchored window
 scan, and the per-site support prefilter of power sums and masses.
 Coordinates are compared bit for bit, so 0.0 and -0.0 differ.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -23,129 +22,30 @@ from lpdensity import (
     PointSet,
     PreconditionError,
     TranslateSystem,
-    lp_norm_pow,
     make_lattice,
     make_lattice_basis,
     make_reciprocal,
     nu_plus,
-    pair,
-    restrict,
-    translate,
     union_point_sets,
 )
 from lpdensity.pointset import anchored_windows
 from lpdensity.translate_system import _generator_mass, _overlapping_sites, _system_power_sum
 
+from oracles import (
+    brute_nu_plus,
+    loop_mass,
+    loop_power_sum,
+    loop_sites,
+    slab_anchors,
+    tuple_duplicate_message,
+    tuple_lattice,
+    tuple_lattice_basis,
+    tuple_union,
+)
+
 
 def hexrows(rows):
     return [tuple(float(c).hex() for c in row) for row in rows]
-
-
-# ---------------------------------------------------------------------------
-# oracles: the per-site tuple code
-
-
-def tuple_lattice(spacing, window, dimension, offset):
-    off = tuple(offset) if offset is not None else (0.0,) * dimension
-    kmax = int(math.ceil((window + max(abs(o) for o in off)) / spacing)) + 1
-    axes = [
-        [k * spacing + o for k in range(-kmax, kmax + 1) if abs(k * spacing + o) <= window]
-        for o in off
-    ]
-    return list(itertools.product(*axes))
-
-
-def tuple_lattice_basis(basis, window, offset):
-    d = len(basis)
-    off = np.array(offset, dtype=float) if offset is not None else np.zeros(d)
-    mat = np.array(basis, dtype=float).T
-    inv = np.linalg.inv(mat)
-    bounds = [
-        int(math.ceil((window + float(np.abs(off).max())) * np.abs(inv[i]).sum())) + 1
-        for i in range(d)
-    ]
-    pts = []
-    for n in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        x = mat @ np.array(n, dtype=float) + off
-        if np.all(np.abs(x) <= window):
-            pts.append(tuple(float(v) for v in x))
-    pts.sort()
-    return pts
-
-
-def tuple_duplicate_message(rows):
-    seen = {}
-    for i, coords in enumerate(rows):
-        if coords in seen:
-            return f"duplicate point {coords} at positions {seen[coords]} and {i}"
-        seen[coords] = i
-    return None
-
-
-def tuple_union(members):
-    seen = set()
-    pts = []
-    for rows in members:
-        for coords in rows:
-            if coords not in seen:
-                seen.add(coords)
-                pts.append(coords)
-    pts.sort()
-    return pts
-
-
-def slab_anchors(rows, h):
-    """(count, centre) of every window anchored at an x coordinate and at a y
-    coordinate of a site in that x slab, by direct counting."""
-    out = []
-    for ax in sorted({x for x, _ in rows}):
-        slab = sorted({y for x, y in rows if ax <= x < ax + h})
-        for ay in slab:
-            count = sum(1 for x, y in rows if ax <= x < ax + h and ay <= y < ay + h)
-            out.append((count, (ax + h / 2, ay + h / 2)))
-    return out
-
-
-def brute_nu_plus(rows, h):
-    """Largest count over windows anchored at every (x_i, y_j) pair."""
-    axes = [sorted({r[j] for r in rows}) for j in range(len(rows[0]))]
-    return max(
-        sum(1 for r in rows if all(a <= c < a + h for a, c in zip(anchor, r)))
-        for anchor in itertools.product(*axes)
-    )
-
-
-def shift_overlaps(f_box, site, target):
-    for lo, up, g, tlo, tup in zip(f_box.lower, f_box.upper, site, target.lower, target.upper):
-        if lo + g >= tup or up + g <= tlo:
-            return False
-    return True
-
-
-def loop_sites(gen, target):
-    """The sites kept by the per-site prefilter, in lexicographic order."""
-    return [
-        site
-        for site in sorted(gen.gamma.points)
-        if shift_overlaps(gen.f.support_box, site, target)
-    ]
-
-
-def loop_power_sum(sys, test, exponent):
-    total = 0.0
-    for gen in sys.generators:
-        for site in loop_sites(gen, test.support_box):
-            v = pair(test, translate(gen.f, site))
-            if v != 0:
-                total += abs(v) ** exponent
-    return total
-
-
-def loop_mass(gen, region, p):
-    total = 0.0
-    for site in loop_sites(gen, Box(region.lower, region.upper)):
-        total += lp_norm_pow(restrict(translate(gen.f, site), region), p)
-    return total
 
 
 # ---------------------------------------------------------------------------

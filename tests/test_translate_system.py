@@ -20,7 +20,6 @@ from lpdensity import (
     cq_indicator_sweep,
     cq_required_constant,
     dichotomy_report,
-    indicator_interval,
     localized_mass,
     lp_norm,
     make_lattice,
@@ -34,8 +33,10 @@ from lpdensity import (
 )
 from lpdensity.lpfunc import Box
 
+from oracles import budgeted_lsq_error, interval, line_set
 
-UNIT = indicator_interval(0, 1)
+
+UNIT = interval(0, 1)
 
 
 def z_system(window=10, p=2.0, f=UNIT):
@@ -44,7 +45,7 @@ def z_system(window=10, p=2.0, f=UNIT):
 
 def test_power_sums_and_masses_past_the_double_range_are_refused():
     # the unit test pairs to 1e200 with the site-0 copy of a 1e200 generator
-    big = indicator_interval(0, 1, 1e200)
+    big = interval(0, 1, 1e200)
     with pytest.raises(PreconditionError, match="overflows double precision"):
         bessel_sum(z_system(f=big), UNIT, 2.0)
     with pytest.raises(PreconditionError, match="overflows double precision"):
@@ -52,15 +53,15 @@ def test_power_sums_and_masses_past_the_double_range_are_refused():
     gen = Generator(big, make_lattice(1.0, 3, 1), "Z")
     with pytest.raises(PreconditionError, match="overflows double precision"):
         localized_mass(gen, Box.cube((0.0,), 1.0), 2.0)
+    # two generators of mass 1.44e308 each: the system's sum read inf
+    edge = tuple(Generator(interval(0, 1, 1.2e154), line_set(0.0), k) for k in "ab")
+    with pytest.raises(PreconditionError, match="overflows double precision"):
+        system_localized_mass(TranslateSystem(edge, ExponentPair(2.0)), Box.cube((0.5,), 1.0), 2.0)
     # inside the range every bit stays
-    ok = indicator_interval(0, 1, 1e150 + 2e149j)
+    ok = interval(0, 1, 1e150 + 2e149j)
     assert bessel_sum(z_system(f=ok), UNIT, 2.0) == abs(pair(UNIT, ok)) ** 2.0
     mass = localized_mass(Generator(ok, make_lattice(1.0, 3, 1), "Z"), Box.cube((0.0,), 1.0), 2.0)
     assert mass.total == 2 * (abs(1e150 + 2e149j) ** 2.0 * 0.5)
-
-
-def explicit_line(*xs):
-    return PointSet(tuple((x,) for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +74,12 @@ def test_bessel_sum_integer_translates_single_overlap():
 
 
 def test_bessel_sum_two_full_overlaps():
-    assert bessel_sum(z_system(), indicator_interval(0, 2), 2.0) == pytest.approx(2.0)
+    assert bessel_sum(z_system(), interval(0, 2), 2.0) == pytest.approx(2.0)
 
 
 def test_bessel_sum_partial_overlap():
     sys_ = TranslateSystem(
-        (Generator(UNIT, explicit_line(0.0, 0.5), "g"),), ExponentPair(2.0)
+        (Generator(UNIT, line_set(0.0, 0.5), "g"),), ExponentPair(2.0)
     )
     # overlaps 1 at gamma=0 and 0.5 at gamma=0.5; direct integral oracle
     assert bessel_sum(sys_, UNIT, 2.0) == pytest.approx(1.0 + 0.25)
@@ -101,7 +102,7 @@ def test_bessel_estimate_unit_test():
 
 
 def test_bessel_estimate_two_tests():
-    est = bessel_bound_estimate(z_system(), [UNIT, indicator_interval(0, 2)], 2.0)
+    est = bessel_bound_estimate(z_system(), [UNIT, interval(0, 2)], 2.0)
     # ||chi_[0,2)||_2^2 = 2, sum = 2 -> ratio 1
     assert [r.ratio for r in est.per_test] == pytest.approx([1.0, 1.0])
     assert est.bound_estimate == pytest.approx(1.0)
@@ -110,7 +111,7 @@ def test_bessel_estimate_two_tests():
 def test_bessel_estimate_scale_invariant():
     rng = np.random.default_rng(21)
     sys_ = z_system()
-    tests = [indicator_interval(0, 1.5), indicator_interval(-0.5, 2.0, 0.7)]
+    tests = [interval(0, 1.5), interval(-0.5, 2.0, 0.7)]
     for c in rng.uniform(0.1, 5.0, size=4):
         a = bessel_bound_estimate(sys_, tests, 2.0)
         b = bessel_bound_estimate(sys_, [scale(t, c) for t in tests], 2.0)
@@ -140,14 +141,14 @@ def test_blowup_witness_separated_lattice_count_one():
 
 
 def test_blowup_witness_single_point():
-    w = blowup_witness(UNIT, UNIT, explicit_line(0.0), 0.99, 2.0)
+    w = blowup_witness(UNIT, UNIT, line_set(0.0), 0.99, 2.0)
     assert w.count == 1
     assert w.beta[0] == pytest.approx(0.5, abs=0.5)
 
 
 def test_blowup_witness_epsilon_precondition():
     with pytest.raises(PreconditionError):
-        blowup_witness(UNIT, UNIT, explicit_line(0.0), 1.0, 2.0)
+        blowup_witness(UNIT, UNIT, line_set(0.0), 1.0, 2.0)
 
 
 def test_blowup_witness_plane_grid():
@@ -180,7 +181,7 @@ def test_blowup_witness_sound_against_bessel_sum():
 def test_cq_required_closed_form():
     sys_ = z_system(window=20)
     for h in (0.25, 0.0625):
-        test = indicator_interval(-h, h)
+        test = interval(-h, h)
         assert cq_required_constant(sys_, test) == pytest.approx(h**-0.5, rel=1e-12)
 
 
@@ -189,15 +190,15 @@ def test_cq_required_translation_covariance():
     sys_a = z_system(window=20)
     shifted = PointSet(tuple((x[0] + beta,) for x in make_lattice(1.0, 20, 1)))
     sys_b = TranslateSystem((Generator(UNIT, shifted, "Z+b"),), ExponentPair(2.0))
-    test = indicator_interval(-0.25, 0.25)
+    test = interval(-0.25, 0.25)
     assert cq_required_constant(sys_b, translate(test, (beta,))) == pytest.approx(
         cq_required_constant(sys_a, test), rel=1e-12
     )
 
 
 def test_cq_required_unbounded_witness():
-    sys_ = TranslateSystem((Generator(UNIT, explicit_line(100.0), "far"),), ExponentPair(2.0))
-    assert cq_required_constant(sys_, indicator_interval(-0.25, 0.25)) == math.inf
+    sys_ = TranslateSystem((Generator(UNIT, line_set(100.0), "far"),), ExponentPair(2.0))
+    assert cq_required_constant(sys_, interval(-0.25, 0.25)) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def test_sweep_with_two_h_values_fits_both_rows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         flat = cq_indicator_sweep(
-            z_system(window=20), [0.25, 0.125], fixed_test=indicator_interval(0.0, 0.5)
+            z_system(window=20), [0.25, 0.125], fixed_test=interval(0.0, 0.5)
         )
         sw = cq_indicator_sweep(z_system(window=20), [0.25, 0.125])
     assert [r.k_required for r in flat.rows] == [pytest.approx(math.sqrt(2), rel=1e-12)] * 2
@@ -240,7 +241,7 @@ def test_sweep_with_two_h_values_fits_both_rows():
 
 
 def test_sweep_empty_overlap_unbounded_rows():
-    sys_ = TranslateSystem((Generator(UNIT, explicit_line(100.0), "far"),), ExponentPair(2.0))
+    sys_ = TranslateSystem((Generator(UNIT, line_set(100.0), "far"),), ExponentPair(2.0))
     sw = cq_indicator_sweep(sys_, [0.25, 0.125])
     assert all(math.isinf(r.k_required) for r in sw.rows)
     assert sw.verdict == "divergent"
@@ -282,7 +283,7 @@ def test_localized_mass_tiling_identity():
 
 
 def test_localized_mass_double_cover():
-    gen = Generator(indicator_interval(0, 2), make_lattice(1.0, 30, 1), "Z")
+    gen = Generator(interval(0, 2), make_lattice(1.0, 30, 1), "Z")
     rep = localized_mass(gen, Box.cube((0.0,), 0.5), 2.0)
     # direct summation oracle: every point of the window lies in two supports
     oracle = sum(
@@ -319,7 +320,7 @@ def test_mass_growth_for_reciprocal_family():
 
 
 def test_mass_single_point_small():
-    gen = Generator(UNIT, explicit_line(0.0), "one")
+    gen = Generator(UNIT, line_set(0.0), "one")
     rows = mass_decay_sweep(gen, (0.0,), [0.5, 0.25], 2.0)
     assert rows[0][1] <= min(1.0, 0.5)
     assert rows[1][1] == rows[0][1] / 2
@@ -348,7 +349,7 @@ def test_bessel_sum_translation_covariance():
     shifted = PointSet(tuple((x[0] + beta,) for x in gamma))
     sys_a = TranslateSystem((Generator(UNIT, gamma, "Z"),), ExponentPair(2.0))
     sys_b = TranslateSystem((Generator(UNIT, shifted, "Z+b"),), ExponentPair(2.0))
-    test = indicator_interval(-0.5, 1.25)
+    test = interval(-0.5, 1.25)
     assert bessel_sum(sys_b, translate(test, (beta,)), 2.0) == pytest.approx(
         bessel_sum(sys_a, test, 2.0), rel=1e-12
     )
@@ -356,7 +357,7 @@ def test_bessel_sum_translation_covariance():
 
 def test_system_localized_mass_sums_generators():
     g1 = Generator(UNIT, make_lattice(1.0, 10, 1), "a")
-    g2 = Generator(indicator_interval(0, 2), make_lattice(1.0, 10, 1), "b")
+    g2 = Generator(interval(0, 2), make_lattice(1.0, 10, 1), "b")
     sys_ = TranslateSystem((g1, g2), ExponentPair(2.0))
     cube = Box.cube((0.0,), 0.5)
     assert system_localized_mass(sys_, cube, 2.0) == pytest.approx(
@@ -371,33 +372,6 @@ def test_system_localized_mass_sums_generators():
 # combination g with coefficient budget ||a||_2 <= K,
 #   ||f - g|| >= |<h, f-g>|/||h|| >= 1 - K/K_required,
 # so the best constrained approximation error cannot fall below that gap.
-
-
-def budgeted_lsq_error(fns, target, budget):
-    n = len(fns)
-    gram = np.array([[pair(fj, fi) for fj in fns] for fi in fns])
-    b = np.array([pair(target, fi) for fi in fns])
-    t2 = pair(target, target).real
-
-    def err_at(a):
-        val = t2 - 2 * (np.conj(a) @ b).real + (np.conj(a) @ gram @ a).real
-        return math.sqrt(max(0.0, val))
-
-    a_free, *_ = np.linalg.lstsq(gram, b, rcond=None)
-    if np.linalg.norm(a_free) <= budget:
-        return err_at(a_free)
-    lo, hi = 0.0, 1.0
-    while np.linalg.norm(np.linalg.solve(gram + hi * np.eye(n), b)) > budget:
-        hi *= 2
-        if hi > 1e12:
-            break
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if np.linalg.norm(np.linalg.solve(gram + mid * np.eye(n), b)) > budget:
-            lo = mid
-        else:
-            hi = mid
-    return err_at(np.linalg.solve(gram + hi * np.eye(n), b))
 
 
 def test_synthesis_oracle_consistent_with_required_constant():
@@ -478,7 +452,7 @@ def test_dichotomy_reciprocal_horn():
 def test_dichotomy_union_subadditivity_rows():
     gens = (
         Generator(UNIT, make_lattice(1.0, 20, 1), "Z"),
-        Generator(indicator_interval(0, 2), make_lattice(1.0, 20, 1), "Z+"),
+        Generator(interval(0, 2), make_lattice(1.0, 20, 1), "Z+"),
     )
     rep = dichotomy_report(
         TranslateSystem(gens, ExponentPair(2.0)),
@@ -495,7 +469,7 @@ def test_dichotomy_union_subadditivity_rows():
 
 def test_dichotomy_requires_provenance():
     sys_ = TranslateSystem(
-        (Generator(UNIT, explicit_line(0.0, 1.0), "explicit"),), ExponentPair(2.0)
+        (Generator(UNIT, line_set(0.0, 1.0), "explicit"),), ExponentPair(2.0)
     )
     with pytest.raises(PreconditionError, match="provenance"):
         dichotomy_report(
