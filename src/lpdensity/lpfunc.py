@@ -10,6 +10,7 @@ quadrature is involved anywhere.
 import cmath
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +32,12 @@ def _coords(x, dim: Optional[int] = None) -> tuple:
     return c
 
 
+def _check_corners(lo: tuple, up: tuple) -> None:
+    for a, b in zip(lo, up):
+        if not -math.inf < a < b < math.inf:
+            raise PreconditionError(f"box needs lower < upper componentwise, got {lo} .. {up}")
+
+
 @dataclass(frozen=True)
 class Box:
     """Half-open product box prod_i [lower_i, upper_i) with positive volume."""
@@ -43,9 +50,7 @@ class Box:
         up = tuple(float(v) for v in self.upper)
         if len(lo) != len(up) or not lo:
             raise PreconditionError("box corners must share a dimension >= 1")
-        for a, b in zip(lo, up):
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise PreconditionError(f"box needs lower < upper componentwise, got {lo} .. {up}")
+        _check_corners(lo, up)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
@@ -68,13 +73,6 @@ class Box:
         for a, b in zip(self.lower, self.upper):
             v *= b - a
         return v
-
-    def translate(self, offset: Sequence[float]) -> "Box":
-        off = _coords(offset, self.dim)
-        return Box(
-            tuple(a + o for a, o in zip(self.lower, off)),
-            tuple(b + o for b, o in zip(self.upper, off)),
-        )
 
     def overlap_volume(self, other: "Box") -> float:
         v = 1.0
@@ -222,7 +220,17 @@ def conjugate_exponent(p: float) -> float:
 def translate(f: PiecewiseFn, gamma) -> PiecewiseFn:
     """(T_gamma f)(x) = f(x - gamma): every box shifts by gamma, values unchanged."""
     off = _coords(gamma, f.dimension)
-    return _build(tuple((box.translate(off), v) for box, v in f.pieces), f.dimension)
+    pieces = []
+    for box, v in f.pieces:
+        lo = tuple(map(operator.add, box.lower, off))
+        up = tuple(map(operator.add, box.upper, off))
+        # the checks of Box(lo, up), on corners that are floats already
+        _check_corners(lo, up)
+        moved = object.__new__(Box)
+        object.__setattr__(moved, "lower", lo)
+        object.__setattr__(moved, "upper", up)
+        pieces.append((moved, v))
+    return _build(pieces, f.dimension)
 
 
 def lp_norm_pow(f: PiecewiseFn, p: float) -> float:

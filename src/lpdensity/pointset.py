@@ -329,11 +329,13 @@ def _band_starts(xs: np.ndarray, r2: float) -> np.ndarray:
     a = np.minimum(np.searchsorted(xs, xs - math.sqrt(r2), side="left"), first)
     todo = at
     # squares of arrays, x * x as in the pair tests; a scalar ** 2 goes
-    # through libm's pow, which can round otherwise
+    # through libm's pow, which can round otherwise.  A square that
+    # overflows reads inf, which fails the test as the exact square would
     while todo.size:
         j = a[todo]
-        drop = (j < first[todo]) & ~((xs[j] - xs[todo]) ** 2 < r2)
-        grow = (j > 0) & ((xs[j - 1] - xs[todo]) ** 2 < r2)
+        with np.errstate(over="ignore"):
+            drop = (j < first[todo]) & ~((xs[j] - xs[todo]) ** 2 < r2)
+            grow = (j > 0) & ((xs[j - 1] - xs[todo]) ** 2 < r2)
         a[todo[drop]] = past[j[drop]]
         a[todo[grow]] = first[j[grow] - 1]
         todo = todo[drop | grow]
@@ -367,19 +369,25 @@ def _close_earlier(ranked: np.ndarray, r2: float):
     squares is at least its axis-0 term, so no other pair passes."""
     a = _band_starts(ranked[:, 0], r2)
     for i, j in _pair_tiles(a, np.arange(len(ranked))):
-        d2 = ((ranked[i] - ranked[j]) ** 2).sum(axis=-1)
+        with np.errstate(over="ignore"):  # inf fails the test, as in _band_starts
+            d2 = ((ranked[i] - ranked[j]) ** 2).sum(axis=-1)
         close = d2 < r2
         yield i[close], j[close], d2[close]
 
 
 def min_separation(s: PointSet) -> float:
-    """inf over i != j of the Euclidean distance |p_i - p_j|."""
+    """inf over i != j of the Euclidean distance |p_i - p_j|.
+
+    Distances come from squared gaps, so the result reads 0.0 where the
+    least of them underflows and inf where every one overflows."""
     if len(s) < 2:
         raise PreconditionError("undefined separation: need at least 2 points")
     ranked = s.as_array[s.order]
     # lexicographic neighbours give the minimum in 1-d, and a bound above it
-    # otherwise, which only pairs of the axis-0 band can beat
-    best = float(((ranked[1:] - ranked[:-1]) ** 2).sum(axis=-1).min())
+    # otherwise, which only pairs of the axis-0 band can beat; a square that
+    # overflows to inf is never the least unless all are
+    with np.errstate(over="ignore"):
+        best = float(((ranked[1:] - ranked[:-1]) ** 2).sum(axis=-1).min())
     if s.dimension > 1:
         for _, _, d2 in _close_earlier(ranked, best):
             best = float(d2.min(initial=best))
@@ -398,6 +406,12 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     if not (math.isfinite(delta) and delta > 0):
         raise PreconditionError(f"delta must be positive, got {delta}")
     n = len(s)
+    min_gap = min_separation(s) if n >= 2 else math.inf
+    if n >= 2 and not 0.0 < min_gap < math.inf:  # a squared gap under- or overflowed
+        raise PreconditionError(
+            f"the separation of the sites reads {min_gap} in double precision, "
+            "so the report has no minimum gap"
+        )
     ranked = s.as_array[s.order]
     d2_min = delta * delta
     # the earlier sites each site conflicts with, by position in `ranked`
@@ -419,7 +433,6 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     members: list = [[] for _ in range(max(part, default=-1) + 1)]
     for i, k in zip(s.order.tolist(), part):
         members[k].append(i)
-    min_gap = min_separation(s) if n >= 2 else math.inf
     return SeparationReport(
         min_gap=min_gap,
         delta=delta,

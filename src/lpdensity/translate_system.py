@@ -147,46 +147,76 @@ class LocalizedMassReport:
 # shared internals
 
 
+def _site_masks(gamma: PointSet, f_box: Box, targets: Sequence[Box]) -> tuple:
+    """The sites of gamma in lexicographic order, as an (n, d) array, and the
+    (targets x n) boolean array of the sites g for which f_box + g meets each
+    target box."""
+    sites = gamma.as_array[gamma.order]
+    lower = np.array([t.lower for t in targets]).reshape(-1, 1, gamma.dimension)
+    upper = np.array([t.upper for t in targets]).reshape(-1, 1, gamma.dimension)
+    meets = (np.array(f_box.lower) + sites < upper) & (np.array(f_box.upper) + sites > lower)
+    return sites, meets.all(axis=2)
+
+
 def _overlapping_sites(gamma: PointSet, f_box: Optional[Box], target: Optional[Box]) -> list:
     """The sites g, in lexicographic order and as lists of floats, for which
     f_box + g meets the target box."""
     if f_box is None or target is None:
         return []
-    sites = gamma.as_array[gamma.order]
-    meets = (np.array(f_box.lower) + sites < target.upper) & (
-        np.array(f_box.upper) + sites > target.lower
-    )
-    return sites[meets.all(axis=1)].tolist()
+    sites, meets = _site_masks(gamma, f_box, [target])
+    return sites[meets[0]].tolist()
 
 
-def _system_power_sum(sys: TranslateSystem, test: PiecewiseFn, exponent: float) -> float:
-    """sum_k sum_gamma |<test, T_gamma f_k>|^exponent with a support prefilter."""
-    total = 0.0
+def _system_power_sums(sys: TranslateSystem, tests: Sequence[PiecewiseFn], exponent: float) -> list:
+    """[sum_k sum_gamma |<t, T_gamma f_k>|^exponent for t in tests], over the
+    sites whose translated support meets the support of t; tests are nonzero.
+
+    Equal tests are summed once.  Each site that some test meets is
+    translated once, and paired with each test that meets it; every sum adds
+    its terms generator by generator, sites in lexicographic order, as a loop
+    over one test's sites would, so each sum keeps that loop's bits.
+    """
+    distinct = list(dict.fromkeys(tests))
+    boxes = [t.support_box for t in distinct]
+    totals = [0.0] * len(distinct)
     for gen in sys.generators:
-        for site in _overlapping_sites(gen.gamma, gen.f.support_box, test.support_box):
-            v = pair(test, translate(gen.f, site))
-            if v != 0:
-                try:
-                    total += abs(v) ** exponent
-                except OverflowError:
-                    total = math.inf
-    return _finite_power_sum(total, f"the power sum at exponent {exponent}")
+        sites, meets = _site_masks(gen.gamma, gen.f.support_box, boxes)
+        hit = meets.any(axis=0)
+        for site, row in zip(sites[hit].tolist(), meets[:, hit].T.tolist()):
+            moved = translate(gen.f, site)
+            for k in itertools.compress(range(len(distinct)), row):
+                v = pair(distinct[k], moved)
+                if v != 0:
+                    try:
+                        totals[k] += abs(v) ** exponent
+                    except OverflowError:
+                        totals[k] = math.inf
+    sums = {
+        t: _finite_power_sum(total, f"the power sum at exponent {exponent}")
+        for t, total in zip(distinct, totals)
+    }
+    return [sums[t] for t in tests]
 
 
 # ---------------------------------------------------------------------------
 # Bessel side
 
 
+def _bessel_exponent(p_prime: float) -> float:
+    p_prime = float(p_prime)
+    if not (math.isfinite(p_prime) and p_prime > 1):
+        raise PreconditionError(f"p_prime must lie in (1, inf), got {p_prime}")
+    return p_prime
+
+
 def bessel_sum(sys: TranslateSystem, h: PiecewiseFn, p_prime: float) -> float:
     """Power sum sum_k sum_gamma |<h, T_gamma f_k>|^{p_prime} over the truncation."""
     if h.is_zero:
         raise PreconditionError("bessel_sum needs a nonzero test function")
-    p_prime = float(p_prime)
-    if not (math.isfinite(p_prime) and p_prime > 1):
-        raise PreconditionError(f"p_prime must lie in (1, inf), got {p_prime}")
+    p_prime = _bessel_exponent(p_prime)
     if h.dimension != sys.dimension:
         raise DimensionMismatchError("test function dimension does not match the system")
-    return _system_power_sum(sys, h, p_prime)
+    return _system_power_sums(sys, [h], p_prime)[0]
 
 
 def bessel_bound_estimate(
@@ -204,19 +234,22 @@ def bessel_bound_estimate(
     tests = list(tests)
     if not tests:
         raise PreconditionError("bessel_bound_estimate needs at least one test")
-    q = sys.p.q
     ids = list(labels) if labels is not None else [f"test-{i}" for i in range(len(tests))]
     if len(ids) != len(tests):
         raise PreconditionError("labels must match tests one to one")
-    rows = []
+    # every refusal before any sum
+    p_prime = _bessel_exponent(p_prime)
     for tid, t in zip(ids, tests):
         if t.is_zero:
             raise PreconditionError(f"zero test function {tid!r}")
-        s = bessel_sum(sys, t, p_prime)
-        qn = lp_norm(t, q)
-        rows.append(BesselTestRow(tid, s, qn, s / qn ** float(p_prime)))
+        if t.dimension != sys.dimension:
+            raise DimensionMismatchError("test function dimension does not match the system")
+    rows = []
+    for tid, t, s in zip(ids, tests, _system_power_sums(sys, tests, p_prime)):
+        qn = lp_norm(t, sys.p.q)
+        rows.append(BesselTestRow(tid, s, qn, s / qn**p_prime))
     return BesselEstimate(
-        p_prime=float(p_prime),
+        p_prime=p_prime,
         per_test=tuple(rows),
         bound_estimate=max(r.ratio for r in rows),
     )
@@ -365,7 +398,7 @@ def cq_required_constant(sys: TranslateSystem, test: PiecewiseFn) -> float:
     if test.dimension != sys.dimension:
         raise DimensionMismatchError("test dimension does not match the system")
     p, q = sys.p.p, sys.p.q
-    psum = _system_power_sum(sys, test, p)
+    psum = _system_power_sums(sys, [test], p)[0]
     if psum == 0.0:
         return math.inf
     return lp_norm(test, q) / psum ** (1.0 / p)
@@ -460,7 +493,7 @@ def cq_indicator_sweep(
             _reach_check_set(gen.gamma, gen.f.support_box, test.support_box)
         mass_cube = _bounding_cube(test.support_box)
         qn = lp_norm(test, q)
-        psum = _system_power_sum(sys, test, p)
+        psum = _system_power_sums(sys, [test], p)[0]
         k_req = math.inf if psum == 0.0 else qn / psum ** (1.0 / p)
         mass = system_localized_mass(sys, mass_cube, p)
         rows.append(CqSweepRow(h, qn, psum, k_req, mass))

@@ -20,6 +20,7 @@ from lpdensity import (
     HaarIndex,
     PiecewiseFn,
     PointSet,
+    PreconditionError,
     SignPattern,
     build_expansion_fn,
     indicator,
@@ -195,6 +196,12 @@ def centred_counts(arr, h):
 def scan_decompose_separated(s, delta):
     n = len(s)
     arr = s.as_array
+    gap = min_gap(arr) if n >= 2 else math.inf
+    if n >= 2 and not 0.0 < gap < math.inf:
+        raise PreconditionError(
+            f"the separation of the sites reads {gap} in double precision, "
+            "so the report has no minimum gap"
+        )
     d2_min = delta * delta
     parts = []  # (index list, coordinate row list)
     for i in s.order.tolist():
@@ -208,7 +215,7 @@ def scan_decompose_separated(s, delta):
         else:
             parts.append(([i], [row]))
     return SeparationReport(
-        min_gap=min_gap(arr) if n >= 2 else math.inf,
+        min_gap=gap,
         delta=delta,
         part_count=len(parts),
         parts=tuple(tuple(sorted(idxs)) for idxs, _ in parts),
@@ -294,6 +301,17 @@ def first_overlap(pieces):
                     "use canonicalize() to merge raw piece lists"
                 )
     return None
+
+
+def box_translated(box, offset):
+    """Box.translate as the library had it, the oracle of translate's corners
+    and refusals: the offset re-read per box, and every corner re-checked by
+    the Box constructor."""
+    off = tuple(float(o) for o in offset)
+    return Box(
+        tuple(a + o for a, o in zip(box.lower, off)),
+        tuple(b + o for b, o in zip(box.upper, off)),
+    )
 
 
 def riemann_value(f, xs):

@@ -10,6 +10,7 @@ import json
 import math
 import pathlib
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -960,6 +961,28 @@ def test_localized_mass_within_the_double_range_keeps_its_bits(tmp_path, capsys)
     assert code == 0 and report["total"] == 2 * (abs(1e150) ** 2.0 * 1.0)
     bound = report["finiteness_bound"]
     assert bound["blocks_per_side"] == 8 and bound["value"] == 16 * (abs(1e150) ** 2.0 * 1.0)
+
+
+@pytest.mark.parametrize(
+    "rows, reads",
+    [
+        # the squared gap overflows: the report read "min_gap": Infinity, exit
+        # 0, after numpy's overflow RuntimeWarnings
+        ([[0.0], [1e300]], "inf"),
+        ([[0.0, 0.0], [1e300, 0.0]], "inf"),
+        # the squared gap underflows: the report read "min_gap": 0, exit 0
+        ([[0.0], [1e-300]], "0.0"),
+    ],
+    ids=["overflow-1d", "overflow-2d", "underflow"],
+)
+def test_separate_with_a_gap_out_of_the_double_range_exits_3(tmp_path, capsys, rows, reads):
+    payload = {"command": "separate", "points": {"kind": "explicit", "rows": rows}, "delta": 1}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and f"the separation of the sites reads {reads} in double precision" in err
+    assert not caught and "\n" not in err
+    assert not (tmp_path / "separate_report.json").exists()
 
 
 _extreme = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-10, 0.5, 1.0, 1e154, 1e300, 1.7e308])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from lpdensity import (
     PointSet,
+    PreconditionError,
     decompose_separated,
     detect_accumulation,
     make_lattice,
@@ -38,11 +39,20 @@ from oracles import (
 )
 
 
+def outcome(fn, *args):
+    """fn(*args), or the message of the PreconditionError it raises."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return f"refused: {exc}"
+
+
 def assert_scans_agree(s, radius, threshold, h):
     assert detect_accumulation(s, radius, threshold) == scan_detect_accumulation(
         s, radius, threshold
     )
-    assert decompose_separated(s, radius) == scan_decompose_separated(s, radius)
+    # a separation that reads 0 or inf is refused by both
+    assert outcome(decompose_separated, s, radius) == outcome(scan_decompose_separated, s, radius)
     if len(s) >= 2:
         assert min_separation(s) == min_gap(s.as_array)
     centres, counts = centred_windows(s, h)
@@ -174,6 +184,11 @@ def test_scans_match_the_per_site_loops(case, tile):
 def test_scans_with_radius_below_rounding_to_zero():
     # radius * radius underflows to 0: no site is within it, not even itself
     s = PointSet([(0.0, 0.0), (1e-200, 0.0), (1.0, 1.0)])
+    assert_scans_agree(s, 1e-170, 2, 0.5)
+    # the squared gap of 1e-200 underflows too, so separate has no minimum gap
+    with pytest.raises(PreconditionError, match="separation of the sites reads 0.0"):
+        decompose_separated(s, 1e-170)
+    s = PointSet([(0.0, 0.0), (1e-150, 0.0), (1.0, 1.0)])
     assert_scans_agree(s, 1e-170, 2, 0.5)
     assert decompose_separated(s, 1e-170).part_count == 1
 

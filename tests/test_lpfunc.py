@@ -27,7 +27,7 @@ from lpdensity import (
     translate,
 )
 
-from oracles import first_overlap, interval, riemann_value
+from oracles import bits, box_translated, first_overlap, interval, riemann_value
 
 
 def random_fn_1d(rng, max_pieces=4, lo=-3.0, hi=3.0, dyadic=False):
@@ -153,6 +153,63 @@ def test_translate_preserves_norm():
 def test_translate_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         translate(interval(0, 1), (1.0, 2.0))
+
+
+# corners and offsets that round when added, tie, and meet -0.0
+translate_coords = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.1, 1 / 3, -2.5, 1e-17, 1e16]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def strips(draw):
+    """Step functions of 1 to 5 strips along axis 0, in 1 or 2 dimensions."""
+    dim = draw(st.sampled_from([1, 2]))
+    xs = sorted(set(draw(st.lists(translate_coords, min_size=2, max_size=6))))
+    if len(xs) < 2:
+        xs = [xs[0], xs[0] + 1.0]
+    rest = sorted(draw(st.lists(translate_coords, min_size=2, max_size=2, unique=True)))
+    pieces = [
+        (Box((a,) + (rest[0],) * (dim - 1), (b,) + (rest[1],) * (dim - 1)), complex(k + 1, -k))
+        for k, (a, b) in enumerate(zip(xs, xs[1:]))
+    ]
+    return PiecewiseFn(tuple(pieces), dim)
+
+
+@given(strips(), st.data())
+def test_translate_corners_match_box_by_box_translation(f, data):
+    offset = data.draw(st.lists(translate_coords, min_size=f.dimension, max_size=f.dimension))
+    try:
+        want = [(box_translated(b, offset), v) for b, v in f.pieces]
+    except PreconditionError as exc:
+        # a shift that collapses a piece: the same refusal, word for word
+        with pytest.raises(PreconditionError) as info:
+            translate(f, offset)
+        assert str(info.value) == str(exc)
+        return
+    want.sort(key=lambda bv: (bv[0].lower, bv[0].upper))
+    got = translate(f, offset).pieces
+    # bit for bit, so that 0.0 and -0.0 differ
+    assert [[bits(c) for c in b.lower + b.upper + (v,)] for b, v in got] == [
+        [bits(c) for c in b.lower + b.upper + (v,)] for b, v in want
+    ]
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [(math.nan,), (math.inf,), (-math.inf,), (1e6,)],
+    ids=["nan", "inf", "-inf", "collapsing"],
+)
+def test_translate_refusals_keep_the_box_message(offset):
+    # [0, 1e-12) + 1e6 rounds to an empty interval
+    f = PiecewiseFn(((Box((0.0,), (1e-12,)), 1.0),), 1)
+    with pytest.raises(PreconditionError) as want:
+        box_translated(f.pieces[0][0], offset)
+    with pytest.raises(PreconditionError) as got:
+        translate(f, offset)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("box needs lower < upper componentwise, got (")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from lpdensity import (
     PointSet,
     PreconditionError,
     TranslateSystem,
+    bessel_bound_estimate,
+    lp_norm,
     make_lattice,
     make_lattice_basis,
     make_reciprocal,
@@ -29,9 +31,10 @@ from lpdensity import (
     union_point_sets,
 )
 from lpdensity.pointset import anchored_windows
-from lpdensity.translate_system import _generator_mass, _overlapping_sites, _system_power_sum
+from lpdensity.translate_system import _generator_mass, _overlapping_sites, _system_power_sums
 
 from oracles import (
+    bits,
     brute_nu_plus,
     loop_mass,
     loop_power_sum,
@@ -215,7 +218,7 @@ def systems(draw):
 @given(systems(), st.sampled_from([2.0, 1.5, 3.0]))
 def test_masked_power_sum_matches_site_loop(case, exponent):
     sys, test = case
-    assert _system_power_sum(sys, test, exponent).hex() == loop_power_sum(sys, test, exponent).hex()
+    assert _system_power_sums(sys, [test], exponent)[0].hex() == loop_power_sum(sys, test, exponent).hex()
     # a site whose shifted support only touches the target pairs to 0, so
     # the sum cannot tell whether the prefilter dropped it; compare the sites
     for gen in sys.generators:
@@ -229,3 +232,41 @@ def test_masked_mass_matches_site_loop(case, centre, side, p):
     gen = sys.generators[0]
     region = Box.cube((centre,) * gen.f.dimension, side)
     assert _generator_mass(gen, region, p).hex() == loop_mass(gen, region, p).hex()
+
+
+def rebuilt(f, zero=0.0, shift=0.0):
+    """f built anew as a separate object, every corner moved by shift and
+    every zero corner replaced by `zero` (0.0 or -0.0): equal to f when
+    shift is 0."""
+    def corner(c):
+        return tuple(zero if v + shift == 0 else v + shift for v in c)
+
+    return PiecewiseFn(tuple((Box(corner(b.lower), corner(b.upper)), v) for b, v in f.pieces), f.dimension)
+
+
+@st.composite
+def bessel_cases(draw):
+    """Systems of 1 to 3 generators, some sharing their f, and test lists
+    that repeat tests as separate equal objects (some with -0.0 corners where
+    the other copy has 0.0) and hold tests far from every site."""
+    dim = draw(dims)
+    fns = draw(st.lists(step_fns(dim), min_size=1, max_size=3))
+    gens = []
+    for k in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.tuples(*[dyadic] * dim), min_size=1, max_size=12, unique=True))
+        f = rebuilt(draw(st.sampled_from(fns)), draw(st.sampled_from([0.0, -0.0])))
+        gens.append(Generator(f, PointSet(rows), f"g{k}"))
+    pool = draw(st.lists(step_fns(dim), min_size=1, max_size=3))
+    variants = st.tuples(st.sampled_from(pool), st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, 0.0, 100.0]))
+    tests = [rebuilt(f, zero, shift) for f, zero, shift in draw(st.lists(variants, min_size=1, max_size=6))]
+    return TranslateSystem(tuple(gens), ExponentPair(2.0)), tests
+
+
+@given(bessel_cases(), st.sampled_from([2.0, 1.5, 3.0]))
+def test_one_pass_bessel_rows_match_the_loop_per_test(case, p_prime):
+    sys, tests = case
+    est = bessel_bound_estimate(sys, tests, p_prime)
+    for row, test in zip(est.per_test, tests):
+        want = loop_power_sum(sys, test, p_prime)
+        assert bits(row.bessel_sum) == bits(want)
+        assert bits(row.ratio) == bits(want / lp_norm(test, sys.p.q) ** p_prime)

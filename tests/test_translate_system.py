@@ -1,5 +1,6 @@
 """Translate-system analysis: Bessel sums, witnesses, required constants, mass."""
 
+import json
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from lpdensity import (
     DichotomyConfig,
+    DimensionMismatchError,
     ExponentPair,
     Generator,
     PiecewiseFn,
@@ -30,8 +32,10 @@ from lpdensity import (
     system_localized_mass,
     translate,
     union_point_sets,
+    zero_fn,
 )
-from lpdensity.lpfunc import Box
+from lpdensity.cli import main
+from lpdensity.lpfunc import Box, indicator
 
 from oracles import budgeted_lsq_error, interval, line_set
 
@@ -116,6 +120,51 @@ def test_bessel_estimate_scale_invariant():
         a = bessel_bound_estimate(sys_, tests, 2.0)
         b = bessel_bound_estimate(sys_, [scale(t, c) for t in tests], 2.0)
         assert b.bound_estimate == pytest.approx(a.bound_estimate, rel=1e-12)
+
+
+_UNIT_SPEC = {"kind": "indicator", "box": {"lower": [0.0], "upper": [1.0]}}
+
+# one fault each: (library call arguments, bessel spec fields, error, message)
+_BESSEL_REFUSALS = [
+    *(
+        ([UNIT], p_prime, None, {"p_prime": p_prime}, PreconditionError,
+         f"p_prime must lie in (1, inf), got {p_prime}")
+        for p_prime in (1.0, 0.5, math.nan, math.inf)
+    ),
+    ([UNIT, zero_fn(1)], 2.0, None,
+     {"tests": [_UNIT_SPEC, {**_UNIT_SPEC, "value": 0.0}]},
+     PreconditionError, "zero test function 'test-1'"),
+    ([UNIT, indicator(Box((0.0, 0.0), (1.0, 1.0)))], 2.0, None,
+     {"tests": [_UNIT_SPEC, {"kind": "indicator", "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}]},
+     DimensionMismatchError, "test function dimension does not match the system"),
+    ([UNIT], 2.0, ["a", "b"], None, PreconditionError, "labels must match tests one to one"),
+    # 1e200 squared is past the double range, in the power sum before the q-norm
+    ([UNIT, interval(0, 1, 1e200)], 2.0, None,
+     {"tests": [_UNIT_SPEC, {**_UNIT_SPEC, "value": 1e200}]},
+     PreconditionError, "the power sum at exponent 2.0 overflows double precision"),
+    ([], 2.0, None, {"tests": []}, PreconditionError, "bessel_bound_estimate needs at least one test"),
+]
+
+
+@pytest.mark.parametrize("tests, p_prime, labels, fields, error, message", _BESSEL_REFUSALS)
+def test_bessel_estimate_refusals_keep_their_messages(tests, p_prime, labels, fields, error, message):
+    with pytest.raises(error) as info:
+        bessel_bound_estimate(z_system(), tests, p_prime, labels=labels)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields, message", [(f, m) for *_, f, _, m in _BESSEL_REFUSALS if f is not None]
+)
+def test_bessel_spec_refusals_exit_3(tmp_path, capsys, fields, message):
+    lattice = {"kind": "lattice", "spacing": 1.0, "window": 10, "dimension": 1}
+    system = {"p": 2.0, "generators": [{"f": _UNIT_SPEC, "gamma": lattice, "label": "Z"}]}
+    spec = {"command": "bessel", "system": system, "tests": [_UNIT_SPEC], "p_prime": 2.0, **fields}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))  # nan and inf as NaN and Infinity
+    code = main(["run", "--spec", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    assert code == 3 and err == f"lpdensity bessel: precondition violated: {message}"
 
 
 # ---------------------------------------------------------------------------
