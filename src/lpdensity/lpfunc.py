@@ -310,6 +310,9 @@ def pair(h: PiecewiseFn, f: PiecewiseFn) -> complex:
 _TILE = 1 << 15
 # up to this many piece pairs, every pair is evaluated and none is pruned
 _DENSE_PAIRS = 64
+# elements numpy buffers at a time for each broadcast operand of a kernel
+# ufunc; its default of 8192 would buffer a block of 2^11 terms in full
+_BUFSIZE = 512
 
 # multiplies (b*d, a*d) so that (a*c, b*c) + it is (ac - b(-d), a(-d) + bc),
 # CPython's product (a + bi) * (c - di)
@@ -356,25 +359,27 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     product vh * conj(vf) * vol, and one sequential sum over (h piece, f
     piece) in lexicographic order.  Piece pairs that cannot overlap on axis 0
     are pruned with a sorted-interval test; the remaining candidates are laid
-    out in that order with zero padding (adding +0.0 to a sum that started at
-    0j changes nothing) and added one column at a time, never by a pairwise
-    reduction.  Shifts and candidates go through tiles of at most _TILE
-    entries, so scratch memory does not grow with n or m, and grows with the
-    piece counts only through one index per candidate column.  Up to
-    _DENSE_PAIRS piece pairs, a run of f shifts is broadcast against a tile
-    of rows at once; past it, each f shift is pruned on its own.  The matrix
-    is filled from the blocks of _pairing_blocks.
+    out in that order and added one column at a time, never by a pairwise
+    reduction, with padding candidates masked out.  Shifts and candidates go
+    through tiles of at most _TILE entries, so scratch memory does not grow
+    with n or m, and grows with the piece counts only through one index per
+    candidate column.  Up to _DENSE_PAIRS piece pairs, a run of f shifts is
+    broadcast against a tile of rows at once; past it, each f shift is pruned
+    on its own.  The matrix is filled from the blocks of _pairing_blocks.
 
     As in translate, a shift that collapses a piece of h, or an f shift that
     collapses a piece of f, or one that leaves a corner not finite, raises
     PreconditionError.  A shift under which rounding ties two pieces of h (or
     of f) on the coordinate that orders them would make translate re-sort
-    that function; such rows (or f shifts) fall back to the scalar pair.
+    that function; such rows (or f shifts) fall back to the scalar pair.  So
+    does every entry when some product vh * conj(vf) is not finite: pair's
+    complex product by vol then turns a zero part of an infinite product
+    into nan, which the kernel's real and imaginary planes would not.
     """
     shape, blocks = _pairing_blocks(h, f, shifts, f_shifts, _TILE)
     result = np.zeros(shape, dtype=complex)
-    for cols, rows, values in blocks:
-        result[cols, rows] = values
+    for cols, rows, planes in blocks:
+        result.real[cols, rows], result.imag[cols, rows] = planes
     return result if f_shifts is not None else result[0]
 
 
@@ -382,14 +387,18 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
     """Set up the pairings of cross_pairings(h, f, shifts, f_shifts) once.
 
     Returns the matrix's shape (m, n), m = 1 without f_shifts, and an
-    iterator of blocks (cols, rows, values): slices of the f shifts and of
-    the rows, and the complex matrix[cols, rows], bit for bit.  Entries in
-    no block are 0j.  The set-up parses the shifts, raises the refusals of
-    cross_pairings, and finds the tied rows and tied f shifts, translating
-    the corners in tiles of at most _TILE.  Each block pairs a tile of rows
-    with a run of max(1, terms // (rows x piece pairs)) f shifts, whose
-    corners are translated for that block alone, so a block holds at most
-    `terms` terms, or one f shift's when they are more.
+    iterator of blocks (cols, rows, planes): slices of the f shifts and of
+    the rows, and the (2, len(cols), len(rows)) real and imaginary parts of
+    matrix[cols, rows], bit for bit.  Entries in no block are 0j.  The
+    planes are a view of one buffer that the next block overwrites, so a
+    block must be read before the next one is drawn.
+
+    The set-up parses the shifts, raises the refusals of cross_pairings, and
+    finds the tied rows and tied f shifts, translating the corners in tiles
+    of at most _TILE.  Each block pairs a tile of rows with a run of max(1,
+    terms // (rows x piece pairs)) f shifts, whose corners are translated
+    for that block alone, so a block holds at most `terms` terms, or one f
+    shift's when they are more.
     """
     if h.dimension != f.dimension:
         raise DimensionMismatchError(
@@ -411,48 +420,58 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
         hp, fp = h._arrays, f._arrays
         n_pairs = len(h.pieces) * len(f.pieces)
         dense = n_pairs <= _DENSE_PAIRS
+        scalar_rows = tied_rows
         tile = max(1, _TILE // max(n_pairs if dense else 0, len(h.pieces)))
+        prod = None  # the dense candidates' products, (2, P_h, P_f, 1, 1)
+        if not _finite_products(hp.values, fp.values):
+            # every entry takes the scalar pair, one row per tile
+            scalar_rows, tile = range(len(s)), 1
+        elif dense:
+            prod = _products(hp.values[:, :, None, None, None], fp.values[:, None, :, None, None])
         for r0 in range(0, len(s), tile):
             # h's corners translated as translate computes them: (d, P_h, n)
             lower, upper = _moved(hp, s[r0 : r0 + tile])
             n = lower.shape[2]
             # rows and f shifts that translate would re-sort take the scalar pair
-            tied = tied_rows[bisect_left(tied_rows, r0) : bisect_left(tied_rows, r0 + n)]
+            tied = scalar_rows[bisect_left(scalar_rows, r0) : bisect_left(scalar_rows, r0 + n)]
             moved_h = [(r - r0, translate(h, s[r])) for r in tied]
             run = max(1, terms // (n * n_pairs))
+            buffer = np.empty((2, min(run, len(t)), n))
             for c0 in range(0, len(t), run):
                 f_lower, f_upper = _moved(fp, t[c0 : c0 + run])
                 k = f_lower.shape[2]
-                if dense:
+                planes = buffer[:, :k]
+                if len(moved_h) == n:
+                    pass  # every entry takes the scalar pair below
+                elif dense:
                     # (f shift, row) pairs flatten into the kernel's row axis
-                    out = _add_terms(
-                        np.zeros((2, k * n)),
+                    planes.fill(0.0)
+                    _add_terms(
+                        planes.reshape(2, k * n),
                         lower[:, :, None, None],
                         upper[:, :, None, None],
-                        hp.values[:, :, None, None, None],
                         f_lower[:, None, :, :, None],
                         f_upper[:, None, :, :, None],
-                        fp.values[:, None, :, None, None],
-                    ).reshape(2, k, n)
+                        prod,
+                    )
                 else:
-                    out = np.empty((2, k, n))
                     for c in range(k):
                         moved = fp._replace(
                             lower=f_lower[:, :, c],
                             upper=f_upper[:, :, c],
                             upper0_max=fp.upper0_max + t[c0 + c, 0],
                         )
-                        out[:, c] = _pruned_sums(lower, upper, hp.values, moved)
-                values = np.empty((k, n), dtype=complex)
-                values.real, values.imag = out
+                        planes[:, c] = _pruned_sums(lower, upper, hp.values, moved)
                 for r, th in moved_h:
                     for c in range(k):
-                        values[c, r] = pair(th, f_at(c0 + c))
+                        z = pair(th, f_at(c0 + c))
+                        planes[:, c, r] = z.real, z.imag
                 for c in tied_cols[bisect_left(tied_cols, c0) : bisect_left(tied_cols, c0 + k)]:
                     tf = f_at(c)
                     for r in range(n):
-                        values[c - c0, r] = pair(translate(h, s[r0 + r]), tf)
-                yield slice(c0, c0 + k), slice(r0, r0 + n), values
+                        z = pair(translate(h, s[r0 + r]), tf)
+                        planes[:, c - c0, r] = z.real, z.imag
+                yield slice(c0, c0 + k), slice(r0, r0 + n), planes
 
     return (len(t), len(s)), blocks()
 
@@ -498,21 +517,57 @@ def _tied(lower, order) -> np.ndarray:
     return np.flatnonzero((lower[axes, k] >= lower[axes, k + 1]).any(axis=0))
 
 
-def _add_terms(acc, h_lower, h_upper, h_values, f_lower, f_upper, f_values, mask=True):
-    """Add the pair terms of (h piece, f piece) candidates to the (2, rows)
-    sums acc, one candidate at a time, in order.  Corners are (d, ..., rows)
-    and values (2, ..., rows) arrays, gathered or broadcast so that the
-    middle axes enumerate the candidates; `mask` drops padding candidates."""
-    w = np.minimum(h_upper, f_upper) - np.maximum(h_lower, f_lower)
-    vol = w[0]
-    for a in range(1, len(w)):
-        vol = vol * w[a]
+def _products(h_values, f_values) -> np.ndarray:
+    """The real and imaginary parts of vh * conj(vf), as CPython's complex
+    product forms them, from broadcastable (2, ...) value arrays."""
     sign = _CONJ_SIGN.reshape((2,) + (1,) * (h_values.ndim - 1))
-    prod = h_values * f_values[0] + h_values[::-1] * f_values[1] * sign
-    terms = np.where(mask & (w > 0.0).all(axis=0), prod * vol, 0.0)
-    for c in terms.reshape(2, -1, acc.shape[1]).transpose(1, 0, 2):
-        acc += c
-    return acc
+    return h_values * f_values[0] + h_values[::-1] * f_values[1] * sign
+
+
+def _finite_products(h_values, f_values) -> bool:
+    """Whether vh * conj(vf) is finite for every h piece and f piece, given
+    (2, P) value arrays; the products are formed in tiles of at most _TILE."""
+    step = max(1, _TILE // f_values.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(
+            np.isfinite(_products(h_values[:, i : i + step, None], f_values[:, None])).all()
+            for i in range(0, h_values.shape[1], step)
+        )
+
+
+def _add_terms(acc, h_lower, h_upper, f_lower, f_upper, prod, mask=None):
+    """Add the pair terms of (h piece, f piece) candidates to the (2, rows)
+    sums acc in place, one candidate at a time, in order.  Corners are (d,
+    ..., rows) arrays and prod the candidates' (2, ...) products from
+    _products, gathered or broadcast so that the middle axes enumerate the
+    candidates; `mask` drops padding candidates.
+
+    The widths, the volume and the terms are formed in place, and numpy
+    buffers a broadcast operand in chunks of _BUFSIZE elements, so the
+    scratch is at most about 16 d bytes per term.  A term past the
+    double range is inf, or nan, as in pair, without numpy's warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy 2 restores the buffer size with the error state; numpy 1 does not
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            w = np.minimum(h_upper, f_upper)
+            w -= np.maximum(h_lower, f_lower)
+            meets = w[0] > 0.0
+            for a in range(1, len(w)):
+                meets &= w[a] > 0.0
+                w[0] *= w[a]
+            if mask is not None:
+                meets &= mask
+            vol = w[0]
+            rows = acc.shape[1]
+            meets = meets.reshape(-1, rows)
+            real = prod[0] * vol
+            vol *= prod[1]
+            for plane, terms in zip(acc, (real, vol)):
+                for term, m in zip(terms.reshape(-1, rows), meets):
+                    np.add(plane, term, out=plane, where=m)
+        finally:
+            np.setbufsize(bufsize)
 
 
 def _pruned_sums(lower, upper, values, fp: _Pieces) -> np.ndarray:
@@ -531,14 +586,13 @@ def _pruned_sums(lower, upper, values, fp: _Pieces) -> np.ndarray:
         t = col_t[c0 : c0 + step, None]
         mask = t < count[i]
         j = np.where(mask, first[i] + t, 0)
-        acc = _add_terms(
+        _add_terms(
             acc,
             lower[:, i],
             upper[:, i],
-            values[:, i, None],
             fp.lower[:, j],
             fp.upper[:, j],
-            fp.values[:, j],
+            _products(values[:, i, None], fp.values[:, j]),
             mask,
         )
     return acc

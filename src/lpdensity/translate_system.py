@@ -219,6 +219,26 @@ def bessel_sum(sys: TranslateSystem, h: PiecewiseFn, p_prime: float) -> float:
     return _system_power_sums(sys, [h], p_prime)[0]
 
 
+def _q_norm(t: PiecewiseFn, q: float, p_prime: float, tid: str):
+    """(||t||_q, ||t||_q ** p_prime), the latter the divisor of t's Bessel
+    ratio, refused where it is past the double range or reads 0; or the
+    PreconditionError with which lp_norm refuses ||t||_q itself."""
+    try:
+        qn = lp_norm(t, q)
+    except PreconditionError as exc:
+        return exc
+    try:
+        power = qn**p_prime
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise PreconditionError(
+            f"the q-norm of test {tid!r} to the power p_prime = {p_prime} reads {power} "
+            "in double precision"
+        )
+    return qn, power
+
+
 def bessel_bound_estimate(
     sys: TranslateSystem,
     tests: Sequence[PiecewiseFn],
@@ -237,17 +257,22 @@ def bessel_bound_estimate(
     ids = list(labels) if labels is not None else [f"test-{i}" for i in range(len(tests))]
     if len(ids) != len(tests):
         raise PreconditionError("labels must match tests one to one")
-    # every refusal before any sum
+    # every refusal before any sum, but for a q-norm past the double range,
+    # which follows the sums, so that an overflowing power sum is named first
     p_prime = _bessel_exponent(p_prime)
     for tid, t in zip(ids, tests):
         if t.is_zero:
             raise PreconditionError(f"zero test function {tid!r}")
         if t.dimension != sys.dimension:
             raise DimensionMismatchError("test function dimension does not match the system")
+    norms = [_q_norm(t, sys.p.q, p_prime, tid) for tid, t in zip(ids, tests)]
     rows = []
-    for tid, t, s in zip(ids, tests, _system_power_sums(sys, tests, p_prime)):
-        qn = lp_norm(t, sys.p.q)
-        rows.append(BesselTestRow(tid, s, qn, s / qn**p_prime))
+    for tid, s, norm in zip(ids, _system_power_sums(sys, tests, p_prime), norms):
+        if isinstance(norm, PreconditionError):
+            raise norm
+        qn, power = norm
+        ratio = _finite_power_sum(s / power, f"the Bessel ratio of test {tid!r}")
+        rows.append(BesselTestRow(tid, s, qn, ratio))
     return BesselEstimate(
         p_prime=p_prime,
         per_test=tuple(rows),
@@ -264,16 +289,20 @@ _GRID_BATCH = 1024
 _MAX_CANDIDATES = 512
 
 # (centre, site, piece pair) terms in one block of the witness's centre scan
-_TILE = 1 << 10
+_TILE = 1 << 11
 
 
-def _exceeds(values: np.ndarray, epsilon: float) -> np.ndarray:
-    # |v| > epsilon as Python's abs decides it: numpy's complex modulus can
-    # differ from abs() in the last bit, so moduli near epsilon are redone
-    mod = np.abs(values)
+def _exceeds(planes, epsilon: float) -> np.ndarray:
+    # |v| > epsilon as Python's abs decides it, for the values v whose real
+    # and imaginary parts are planes[0] and planes[1]: np.hypot can differ
+    # from abs() in the last bit, so moduli near epsilon are redone
+    re, im = planes
+    mod = np.hypot(re, im)
     out = mod > epsilon
-    for k in np.flatnonzero(np.abs(mod - epsilon) <= 1e-12 * epsilon):
-        out.flat[k] = abs(complex(values.flat[k])) > epsilon
+    mod -= epsilon
+    np.abs(mod, out=mod)
+    for k in np.flatnonzero(mod <= 1e-12 * epsilon):
+        out.flat[k] = abs(complex(re.flat[k], im.flat[k])) > epsilon
     return out
 
 
@@ -322,12 +351,19 @@ def blowup_witness(
     base = abs(pair(f, f_dual))
     if base == 0:
         raise PreconditionError("blowup witness needs <f, f_dual> != 0")
+    if not math.isfinite(base):
+        raise PreconditionError(f"|<f, f_dual>| reads {base} in double precision")
     if not (0 < epsilon < base):
         raise PreconditionError(
             f"epsilon must satisfy 0 < epsilon < |<f, f_dual>| = {base}, got {epsilon}"
         )
     if not len(gamma):
         raise PreconditionError("blowup witness needs a nonempty site set")
+    try:
+        eps_power = epsilon**p_prime
+    except OverflowError:
+        eps_power = math.inf
+    eps_power = _finite_power_sum(eps_power, f"epsilon ** p_prime at p_prime = {p_prime}")
     d = f.dimension
     step = min(f.min_piece_side, f_dual.min_piece_side) / 4.0
     fb, db = f.support_box, f_dual.support_box
@@ -345,7 +381,8 @@ def blowup_witness(
         new = [key for key in keys if key not in cache]
         for b0 in range(0, len(new), _GRID_BATCH):
             batch = new[b0 : b0 + _GRID_BATCH]
-            ok = _exceeds(cross_pairings(f, f_dual, np.multiply(batch, step)), epsilon)
+            v = cross_pairings(f, f_dual, np.multiply(batch, step))
+            ok = _exceeds((v.real, v.imag), epsilon)
             cache.update(zip(batch, ok))
             if not ok.all():
                 return False
@@ -367,15 +404,15 @@ def blowup_witness(
     # one set-up for every centre; each block of about _TILE terms is
     # counted as it arrives
     _, blocks = _pairing_blocks(f, f_dual, gamma.as_array, centres, _TILE)
-    for cols, _, values in blocks:
-        counts[cols] += np.count_nonzero(_exceeds(values, epsilon), axis=1)
+    for cols, _, planes in blocks:
+        counts[cols] += np.count_nonzero(_exceeds(planes, epsilon), axis=1)
     # the first centre with the largest count, as the scalar scan kept it
     best = int(np.argmax(counts))
     count = int(counts[best])
     return BlowupWitness(
         beta=centres[best],
         count=count,
-        sum_lower_bound=count * epsilon**p_prime,
+        sum_lower_bound=count * eps_power,
         window_side=h,
         epsilon=epsilon,
         p_prime=p_prime,

@@ -9,6 +9,7 @@ per-site scalar loop counted.
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -357,6 +358,42 @@ def test_memory_stays_bounded_on_large_functions():
         assert bits(got[k]) == bits(pair(translate(gauss, tuple(shifts[k])), gauss))
 
 
+# h and f of the products past the double range: 1e200 * 1e200 is inf, and
+# pair's complex product of inf + 0j by the volume reads inf + nanj, where
+# the kernel's real and imaginary planes would read inf + 0j
+HUGE_H = PiecewiseFn(((Box((0.0,), (1.0,)), 1e200),), 1)
+HUGE_F = PiecewiseFn(((Box((0.5,), (1.5,)), 1e200), (Box((3.0,), (4.0,)), 1e200)), 1)
+
+
+@pytest.mark.parametrize("layout", [(lpfunc._TILE, lpfunc._DENSE_PAIRS), (1, 0), (5, 0)])
+@pytest.mark.parametrize("h", [HUGE_H, scale(HUGE_H, 1j)], ids=["real", "imaginary"])
+def test_products_past_the_double_range_take_the_scalar_pair(h, layout):
+    z = pair(h, HUGE_F)
+    assert math.isinf(abs(z)) and math.isnan(z.imag if h is HUGE_H else z.real)
+    shifts = np.array([[0.0], [0.25], [2.75], [-5.0], [3.0]])
+    f_shifts = np.array([[0.0], [-0.5], [0.125]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.multiple(lpfunc, _TILE=layout[0], _DENSE_PAIRS=layout[1]):
+            assert_matches_scalar(h, HUGE_F, shifts)
+            assert_both_sides_match_scalar(h, HUGE_F, shifts, f_shifts)
+            assert_both_sides_match_scalar(HUGE_F, h, shifts, f_shifts)
+
+
+def test_terms_past_the_double_range_stay_on_the_kernel():
+    # the products are finite, and their products by the volume 1e10 are
+    # not: pair reads inf there too, and the kernel keeps its planes
+    h = PiecewiseFn(((Box((0.0,), (1e10,)), 1e300 - 2e299j),), 1)
+    f = PiecewiseFn(((Box((-1e10,), (1e10,)), 1.0),), 1)
+    shifts = np.array([[0.0], [-5e9], [2e10]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(lpfunc, "pair", side_effect=AssertionError):
+            got = cross_pairings(h, f, shifts)
+    assert bits(got[0]) == bits(complex(math.inf, -math.inf)) == bits(pair(h, f))
+    assert_matches_scalar(h, f, shifts)
+
+
 # ---------------------------------------------------------------------------
 # tied rows and f shifts at the edges of the kernel's blocks
 
@@ -414,13 +451,13 @@ def test_blocks_cover_the_matrix_once_within_their_term_budget(terms, tile):
         )
         seen = np.zeros(shape, dtype=int)
         got = np.zeros(shape, dtype=complex)
-        for cols, rows, values in blocks:
-            m, n = values.shape
+        for cols, rows, planes in blocks:
+            two, m, n = planes.shape
             # one f shift per block past the budget; every row tile within _TILE
-            assert m == 1 or m * n * 9 <= terms
+            assert two == 2 and (m == 1 or m * n * 9 <= terms)
             assert n * 9 <= max(tile, 9)
             seen[cols, rows] += 1
-            got[cols, rows] = values
+            got.real[cols, rows], got.imag[cols, rows] = planes
     assert shape == (7, 11) and (seen == 1).all()
     assert [bits(z) for z in got.flat] == [bits(z) for z in want.flat]
 
@@ -500,7 +537,7 @@ def test_witness_with_complex_dual_and_epsilon_within_an_ulp():
                 assert_witness_matches_scalar(f, f_dual, gamma, epsilon)
 
 
-@pytest.mark.parametrize("tile", [1, 1 << 10, 1 << 15])
+@pytest.mark.parametrize("tile", [1, translate_system._TILE, 1 << 15])
 def test_witness_in_the_plane_matches_the_scalar_loop(tile):
     # a 2 x 2-piece generator on a coarse lattice plus a cluster near the
     # origin; tile 1 scores one centre per block, 1 << 15 all at once
@@ -515,13 +552,13 @@ def test_witness_in_the_plane_matches_the_scalar_loop(tile):
             assert w.count >= 2
 
 
-@pytest.mark.parametrize("witness_tile", [1, 7, 1 << 10])
+@pytest.mark.parametrize("witness_tile", [1, 7, translate_system._TILE])
 @pytest.mark.parametrize("kernel_tile", [9, 27, lpfunc._TILE])
 def test_witness_with_tied_sites_and_centres_matches_the_scalar_loop(witness_tile, kernel_tile):
     # sites with x != 0 tie the pieces of RESORTING, and so do most of the
     # centres the witness draws from them; kernel tiles of 1 and 3 rows put
-    # tied sites at the first, an inner and the last row of a tile, and a
-    # witness tile of 2^10 scores every centre in one block
+    # tied sites at the first, an inner and the last row of a tile, and the
+    # witness's own tile scores every centre in one block
     sites = tied_at([0.5, 0.0, 1.0, -0.25, 0.0, 0.0, 0.0, 0.75, 0.125], [k / 8 for k in range(9)])
     assert [k for k, (x, _) in enumerate(sites) if x] == [0, 2, 3, 7, 8]
     gamma = PointSet(sites)
@@ -548,6 +585,25 @@ def test_witness_memory_on_a_large_reciprocal_family_is_bounded():
         tracemalloc.stop()
     assert peak < 0.5e6
     assert w.count == scalar_count(f, f, gamma, w.beta, 0.5)
+
+
+def test_witness_scratch_on_the_benchmark_family_stays_at_its_earlier_peak():
+    # the witness the reciprocal-dichotomy analysis makes at radius 280: its
+    # blocks hold 2^11 terms, and with blocks of 2^10 terms and a complex
+    # copy of their sums this call peaked at 139,104 bytes (numpy 2.4,
+    # Python 3.11); a first call leaves out numpy's one-time allocations
+    f = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    blowup_witness(f, f, make_reciprocal(50), 0.5, 2.0)
+    gamma = make_reciprocal(280)
+    tracemalloc.start()
+    try:
+        w = blowup_witness(f, f, gamma, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert translate_system._TILE == 1 << 11
+    assert peak <= 139_104
+    assert w.count == scalar_count(f, f, gamma, w.beta, 0.5) == 279
 
 
 def test_witness_memory_with_a_many_piece_dual_is_bounded():
@@ -579,7 +635,8 @@ def test_count_decision_matches_python_abs(zs):
         m = abs(z)
         for epsilon in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)):
             if epsilon > 0:
-                assert _exceeds(vals, epsilon).tolist() == [abs(v) > epsilon for v in zs]
+                got = _exceeds((vals.real, vals.imag), epsilon)
+                assert got.tolist() == [abs(v) > epsilon for v in zs]
 
 
 # ---------------------------------------------------------------------------

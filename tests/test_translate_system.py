@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from lpdensity import (
     union_point_sets,
     zero_fn,
 )
+from lpdensity import translate_system
 from lpdensity.cli import main
 from lpdensity.lpfunc import Box, indicator
 
@@ -146,6 +148,20 @@ _BESSEL_REFUSALS = [
 ]
 
 
+@pytest.mark.parametrize("value, reads", [(1e100, "inf"), (1e-200, "0.0")])
+def test_bessel_estimate_refuses_a_norm_power_out_of_range_before_any_sum(value, reads):
+    # no site meets the test, so its power sum is 0; ||t||_q ** 4 is 1e400
+    # or 1e-800, which s / ||t||_q ** p_prime met as OverflowError or
+    # ZeroDivisionError
+    far = interval(100, 101, value)
+    with mock.patch.object(translate_system, "_system_power_sums", side_effect=AssertionError):
+        with pytest.raises(PreconditionError) as info:
+            bessel_bound_estimate(z_system(window=3), [UNIT, far], 4.0)
+    assert str(info.value) == (
+        f"the q-norm of test 'test-1' to the power p_prime = 4.0 reads {reads} in double precision"
+    )
+
+
 @pytest.mark.parametrize("tests, p_prime, labels, fields, error, message", _BESSEL_REFUSALS)
 def test_bessel_estimate_refusals_keep_their_messages(tests, p_prime, labels, fields, error, message):
     with pytest.raises(error) as info:
@@ -165,6 +181,53 @@ def test_bessel_spec_refusals_exit_3(tmp_path, capsys, fields, message):
     code = main(["run", "--spec", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.strip()
     assert code == 3 and err == f"lpdensity bessel: precondition violated: {message}"
+
+
+def _witness_spec(value, epsilon, p_prime):
+    f = {**_UNIT_SPEC, "value": value}
+    points = {"kind": "reciprocal", "N": 40}
+    return {"command": "blowup-witness", "f": f, "f_dual": f, "points": points,
+            "epsilon": epsilon, "p_prime": p_prime}
+
+
+def _far_test_spec(value):
+    system = {"p": 2.0, "generators": [{"f": _UNIT_SPEC, "gamma": {
+        "kind": "lattice", "spacing": 1.0, "window": 3, "dimension": 1}}]}
+    far = {"kind": "indicator", "box": {"lower": [100.0], "upper": [101.0]}, "value": value}
+    return {"command": "bessel", "system": system, "tests": [far], "p_prime": 4.0}
+
+
+def _ratio_spec():
+    spec = _far_test_spec(1e-75)
+    spec["system"]["generators"][0]["f"] = {**_UNIT_SPEC, "value": 1e150}
+    spec["tests"] = [{**_UNIT_SPEC, "value": 1e-75}]
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (_witness_spec(1e200, 0.5, 2.0), "|<f, f_dual>| reads inf in double precision"),
+        (_witness_spec(1e100, 1e199, 4.0),
+         "epsilon ** p_prime at p_prime = 4.0 overflows double precision"),
+        (_far_test_spec(1e100),
+         "the q-norm of test 'test-0' to the power p_prime = 4.0 reads inf in double precision"),
+        (_far_test_spec(1e-200),
+         "the q-norm of test 'test-0' to the power p_prime = 4.0 reads 0.0 in double precision"),
+        # a power sum of 1e300 over a divisor of 1e-300: the ratio read Infinity
+        (_ratio_spec(), "the Bessel ratio of test 'test-0' overflows double precision"),
+    ],
+    ids=["witness-pairing", "witness-epsilon-power", "bessel-norm-power", "bessel-norm-power-0",
+         "bessel-ratio"],
+)
+def test_specs_past_the_double_range_exit_3_without_warnings(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run otherwise
+        code = main(["run", "--spec", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    assert code == 3 and err == f"lpdensity {spec['command']}: precondition violated: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +261,19 @@ def test_blowup_witness_single_point():
 def test_blowup_witness_epsilon_precondition():
     with pytest.raises(PreconditionError):
         blowup_witness(UNIT, UNIT, line_set(0.0), 1.0, 2.0)
+
+
+def test_blowup_witness_refuses_values_past_the_double_range_before_its_scan():
+    big = interval(0, 1, 1e200)
+    gamma = make_reciprocal(40)
+    with mock.patch.object(translate_system, "cross_pairings", side_effect=AssertionError):
+        # |<f, f_dual>| = 1e400 reads inf
+        with pytest.raises(PreconditionError, match=r"\|<f, f_dual>\| reads inf in double"):
+            blowup_witness(big, big, gamma, 0.5, 2.0)
+        # |<f, f_dual>| = 1e200 is finite, and epsilon ** p_prime = 1e796 is not
+        huge = interval(0, 1, 1e100)
+        with pytest.raises(PreconditionError, match=r"epsilon \*\* p_prime .* overflows double"):
+            blowup_witness(huge, huge, gamma, 1e199, 4.0)
 
 
 def test_blowup_witness_plane_grid():
