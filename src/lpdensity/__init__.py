@@ -66,7 +66,6 @@ from .haar_uncond import (
     HaarExpansion,
     HaarIndex,
     Prop43Report,
-    SignPattern,
     build_expansion_fn,
     burkholder_constant,
     coefficient_sandwich_check,

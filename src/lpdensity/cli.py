@@ -1,8 +1,8 @@
 """Experiment runner.
 
-    lpdensity <subcommand> --spec FILE [--out DIR] [--seed INT]
+    lpdensity <command> --spec FILE [--out DIR] [--seed INT]
 
-Subcommands: density, separate, pair, bessel, blowup-witness, cq-sweep,
+Commands: density, separate, pair, bessel, blowup-witness, cq-sweep,
 localized-mass, mass-decay, haar-check, dichotomy, and `run` (command taken
 from the spec file; a list spec chains several analyses).  Each run writes
 <out>/<command>_report.json plus CSV tables where the analysis has one.
@@ -377,12 +377,10 @@ def run(command: str, spec: dict, ctx: _RunContext) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="lpdensity", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(COMMANDS) + ["run"]:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--spec", required=True, help="JSON experiment spec")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None)
+    parser.add_argument("command", choices=[*COMMANDS, "run"])
+    parser.add_argument("--spec", required=True, help="JSON experiment spec")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     spec_path = Path(args.spec)

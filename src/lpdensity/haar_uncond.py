@@ -1,7 +1,7 @@
 """Concrete Haar system on [0,1) as the unconditional-basis test bench.
 
 Every Haar function is a two-piece dyadic step function, so expansions,
-sign-flipped expansions, norms and biorthogonal pairings are all computed
+their norms under sign flips, and biorthogonal pairings are all computed
 exactly in the piecewise-constant calculus: the square-function style
 coefficient inequalities and the Bessel/required-constant behaviour of the
 truncated system can be checked with no quadrature error.
@@ -10,8 +10,8 @@ truncated system can be checked with no quadrature error.
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -178,44 +178,8 @@ class HaarExpansion:
     def from_mapping(cls, mapping) -> "HaarExpansion":
         return cls(tuple(mapping.items()))
 
-    @property
-    def support(self) -> tuple:
-        return tuple(idx for idx, _ in self.terms)
-
     def __len__(self):
         return len(self.terms)
-
-    def signed(self, pattern: "SignPattern") -> "HaarExpansion":
-        return HaarExpansion(tuple((idx, pattern.sign_for(idx) * c) for idx, c in self.terms))
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """A +-1 choice per distinct index; must cover the support it is applied to."""
-
-    signs: tuple  # ((HaarIndex, int), ...)
-    _sign: dict = field(init=False, repr=False, compare=False)  # index -> sign
-
-    def __post_init__(self):
-        sign = {}
-        for idx, s in self.signs:
-            s = int(s)
-            if s not in (-1, 1):
-                raise PreconditionError(f"signs must be +-1, got {s}")
-            if idx in sign:
-                raise PreconditionError(f"repeated index {idx} in sign pattern")
-            sign[idx] = s
-        object.__setattr__(self, "signs", tuple(sorted(sign.items())))
-        object.__setattr__(self, "_sign", sign)
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "SignPattern":
-        return cls(tuple(mapping.items()))
-
-    def sign_for(self, idx: HaarIndex) -> int:
-        if idx not in self._sign:
-            raise PreconditionError(f"sign pattern does not cover index {idx}")
-        return self._sign[idx]
 
 
 def build_expansion_fn(exp: HaarExpansion, p: float) -> PiecewiseFn:
@@ -487,12 +451,7 @@ class Prop43Report:
     dual_p_norm_range: tuple
 
 
-def prop43_check(
-    p: float,
-    cutoff: int,
-    tests: Sequence[PiecewiseFn],
-    labels: Optional[Sequence[str]] = None,
-) -> Prop43Report:
+def prop43_check(p: float, cutoff: int, tests: Sequence[PiecewiseFn]) -> Prop43Report:
     """Bessel ratios and required constants of the level-truncated Haar system.
 
     For 1 < p <= 2 the family is checked as a q-Bessel system with the dual
@@ -510,9 +469,7 @@ def prop43_check(
     tests = list(tests)
     if not tests:
         raise PreconditionError("prop43_check needs at least one test")
-    ids = list(labels) if labels is not None else [f"test-{i}" for i in range(len(tests))]
-    if len(ids) != len(tests):
-        raise PreconditionError("labels must match tests one to one")
+    ids = [f"test-{i}" for i in range(len(tests))]
     bessel_e = q if p <= 2 else 2.0
     dual_e = 2.0 if p <= 2 else q
     rows = []

@@ -231,11 +231,6 @@ def _points_from_csv(text: str, path: Path) -> PointSet:
     return PointSet([coords for _, coords in rows])
 
 
-def point_set_spec(s: PointSet) -> dict:
-    """Explicit-rows descriptor that round-trips through ingest_points."""
-    return {"kind": "explicit", "rows": s.as_array.tolist()}
-
-
 # ---------------------------------------------------------------------------
 # functions
 
@@ -281,21 +276,6 @@ def ingest_function(source, inputs: Optional[Inputs] = None) -> PiecewiseFn:
     raise InputError(f"unknown function spec kind {kind!r}")
 
 
-def function_spec(f: PiecewiseFn) -> dict:
-    return {
-        "dimension": f.dimension,
-        "pieces": [
-            {
-                "lower": list(box.lower),
-                "upper": list(box.upper),
-                "re": v.real,
-                "im": v.imag,
-            }
-            for box, v in f.pieces
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # systems
 
@@ -328,8 +308,8 @@ def _fmt_float(x: float) -> str:
 def emit_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats as decimals with 17 significant
     digits (exact double round trip); identical structures give identical bytes.
-    Complex numbers, functions, point sets, dataclasses and numpy scalars are
-    written as plain JSON structures."""
+    Complex numbers, dataclasses and numpy scalars are written as plain JSON
+    structures; no report holds a step function or a site set."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -357,10 +337,6 @@ def emit_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, complex):
         return emit_json({"im": obj.imag, "re": obj.real}, indent)
-    if isinstance(obj, PiecewiseFn):
-        return emit_json(function_spec(obj), indent)
-    if isinstance(obj, PointSet):
-        return emit_json(point_set_spec(obj), indent)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):  # Box and reports
         return emit_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent)
     if hasattr(obj, "item"):  # numpy scalars

@@ -118,8 +118,6 @@ class PiecewiseFn:
     def __post_init__(self):
         cleaned = []
         for box, v in self.pieces:
-            if not isinstance(box, Box):
-                box = Box(*box)
             v = _value(v)
             if box.dim != self.dimension:
                 raise DimensionMismatchError(
@@ -636,19 +634,15 @@ def scale(f: PiecewiseFn, c: complex) -> PiecewiseFn:
 
 
 def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
-    """Merge an arbitrary (possibly overlapping) piece list into disjoint form.
+    """Merge an arbitrary (possibly overlapping) list of (Box, value) pieces
+    into disjoint form.
 
     The piece endpoints induce an axis-aligned grid; overlapping values are
     summed per grid cell and exact-zero cells are dropped.  Pairings and norms
-    of the result agree with the raw sum.  Accepts a PiecewiseFn or an
-    iterable of (Box, value) pairs.  Pieces that cover more than _SITE_BUDGET
-    grid cells in all are refused before any cell is summed.
+    of the result agree with the raw sum.  Pieces that cover more than
+    _SITE_BUDGET grid cells in all are refused before any cell is summed.
     """
-    if isinstance(pieces, PiecewiseFn):
-        dimension = pieces.dimension
-        raw = list(pieces.pieces)
-    else:
-        raw = [(box if isinstance(box, Box) else Box(*box), _value(v)) for box, v in pieces]
+    raw = [(box, _value(v)) for box, v in pieces]
     if not raw:
         if dimension is None:
             raise PreconditionError("empty piece list needs an explicit dimension")

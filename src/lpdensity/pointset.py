@@ -34,7 +34,6 @@ class LatticeProvenance:
     basis: Optional[tuple] = None  # tuple of d basis vectors (row tuples)
     offset: Optional[tuple] = None
 
-    kind = "lattice"
     truncated_family = True
 
     @property
@@ -54,7 +53,6 @@ class ReciprocalProvenance:
 
     count: int
 
-    kind = "reciprocal"
     truncated_family = True
     # the omitted tail lives inside (0, 1/count); the outer hull [0, 1] is complete
     window_extent = None
@@ -68,8 +66,6 @@ class UnionProvenance:
     """Tagged finite union of sub-sets (the disjoint-union index structure)."""
 
     members: tuple  # ((label, PointSet), ...)
-
-    kind = "union"
 
     @property
     def truncated_family(self) -> bool:
@@ -89,7 +85,7 @@ class UnionProvenance:
     def regenerate(self, param) -> "PointSet":
         regrown = []
         for label, member in self.members:
-            if member.provenance is not None and hasattr(member.provenance, "regenerate"):
+            if member.provenance is not None:
                 regrown.append((label, member.provenance.regenerate(param)))
             else:
                 regrown.append((label, member))  # explicit members stay fixed

@@ -147,24 +147,17 @@ class LocalizedMassReport:
 # shared internals
 
 
-def _site_masks(gamma: PointSet, f_box: Box, targets: Sequence[Box]) -> tuple:
-    """The sites of gamma in lexicographic order, as an (n, d) array, and the
-    (targets x n) boolean array of the sites g for which f_box + g meets each
-    target box."""
+def _meeting_sites(gen: Generator, boxes: Sequence[Box]):
+    """Yield (site, row) for each site g of gen, in lexicographic order and
+    as a list of floats, for which the support box of gen.f moved by g meets
+    some box; row[k] tells whether it meets boxes[k]."""
+    gamma, f_box = gen.gamma, gen.f.support_box
     sites = gamma.as_array[gamma.order]
-    lower = np.array([t.lower for t in targets]).reshape(-1, 1, gamma.dimension)
-    upper = np.array([t.upper for t in targets]).reshape(-1, 1, gamma.dimension)
-    meets = (np.array(f_box.lower) + sites < upper) & (np.array(f_box.upper) + sites > lower)
-    return sites, meets.all(axis=2)
-
-
-def _overlapping_sites(gamma: PointSet, f_box: Optional[Box], target: Optional[Box]) -> list:
-    """The sites g, in lexicographic order and as lists of floats, for which
-    f_box + g meets the target box."""
-    if f_box is None or target is None:
-        return []
-    sites, meets = _site_masks(gamma, f_box, [target])
-    return sites[meets[0]].tolist()
+    lower = np.array([b.lower for b in boxes]).reshape(-1, 1, gamma.dimension)
+    upper = np.array([b.upper for b in boxes]).reshape(-1, 1, gamma.dimension)
+    meets = ((np.array(f_box.lower) + sites < upper) & (np.array(f_box.upper) + sites > lower)).all(axis=2)
+    hit = meets.any(axis=0)
+    return zip(sites[hit].tolist(), meets[:, hit].T.tolist())
 
 
 def _system_power_sums(sys: TranslateSystem, tests: Sequence[PiecewiseFn], exponent: float) -> list:
@@ -180,9 +173,7 @@ def _system_power_sums(sys: TranslateSystem, tests: Sequence[PiecewiseFn], expon
     boxes = [t.support_box for t in distinct]
     totals = [0.0] * len(distinct)
     for gen in sys.generators:
-        sites, meets = _site_masks(gen.gamma, gen.f.support_box, boxes)
-        hit = meets.any(axis=0)
-        for site, row in zip(sites[hit].tolist(), meets[:, hit].T.tolist()):
+        for site, row in _meeting_sites(gen, boxes):
             moved = translate(gen.f, site)
             for k in itertools.compress(range(len(distinct)), row):
                 v = pair(distinct[k], moved)
@@ -487,7 +478,7 @@ def _generator_mass(gen: Generator, region: Box, p: float) -> float:
         raise DimensionMismatchError("cube dimension does not match the generator")
     p = float(p)
     total = 0.0
-    for site in _overlapping_sites(gen.gamma, gen.f.support_box, region):
+    for site, _ in _meeting_sites(gen, [region]):
         total += lp_norm_pow(restrict(translate(gen.f, site), region), p)
     return _finite_power_sum(total, f"the localized mass at p = {p}")
 
@@ -674,7 +665,7 @@ class DichotomyReport:
 
 def _regenerated(gamma: PointSet, param):
     prov = gamma.provenance
-    if prov is None or not hasattr(prov, "regenerate"):
+    if prov is None:
         raise PreconditionError(
             "growth study requires generator-backed point sets with regenerable provenance"
         )

@@ -21,7 +21,6 @@ from lpdensity import (
     PiecewiseFn,
     PointSet,
     PreconditionError,
-    SignPattern,
     build_expansion_fn,
     indicator,
     lp_norm,
@@ -52,6 +51,20 @@ def line_set(*xs) -> PointSet:
 def interval(lo, hi, value=1.0) -> PiecewiseFn:
     """value times the indicator of [lo, hi), on the line."""
     return indicator(Box((lo,), (hi,)), value)
+
+
+def point_set_spec(s: PointSet) -> dict:
+    """An explicit-rows descriptor that round-trips through ingest_points."""
+    return {"kind": "explicit", "rows": s.as_array.tolist()}
+
+
+def function_spec(f: PiecewiseFn) -> dict:
+    """A pieces spec that round-trips through ingest_function."""
+    pieces = [
+        {"lower": list(box.lower), "upper": list(box.upper), "re": v.real, "im": v.imag}
+        for box, v in f.pieces
+    ]
+    return {"dimension": f.dimension, "pieces": pieces}
 
 
 def random_unit_fn(rng, cuts=6) -> PiecewiseFn:
@@ -436,7 +449,7 @@ def built_row(exp, p) -> SandwichRow:
 def built_ratio(exp, p) -> float:
     """The largest sign-pattern norm ratio, over every pattern."""
     signed = (
-        exp.signed(SignPattern(tuple(zip(exp.support, signs))))
+        HaarExpansion(tuple((idx, s * c) for (idx, c), s in zip(exp.terms, signs)))
         for signs in itertools.product((1, -1), repeat=len(exp))
     )
     return max(built_norm(e, p) for e in signed) / built_norm(exp, p)

@@ -22,15 +22,10 @@ from lpdensity import HaarIndex, PointSet, make_lattice
 from lpdensity import cli
 from lpdensity.cli import main
 from lpdensity.lpfunc import pair_modulated
-from lpdensity.io import (
-    emit_json,
-    function_spec,
-    ingest_function,
-    ingest_points,
-    point_set_spec,
-)
+from lpdensity.io import emit_json, ingest_function, ingest_points
+from lpdensity.pointset import UnionProvenance
 
-from oracles import expansion_from_draws, interval
+from oracles import expansion_from_draws, function_spec, interval, point_set_spec
 
 
 def write_spec(tmp_path, name, payload):
@@ -101,7 +96,7 @@ def test_union_descriptor_with_children():
         }
     )
     assert len(s) == 9
-    assert s.provenance.kind == "union"
+    assert isinstance(s.provenance, UnionProvenance)
 
 
 def test_shifted_lattice_descriptor():
@@ -775,7 +770,7 @@ def test_random_expansions_follow_the_term_by_term_loop():
     got = cli._random_expansions(rng, terms, len(first))
     assert rng.blocks == [] and rng.levels is None
     assert got == [expansion_from_draws(row, terms) for row in draws]
-    assert [e.support for e in got] == [
+    assert [tuple(i for i, _ in e.terms) for e in got] == [
         ((0, 0), (1, 1), (2, 3)),
         ((0, 0), (1, 0), (5, 31)),
         ((2, 0), (2, 1), (2, 2)),
@@ -794,8 +789,9 @@ def test_random_expansions_hold_terms_distinct_indices(seed, terms, count):
     got = cli._random_expansions(np.random.default_rng(seed), terms, count)
     assert len(got) == count
     for e in got:
-        assert len(e) == len(set(e.support)) == terms
-        assert all(0 <= i.level < cli._LEVELS and 0 <= i.offset < 2**i.level for i in e.support)
+        indices = [i for i, _ in e.terms]
+        assert len(e) == len(set(indices)) == terms
+        assert all(0 <= i.level < cli._LEVELS and 0 <= i.offset < 2**i.level for i in indices)
     assert cli._random_expansions(np.random.default_rng(seed), terms, count) == got
 
 

@@ -16,7 +16,6 @@ from lpdensity import (
     HaarIndex,
     PiecewiseFn,
     PreconditionError,
-    SignPattern,
     build_expansion_fn,
     conjugate_exponent,
     coefficient_sandwich_check,
@@ -228,21 +227,6 @@ def test_unconditional_constant_refuses_matrices_over_the_budget():
         with pytest.raises(PreconditionError, match="trials"):
             unconditional_constant_estimate([small, wide], 1.5, 0)
     assert unconditional_constant_estimate([small, wide], 1.5, 27594) >= 1.0
-
-
-def test_sign_pattern_must_cover_support():
-    e = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0, HaarIndex(1, 1): 2.0})
-    pat = SignPattern.from_mapping({HaarIndex(0, 0): -1})
-    with pytest.raises(PreconditionError):
-        e.signed(pat)
-
-
-def test_sign_pattern_refuses_a_repeated_index():
-    with pytest.raises(PreconditionError, match="repeated index"):
-        SignPattern(((HaarIndex(1, 0), 1), (HaarIndex(0, 0), -1), (HaarIndex(1, 0), -1)))
-    pat = SignPattern(((HaarIndex(1, 0), 1), (HaarIndex(0, 0), -1)))
-    assert pat.signs == ((HaarIndex(0, 0), -1), (HaarIndex(1, 0), 1))
-    assert [pat.sign_for(HaarIndex(j, 0)) for j in (0, 1)] == [-1, 1]
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)])

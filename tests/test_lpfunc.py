@@ -435,8 +435,8 @@ def test_canonicalize_idempotent_and_invariant():
     rng = np.random.default_rng(9)
     for _ in range(10):
         f = random_fn_1d(rng)
-        g = canonicalize(f)
-        assert canonicalize(g) == g
+        g = canonicalize(f.pieces, 1)
+        assert canonicalize(g.pieces, 1) == g
         assert lp_norm(g, 2.0) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
         probe = random_fn_1d(rng)
         assert pair(probe, g) == pytest.approx(pair(probe, f), rel=1e-12, abs=1e-12)

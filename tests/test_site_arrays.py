@@ -31,7 +31,7 @@ from lpdensity import (
     union_point_sets,
 )
 from lpdensity.pointset import anchored_windows
-from lpdensity.translate_system import _generator_mass, _overlapping_sites, _system_power_sums
+from lpdensity.translate_system import _generator_mass, _meeting_sites, _system_power_sums
 
 from oracles import (
     bits,
@@ -39,6 +39,7 @@ from oracles import (
     loop_mass,
     loop_power_sum,
     loop_sites,
+    shift_overlaps,
     slab_anchors,
     tuple_duplicate_message,
     tuple_lattice,
@@ -222,8 +223,21 @@ def test_masked_power_sum_matches_site_loop(case, exponent):
     # a site whose shifted support only touches the target pairs to 0, so
     # the sum cannot tell whether the prefilter dropped it; compare the sites
     for gen in sys.generators:
-        kept = _overlapping_sites(gen.gamma, gen.f.support_box, test.support_box)
-        assert kept == [list(site) for site in loop_sites(gen, test.support_box)]
+        walked = list(_meeting_sites(gen, [test.support_box]))
+        assert walked == [(list(site), [True]) for site in loop_sites(gen, test.support_box)]
+
+
+@given(systems(), st.data(), dyadic, st.sampled_from([0.5, 1.0, 2.25]))
+def test_site_walk_rows_match_the_site_loop_per_box(case, data, centre, side):
+    sys, test = case
+    gen = sys.generators[0]
+    other = data.draw(step_fns(gen.f.dimension))
+    boxes = [test.support_box, Box.cube((centre,) * gen.f.dimension, side), other.support_box]
+    want = [
+        (list(site), [shift_overlaps(gen.f.support_box, site, b) for b in boxes])
+        for site in sorted(gen.gamma.points)
+    ]
+    assert list(_meeting_sites(gen, boxes)) == [(site, row) for site, row in want if any(row)]
 
 
 @given(systems(), dyadic, st.sampled_from([0.5, 1.0, 2.25]), st.sampled_from([2.0, 3.0]))
