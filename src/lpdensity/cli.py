@@ -40,6 +40,7 @@ from .haar_uncond import (
 from .io import (
     Inputs,
     _cube_spec_box,
+    _generator,
     _need,
     _need_floats,
     _need_int,
@@ -52,7 +53,7 @@ from .io import (
     ingest_system,
     write_csv,
 )
-from .lpfunc import Box, ExponentPair, PiecewiseFn, pair, pair_modulated, translate
+from .lpfunc import Box, ExponentPair, PiecewiseFn, _power, pair, pair_modulated, translate
 from .pointset import decompose_separated, density_profile
 from .translate_system import (
     DichotomyConfig,
@@ -83,12 +84,6 @@ class _RunContext:
         if self.seed is None:
             raise PreconditionError("this analysis samples randomly: a seed is mandatory")
         return np.random.default_rng(self.seed)
-
-
-def _generator_from_spec(spec: dict, ctx: _RunContext) -> Generator:
-    f = ingest_function(_need(spec, "f"), ctx.inputs)
-    gamma = ingest_points(_need(spec, "gamma"), ctx.inputs)
-    return Generator(f, gamma, str(spec.get("label", "gen")))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +142,12 @@ def _cmd_blowup(spec, ctx):
 def _cmd_cq_sweep(spec, ctx):
     sys_ = ingest_system(_need(spec, "system"), ctx.inputs)
     sweep = cq_indicator_sweep(sys_, _need_floats(spec, "h_values"))
-    p = sys_.p.p
+    # Holder: sum <= ||chi||_q^p * mass; a power past the double range reads
+    # inf, and a zero sum holds, as inf * 0 would read nan
     ok = all(
-        r.p_power_sum <= r.q_norm**p * r.localized_mass * (1 + 1e-12) for r in sweep.rows
+        r.p_power_sum == 0.0
+        or r.p_power_sum <= _power(r.q_norm, sys_.p.p) * r.localized_mass * (1 + 1e-12)
+        for r in sweep.rows
     )
     rows = [
         (r.h, r.q_norm, r.p_power_sum, r.k_required, r.localized_mass) for r in sweep.rows
@@ -164,7 +162,7 @@ def _cmd_cq_sweep(spec, ctx):
 
 
 def _cmd_localized_mass(spec, ctx):
-    gen = _generator_from_spec(_need(spec, "generator"), ctx)
+    gen = _generator(_need(spec, "generator"), ctx.inputs, "gen")
     cube = _need(spec, "cube")
     report = localized_mass(gen, _cube_spec_box(cube), _number(spec, "p"))
     verdicts = {}
@@ -175,7 +173,7 @@ def _cmd_localized_mass(spec, ctx):
 
 
 def _cmd_mass_decay(spec, ctx):
-    gen = _generator_from_spec(_need(spec, "generator"), ctx)
+    gen = _generator(_need(spec, "generator"), ctx.inputs, "gen")
     rows = mass_decay_sweep(
         gen,
         _need_floats(spec, "x"),

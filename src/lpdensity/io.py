@@ -285,12 +285,15 @@ def ingest_system(source, inputs: Optional[Inputs] = None) -> TranslateSystem:
     inline, as {"path": file} or as a path."""
     spec, inputs = _load(source, inputs or Inputs(), "system")
     p = ExponentPair(_number(spec, "p"))
-    gens = []
-    for i, g in enumerate(_need_list(spec, "generators")):
-        f = ingest_function(_need(g, "f"), inputs)
-        gamma = ingest_points(_need(g, "gamma"), inputs)
-        gens.append(Generator(f, gamma, str(g.get("label", f"gen-{i}"))))
+    gens = [_generator(g, inputs, f"gen-{i}") for i, g in enumerate(_need_list(spec, "generators"))]
     return TranslateSystem(tuple(gens), p)
+
+
+def _generator(spec: dict, inputs: Inputs, label: str) -> Generator:
+    """A generator {f, gamma, label}, labelled `label` when it names none."""
+    f = ingest_function(_need(spec, "f"), inputs)
+    gamma = ingest_points(_need(spec, "gamma"), inputs)
+    return Generator(f, gamma, str(spec.get("label", label)))
 
 
 # ---------------------------------------------------------------------------

@@ -239,12 +239,17 @@ def lp_norm_pow(f: PiecewiseFn, p: float) -> float:
     if not (math.isfinite(p) and p >= 1):
         raise PreconditionError(f"lp norms need p >= 1, got {p}")
     total = 0.0
-    try:
-        for box, v in f.pieces:
-            total += abs(v) ** p * box.volume
-    except OverflowError:
-        total = math.inf
+    for box, v in f.pieces:
+        total += _power(abs(v), p) * box.volume
     return _finite_power_sum(total, f"the Lp norm of a step function at p = {p}")
+
+
+def _power(x: float, p: float) -> float:
+    """x ** p, read as inf where Python's ** overflows."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
 
 
 def _finite_power_sum(total: float, what: str) -> float:

@@ -10,6 +10,7 @@ half-open comparison (no epsilon), so counts are deterministic.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -58,7 +59,7 @@ class ReciprocalProvenance:
     window_extent = None
 
     def regenerate(self, count) -> "PointSet":
-        return make_reciprocal(int(count))
+        return make_reciprocal(count)
 
 
 @dataclass(frozen=True)
@@ -234,11 +235,15 @@ def make_lattice_basis(basis, window: float, offset: Optional[Sequence[float]] =
     return PointSet(x[np.lexsort(x.T[::-1])], provenance=prov)
 
 
-def make_reciprocal(count: int) -> PointSet:
-    """The truncated reciprocal family {1/n : 1 <= n <= count} in R."""
+def make_reciprocal(count) -> PointSet:
+    """The truncated reciprocal family {1/n : 1 <= n <= count} in R.  A count
+    that is no whole number in 1.._SITE_BUDGET is refused before any site is
+    built; an integral float such as 70.0 is taken as its integer."""
+    if not (1 <= count <= _SITE_BUDGET and count == math.floor(count)):
+        raise PreconditionError(
+            f"reciprocal family needs a whole count in 1..{_SITE_BUDGET}, got {count}"
+        )
     count = int(count)
-    if count < 1:
-        raise PreconditionError("reciprocal family needs count >= 1")
     sites = 1.0 / np.arange(count, 0, -1)
     return PointSet(sites[:, None], provenance=ReciprocalProvenance(count=count))
 
@@ -453,6 +458,17 @@ def count_in_cube(s: PointSet, q) -> int:
     return int(inside.sum())
 
 
+def _scaled(arr: np.ndarray, h: float) -> np.ndarray:
+    """arr / h, refused where some |x / h| is 2^53 or more: doubles skip
+    integers there, so a grid index is lost, and x + h can round back to x,
+    so a window anchored at x is empty."""
+    with np.errstate(over="ignore"):  # inf is refused below
+        scaled = arr / h
+    if not (np.abs(scaled) < 2.0**53).all():
+        raise PreconditionError(f"h = {h} puts a site coordinate at |x / h| of 2^53 or more")
+    return scaled
+
+
 def grid_occupancy(s: PointSet, h: float) -> dict:
     """Counts per grid cube Q_h(h n), n in Z^d; keys are the integer vectors n.
 
@@ -465,15 +481,11 @@ def grid_occupancy(s: PointSet, h: float) -> dict:
     if not len(s):
         return {}
     arr = s.as_array
-    keys = np.floor(arr / h + 0.5).astype(np.int64)
+    keys = np.floor(_scaled(arr, h) + 0.5).astype(np.int64)
     centers = keys * h
     keys += (arr >= centers + h / 2).astype(np.int64)
     keys -= (arr < centers - h / 2).astype(np.int64)
-    occ: dict = {}
-    for row in keys:
-        k = tuple(int(v) for v in row)
-        occ[k] = occ.get(k, 0) + 1
-    return occ
+    return dict(Counter(map(tuple, keys.tolist())))
 
 
 def anchored_windows(s: PointSet, h: float) -> tuple:
@@ -484,9 +496,11 @@ def anchored_windows(s: PointSet, h: float) -> tuple:
     one axis at a time, until each lower face meets a site coordinate
     without losing a site, so the largest of these counts is the largest
     count of any side-h window.  d >= 3: the occupied grid cubes Q_h(h n)
-    with their counts.  s must be nonempty.
+    with their counts.  s must be nonempty, and _scaled refuses an h below
+    the resolution of the site coordinates.
     """
     arr = s.as_array
+    _scaled(arr, h)
     if s.dimension == 1:
         xs = arr[s.order, 0]
         counts = np.searchsorted(xs, xs + h, side="left") - np.arange(xs.size)
@@ -533,7 +547,9 @@ def density_profile(s: PointSet, h_values: Sequence[float]) -> DensityProfile:
 
     The estimate is the maximum of nu_lower/h^d over the top third of the h
     values: a labelled desk-scale surrogate for the h -> infinity limsup, not
-    the limit itself.  Truncated generator provenance sets a bias flag.
+    the limit itself.  Truncated generator provenance sets a bias flag.  An h
+    whose h^d reads 0 or past the double range, and a ratio past the double
+    range, are refused.
     """
     hs = [float(h) for h in h_values]
     if not hs:
@@ -551,8 +567,16 @@ def density_profile(s: PointSet, h_values: Sequence[float]) -> DensityProfile:
     d = s.dimension
     rows = []
     for h in hs:
+        try:
+            vol = h**d
+        except OverflowError:
+            vol = math.inf
+        if not 0.0 < vol < math.inf:
+            raise PreconditionError(f"h = {h} to the power d = {d} reads {vol} in double precision")
         lower, upper, exact = nu_plus(s, h)
-        rows.append(DensityRow(h, lower, upper, lower / h**d, upper / h**d, exact))
+        if not math.isfinite(upper / vol):
+            raise PreconditionError(f"the count ratio {upper} / h^d at h = {h} overflows double precision")
+        rows.append(DensityRow(h, lower, upper, lower / vol, upper / vol, exact))
     top = max(1, math.ceil(len(rows) / 3))
     estimate = max(r.ratio_lower for r in rows[-top:])
     bias = bool(prov is not None and prov.truncated_family)

@@ -23,6 +23,7 @@ from .lpfunc import (
     PiecewiseFn,
     _finite_power_sum,
     _pairing_blocks,
+    _power,
     cross_pairings,
     indicator,
     lp_norm,
@@ -218,10 +219,7 @@ def _q_norm(t: PiecewiseFn, q: float, p_prime: float, tid: str):
         qn = lp_norm(t, q)
     except PreconditionError as exc:
         return exc
-    try:
-        power = qn**p_prime
-    except OverflowError:
-        power = math.inf
+    power = _power(qn, p_prime)
     if not 0.0 < power < math.inf:
         raise PreconditionError(
             f"the q-norm of test {tid!r} to the power p_prime = {p_prime} reads {power} "
@@ -350,11 +348,7 @@ def blowup_witness(
         )
     if not len(gamma):
         raise PreconditionError("blowup witness needs a nonempty site set")
-    try:
-        eps_power = epsilon**p_prime
-    except OverflowError:
-        eps_power = math.inf
-    eps_power = _finite_power_sum(eps_power, f"epsilon ** p_prime at p_prime = {p_prime}")
+    eps_power = _finite_power_sum(_power(epsilon, p_prime), f"epsilon ** p_prime at p_prime = {p_prime}")
     d = f.dimension
     step = min(f.min_piece_side, f_dual.min_piece_side) / 4.0
     fb, db = f.support_box, f_dual.support_box
@@ -425,11 +419,43 @@ def cq_required_constant(sys: TranslateSystem, test: PiecewiseFn) -> float:
         raise PreconditionError("cq_required_constant needs a nonzero test")
     if test.dimension != sys.dimension:
         raise DimensionMismatchError("test dimension does not match the system")
-    p, q = sys.p.p, sys.p.q
+    return _required(sys, test)[2]
+
+
+def _required(sys: TranslateSystem, test: PiecewiseFn) -> tuple:
+    """(||test||_q, power sum at p, K_required = ||test||_q / sum^{1/p}) for
+    a nonzero test; K_required is +inf where the test annihilates the
+    truncation.  A q-norm that reads 0, and a K_required that reads inf
+    because the quotient overflowed or a nonzero term of the sum underflowed,
+    are refused."""
+    p = sys.p.p
+    qn = lp_norm(test, sys.p.q)
+    if qn == 0.0:
+        raise PreconditionError("the q-norm of the test reads 0.0 in double precision")
     psum = _system_power_sums(sys, [test], p)[0]
-    if psum == 0.0:
-        return math.inf
-    return lp_norm(test, q) / psum ** (1.0 / p)
+    k_req = qn / psum ** (1.0 / p) if psum else math.inf
+    if k_req == math.inf and (psum or _underflowed(sys, test)):
+        raise PreconditionError(
+            f"the required constant at p = {p} reads inf in double precision, "
+            "though the test does not annihilate the truncation"
+        )
+    return qn, psum, k_req
+
+
+def _underflowed(sys: TranslateSystem, test: PiecewiseFn) -> bool:
+    """Whether a power sum over the test that reads 0 lost a nonzero term:
+    a pairing that is not 0, or a term of a pairing whose boxes overlap but
+    whose product vh * conj(vf) * vol, formed as pair forms it, reads 0."""
+    for gen in sys.generators:
+        for site, _ in _meeting_sites(gen, [test.support_box]):
+            moved = translate(gen.f, site)
+            if pair(test, moved) != 0 or any(
+                tb.intersection(fb) and not tv * fv.conjugate() * tb.overlap_volume(fb)
+                for tb, tv in test.pieces
+                for fb, fv in moved.pieces
+            ):
+                return True
+    return False
 
 
 def _reach_check_set(gamma: PointSet, f_box: Box, test_box: Box) -> None:
@@ -483,6 +509,19 @@ def _generator_mass(gen: Generator, region: Box, p: float) -> float:
     return _finite_power_sum(total, f"the localized mass at p = {p}")
 
 
+def _decreasing(h_values: Sequence[float], least: int, short: str) -> list:
+    """h_values as floats, refused with `short` when fewer than `least`, and
+    unless positive, finite and strictly decreasing."""
+    hs = [float(h) for h in h_values]
+    if len(hs) < least:
+        raise PreconditionError(short)
+    if any(not (math.isfinite(h) and h > 0) for h in hs):
+        raise PreconditionError("h_values must be positive")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise PreconditionError("h_values must be strictly decreasing")
+    return hs
+
+
 def cq_indicator_sweep(
     sys: TranslateSystem,
     h_values: Sequence[float],
@@ -496,18 +535,13 @@ def cq_indicator_sweep(
     K_required against log(1/h), fitted over the smallest half of the h
     values but never fewer than two, has a positive slope with R^2 > 0.99
     (slopes below 1e-9 count as flat); rows with a zero power sum make the
-    required constant literally unbounded and force the divergent verdict.
+    required constant literally unbounded and force the divergent verdict,
+    and a required constant that reads inf or 0 only by rounding is refused.
     `fixed_test` replaces the indicators by one fixed test in every row, as a
     flat control experiment.
     """
-    hs = [float(h) for h in h_values]
-    if len(hs) < 2:
-        raise PreconditionError("the sweep needs at least two h values")
-    if any(not (math.isfinite(h) and h > 0) for h in hs):
-        raise PreconditionError("h_values must be positive")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise PreconditionError("h_values must be strictly decreasing")
-    p, q = sys.p.p, sys.p.q
+    hs = _decreasing(h_values, 2, "the sweep needs at least two h values")
+    p = sys.p.p
     d = sys.dimension
     rows = []
     for h in hs:
@@ -520,9 +554,7 @@ def cq_indicator_sweep(
         for gen in sys.generators:
             _reach_check_set(gen.gamma, gen.f.support_box, test.support_box)
         mass_cube = _bounding_cube(test.support_box)
-        qn = lp_norm(test, q)
-        psum = _system_power_sums(sys, [test], p)[0]
-        k_req = math.inf if psum == 0.0 else qn / psum ** (1.0 / p)
+        qn, psum, k_req = _required(sys, test)
         mass = system_localized_mass(sys, mass_cube, p)
         rows.append(CqSweepRow(h, qn, psum, k_req, mass))
     tail = rows[-max(2, (len(rows) + 1) // 2) :]
@@ -587,13 +619,7 @@ def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport
 
 def mass_decay_sweep(gen: Generator, x: Sequence[float], h_values: Sequence[float], p: float) -> tuple:
     """Masses at the nested cubes Q_h(x) for decreasing h; nonincreasing by nesting."""
-    hs = [float(h) for h in h_values]
-    if not hs:
-        raise PreconditionError("h_values must be nonempty")
-    if any(not (math.isfinite(h) and h > 0) for h in hs):
-        raise PreconditionError("h_values must be positive")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise PreconditionError("h_values must be strictly decreasing")
+    hs = _decreasing(h_values, 1, "h_values must be nonempty")
     out = []
     for h in hs:
         out.append((h, _generator_mass(gen, Box.cube(x, h), float(p))))
@@ -685,6 +711,8 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
     radii = [float(r) for r in config.truncation_radii]
     if len(radii) < 2:
         raise PreconditionError("growth study needs at least two truncation radii")
+    if any(not (math.isfinite(r) and r > 0) for r in radii):
+        raise PreconditionError(f"truncation radii must be positive and finite, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("truncation radii must be strictly increasing")
     p_prime = float(config.p_prime)

@@ -441,6 +441,30 @@ def test_subcommand_spec_command_mismatch(tmp_path):
     assert main(["density", "--spec", spec, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", [*cli.COMMANDS, "run"])
+def test_every_command_name_parses(tmp_path, capsys, command):
+    # the parse succeeds, and the run stops at the missing spec file
+    assert len(cli.COMMANDS) == 10
+    assert main([command, "--spec", str(tmp_path / "none.json"), "--seed", "3"]) == 2
+    assert "spec file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["densty", "--spec", "x.json"],
+        ["density"],
+        ["run", "--spec", "x.json", "--seed", "1.5"],
+        ["--spec", "x.json"],
+    ],
+    ids=["unknown-command", "missing-spec", "non-integer-seed", "missing-command"],
+)
+def test_malformed_command_lines_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "usage: lpdensity" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical_reports(tmp_path):
     spec = write_spec(
         tmp_path,
@@ -1003,9 +1027,7 @@ def _mass_specs(draw):
     return {"command": "mass-decay", "generator": spec["generator"], "x": center, "h_values": h_values, "p": p}
 
 
-@settings(max_examples=300, deadline=None)
-@given(_mass_specs())
-def test_mass_specs_exit_cleanly_with_finite_reports(payload):
+def _assert_exits_cleanly(payload):
     # main() runs in-process, so a traceback would be an exception here
     with tempfile.TemporaryDirectory() as out:
         spec = pathlib.Path(out) / "spec.json"
@@ -1016,6 +1038,162 @@ def test_mass_specs_exit_cleanly_with_finite_reports(payload):
         if code == 0:
             text = (pathlib.Path(out) / f"{payload['command'].replace('-', '_')}_report.json").read_text()
             assert "Infinity" not in text and "NaN" not in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mass_specs())
+def test_mass_specs_exit_cleanly_with_finite_reports(payload):
+    _assert_exits_cleanly(payload)
+
+
+_sides = st.one_of(
+    st.sampled_from([1e-320, 1e-300, 1e-120, 1e-100, 1e-10, 1.0, 1e100, 1e154, 1e200, 1e300]),
+    st.floats(1e-320, 1e300),
+    st.floats(1e-3, 1e3),
+)
+
+
+@st.composite
+def _density_specs(draw):
+    """density specs on 2 to 4 explicit sites in 1-d to 3-d, with window
+    sides from 1e-320 to 1e300."""
+    d = draw(st.integers(1, 3))
+    site = st.lists(_coordinates, min_size=d, max_size=d)
+    rows = draw(st.lists(site, min_size=2, max_size=4, unique_by=tuple))
+    h_values = sorted(set(draw(st.lists(_sides, min_size=1, max_size=3))))
+    return {"command": "density", "points": {"kind": "explicit", "rows": rows}, "h_values": h_values}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_density_specs())
+def test_density_specs_exit_cleanly_with_finite_reports(payload):
+    _assert_exits_cleanly(payload)
+
+
+@st.composite
+def _sweep_specs(draw):
+    """cq-sweep specs on the unit cube's indicator over a lattice, with p up
+    to 1e3 and two decreasing h values from 1e300 down to 1e-300."""
+    d = draw(st.integers(1, 2))
+    unit = {"kind": "indicator", "box": {"lower": [0.0] * d, "upper": [1.0] * d}}
+    unit["value"] = draw(st.sampled_from([1.0, -2.5, 1e-100, 1e100, 1e200]))
+    window = draw(st.sampled_from([1, 5, 20]))
+    gamma = {"kind": "lattice", "spacing": draw(st.sampled_from([0.5, 1.0])), "window": window, "dimension": d}
+    p = draw(st.one_of(st.sampled_from([1.5, 2.0, 3.0, 1e3]), st.floats(1.0, 1e3)))
+    hs = st.one_of(
+        st.sampled_from([1e-300, 1e-150, 1e-10, 0.25, 2.0, 1e10, 1e300]),
+        st.floats(1e-300, 1e300),
+        st.floats(1e-300, 4.0),
+    )
+    h_values = sorted(draw(st.lists(hs, min_size=2, max_size=2, unique=True)), reverse=True)
+    system = {"p": p, "generators": [{"f": unit, "gamma": gamma}]}
+    return {"command": "cq-sweep", "system": system, "h_values": h_values}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_specs())
+def test_sweep_specs_exit_cleanly_with_finite_reports(payload):
+    _assert_exits_cleanly(payload)
+
+
+_RECIPROCAL_SYSTEM = {
+    "p": 2.0,
+    "generators": [{"f": UNIT_SPEC, "gamma": {"kind": "reciprocal", "N": 40}, "label": "recip"}],
+}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {"command": "density", "points": {"kind": "explicit", "rows": [[0, 0], [1, 1]]}, "h_values": [1e200]},
+            "h = 1e+200 to the power d = 2 reads inf in double precision",
+        ),
+        (
+            {"command": "density", "points": {"kind": "explicit", "rows": [[0, 0, 0], [1, 1, 1]]}, "h_values": [1e-120]},
+            "h = 1e-120 to the power d = 3 reads 0.0 in double precision",
+        ),
+        (
+            {"command": "density", "points": {"kind": "explicit", "rows": [[0], [1e-310]]}, "h_values": [1e-320]},
+            "the count ratio 1 / h^d at h = 1e-320 overflows double precision",
+        ),
+        # the report read "density_estimate": Infinity
+        (
+            {"command": "density", "points": {"kind": "explicit", "rows": [[0], [1]]}, "h_values": [1e-320]},
+            "h = 1e-320 puts a site coordinate at |x / h| of 2^53 or more",
+        ),
+        # the int64 cast gave two sites one bogus key, and the report nu_lower 2
+        (
+            {"command": "density", "points": {"kind": "explicit", "rows": [[0, 0, 0], [1, 1, 1], [2, 2, 2]]}, "h_values": [1e-100]},
+            "h = 1e-100 puts a site coordinate at |x / h| of 2^53 or more",
+        ),
+        # every window anchored at a site read empty, and nu_plus took the max of none
+        (
+            {"command": "density", "points": {"kind": "explicit", "rows": [[1e-10, 0.0], [0.5, 0.0]]}, "h_values": [1e-120]},
+            "h = 1e-120 puts a site coordinate at |x / h| of 2^53 or more",
+        ),
+        (
+            {**DICHOTOMY, "system": _RECIPROCAL_SYSTEM, "truncation_radii": [20, 40.7]},
+            "reciprocal family needs a whole count in 1..1048576, got 40.7",
+        ),
+        (
+            {**DICHOTOMY, "system": _RECIPROCAL_SYSTEM, "truncation_radii": [20, math.inf]},
+            "truncation radii must be positive and finite, got [20.0, inf]",
+        ),
+        (
+            {**DICHOTOMY, "system": _RECIPROCAL_SYSTEM, "truncation_radii": [math.nan, 20]},
+            "truncation radii must be positive and finite, got [nan, 20.0]",
+        ),
+        (
+            {"command": "density", "points": {"kind": "reciprocal", "N": 10**12}, "h_values": [1.0]},
+            "reciprocal family needs a whole count in 1..1048576, got 1000000000000",
+        ),
+        # each |<t, T_n f>|^1.5 = (1e-300)^1.5 underflows, so the sum read 0 and
+        # K_required inf, as if the test annihilated the lattice
+        (
+            {"command": "cq-sweep", "system": {**SYSTEM, "p": 1.5}, "h_values": [1e-150, 1e-300]},
+            "the required constant at p = 1.5 reads inf in double precision, though the test does "
+            "not annihilate the truncation",
+        ),
+    ],
+    ids=[
+        "density-h-power-overflows",
+        "density-h-power-underflows",
+        "density-ratio-overflows",
+        "density-unit-sites-at-1e-320",
+        "density-grid-index-past-2^53",
+        "density-window-below-resolution",
+        "dichotomy-fractional-reciprocal-radius",
+        "dichotomy-infinite-radius",
+        "dichotomy-nan-radius",
+        "reciprocal-count-over-budget",
+        "cq-sweep-power-sum-underflows",
+    ],
+)
+def test_degenerate_sides_and_counts_exit_3_without_warnings(tmp_path, capsys, payload, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run otherwise
+        code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and err == f"lpdensity {payload['command']}: precondition violated: {message}"
+
+
+def test_cq_sweep_holder_verdict_reads_an_overflowing_power_as_inf(tmp_path, capsys):
+    # ||chi_[-h, h)||_q^1000 is past the double range; the verdict's q_norm ** p
+    # raised OverflowError after the sweep had succeeded
+    lattice = {"kind": "lattice", "spacing": 1.0, "window": 20, "dimension": 1}
+    system = {"p": 1000.0, "generators": [{"f": UNIT_SPEC, "gamma": lattice}]}
+    code, err = _run_exit(tmp_path, capsys, {"command": "cq-sweep", "system": system, "h_values": [4, 2]})
+    assert code == 0 and err == ""
+    report = read_report(tmp_path, "cq_sweep")
+    assert report["verdicts"] == {"proof_inequality": True}
+    assert all(row["p_power_sum"] > 0 for row in report["outputs"]["sweep"]["rows"])
+
+
+def test_reciprocal_radius_given_as_an_integral_float_runs(tmp_path, capsys):
+    payload = {**DICHOTOMY, "system": _RECIPROCAL_SYSTEM, "truncation_radii": [20, 70.0]}
+    code, _ = _run_exit(tmp_path, capsys, payload)
+    rows = read_report(tmp_path, "dichotomy")["outputs"]["dichotomy"]["density_rows"]
+    assert code in (0, 4) and [r["total_sites"] for r in rows] == [20, 70]
 
 
 def test_finite_frequencies_keep_their_bits():

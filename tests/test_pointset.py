@@ -304,6 +304,35 @@ def test_grid_occupancy_half_open_boundary_snap():
     assert occ == {(1, 1, 1): 1, (0, 0, 0): 2}
 
 
+@pytest.mark.parametrize(
+    "rows, h",
+    [
+        # the int64 cast of 2e100 gave two of these sites one bogus key
+        ([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 1e-100),
+        ([(2.0**53,)], 1.0),
+        ([(0.0, 0.0), (1e308, -1e308)], 1e-10),  # x / h overflows to inf
+    ],
+)
+def test_grid_occupancy_refuses_indices_past_the_exact_integers(rows, h):
+    with np.errstate(all="raise"):
+        with pytest.raises(PreconditionError, match=r"\|x / h\| of 2\^53 or more"):
+            grid_occupancy(PointSet(rows), h)
+    # the largest index that doubles still hold exactly is kept
+    assert grid_occupancy(PointSet([(2.0**53 - 1,)]), 1.0) == {(2**53 - 1,): 1}
+
+
+@pytest.mark.parametrize("count", [0, -3, 40.7, 1e12, 2**20 + 1, math.inf, math.nan])
+def test_reciprocal_count_must_be_a_whole_number_within_the_budget(count):
+    with pytest.raises(PreconditionError, match=r"whole count in 1\.\.1048576"):
+        make_reciprocal(count)
+
+
+def test_reciprocal_count_given_as_an_integral_float_is_its_integer():
+    s = make_reciprocal(70.0)
+    assert s.provenance.count == 70 and type(s.provenance.count) is int
+    assert s.as_array.tobytes() == make_reciprocal(70).as_array.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # detect_accumulation
 
