@@ -149,9 +149,9 @@ class LocalizedMassReport:
 
 
 def _meeting_sites(gen: Generator, boxes: Sequence[Box]):
-    """Yield (site, row) for each site g of gen, in lexicographic order and
-    as a list of floats, for which the support box of gen.f moved by g meets
-    some box; row[k] tells whether it meets boxes[k]."""
+    """An iterator of (site, row) over the sites g of gen, in lexicographic
+    order and as lists of floats, for which the support box of gen.f moved
+    by g meets some box; row[k] tells whether it meets boxes[k]."""
     gamma, f_box = gen.gamma, gen.f.support_box
     sites = gamma.as_array[gamma.order]
     lower = np.array([b.lower for b in boxes]).reshape(-1, 1, gamma.dimension)
