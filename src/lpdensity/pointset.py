@@ -153,9 +153,6 @@ class PointSet:
     def __len__(self):
         return len(self.as_array)
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 # most index vectors a lattice constructor may enumerate: a 2-d lattice of
 # 14,641 sites (window 60) needs 15,129, and a 2-d basis lattice at the
@@ -488,46 +485,61 @@ def grid_occupancy(s: PointSet, h: float) -> dict:
     return dict(Counter(map(tuple, keys.tolist())))
 
 
-def anchored_windows(s: PointSet, h: float) -> tuple:
-    """Side-h windows to count sites in: (centres (m, d), counts (m,)).
+def _ranked(centres: np.ndarray, counts: np.ndarray, limit: int) -> tuple:
+    """The `limit` windows with the largest counts, (centres, counts), in
+    order: count descending, then centre lexicographically, then position."""
+    order = np.lexsort((*centres.T[::-1], -counts))[:limit]
+    return centres[order], counts[order]
 
-    d = 1, 2: the windows whose lower faces pass through site coordinates,
-    each with its exact count.  Any half-open side-h window can slide up,
-    one axis at a time, until each lower face meets a site coordinate
-    without losing a site, so the largest of these counts is the largest
-    count of any side-h window.  d >= 3: the occupied grid cubes Q_h(h n)
-    with their counts.  s must be nonempty, and _scaled refuses an h below
-    the resolution of the site coordinates.
+
+def anchored_windows(s: PointSet, h: float, limit: int) -> tuple:
+    """The `limit` side-h windows with the largest counts, (centres (k, d),
+    counts (k,)) in _ranked order.  d = 1, 2: the windows whose lower faces
+    pass through site coordinates, scanned by axis-0 anchor, then axis-1
+    anchor.  Any half-open side-h window can slide up, one axis at a time,
+    until each lower face meets a site coordinate without losing a site, so
+    the first count is the largest of any side-h window.  2-d merges each
+    axis-0 anchor's column into a running top `limit`, holding O(n + limit)
+    windows.  d >= 3: the occupied grid cubes Q_h(h n).  s must be nonempty;
+    _scaled refuses an h below the resolution of the site coordinates.
     """
     arr = s.as_array
     _scaled(arr, h)
-    if s.dimension == 1:
-        xs = arr[s.order, 0]
-        counts = np.searchsorted(xs, xs + h, side="left") - np.arange(xs.size)
-        return (xs + h / 2)[:, None], counts
-    if s.dimension == 2:
-        xs, ys = arr[s.order].T
-        centres, counts = [], []
-        for ax in np.unique(xs):
-            lo = np.searchsorted(xs, ax, side="left")
-            hi = np.searchsorted(xs, ax + h, side="left")
-            slab = np.sort(ys[lo:hi])
-            cnt = np.searchsorted(slab, slab + h, side="left") - np.arange(slab.size)
-            # a y anchor counts from its first occurrence in the slab
-            first = np.ones(slab.size, dtype=bool)
-            first[1:] = slab[1:] != slab[:-1]
-            ay = slab[first]
-            centres.append(np.column_stack((np.full(ay.size, ax + h / 2), ay + h / 2)))
-            counts.append(cnt[first])
-        return np.concatenate(centres), np.concatenate(counts)
+    # a window end past the double range reads inf, and holds every later site
+    with np.errstate(over="ignore"):
+        if s.dimension == 1:
+            xs = arr[s.order, 0]
+            counts = np.searchsorted(xs, xs + h, side="left") - np.arange(xs.size)
+            return _ranked((xs + h / 2)[:, None], counts, limit)
+        if s.dimension == 2:
+            xs, ys = arr[s.order].T
+            top = held = (np.zeros((0, 2)), np.zeros(0, dtype=np.intp))
+            for ax in np.unique(xs):
+                # a window below the running limit-th count cannot enter
+                least = top[1][-1] if top[1].size == limit else 0
+                lo, hi = np.searchsorted(xs, (ax, ax + h), side="left")
+                if hi - lo < least:
+                    continue
+                slab = np.sort(ys[lo:hi])
+                cnt = np.searchsorted(slab, slab + h, side="left") - np.arange(slab.size)
+                # a y anchor counts from its first occurrence in the slab
+                keep = cnt >= least
+                keep[1:] &= slab[1:] != slab[:-1]
+                if not keep.any():
+                    continue
+                col = np.column_stack((np.full(keep.sum(), ax + h / 2), slab[keep] + h / 2))
+                held = np.concatenate((held[0], col)), np.concatenate((held[1], cnt[keep]))
+                if held[1].size >= 2 * limit:  # rank once `limit` windows wait past the top
+                    top = held = _ranked(*held, limit)
+            return _ranked(*held, limit)
     occ = grid_occupancy(s, h)
-    return np.array(list(occ), dtype=np.int64) * h, np.array(list(occ.values()))
+    return _ranked(np.array(list(occ), dtype=np.int64) * h, np.array(list(occ.values())), limit)
 
 
 def nu_plus(s: PointSet, h: float) -> NuPlusBound:
     """Largest number of points in any half-open side-h cube.
 
-    d = 1, 2: exact, the largest count over the anchored windows.
+    d = 1, 2: exact, the first count of the ranked anchored windows.
     d >= 3: sandwich (N_h, 2^d N_h) from the grid-cube maximum N_h, since any
     side-h cube is covered by at most 2^d grid-aligned side-h cubes.
     """
@@ -536,7 +548,7 @@ def nu_plus(s: PointSet, h: float) -> NuPlusBound:
         raise PreconditionError(f"h must be positive, got {h}")
     if not len(s):
         return NuPlusBound(0, 0, True)
-    m = int(anchored_windows(s, h)[1].max())
+    m = int(anchored_windows(s, h, 1)[1][0])
     if s.dimension <= 2:
         return NuPlusBound(m, m, True)
     return NuPlusBound(m, (2**s.dimension) * m, False)
@@ -583,14 +595,12 @@ def density_profile(s: PointSet, h_values: Sequence[float]) -> DensityProfile:
     return DensityProfile(rows=tuple(rows), density_estimate=estimate, truncation_bias=bias)
 
 
-def centred_windows(s: PointSet, h: float) -> tuple:
-    """Side-h windows centred on the sites: (centres (n, d), counts (n,)),
-    the centres being the sites in lexicographic order and each count the
-    exact number of sites in the half-open cube Q_h(site).
-
-    Axis 0 is counted by bisection of the sorted sites: the run of sites
-    whose axis-0 coordinate lies in [x - h/2, x - h/2 + h).  In d >= 2 the
-    other axes are tested for the members of that run only.
+def centred_windows(s: PointSet, h: float, limit: int) -> tuple:
+    """The `limit` half-open cubes Q_h(site) with the largest exact counts,
+    (centres (k, d), counts (k,)) in _ranked order.  Axis 0 is counted by
+    bisection of the sorted sites: the run of sites whose axis-0 coordinate
+    lies in [x - h/2, x - h/2 + h).  In d >= 2 the other axes are tested for
+    the members of that run only.
     """
     ranked = s.as_array[s.order]
     lows = ranked - h / 2
@@ -598,13 +608,13 @@ def centred_windows(s: PointSet, h: float) -> tuple:
     lo = np.searchsorted(xs, lows[:, 0], side="left")
     hi = np.searchsorted(xs, lows[:, 0] + h, side="left")
     if s.dimension == 1:
-        return ranked, hi - lo
+        return _ranked(ranked, hi - lo, limit)
     counts = np.zeros(len(s), dtype=int)
     for i, j in _pair_tiles(lo, hi):
         rest, low = ranked[j, 1:], lows[i, 1:]
         inside = np.all((rest >= low) & (rest < low + h), axis=1)
         counts += np.bincount(i[inside], minlength=len(s))
-    return ranked, counts
+    return _ranked(ranked, counts, limit)
 
 
 def detect_accumulation(s: PointSet, radius: float, threshold: int) -> list:

@@ -296,23 +296,13 @@ def _exceeds(planes, epsilon: float) -> np.ndarray:
 
 
 def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
-    """Candidate centers beta for side-h windows, ranked by #(gamma in Q_h(beta)).
-
-    Two families: windows with lower faces anchored at site coordinates (the
-    sliding-window maximizers, beta = anchor + h/2 per axis) and windows
-    centered directly on sites (the degenerate witness beta = gamma).  Ranked
-    by count, ties broken lexicographically, capped at `limit` per family.
-    """
-    anchored = _ranked(*anchored_windows(gamma, h), limit)
-    centered = _ranked(*centred_windows(gamma, h), limit)
-    return list(dict.fromkeys(anchored + centered))
-
-
-def _ranked(centres: np.ndarray, counts: np.ndarray, limit: int) -> list:
-    """The `limit` centres with the largest counts, ties broken
-    lexicographically, as tuples of floats."""
-    order = np.lexsort((*centres.T[::-1], -counts))
-    return [tuple(c) for c in centres[order[:limit]].tolist()]
+    """Candidate centers beta for side-h windows: the top `limit` windows with
+    lower faces anchored at site coordinates (the sliding-window maximizers,
+    beta = anchor + h/2 per axis), then the top `limit` windows centered on
+    sites (the degenerate witness beta = gamma), each ranked by count."""
+    anchored, _ = anchored_windows(gamma, h, limit)
+    centred, _ = centred_windows(gamma, h, limit)
+    return list(dict.fromkeys(map(tuple, np.concatenate((anchored, centred)).tolist())))
 
 
 def blowup_witness(

@@ -30,8 +30,7 @@ from lpdensity import (
     translate,
 )
 from lpdensity.haar_uncond import SandwichRow
-from lpdensity.pointset import SeparationReport, anchored_windows
-from lpdensity.translate_system import _ranked
+from lpdensity.pointset import SeparationReport, grid_occupancy
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +180,23 @@ def slab_anchors(rows, h):
     return out
 
 
+def anchor_windows(rows, h):
+    """(count, centre) of every window anchored at site coordinates, in scan
+    order, by direct counting: [x, x + h) for each site x in ascending order
+    in 1-d, slab_anchors in 2-d."""
+    if len(rows[0]) == 2:
+        return slab_anchors(rows, h)
+    xs = sorted(x for (x,) in rows)
+    return [(sum(1 for y in xs if x <= y < x + h), (x + h / 2,)) for x in xs]
+
+
+def top_windows(windows, limit):
+    """The first `limit` (count, centre) pairs by count descending, then
+    centre lexicographically; Python's sort is stable, so ties keep their
+    scan order."""
+    return sorted(windows, key=lambda w: (-w[0], w[1]))[:limit]
+
+
 def min_gap(rows) -> float:
     """sqrt of the least squared distance over all pairs of distinct rows,
     in blocks of 512 rows."""
@@ -258,11 +274,16 @@ def brute_bands(xs, r2):
 
 
 def scan_candidates(gamma, h, limit):
-    """Witness candidates: the ranked anchored windows, then the ranked
-    site-centred windows counted by centred_counts."""
-    anchored = _ranked(*anchored_windows(gamma, h), limit)
-    arr = gamma.as_array
-    return list(dict.fromkeys(anchored + _ranked(arr, centred_counts(arr, h), limit)))
+    """Witness candidates: the top anchored windows (the occupied grid cubes
+    in d >= 3), then the top site-centred windows counted by centred_counts."""
+    rows = gamma.points
+    if gamma.dimension > 2:
+        anchored = [(c, tuple(k * h for k in key)) for key, c in grid_occupancy(gamma, h).items()]
+    else:
+        anchored = anchor_windows(rows, h)
+    centred = list(zip(centred_counts(gamma.as_array, h).tolist(), rows))
+    ranked = top_windows(anchored, limit) + top_windows(centred, limit)
+    return list(dict.fromkeys(c for _, c in ranked))
 
 
 def exact_chromatic(coords, delta):

@@ -18,14 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpdensity import HaarIndex, PointSet, make_lattice
-from lpdensity import cli
+from lpdensity import HaarIndex, PointSet, make_lattice, make_reciprocal
+from lpdensity import cli, lpfunc
 from lpdensity.cli import main
 from lpdensity.lpfunc import pair_modulated
 from lpdensity.io import emit_json, ingest_function, ingest_points
 from lpdensity.pointset import UnionProvenance
 
-from oracles import expansion_from_draws, function_spec, interval, point_set_spec
+from oracles import (
+    brute_nu_plus,
+    expansion_from_draws,
+    function_spec,
+    interval,
+    point_set_spec,
+    scalar_count,
+)
 
 
 def write_spec(tmp_path, name, payload):
@@ -311,6 +318,34 @@ def test_blowup_command_sound(tmp_path):
     assert report["outputs"]["witness"]["count"] >= 30
 
 
+TENT = {
+    "kind": "sampled",
+    "expression": "tent",
+    "step": 0.125,
+    "support": {"lower": [-1.0], "upper": [1.0]},
+}
+
+
+def test_blowup_witness_on_sampled_tents_reaches_the_pruned_kernel(tmp_path, capsys):
+    # 16 pieces against 16 make more piece pairs than the kernel evaluates
+    # densely, so each centre is scored by the pruned sums
+    payload = {
+        "command": "blowup-witness",
+        "f": TENT,
+        "f_dual": TENT,
+        "points": {"kind": "reciprocal", "N": 40},
+        "epsilon": 0.3,
+        "p_prime": 2.0,
+    }
+    with mock.patch.object(lpfunc, "_pruned_sums", wraps=lpfunc._pruned_sums) as pruned:
+        code, err = _run_exit(tmp_path, capsys, payload)
+    witness = read_report(tmp_path, "blowup-witness")["outputs"]["witness"]
+    assert code == 0 and err == "" and pruned.call_count > 0
+    tent = ingest_function(TENT)
+    assert witness["count"] == 40
+    assert witness["count"] == scalar_count(tent, tent, make_reciprocal(40), witness["beta"], 0.3)
+
+
 def test_separate_bessel_mass_commands(tmp_path):
     unit_fn = {"kind": "indicator", "box": {"lower": [0.0], "upper": [1.0]}}
     lattice = {"kind": "lattice", "spacing": 1.0, "window": 20, "dimension": 1}
@@ -419,6 +454,45 @@ def test_undetermined_dichotomy_exits_4(tmp_path):
     report = read_report(tmp_path, "dichotomy")
     assert report["verdicts"]["dichotomy_holds"] is False
     assert report["outputs"]["dichotomy"]["cq_failure"] is not None
+
+
+UNION = {
+    "kind": "union",
+    "children": [
+        {"label": "Z", "points": {"kind": "lattice", "spacing": 1.0, "window": 20, "dimension": 1}},
+        {"label": "recip", "points": {"kind": "reciprocal", "N": 40}},
+    ],
+}
+
+
+def test_density_on_a_union_reads_its_members_provenance(tmp_path, capsys):
+    # the reciprocal member makes the union a truncated family, and the
+    # lattice member bounds its window extent at 40
+    h_values = [1.0, 2.0, 4.0]
+    code, err = _run_exit(tmp_path, capsys, {**_density(UNION), "h_values": h_values})
+    profile = read_report(tmp_path, "density")["outputs"]["profile"]
+    assert code == 0 and err == "" and profile["truncation_bias"] is True
+    rows = ingest_points(UNION).points
+    assert [r["nu_lower"] for r in profile["rows"]] == [brute_nu_plus(rows, h) for h in h_values]
+    code, err = _run_exit(tmp_path, capsys, {**_density(UNION), "h_values": [41.0]})
+    assert code == 3 and err.endswith("h=41.0 exceeds the generator window extent 40.0")
+
+
+def test_dichotomy_regrows_a_union_generator(tmp_path, capsys):
+    system = {"p": 2.0, "generators": [{"f": UNIT_SPEC, "gamma": UNION, "label": "U"}]}
+    payload = {
+        "command": "dichotomy",
+        "system": system,
+        "truncation_radii": [10, 20, 40],
+        "h_values": [0.25, 0.125],
+        "p_prime": 2.0,
+    }
+    code, err = _run_exit(tmp_path, capsys, payload)
+    dichotomy = read_report(tmp_path, "dichotomy")["outputs"]["dichotomy"]
+    assert code == 0 and err == "" and dichotomy["horn"] == "bessel_divergent"
+    # each radius r regrows both members, Z in [-r, r] and 1/n for n <= r,
+    # which share the site 1
+    assert [r["total_sites"] for r in dichotomy["density_rows"]] == [30, 60, 120]
 
 
 def test_run_subcommand_chains_specs(tmp_path):
@@ -624,6 +698,25 @@ def test_chain_repeating_a_command_exits_2_before_running(tmp_path, capsys):
     code, err = _run_exit(tmp_path, capsys, chain)
     assert code == 2 and "'density' twice" in err
     assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize(
+    "chain, message",
+    [
+        (
+            [{"command": "density", "points": LATTICE_1D, "h_values": [1.0]}, 1],
+            "each spec entry must be a JSON object",
+        ),
+        ([{"command": "nope"}], "spec has unknown command 'nope'"),
+        ({"h_values": [1.0]}, "spec has unknown command None"),
+    ],
+    ids=["not-an-object", "unknown", "missing"],
+)
+def test_chain_entry_without_a_known_command_exits_2(tmp_path, capsys, chain, message):
+    # the first entry is not run either: every entry is checked before any runs
+    with mock.patch("lpdensity.cli.run", side_effect=AssertionError):
+        code, err = _run_exit(tmp_path, capsys, chain)
+    assert code == 2 and err == f"lpdensity: {message}"
 
 
 @pytest.mark.parametrize(
@@ -1177,6 +1270,18 @@ def test_degenerate_sides_and_counts_exit_3_without_warnings(tmp_path, capsys, p
     assert code == 3 and err == f"lpdensity {payload['command']}: precondition violated: {message}"
 
 
+def test_density_window_past_the_double_range_runs_without_warnings(tmp_path, capsys):
+    # the window anchored at 1.7e308 ends past the largest double; the scan
+    # printed two numpy overflow warnings for it
+    payload = {**_density({"kind": "explicit", "rows": [[1.7e308], [0.0]]}), "h_values": [1e308]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run_exit(tmp_path, capsys, payload)
+    row = read_report(tmp_path, "density")["outputs"]["profile"]["rows"][0]
+    assert code == 0 and err == ""
+    assert (row["nu_lower"], row["nu_upper"], row["exact"]) == (1, 1, True)
+
+
 def test_cq_sweep_holder_verdict_reads_an_overflowing_power_as_inf(tmp_path, capsys):
     # ||chi_[-h, h)||_q^1000 is past the double range; the verdict's q_norm ** p
     # raised OverflowError after the sweep had succeeded
@@ -1313,6 +1418,20 @@ def test_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
     (tmp_path / "latin1.csv").write_bytes("x\n0.5\n1.5\n# caf\xe9\n".encode("latin-1"))
     code, err = _run_exit(tmp_path, capsys, _density({"path": "latin1.csv"}))
     assert code == 2 and "latin1.csv" in err and "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x\n0.5\n\n1.5,abc\n", "sites.csv:4: non-numeric field in ['1.5', 'abc']"),
+        ("x,y\n\n", "sites.csv: no data rows"),
+    ],
+    ids=["non-numeric", "header-only"],
+)
+def test_csv_without_numeric_rows_exits_2(tmp_path, capsys, text, message):
+    (tmp_path / "sites.csv").write_text(text)
+    code, err = _run_exit(tmp_path, capsys, _density({"path": "sites.csv"}))
+    assert code == 2 and err.endswith(message) and "\n" not in err
 
 
 def test_mass_decay_point_of_another_dimension_exits_3(tmp_path, capsys):

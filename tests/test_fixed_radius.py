@@ -36,6 +36,7 @@ from oracles import (
     min_gap,
     scan_decompose_separated,
     scan_detect_accumulation,
+    top_windows,
 )
 
 
@@ -55,9 +56,10 @@ def assert_scans_agree(s, radius, threshold, h):
     assert outcome(decompose_separated, s, radius) == outcome(scan_decompose_separated, s, radius)
     if len(s) >= 2:
         assert min_separation(s) == min_gap(s.as_array)
-    centres, counts = centred_windows(s, h)
-    assert centres.tolist() == s.as_array[s.order].tolist()
-    assert counts.tolist() == centred_counts(s.as_array, h)[s.order].tolist()
+    centres, counts = centred_windows(s, h, len(s))
+    want = top_windows(list(zip(centred_counts(s.as_array, h).tolist(), s.points)), len(s))
+    assert list(map(tuple, centres.tolist())) == [x for _, x in want]
+    assert counts.tolist() == [c for c, _ in want]
 
 
 # ---------------------------------------------------------------------------

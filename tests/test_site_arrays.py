@@ -8,10 +8,12 @@ Coordinates are compared bit for bit, so 0.0 and -0.0 differ.
 """
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpdensity import (
@@ -34,6 +36,7 @@ from lpdensity.pointset import anchored_windows
 from lpdensity.translate_system import _generator_mass, _meeting_sites, _system_power_sums
 
 from oracles import (
+    anchor_windows,
     bits,
     brute_nu_plus,
     loop_mass,
@@ -41,6 +44,7 @@ from oracles import (
     loop_sites,
     shift_overlaps,
     slab_anchors,
+    top_windows,
     tuple_duplicate_message,
     tuple_lattice,
     tuple_lattice_basis,
@@ -170,10 +174,10 @@ def test_nu_plus_1d_matches_brute_anchors(rows, h):
     rows = list(dict.fromkeys(rows))
     s = PointSet(rows)
     assert nu_plus(s, h) == (brute_nu_plus(rows, h),) * 2 + (True,)
-    centres, counts = anchored_windows(s, h)
-    want = sorted((sum(1 for (y,) in rows if x <= y < x + h), x + h / 2) for (x,) in rows)
-    got = sorted(zip(counts.tolist(), centres[:, 0].tolist()))
-    assert got == want
+    centres, counts = anchored_windows(s, h, len(rows))
+    want = top_windows(anchor_windows(rows, h), len(rows))
+    assert hexrows(centres.tolist()) == hexrows(x for _, x in want)
+    assert counts.tolist() == [c for c, _ in want]
 
 
 @given(site_rows(2, max_size=15), sides)
@@ -181,10 +185,75 @@ def test_nu_plus_2d_matches_brute_anchors(rows, h):
     rows = list(dict.fromkeys(rows))
     s = PointSet(rows)
     assert nu_plus(s, h) == (brute_nu_plus(rows, h),) * 2 + (True,)
-    centres, counts = anchored_windows(s, h)
-    got = [(c, tuple(x)) for c, x in zip(counts.tolist(), centres.tolist())]
-    assert hexrows(x for _, x in got) == hexrows(x for _, x in slab_anchors(rows, h))
-    assert [c for c, _ in got] == [c for c, _ in slab_anchors(rows, h)]
+    want = top_windows(slab_anchors(rows, h), len(rows) ** 2)
+    centres, counts = anchored_windows(s, h, len(rows) ** 2)
+    assert hexrows(centres.tolist()) == hexrows(x for _, x in want)
+    assert counts.tolist() == [c for c, _ in want]
+
+
+# lattices, where equal counts are everywhere and only the centres rank them
+lattice_rows = st.builds(
+    lambda spacing, window, d: make_lattice(spacing, window, d).points,
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.sampled_from([0.5, 1.0, 1.5]),
+    dims,
+)
+
+
+@given(st.one_of(dims.flatmap(site_rows), lattice_rows), sides, st.sampled_from([1, 3, None]))
+# the third column's count 3 waits unranked beside the first column's 2 and
+# 1, so the fourth column's 2 enters only if the threshold reads the top
+@example([(4.0, 4.0), (0.0, 2.0), (3.0, 4.0), (2.0, 4.0)], 3.0, 3)
+def test_anchored_windows_are_the_top_oracle_windows(rows, h, limit):
+    rows = list(dict.fromkeys(rows))
+    windows = anchor_windows(rows, h)
+    limit = limit or len(windows)
+    want = top_windows(windows, limit)
+    centres, counts = anchored_windows(PointSet(rows), h, limit)
+    assert hexrows(centres.tolist()) == hexrows(x for _, x in want)
+    assert counts.tolist() == [c for c, _ in want]
+
+
+def test_a_later_column_that_ties_the_running_top_on_count_enters():
+    # 1.5 + h/2 and 2.5 + h/2 round to one centre, but 2.5 + h rounds past
+    # 1.5 + h, so only the second column holds the third site; its window
+    # ties the first column's count 2 and ranks first by its lower centre
+    h = 2.0**54
+    rows = [(1.5, 0.0), (2.5, 1.0), (h, -10.0)]
+    assert 1.5 + h / 2 == 2.5 + h / 2 and 1.5 + h < 2.5 + h
+    want = top_windows(slab_anchors(rows, h), 1)
+    assert want == [(2, (1.5 + h / 2, 2.0**53 - 10))]
+    centres, counts = anchored_windows(PointSet(rows), h, 1)
+    assert (counts.tolist(), centres.tolist()) == ([2], [[1.5 + h / 2, 2.0**53 - 10]])
+
+
+def jittered_grid(count, seed):
+    """`count` distinct sites of the square grid of spacing 1, each moved by
+    up to 0.3 per axis: the site set of the lattice2d-geometry benchmark."""
+    rng = random.Random(seed)
+    side = math.isqrt(count - 1) + 1
+    rows = {}
+    for k in range(count):
+        row = None
+        while row is None or row in rows:
+            row = (k % side + rng.uniform(-0.3, 0.3), k // side + rng.uniform(-0.3, 0.3))
+        rows[row] = None
+    return PointSet(list(rows))
+
+
+def test_nu_plus_2d_memory_is_bounded():
+    # keeping every anchored window peaked at 59.5 MB; a first call leaves
+    # out numpy's one-time allocations
+    s = jittered_grid(1600, 1)
+    want = nu_plus(s, 32.0)
+    tracemalloc.start()
+    try:
+        got = nu_plus(s, 32.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert got == want == (1039, 1039, True)
 
 
 # ---------------------------------------------------------------------------

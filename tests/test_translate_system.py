@@ -239,7 +239,7 @@ def test_blowup_witness_dense_grid():
     w = blowup_witness(UNIT, UNIT, gamma, 0.5, 2.0)
     # enumeration oracle at the returned center: tent(g - beta) > 1/2
     direct = sum(
-        1 for g in gamma if max(0.0, 1.0 - abs(g[0] - w.beta[0])) > 0.5
+        1 for g in gamma.points if max(0.0, 1.0 - abs(g[0] - w.beta[0])) > 0.5
     )
     assert w.count == direct
     assert w.count >= 95
@@ -282,7 +282,7 @@ def test_blowup_witness_plane_grid():
     w = blowup_witness(square, square, pts, 0.5, 2.0)
     direct = sum(
         1
-        for p in pts
+        for p in pts.points
         if abs(pair(translate(square, p), translate(square, w.beta))) > 0.5
     )
     assert w.count == direct
@@ -313,7 +313,7 @@ def test_cq_required_closed_form():
 def test_cq_required_translation_covariance():
     beta = 0.375
     sys_a = z_system(window=20)
-    shifted = PointSet(tuple((x[0] + beta,) for x in make_lattice(1.0, 20, 1)))
+    shifted = PointSet(tuple((x[0] + beta,) for x in make_lattice(1.0, 20, 1).points))
     sys_b = TranslateSystem((Generator(UNIT, shifted, "Z+b"),), ExponentPair(2.0))
     test = interval(-0.25, 0.25)
     assert cq_required_constant(sys_b, translate(test, (beta,))) == pytest.approx(
@@ -454,7 +454,7 @@ def test_mass_single_point_small():
 def test_localized_mass_translation_covariance():
     beta = 0.4375
     gamma = make_lattice(1.0, 10, 1)
-    shifted = PointSet(tuple((x[0] + beta,) for x in gamma))
+    shifted = PointSet(tuple((x[0] + beta,) for x in gamma.points))
     base = localized_mass(Generator(UNIT, gamma, "Z"), Box.cube((0.25,), 0.5), 2.0)
     moved = localized_mass(Generator(UNIT, shifted, "Z+b"), Box.cube((0.25 + beta,), 0.5), 2.0)
     assert moved.total == pytest.approx(base.total, rel=1e-12)
@@ -471,7 +471,7 @@ def test_localized_mass_tiling_2d():
 def test_bessel_sum_translation_covariance():
     beta = 0.375
     gamma = make_lattice(1.0, 10, 1)
-    shifted = PointSet(tuple((x[0] + beta,) for x in gamma))
+    shifted = PointSet(tuple((x[0] + beta,) for x in gamma.points))
     sys_a = TranslateSystem((Generator(UNIT, gamma, "Z"),), ExponentPair(2.0))
     sys_b = TranslateSystem((Generator(UNIT, shifted, "Z+b"),), ExponentPair(2.0))
     test = interval(-0.5, 1.25)
@@ -520,7 +520,7 @@ def test_synthesis_oracle_consistent_with_required_constant():
         if math.isinf(k_req):
             continue
         budget = 0.8 * k_req
-        fns = [translate(UNIT, g) for g in gamma]
+        fns = [translate(UNIT, g) for g in gamma.points]
         target = scale(test, 1.0 / lp_norm(test, 2.0))
         err = budgeted_lsq_error(fns, target, budget)
         gap = 1.0 - budget / k_req
