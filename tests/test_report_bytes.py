@@ -103,6 +103,28 @@ SPECS["blowup-witness"] = {
     "epsilon": 0.1,
     "p_prime": 2.0,
 }
+# f and f_dual whose lower corners tie on axis 0 under the shifts to most of
+# these sites, since x + 1e-20 rounds to x: the witness scan and the direct
+# Bessel sum pair translates whose pieces share an axis-0 corner
+TIE_PIECES = {
+    "dimension": 2,
+    "pieces": [
+        {"lower": [0.0, 5.0], "upper": [1.0, 6.0], "re": 1.0, "im": 0.0},
+        {"lower": [1e-20, 0.0], "upper": [2.0, 1.0], "re": 5e-17, "im": 0.0},
+        {"lower": [1e-20, 1.0], "upper": [2.0, 2.0], "re": 5e-17, "im": -1e-17},
+    ],
+}
+SPECS["blowup-witness-tie"] = {
+    "command": "blowup-witness",
+    "f": TIE_PIECES,
+    "f_dual": TIE_PIECES,
+    "points": {
+        "kind": "explicit",
+        "rows": [[0.5, 0], [0, 0.125], [1, 0.25], [-0.25, 0.375], [0, 0.5], [0.75, 0.625], [0.125, 0.75]],
+    },
+    "epsilon": 0.25,
+    "p_prime": 2,
+}
 # sites read from a CSV in a subdirectory through a relative {"path": ...}
 SPECS["density-csv"] = {
     "command": "density",
@@ -163,6 +185,10 @@ PINNED = {
     "blowup-witness": (
         0,
         {"blowup_witness_report.json": "36b51600e17cbb09c44ebcb2e4a0fb1a5762f6598933c7dbeaba4d36fc41cdae"},
+    ),
+    "blowup-witness-tie": (
+        0,
+        {"blowup_witness_report.json": "ee97f2f61b30074a3644f06531187acd29f8549ac7a5a03dc806a38b3d227a31"},
     ),
     "bessel-nested": (
         0,
