@@ -109,7 +109,10 @@ class PiecewiseFn:
 
     Zero-valued pieces are dropped and pieces are kept in lexicographic order
     of their lower corners, so equal functions built in different ways compare
-    piece-for-piece.  The empty piece list is the zero function.
+    piece-for-piece.  The empty piece list is the zero function.  translate
+    keeps its input's piece order: where rounding ties two lower corners, a
+    translate's pieces may leave lexicographic order, but axis 0 never
+    decreases.
     """
 
     pieces: tuple  # ((Box, complex), ...)
@@ -174,9 +177,10 @@ class PiecewiseFn:
 
 
 def _build(pieces: Sequence[tuple], dimension: int) -> PiecewiseFn:
-    # internal fast path for operations that preserve disjointness
+    # internal fast path for operations that preserve disjointness; the
+    # caller passes the pieces in the order they are to be kept
     fn = object.__new__(PiecewiseFn)
-    object.__setattr__(fn, "pieces", tuple(sorted(pieces, key=lambda bv: (bv[0].lower, bv[0].upper))))
+    object.__setattr__(fn, "pieces", tuple(pieces))
     object.__setattr__(fn, "dimension", dimension)
     return fn
 
@@ -216,7 +220,8 @@ def conjugate_exponent(p: float) -> float:
 
 
 def translate(f: PiecewiseFn, gamma) -> PiecewiseFn:
-    """(T_gamma f)(x) = f(x - gamma): every box shifts by gamma, values unchanged."""
+    """(T_gamma f)(x) = f(x - gamma): every box shifts by gamma, values
+    unchanged, and the pieces keep f's order (rounding is monotone)."""
     off = _coords(gamma, f.dimension)
     pieces = []
     for box, v in f.pieces:
@@ -278,7 +283,8 @@ def restrict(f: PiecewiseFn, clip: Box) -> PiecewiseFn:
         cut = box.intersection(clip)
         if cut is not None:
             out.append((cut, v))
-    return _build(tuple(out), f.dimension)
+    # clipping can tie lower corners, so the pieces are sorted again
+    return _build(tuple(sorted(out, key=lambda bv: (bv[0].lower, bv[0].upper))), f.dimension)
 
 
 def pair(h: PiecewiseFn, f: PiecewiseFn) -> complex:
@@ -286,7 +292,8 @@ def pair(h: PiecewiseFn, f: PiecewiseFn) -> complex:
 
     Exact: the integrand is constant on each box intersection, so the pairing
     is a finite sum of value products times overlap volumes, accumulated in
-    lexicographic piece order for reproducibility.
+    h's piece order, then f's, for reproducibility.  translate keeps its
+    input's piece order, so a translate sums in the order of its input.
     """
     if h.dimension != f.dimension:
         raise DimensionMismatchError(
@@ -327,7 +334,6 @@ class _Pieces(NamedTuple):
     upper: np.ndarray  # (d, P)
     values: np.ndarray  # (2, P): real parts, imaginary parts
     upper0_max: np.ndarray  # running max of upper[0]
-    order: tuple  # (axes, k): pieces k and k + 1 first differ in lower[axes]
 
 
 def _piece_arrays(f: PiecewiseFn) -> _Pieces:
@@ -335,9 +341,7 @@ def _piece_arrays(f: PiecewiseFn) -> _Pieces:
     lower = np.array([b.lower for b, _ in f.pieces], dtype=float).reshape(-1, d).T
     upper = np.array([b.upper for b, _ in f.pieces], dtype=float).reshape(-1, d).T
     values = np.array([(v.real, v.imag) for _, v in f.pieces], dtype=float).reshape(-1, 2).T
-    axes = np.argmax(lower[:, 1:] != lower[:, :-1], axis=0)
-    order = (axes, np.arange(axes.size))
-    return _Pieces(lower, upper, values, np.maximum.accumulate(upper[0]), order)
+    return _Pieces(lower, upper, values, np.maximum.accumulate(upper[0]))
 
 
 def _shift_rows(shifts, d: int, name: str) -> np.ndarray:
@@ -360,24 +364,23 @@ def cross_pairings(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts=None) -> np.
     Each entry is built from the same float operations as the scalar pair:
     the translated corners a + s, the widths min(a1, b1) - max(a0, b0), the
     product vh * conj(vf) * vol, and one sequential sum over (h piece, f
-    piece) in lexicographic order.  Piece pairs that cannot overlap on axis 0
-    are pruned with a sorted-interval test; the remaining candidates are laid
-    out in that order and added one column at a time, never by a pairwise
-    reduction, with padding candidates masked out.  Shifts and candidates go
-    through tiles of at most _TILE entries, so scratch memory does not grow
-    with n or m, and grows with the piece counts only through one index per
-    candidate column.  Up to _DENSE_PAIRS piece pairs, a run of f shifts is
-    broadcast against a tile of rows at once; past it, each f shift is pruned
-    on its own.  The matrix is filled from the blocks of _pairing_blocks.
+    piece) in h's and f's piece order, which translate keeps.  Piece pairs
+    that cannot overlap on axis 0 are pruned with a sorted-interval test; the
+    remaining candidates are laid out in that order and added one column at
+    a time, never by a pairwise reduction, with padding candidates masked
+    out.  Shifts and candidates go through tiles of at most _TILE entries,
+    so scratch memory does not grow with n or m, and grows with the piece
+    counts only through one index per candidate column.  Up to _DENSE_PAIRS
+    piece pairs, a run of f shifts is broadcast against a tile of rows at
+    once; past it, each f shift is pruned on its own.  The matrix is filled
+    from the blocks of _pairing_blocks.
 
     As in translate, a shift that collapses a piece of h, or an f shift that
     collapses a piece of f, or one that leaves a corner not finite, raises
-    PreconditionError.  A shift under which rounding ties two pieces of h (or
-    of f) on the coordinate that orders them would make translate re-sort
-    that function; such rows (or f shifts) fall back to the scalar pair.  So
-    does every entry when some product vh * conj(vf) is not finite: pair's
-    complex product by vol then turns a zero part of an infinite product
-    into nan, which the kernel's real and imaginary planes would not.
+    PreconditionError.  Every entry falls back to the scalar pair when some
+    product vh * conj(vf) is not finite: pair's complex product by vol then
+    turns a zero part of an infinite product into nan, which the kernel's
+    real and imaginary planes would not.
     """
     shape, blocks = _pairing_blocks(h, f, shifts, f_shifts, _TILE)
     result = np.zeros(shape, dtype=complex)
@@ -396,12 +399,14 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
     planes are a view of one buffer that the next block overwrites, so a
     block must be read before the next one is drawn.
 
-    The set-up parses the shifts, raises the refusals of cross_pairings, and
-    finds the tied rows and tied f shifts, translating the corners in tiles
-    of at most _TILE.  Each block pairs a tile of rows with a run of max(1,
-    terms // (rows x piece pairs)) f shifts, whose corners are translated
-    for that block alone, so a block holds at most `terms` terms, or one f
-    shift's when they are more.
+    The set-up parses the shifts and raises the refusals of cross_pairings,
+    translating the corners in tiles of at most _TILE.  Each block pairs a
+    tile of rows with a run of max(1, terms // (rows x piece pairs)) f
+    shifts, whose corners are translated for that block alone, so a block
+    holds at most `terms` terms, or one f shift's when they are more.  The
+    translated pieces keep their order, as in translate, so each block sums
+    in pair's order by construction; only non-finite products take the
+    scalar pair, one row per tile.
     """
     if h.dimension != f.dimension:
         raise DimensionMismatchError(
@@ -411,11 +416,8 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
     s = _shift_rows(shifts, d, "shifts")
     t = np.zeros((1, d)) if f_shifts is None else _shift_rows(f_shifts, d, "f_shifts")
     # translate refuses these shifts, even where no term is left to compute
-    tied_cols = _tied_copies(f, t, "an f shift is not finite or collapses a piece of f")
-    tied_rows = _tied_copies(h, s, "a shift is not finite or collapses a piece of h")
-
-    def f_at(c):
-        return f if f_shifts is None else translate(f, t[c])
+    _check_shifts(f, t, "an f shift is not finite or collapses a piece of f")
+    _check_shifts(h, s, "a shift is not finite or collapses a piece of h")
 
     def blocks():
         if not (h.pieces and f.pieces):
@@ -423,29 +425,27 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
         hp, fp = h._arrays, f._arrays
         n_pairs = len(h.pieces) * len(f.pieces)
         dense = n_pairs <= _DENSE_PAIRS
-        scalar_rows = tied_rows
-        tile = max(1, _TILE // max(n_pairs if dense else 0, len(h.pieces)))
+        scalar = not _finite_products(hp.values, fp.values)
+        # every entry takes the scalar pair when some product is not finite
+        tile = 1 if scalar else max(1, _TILE // max(n_pairs if dense else 0, len(h.pieces)))
         prod = None  # the dense candidates' products, (2, P_h, P_f, 1, 1)
-        if not _finite_products(hp.values, fp.values):
-            # every entry takes the scalar pair, one row per tile
-            scalar_rows, tile = range(len(s)), 1
-        elif dense:
+        if dense and not scalar:
             prod = _products(hp.values[:, :, None, None, None], fp.values[:, None, :, None, None])
         for r0 in range(0, len(s), tile):
             # h's corners translated as translate computes them: (d, P_h, n)
             lower, upper = _moved(hp, s[r0 : r0 + tile])
             n = lower.shape[2]
-            # rows and f shifts that translate would re-sort take the scalar pair
-            tied = scalar_rows[bisect_left(scalar_rows, r0) : bisect_left(scalar_rows, r0 + n)]
-            moved_h = [(r - r0, translate(h, s[r])) for r in tied]
             run = max(1, terms // (n * n_pairs))
             buffer = np.empty((2, min(run, len(t)), n))
             for c0 in range(0, len(t), run):
                 f_lower, f_upper = _moved(fp, t[c0 : c0 + run])
                 k = f_lower.shape[2]
                 planes = buffer[:, :k]
-                if len(moved_h) == n:
-                    pass  # every entry takes the scalar pair below
+                if scalar:
+                    th = translate(h, s[r0])
+                    for c in range(k):
+                        z = pair(th, f if f_shifts is None else translate(f, t[c0 + c]))
+                        planes[:, c, 0] = z.real, z.imag
                 elif dense:
                     # (f shift, row) pairs flatten into the kernel's row axis
                     planes.fill(0.0)
@@ -465,15 +465,6 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
                             upper0_max=fp.upper0_max + t[c0 + c, 0],
                         )
                         planes[:, c] = _pruned_sums(lower, upper, hp.values, moved)
-                for r, th in moved_h:
-                    for c in range(k):
-                        z = pair(th, f_at(c0 + c))
-                        planes[:, c, r] = z.real, z.imag
-                for c in tied_cols[bisect_left(tied_cols, c0) : bisect_left(tied_cols, c0 + k)]:
-                    tf = f_at(c)
-                    for r in range(n):
-                        z = pair(translate(h, s[r0 + r]), tf)
-                        planes[:, c - c0, r] = z.real, z.imag
                 yield slice(c0, c0 + k), slice(r0, r0 + n), planes
 
     return (len(t), len(s)), blocks()
@@ -486,38 +477,19 @@ def _moved(p: _Pieces, shifts: np.ndarray) -> tuple:
     return p.lower[:, :, None] + off, p.upper[:, :, None] + off
 
 
-def _tied_copies(fn: PiecewiseFn, shifts: np.ndarray, refusal: str) -> list:
-    """The rows of shifts, in order, under which rounding ties two pieces of
-    fn as _tied finds them.  Raises PreconditionError(refusal) if a row moves
-    fn as translate refuses to; fn's corners are translated in tiles of at
-    most _TILE, and a function with no pieces moves anywhere."""
+def _check_shifts(fn: PiecewiseFn, shifts: np.ndarray, refusal: str) -> None:
+    """Raise PreconditionError(refusal) if a row of shifts moves fn as
+    translate refuses to; fn's corners are translated in tiles of at most
+    _TILE, and a function with no pieces moves anywhere."""
     if not fn.pieces:
-        return []
+        return
     p = fn._arrays
     step = max(1, _TILE // len(fn.pieces))
-    tied = []
     for k0 in range(0, len(shifts), step):
         lower, upper = _moved(p, shifts[k0 : k0 + step])
-        if _refused(lower, upper):
+        # a corner that is not finite, or lower >= upper
+        if not ((-np.inf < lower) & (lower < upper) & (upper < np.inf)).all():
             raise PreconditionError(refusal)
-        tied += (k0 + _tied(lower, p.order)).tolist()
-    return tied
-
-
-def _refused(lower, upper) -> bool:
-    """Whether translated (d, P, copies) corners hold a piece translate
-    would refuse: a corner that is not finite, or lower >= upper."""
-    return not ((-np.inf < lower) & (lower < upper) & (upper < np.inf)).all()
-
-
-def _tied(lower, order) -> np.ndarray:
-    """The copies, along the last axis of translated (d, P, copies) corners,
-    under which rounding ties two consecutive pieces on the axis that orders
-    them.  translate would re-sort such a copy, so it takes the scalar pair."""
-    axes, k = order
-    if not k.size:
-        return k
-    return np.flatnonzero((lower[axes, k] >= lower[axes, k + 1]).any(axis=0))
 
 
 def _products(h_values, f_values) -> np.ndarray:

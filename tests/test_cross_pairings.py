@@ -237,35 +237,35 @@ def test_shift_that_collapses_a_piece_is_refused_like_translate():
 
 
 def test_rows_whose_translation_re_sorts_the_pieces_follow_translate():
-    # after adding 1 to axis 0, A's lower corner ties with B's and C's, so
-    # translate re-sorts the pieces to B, C, A and sums in that order
+    # after adding 1 to axis 0, A's lower corner ties with B's and C's;
+    # translate keeps the order A, B, C and pair sums in that order
     a = (Box((0.0, 5.0), (1.0, 6.0)), 1.0)
     b = (Box((1e-20, 0.0), (2.0, 1.0)), 5e-17)
     c = (Box((1e-20, 1.0), (2.0, 2.0)), 5e-17)
     h = PiecewiseFn((a, b, c), 2)
     f = PiecewiseFn(((Box((-10.0, -10.0), (10.0, 10.0)), 1.0),), 2)
     moved = translate(h, (1.0, 0.0))
-    assert [v for _, v in moved.pieces] == [5e-17, 5e-17, 1.0]
-    # the sum in h's own order would round differently
+    assert [v for _, v in moved.pieces] == [1.0, 5e-17, 5e-17]
+    # the sum in lexicographic order B, C, A would round differently
     assert (1.0 + 1e-16) + 1e-16 != (1e-16 + 1e-16) + 1.0
     assert_matches_scalar(h, f, np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]]))
 
 
 def test_f_shifts_whose_translation_re_sorts_the_pieces_follow_translate():
     # the same pieces on the right: under the f shift (1, 0) translate
-    # re-sorts f to B, C, A, and that column must sum in that order
+    # keeps f's order A, B, C, and that column must sum in that order
     a = (Box((0.0, 5.0), (1.0, 6.0)), 1.0)
     b = (Box((1e-20, 0.0), (2.0, 1.0)), 5e-17)
     c = (Box((1e-20, 1.0), (2.0, 2.0)), 5e-17)
     f = PiecewiseFn((a, b, c), 2)
     h = PiecewiseFn(((Box((-10.0, -10.0), (10.0, 10.0)), 1.0),), 2)
-    assert [v for _, v in translate(f, (1.0, 0.0)).pieces] == [5e-17, 5e-17, 1.0]
+    assert [v for _, v in translate(f, (1.0, 0.0)).pieces] == [1.0, 5e-17, 5e-17]
     f_shifts = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.25]])
     shifts = np.array([[0.0, 0.0], [0.25, -0.5], [1.0, 0.0]])
     assert_both_sides_match_scalar(h, f, shifts, f_shifts)
     assert_both_sides_match_scalar(f, f, shifts, f_shifts)
     got = cross_pairings(h, f, shifts, f_shifts)
-    assert bits(got[0, 0]) != bits(pair(h, f))  # the re-sorted order rounds differently
+    assert bits(got[0, 0]) == bits(pair(h, f))  # the kept order rounds as unshifted
 
 
 @pytest.mark.parametrize("layout", [(lpfunc._TILE, lpfunc._DENSE_PAIRS), (1, 0)])
@@ -433,8 +433,8 @@ def test_tied_rows_and_f_shifts_at_block_edges_take_the_scalar_pair(tile, dense)
     assert [k for k, (x, _) in enumerate(BLOCK_F_SHIFTS) if x] == [0, 2, 4, 6]
     for shifts in (BLOCK_ROWS, BLOCK_F_SHIFTS):
         for x, y in shifts:
-            # translate re-sorts the tied copies: A, valued 1, comes last
-            assert (translate(RESORTING, (x, y)).pieces[0][1] == 1.0) == (x == 0.0)
+            # translate keeps the order of the tied copies: A, valued 1, stays first
+            assert translate(RESORTING, (x, y)).pieces[0][1] == 1.0
     with mock.patch.multiple(lpfunc, _TILE=tile, _DENSE_PAIRS=dense):
         for h, f in ((RESORTING, RESORTING), (RESORTING, WIDE), (WIDE, RESORTING)):
             assert_both_sides_match_scalar(h, f, BLOCK_ROWS, BLOCK_F_SHIFTS)
