@@ -11,6 +11,7 @@ and random draws the modules share.
 import itertools
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -335,6 +336,46 @@ def first_overlap(pieces):
                     "use canonicalize() to merge raw piece lists"
                 )
     return None
+
+
+def fraction_pair(h, f, h_shift=None, f_shift=None):
+    """<T_h_shift h, T_f_shift f> in exact rationals, as (real part,
+    imaginary part) Fractions: the oracle of pair, translate and
+    cross_pairings on dyadic inputs, where a float loop built on the same
+    formulas would share an error in them.  A shift of None is no shift."""
+
+    def exact_pieces(fn, shift):
+        off = [Fraction(0)] * fn.dimension if shift is None else [Fraction(float(x)) for x in shift]
+        return [
+            (
+                [Fraction(a) + o for a, o in zip(box.lower, off)],
+                [Fraction(b) + o for b, o in zip(box.upper, off)],
+                Fraction(v.real),
+                Fraction(v.imag),
+            )
+            for box, v in fn.pieces
+        ]
+
+    re = im = Fraction(0)
+    for h_lo, h_up, a, b in exact_pieces(h, h_shift):
+        for f_lo, f_up, c, d in exact_pieces(f, f_shift):
+            axes = zip(h_lo, h_up, f_lo, f_up)
+            vol = math.prod(max(min(x1, y1) - max(x0, y0), 0) for x0, x1, y0, y1 in axes)
+            # (a + bi) * conj(c + di)
+            re += (a * c + b * d) * vol
+            im += (b * c - a * d) * vol
+    return re, im
+
+
+def fraction_norm_pow(f, p: int):
+    """sum |v|^p vol in exact rationals, for real values and a whole p: the
+    oracle of lp_norm_pow on dyadic inputs (abs of a complex value rounds)."""
+    total = Fraction(0)
+    for box, v in f.pieces:
+        assert v.imag == 0
+        vol = math.prod(Fraction(b) - Fraction(a) for a, b in zip(box.lower, box.upper))
+        total += abs(Fraction(v.real)) ** p * vol
+    return total
 
 
 def box_translated(box, offset):

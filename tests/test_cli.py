@@ -456,6 +456,41 @@ def test_undetermined_dichotomy_exits_4(tmp_path):
     assert report["outputs"]["dichotomy"]["cq_failure"] is not None
 
 
+def test_dichotomy_with_both_horns_divergent(tmp_path, capsys):
+    # the truncations of Z at radii 1 and 2 hold 3 and 5 sites, all inside
+    # the test [-10, 10), so the Bessel ratio reads 0.15 then 0.25 and moves
+    # by 0.4; the sweep reads K_required = h^(-1/2), slope 0.5, so the cq
+    # horn diverges too
+    spec = write_spec(
+        tmp_path,
+        "both.json",
+        {
+            "system": {
+                "p": 2.0,
+                "generators": [
+                    {
+                        "f": {"kind": "indicator", "box": {"lower": [0.0], "upper": [1.0]}},
+                        "gamma": {"kind": "lattice", "spacing": 1.0, "window": 1, "dimension": 1},
+                        "label": "Z",
+                    }
+                ],
+            },
+            "truncation_radii": [1, 2],
+            "h_values": [0.25, 0.125],
+            "p_prime": 2.0,
+            "bessel_tests": [{"kind": "indicator", "box": {"lower": [-10.0], "upper": [10.0]}}],
+        },
+    )
+    assert main(["dichotomy", "--spec", spec, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read_report(tmp_path, "dichotomy")
+    dichotomy = report["outputs"]["dichotomy"]
+    assert dichotomy["horn"] == "both_divergent"
+    assert dichotomy["bessel_variation"] == 0.4
+    assert dichotomy["cq_bounded"] is False and dichotomy["cq_failure"] is None
+    assert report["verdicts"]["dichotomy_holds"] is True
+
+
 UNION = {
     "kind": "union",
     "children": [
