@@ -107,12 +107,14 @@ def _value(v) -> complex:
 class PiecewiseFn:
     """Complex step function: finitely many disjoint boxes with constant values.
 
-    Zero-valued pieces are dropped and pieces are kept in lexicographic order
-    of their lower corners, so equal functions built in different ways compare
-    piece-for-piece.  The empty piece list is the zero function.  translate
-    keeps its input's piece order: where rounding ties two lower corners, a
-    translate's pieces may leave lexicographic order, but axis 0 never
-    decreases.
+    Zero-valued pieces are dropped and the constructor keeps the pieces in
+    lexicographic order of their lower corners, so the same pieces given in
+    any order build equal functions.  The empty piece list is the zero
+    function.  translate keeps its input's piece order: where rounding ties
+    two lower corners, a translate's pieces may leave lexicographic order,
+    but axis 0 never decreases.  Equality compares the pieces in order, so
+    such a translate is unequal to the same function re-sorted; pairings sum
+    in piece order, and the two can differ in the last bit.
     """
 
     pieces: tuple  # ((Box, complex), ...)
@@ -402,11 +404,15 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
     The set-up parses the shifts and raises the refusals of cross_pairings,
     translating the corners in tiles of at most _TILE.  Each block pairs a
     tile of rows with a run of max(1, terms // (rows x piece pairs)) f
-    shifts, whose corners are translated for that block alone, so a block
-    holds at most `terms` terms, or one f shift's when they are more.  The
-    translated pieces keep their order, as in translate, so each block sums
-    in pair's order by construction; only non-finite products take the
-    scalar pair, one row per tile.
+    shifts, rows counted in a full tile, so a block holds at most `terms`
+    terms, or one f shift's when they are more.  Runs are the outer loop:
+    every row tile of one run arrives before the next run, so a consumer
+    that stops drawing after a run's last row tile (rows ending at n) has
+    every entry of the runs before it.  A run's corners are translated once
+    for all its row tiles, and h's once for all runs when every row fits in
+    one tile.  The translated pieces keep their order, as in translate, so
+    each block sums in pair's order by construction; only non-finite
+    products take the scalar pair, one row per tile.
     """
     if h.dimension != f.dimension:
         raise DimensionMismatchError(
@@ -420,7 +426,7 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
     _check_shifts(h, s, "a shift is not finite or collapses a piece of h")
 
     def blocks():
-        if not (h.pieces and f.pieces):
+        if not (h.pieces and f.pieces and len(s)):
             return
         hp, fp = h._arrays, f._arrays
         n_pairs = len(h.pieces) * len(f.pieces)
@@ -431,16 +437,20 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
         prod = None  # the dense candidates' products, (2, P_h, P_f, 1, 1)
         if dense and not scalar:
             prod = _products(hp.values[:, :, None, None, None], fp.values[:, None, :, None, None])
-        for r0 in range(0, len(s), tile):
-            # h's corners translated as translate computes them: (d, P_h, n)
-            lower, upper = _moved(hp, s[r0 : r0 + tile])
-            n = lower.shape[2]
-            run = max(1, terms // (n * n_pairs))
-            buffer = np.empty((2, min(run, len(t)), n))
-            for c0 in range(0, len(t), run):
-                f_lower, f_upper = _moved(fp, t[c0 : c0 + run])
-                k = f_lower.shape[2]
-                planes = buffer[:, :k]
+        n = min(tile, len(s))
+        run = max(1, terms // (n * n_pairs))
+        buffer = np.empty(2 * min(run, len(t)) * n)
+        # h's corners translated as translate computes them, (d, P_h, rows):
+        # once for every run when all rows fit in one tile
+        whole = _moved(hp, s) if n == len(s) else None
+        for c0 in range(0, len(t), run):
+            f_lower, f_upper = _moved(fp, t[c0 : c0 + run])
+            k = f_lower.shape[2]
+            # every row tile of this run of f shifts before the next run
+            for r0 in range(0, len(s), tile):
+                lower, upper = whole if whole is not None else _moved(hp, s[r0 : r0 + tile])
+                rows = lower.shape[2]
+                planes = buffer[: 2 * k * rows].reshape(2, k, rows)
                 if scalar:
                     th = translate(h, s[r0])
                     for c in range(k):
@@ -450,7 +460,7 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
                     # (f shift, row) pairs flatten into the kernel's row axis
                     planes.fill(0.0)
                     _add_terms(
-                        planes.reshape(2, k * n),
+                        planes.reshape(2, k * rows),
                         lower[:, :, None, None],
                         upper[:, :, None, None],
                         f_lower[:, None, :, :, None],
@@ -465,7 +475,7 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
                             upper0_max=fp.upper0_max + t[c0 + c, 0],
                         )
                         planes[:, c] = _pruned_sums(lower, upper, hp.values, moved)
-                yield slice(c0, c0 + k), slice(r0, r0 + n), planes
+                yield slice(c0, c0 + k), slice(r0, r0 + rows), planes
 
     return (len(t), len(s)), blocks()
 

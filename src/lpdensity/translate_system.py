@@ -165,10 +165,12 @@ def _system_power_sums(sys: TranslateSystem, tests: Sequence[PiecewiseFn], expon
     """[sum_k sum_gamma |<t, T_gamma f_k>|^exponent for t in tests], over the
     sites whose translated support meets the support of t; tests are nonzero.
 
-    Equal tests are summed once.  Each site that some test meets is
-    translated once, and paired with each test that meets it; every sum adds
-    its terms generator by generator, sites in lexicographic order, as a loop
-    over one test's sites would, so each sum keeps that loop's bits.
+    Equal tests are summed once; equality compares pieces in order, so a
+    translate whose pieces left lexicographic order and its re-sorted copy
+    are summed apart, each in its own order.  Each site that some test meets
+    is translated once, and paired with each test that meets it; every sum
+    adds its terms generator by generator, sites in lexicographic order, as
+    a loop over one test's sites would, so each sum keeps that loop's bits.
     """
     distinct = list(dict.fromkeys(tests))
     boxes = [t.support_box for t in distinct]
@@ -295,6 +297,88 @@ def _exceeds(planes, epsilon: float) -> np.ndarray:
     return out
 
 
+# the unit roundoff of a double
+_U = 2.0**-53
+
+
+def _count_spans(f: PiecewiseFn, f_dual: PiecewiseFn, gamma: PointSet, centres, epsilon: float):
+    """(lo, hi): for each row c of centres, an interval [lo, hi] of axis-0
+    coordinates that holds every site s at which the kernel reads
+    |<T_s f, T_c f_dual>| above epsilon; None where no bound is sound.
+
+    The pieces are disjoint, so |<T_s f, T_c g>| <= max|f| max|g| times the
+    volume where the two translated support boxes meet, which is at most
+    ov0(s, c) * prod_{k >= 1} min(width_k f, width_k g), ov0 the overlap of
+    the axis-0 support intervals.  A site counts only if ov0 > tau =
+    epsilon / (scale (1 + slack)), scale = max|f| max|g| prod_{k >= 1}
+    min(width_k): ov0 > tau puts s0 in (c0 + g.lower0 - f.upper0 + tau,
+    c0 + g.upper0 - f.lower0 - tau).  What the kernel rounds is covered:
+    - translated corners: a + s rounds by at most u |a + s| (u = 2^-53,
+      with no underflow in a sum), and monotonely, so the moved pieces
+      stay disjoint inside the moved support box.  On axes k >= 1 this
+      grows a width by at most 2u (max|corner_k| + max|s_k|), taken with
+      4u below; on axis 0 `reach` widens the interval by 32u times the
+      magnitudes involved, which also covers the rounding of the interval
+      ends and of tau, plus 2^-1070 for a tau or reach past underflow.
+    - the widths, the volume and the products: about 2d + 4 roundings of a
+      term, each by at most u relative.
+    - the sequential sum of at most P = P_f P_g terms: a relative error of
+      at most 2 P u, for P up to 2^40, which is past any input the budgets
+      admit (two sampled catalog functions of 2^20 cells each).
+    - the modulus: np.hypot and abs() err by at most an ulp.
+    slack = 4 (P + 4d + 16) u holds all of this with a factor of 2 to
+    spare, and the rounding of scale itself, whose partial products are
+    required to stay normal.  A product that underflows errs by up to
+    2^-1075 absolutely, which the slack covers only while epsilon is far
+    above P (2d + 6) times the largest product a term can form: below that
+    floor there is no bound, nor where scale reads 0, inf or nan, or where a
+    term could reach 2^1000 (the kernel's products could overflow).
+    """
+    d = f.dimension
+    pairs = len(f.pieces) * len(f_dual.pieces)
+    if pairs > 1 << 40:
+        return None
+    fb, gb = f.support_box, f_dual.support_box
+    site_mag = np.abs(gamma.as_array).max(axis=0).tolist()
+    centre_mag = np.abs(centres).max(axis=0).tolist()
+
+    def widths(box, mag):
+        # each width of box moved by a shift of at most mag per axis, rounded
+        return [
+            b - a + 4 * _U * (max(abs(a), abs(b)) + m) for a, b, m in zip(box.lower, box.upper, mag)
+        ]
+
+    w = list(map(min, widths(fb, site_mag), widths(gb, centre_mag)))
+    m_fg = [max(abs(v) for _, v in fn.pieces) for fn in (f, f_dual)]
+    partial = np.cumprod(m_fg + w[1:] + w[:1])
+    scale = partial[-2]
+    largest = max(1.0, m_fg[0] * m_fg[1]) * math.prod(max(1.0, x) for x in w)
+    floor = 2.0**-1000 * pairs * (2 * d + 6) * largest
+    if not (partial.min() >= 2.0**-1022 and partial.max() < 2.0**1000 and epsilon > floor):
+        return None
+    tau = epsilon / (scale * (1.0 + 4 * (pairs + 4 * d + 16) * _U))
+    magnitudes = max(map(abs, (fb.lower[0], fb.upper[0]))) + max(map(abs, (gb.lower[0], gb.upper[0])))
+    reach = 32 * _U * (magnitudes + site_mag[0] + centre_mag[0] + tau) + 2.0**-1070
+    below = gb.lower[0] - fb.upper[0] + tau - reach
+    above = gb.upper[0] - fb.lower[0] - tau + reach
+    if not (math.isfinite(below) and math.isfinite(above)):
+        return None
+    return centres[:, 0] + below, centres[:, 0] + above
+
+
+def _count_bounds(f: PiecewiseFn, f_dual: PiecewiseFn, gamma: PointSet, centres, epsilon: float):
+    """For each row c of centres, an upper bound on the number of sites s at
+    which the kernel reads |<T_s f, T_c f_dual>| above epsilon: the sites
+    in c's span from _count_spans, or all of them where it has none.
+    epsilon < |<f, f_dual>| keeps each span's ends in order, so no bound
+    is negative."""
+    spans = _count_spans(f, f_dual, gamma, centres, epsilon)
+    if spans is None:
+        return np.full(len(centres), len(gamma))
+    x = gamma.as_array[gamma.order, 0]
+    return np.searchsorted(x, spans[1], side="right") - np.searchsorted(x, spans[0], side="left")
+
+
 def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
     """Candidate centers beta for side-h windows: the top `limit` windows with
     lower faces anchored at site coordinates (the sliding-window maximizers,
@@ -320,8 +404,11 @@ def blowup_witness(
     so a grid with step a quarter of the minimal piece side locates a cube
     around 0 on which its modulus stays above epsilon; window centers are then
     drawn from the densest site clusters (the sliding-window anchors) and the
-    best candidate is returned.  count * epsilon^{p_prime} is a lower bound on
-    the Bessel power sum at the test T_beta f_dual.
+    best candidate is returned.  Candidates are scored in decreasing order of
+    a closed-form bound on their counts (_count_bounds), and the scan stops
+    once no candidate left can beat the best count.  count *
+    epsilon^{p_prime} is a lower bound on the Bessel power sum at the test
+    T_beta f_dual.
     """
     epsilon = float(epsilon)
     p_prime = float(p_prime)
@@ -374,18 +461,32 @@ def blowup_witness(
             hi = mid - 1
     h = lo * step
 
-    centres = _window_center_candidates(gamma, h, _MAX_CANDIDATES)
-    counts = np.zeros(len(centres), dtype=int)
-    # one set-up for every centre; each block of about _TILE terms is
-    # counted as it arrives
+    centres = np.array(_window_center_candidates(gamma, h, _MAX_CANDIDATES))
+    m = len(centres)
+    # centres in a stable order of decreasing count bound: key -bound * m + j
+    # for candidate j, so equal bounds keep candidate order
+    keys = np.sort(_count_bounds(f, f_dual, gamma, centres, epsilon) * -m + np.arange(m))
+    centres = centres[keys % m]
+    # the first centre in candidate order with the largest count, as the
+    # scalar scan kept it: candidate `best`, at position `at` of the keys
+    at, best, count = 0, m, -1
+    # one set-up for every centre; a run's counts are complete at its last
+    # row tile, and the scan stops before a run whose first key exceeds
+    # best - count * m: a bound below count, or equal to it past `best`
+    n = len(gamma)
     _, blocks = _pairing_blocks(f, f_dual, gamma.as_array, centres, _TILE)
-    for cols, _, planes in blocks:
-        counts[cols] += np.count_nonzero(_exceeds(planes, epsilon), axis=1)
-    # the first centre with the largest count, as the scalar scan kept it
-    best = int(np.argmax(counts))
-    count = int(counts[best])
+    for cols, rows, planes in blocks:
+        hits = _exceeds(planes, epsilon).sum(axis=1)
+        counts = hits if rows.start == 0 else counts + hits
+        if rows.stop < n:
+            continue
+        for k, c in enumerate(counts.tolist(), cols.start):
+            if c >= count and (c > count or keys[k] % m < best):
+                at, best, count = k, int(keys[k] % m), c
+        if cols.stop < m and keys[cols.stop] > best - count * m:
+            break
     return BlowupWitness(
-        beta=centres[best],
+        beta=tuple(centres[at].tolist()),
         count=count,
         sum_lower_bound=count * eps_power,
         window_side=h,

@@ -378,6 +378,34 @@ def fraction_norm_pow(f, p: int):
     return total
 
 
+def fraction_bessel_sum(sys, h):
+    """sum_k sum_gamma |<h, T_gamma f_k>|^2 in exact rationals: the oracle of
+    bessel_sum at p_prime = 2 on dyadic inputs."""
+    total = Fraction(0)
+    for gen in sys.generators:
+        for site in gen.gamma.points:
+            re, im = fraction_pair(h, gen.f, None, site)
+            total += re * re + im * im
+    return total
+
+
+def fraction_mass(sys, region):
+    """sum_k sum_gamma ||restrict(T_gamma f_k, region)||_2^2 in exact
+    rationals: the oracle of system_localized_mass at p = 2 on dyadic inputs."""
+    total = Fraction(0)
+    for gen in sys.generators:
+        for site in gen.gamma.points:
+            for box, v in gen.f.pieces:
+                axes = zip(box.lower, box.upper, site, region.lower, region.upper)
+                sides = [
+                    min(Fraction(b) + Fraction(x), Fraction(rb)) - max(Fraction(a) + Fraction(x), Fraction(ra))
+                    for a, b, x, ra, rb in axes
+                ]
+                vol = math.prod(max(side, 0) for side in sides)
+                total += (Fraction(v.real) ** 2 + Fraction(v.imag) ** 2) * vol
+    return total
+
+
 def box_translated(box, offset):
     """Box.translate as the library had it, the oracle of translate's corners
     and refusals: the offset re-read per box, and every corner re-checked by

@@ -7,6 +7,7 @@ f_shifts[j]))`.  The blowup witness built on it must count exactly what the
 per-site scalar loop counted.
 """
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from lpdensity import (
     Box,
+    ExponentPair,
     PiecewiseFn,
     PointSet,
     PreconditionError,
@@ -36,9 +38,16 @@ from lpdensity import (
 from lpdensity import lpfunc, pointset
 from lpdensity import translate_system
 from lpdensity.errors import DimensionMismatchError
-from lpdensity.translate_system import _exceeds, _window_center_candidates
+from lpdensity.translate_system import (
+    Generator,
+    TranslateSystem,
+    _count_spans,
+    _exceeds,
+    _system_power_sums,
+    _window_center_candidates,
+)
 
-from oracles import bits, line_set, scalar_count, scalar_grid_side, scan_candidates
+from oracles import bits, line_set, loop_power_sum, scalar_count, scalar_grid_side, scan_candidates
 
 
 def assert_matches_scalar(h, f, shifts):
@@ -441,6 +450,21 @@ def test_tied_rows_and_f_shifts_at_block_edges_take_the_scalar_pair(tile, dense)
             assert_matches_scalar(h, f, BLOCK_ROWS)
 
 
+def test_a_tied_translate_and_its_re_sorted_copy_keep_their_own_power_sums():
+    # equality compares pieces in order, so the two tests stay distinct in
+    # _system_power_sums, and each sum keeps the bits of its own scalar loop;
+    # on this system those differ in the last bit
+    t = translate(RESORTING, (1.0, 0.0))
+    resorted = PiecewiseFn(t.pieces, 2)
+    assert [v for _, v in t.pieces] != [v for _, v in resorted.pieces]
+    assert t != resorted and len({t, resorted}) == 2
+    sys = TranslateSystem((Generator(WIDE, make_lattice(1.0, 2, 2), "wide"),), ExponentPair(2.0))
+    got = _system_power_sums(sys, [t, resorted], 2.0)
+    want = [loop_power_sum(sys, test, 2.0) for test in (t, resorted)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert want[0] != want[1]
+
+
 @pytest.mark.parametrize("terms", [1, 9, 50, 99, 10**6])
 @pytest.mark.parametrize("tile", [5, 27, lpfunc._TILE])
 def test_blocks_cover_the_matrix_once_within_their_term_budget(terms, tile):
@@ -451,6 +475,7 @@ def test_blocks_cover_the_matrix_once_within_their_term_budget(terms, tile):
         )
         seen = np.zeros(shape, dtype=int)
         got = np.zeros(shape, dtype=complex)
+        arrivals = []
         for cols, rows, planes in blocks:
             two, m, n = planes.shape
             # one f shift per block past the budget; every row tile within _TILE
@@ -458,8 +483,14 @@ def test_blocks_cover_the_matrix_once_within_their_term_budget(terms, tile):
             assert n * 9 <= max(tile, 9)
             seen[cols, rows] += 1
             got.real[cols, rows], got.imag[cols, rows] = planes
+            arrivals.append((cols.start, cols.stop, rows.start, rows.stop))
     assert shape == (7, 11) and (seen == 1).all()
     assert [bits(z) for z in got.flat] == [bits(z) for z in want.flat]
+    # every row tile of one run of f shifts arrives, in order, before the
+    # next run starts where it ended
+    for (c0, c1, _, r1), (d0, d1, s0, _) in zip(arrivals, arrivals[1:]):
+        assert ((d0, d1) == (c0, c1) and s0 == r1) or (d0 == c1 and r1 == 11 and s0 == 0)
+    assert arrivals[0][::2] == (0, 0) and arrivals[-1][1::2] == (7, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +599,157 @@ def test_witness_with_tied_sites_and_centres_matches_the_scalar_loop(witness_til
             centres = _window_center_candidates(gamma, w.window_side, 512)
     assert w.count >= 2
     assert {x == 0.0 for x, _ in centres} == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the pruned centre scan against the full scalar scan
+
+grid_cuts = st.lists(
+    st.one_of(st.integers(-12, 12).map(lambda k: k / 8), st.integers(-4, 4).map(lambda k: k / 3)),
+    min_size=2,
+    max_size=4,
+    unique=True,
+).map(sorted)
+site_parts = st.one_of(st.integers(-24, 24).map(lambda k: k / 16), st.integers(1, 30).map(lambda k: 1 / k))
+
+
+@st.composite
+def grid_functions(draw, dim):
+    """A step function on the cells of drawn cuts per axis: complex values,
+    or one value with alternating signs, Haar-like, where the count bound is
+    loose."""
+    axes = [draw(grid_cuts) for _ in range(dim)]
+    sign_value = draw(st.one_of(st.none(), values.filter(lambda v: v != 0)))
+    pieces = []
+    for idx in itertools.product(*(range(len(c) - 1) for c in axes)):
+        box = Box([c[i] for c, i in zip(axes, idx)], [c[i + 1] for c, i in zip(axes, idx)])
+        pieces.append((box, draw(values) if sign_value is None else sign_value * (-1) ** sum(idx)))
+    return PiecewiseFn(tuple(pieces), dim)
+
+
+@st.composite
+def pruned_witness_cases(draw):
+    """(f, f_dual, sites, epsilon), epsilon a fraction of |<f, f_dual>| or a
+    pairing between a site and a site-centred candidate, nudged an ulp."""
+    dim = draw(st.sampled_from([1, 2]))
+    f = draw(grid_functions(dim))
+    f_dual = draw(st.sampled_from([f, scale(f, 0.6 - 0.8j)]) | grid_functions(dim))
+    rows = draw(st.lists(st.tuples(*[site_parts] * dim), min_size=1, max_size=12, unique=True))
+    base = abs(pair(f, f_dual))
+    occurring = sorted(
+        {abs(pair(translate(f, s), translate(f_dual, c))) for s in rows for c in rows} - {0.0}
+    )
+    occurring = [m for m in occurring if math.nextafter(m, math.inf) < base]
+    if occurring and draw(st.booleans()):
+        m = draw(st.sampled_from(occurring))
+        epsilon = draw(st.sampled_from([math.nextafter(m, 0.0), m, math.nextafter(m, math.inf)]))
+    else:
+        epsilon = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])) * base
+    return f, f_dual, PointSet(rows), epsilon
+
+
+@settings(max_examples=60)
+@given(pruned_witness_cases(), st.sampled_from([1, 3, None]), st.sampled_from([1, 7, None]))
+def test_pruned_witness_matches_the_full_scalar_scan(case, rows_per_tile, witness_tile):
+    # rows_per_tile patches the kernel's _TILE so that its row tiles hold that
+    # many sites, and the sites span several of them; witness_tile patches the
+    # witness's terms per block, down to one centre per run; None keeps each
+    f, f_dual, gamma, epsilon = case
+    if not epsilon > 0:
+        return  # <f, f_dual> == 0: no witness exists
+    n_pairs = len(f.pieces) * len(f_dual.pieces)
+    per_row = max(n_pairs if n_pairs <= lpfunc._DENSE_PAIRS else 0, len(f.pieces))
+    kernel_tile = lpfunc._TILE if rows_per_tile is None else rows_per_tile * per_row
+    with mock.patch.object(lpfunc, "_TILE", kernel_tile):
+        with mock.patch.object(translate_system, "_TILE", witness_tile or translate_system._TILE):
+            w = blowup_witness(f, f_dual, gamma, epsilon, 2.0)
+    best = (-1, None)
+    for beta in scan_candidates(gamma, w.window_side, 512):
+        count = scalar_count(f, f_dual, gamma, beta, epsilon)
+        if count > best[0]:
+            best = (count, beta)
+    assert (w.count, w.beta) == best
+
+
+@settings(max_examples=150)
+@given(pruned_witness_cases(), st.data())
+def test_count_spans_hold_every_site_the_kernel_counts(case, data):
+    f, f_dual, gamma, epsilon = case
+    if not epsilon > 0:
+        return
+    d = f.dimension
+    centres = np.concatenate((gamma.as_array, data.draw(shift_arrays(d))))
+    spans = _count_spans(f, f_dual, gamma, centres, epsilon)
+    assert spans is not None
+    v = cross_pairings(f, f_dual, gamma.as_array, centres)
+    lo, hi = spans
+    x = gamma.as_array[:, 0]
+    for j, i in zip(*np.nonzero(_exceeds((v.real, v.imag), epsilon))):
+        assert lo[j] <= x[i] <= hi[j], (centres[j], gamma.as_array[i])
+
+
+def test_count_spans_hold_sites_the_kernel_counts_by_the_last_bit():
+    # indicators of constant modulus: a pairing is the modulus squared times
+    # the axis-0 overlap as the kernel rounds it, so the bound is tight, and
+    # an epsilon an ulp below a pairing needs the slack and the widening for
+    # rounded corners, most of all at sites near 1000
+    unit = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    strip = PiecewiseFn(((Box((0.0, 0.0), (1.0, 1 / 3)), 0.6 - 0.8j),), 2)
+    # the unit indicator cut into 40 pieces: the overlap is a sum of many
+    # rounded widths
+    cut = PiecewiseFn(tuple((Box((k / 40,), ((k + 1) / 40,)), 1.0) for k in range(40)), 1)
+    for f, offset in itertools.product((unit, strip, cut), (0.0, 1000.0)):
+        rows = [(offset + k / 10, k / 7)[: f.dimension] for k in range(-12, 13)]
+        gamma = PointSet(rows)
+        centres = np.array([(offset + k / 10 + 0.01, 0.0)[: f.dimension] for k in range(-7, 8)])
+        v = cross_pairings(f, f, gamma.as_array, centres)
+        x = gamma.as_array[:, 0]
+        for m in sorted({abs(complex(z)) for z in v.flat} - {0.0}):
+            epsilon = math.nextafter(m, 0.0)
+            lo, hi = _count_spans(f, f, gamma, centres, epsilon)
+            for j, i in zip(*np.nonzero(_exceeds((v.real, v.imag), epsilon))):
+                assert lo[j] <= x[i] <= hi[j], (epsilon, centres[j], rows[i])
+
+
+def test_witness_keeps_the_first_centre_among_equal_counts_past_a_looser_bound():
+    # a Haar-like generator: <T_x f, f> = 1 - 3|x| for |x| <= 1/2, so at
+    # epsilon 0.3 the sites -0.3 and -0.32 lie inside centre A's bound but do
+    # not count.  A, second in candidate order, has bound 10 and count 8; B
+    # has bound 8 and count 8, and is scored after A, as its bound equals the
+    # best count and it comes first in candidate order, which it wins
+    f = PiecewiseFn(((Box((0.0,), (0.5,)), 1.0), (Box((0.5,), (1.0,)), -1.0)), 1)
+    near = [k / 50 for k in range(8)] + [-0.3, -0.32]
+    gamma = line_set(*(near + [10 + k / 50 for k in range(8)]))
+    a, b = (0.0,), (10.07,)
+    with mock.patch.object(translate_system, "_window_center_candidates", return_value=[b, a]):
+        with mock.patch.object(translate_system, "_TILE", 1):
+            w = blowup_witness(f, f, gamma, 0.3, 2.0)
+    lo, hi = _count_spans(f, f, gamma, np.array([b, a]), 0.3)
+    xs = gamma.as_array[:, 0]
+    assert [int(((lo[j] <= xs) & (xs <= hi[j])).sum()) for j in (0, 1)] == [8, 10]
+    assert [scalar_count(f, f, gamma, c, 0.3) for c in (b, a)] == [8, 8]
+    assert (w.count, w.beta) == (8, b)
+
+
+def test_witness_on_the_benchmark_family_scores_under_a_tenth_of_its_centres():
+    # the radius-280 witness of the reciprocal-dichotomy analysis: every one
+    # of its 559 centres was scored; the count bound is exact for the unit
+    # indicator, so the first block finds count 279 and no later centre can
+    # beat it
+    f = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    gamma = make_reciprocal(280)
+    scored = []
+
+    def counted(planes, epsilon):
+        if np.ndim(planes[0]) == 2:  # a block of the centre scan, not the grid search
+            scored.append(len(planes[0]))
+        return _exceeds(planes, epsilon)
+
+    with mock.patch.object(translate_system, "_exceeds", counted):
+        w = blowup_witness(f, f, gamma, 0.5, 2.0)
+    assert len(_window_center_candidates(gamma, w.window_side, 512)) == 559
+    assert (w.count, w.beta) == (279, (0.37857142857142856,))
+    assert 0 < sum(scored) < 0.1 * 559
 
 
 def test_witness_memory_on_a_large_reciprocal_family_is_bounded():

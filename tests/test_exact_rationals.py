@@ -8,6 +8,13 @@ partial sum a multiple of 2^-10 below 2^18, all within the 53 bits of a
 double.  So pair, cross_pairings and lp_norm_pow must equal the
 `fractions.Fraction` evaluation of the same integral with ==, and any
 error in a formula they share with the float oracles shows here.
+
+The analyses are held to the same standard on real-valued generators over
+dyadic lattices (sites multiples of 1/4, |x| <= 2, at most 81 of them): a
+pairing is a multiple of 2^-10 below 2^10, its square a multiple of 2^-20
+below 2^20, and a Bessel power sum at p_prime = 2 stays below 2^29, so
+within 49 bits; each localized mass term at p = 2 is a multiple of 2^-10
+below 2^10.  Complex values are left out: abs() of one rounds.
 """
 
 from unittest import mock
@@ -16,9 +23,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpdensity import Box, PiecewiseFn, cross_pairings, lp_norm_pow, lpfunc, pair, translate
+from lpdensity import (
+    Box,
+    ExponentPair,
+    PiecewiseFn,
+    bessel_sum,
+    cross_pairings,
+    lp_norm_pow,
+    lpfunc,
+    make_lattice,
+    pair,
+    system_localized_mass,
+    translate,
+)
+from lpdensity.translate_system import Generator, TranslateSystem
 
-from oracles import fraction_norm_pow, fraction_pair
+from oracles import fraction_bessel_sum, fraction_mass, fraction_norm_pow, fraction_pair
 
 eighths = st.integers(-24, 24).map(lambda k: k / 8)
 quarters = st.integers(-16, 16).map(lambda k: k / 4)
@@ -26,13 +46,18 @@ shift_parts = st.integers(-24, 24).map(lambda k: k / 4)
 dims = st.sampled_from([1, 2])
 
 
+def dyadic_boxes(dim):
+    return st.lists(
+        st.lists(eighths, min_size=2, max_size=2, unique=True).map(sorted), min_size=dim, max_size=dim
+    ).map(lambda sides: Box(*zip(*sides)))
+
+
 @st.composite
 def dyadic_fns(draw, dim, real=False):
     """Up to 5 drawn boxes, each kept unless it overlaps one kept before."""
     pieces = []
     for _ in range(draw(st.integers(0, 5))):
-        sides = [sorted(draw(st.lists(eighths, min_size=2, max_size=2, unique=True))) for _ in range(dim)]
-        box = Box(*zip(*sides))
+        box = draw(dyadic_boxes(dim))
         v = complex(draw(quarters), 0.0 if real else draw(quarters))
         if all(box.overlap_volume(b) == 0.0 for b, _ in pieces):
             pieces.append((box, v))
@@ -92,3 +117,32 @@ def test_lp_norm_powers_are_exact(case):
         assert lp_norm_pow(f, float(p)) == want
         for row in s:
             assert lp_norm_pow(translate(f, tuple(row)), float(p)) == want
+
+
+# (spacing, window) of the dyadic lattices
+lattices = st.sampled_from([(0.25, 1.0), (0.5, 1.5), (1.0, 2.0), (0.5, 2.0)])
+
+
+@st.composite
+def dyadic_systems(draw, dim):
+    """One or two real-valued nonzero generators on dyadic lattices."""
+    gens = []
+    for k in range(draw(st.integers(1, 2))):
+        f = draw(dyadic_fns(dim, real=True).filter(lambda g: not g.is_zero))
+        spacing, window = draw(lattices)
+        gens.append(Generator(f, make_lattice(spacing, window, dim), f"g{k}"))
+    return TranslateSystem(tuple(gens), ExponentPair(2.0))
+
+
+@settings(max_examples=100)
+@given(dims.flatmap(lambda d: st.tuples(dyadic_systems(d), dyadic_fns(d, real=True).filter(lambda g: not g.is_zero))))
+def test_bessel_sums_at_p_prime_2_are_exact(case):
+    sys, h = case
+    assert bessel_sum(sys, h, 2.0) == fraction_bessel_sum(sys, h)
+
+
+@settings(max_examples=100)
+@given(dims.flatmap(lambda d: st.tuples(dyadic_systems(d), dyadic_boxes(d))))
+def test_localized_masses_at_p_2_are_exact(case):
+    sys, region = case
+    assert system_localized_mass(sys, region, 2.0) == fraction_mass(sys, region)
