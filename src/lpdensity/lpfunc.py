@@ -496,7 +496,8 @@ def _check_shifts(fn: PiecewiseFn, shifts: np.ndarray, refusal: str) -> None:
     p = fn._arrays
     step = max(1, _TILE // len(fn.pieces))
     for k0 in range(0, len(shifts), step):
-        lower, upper = _moved(p, shifts[k0 : k0 + step])
+        with np.errstate(over="ignore"):  # a corner past the double range reads inf
+            lower, upper = _moved(p, shifts[k0 : k0 + step])
         # a corner that is not finite, or lower >= upper
         if not ((-np.inf < lower) & (lower < upper) & (upper < np.inf)).all():
             raise PreconditionError(refusal)

@@ -342,9 +342,10 @@ def _band_starts(xs: np.ndarray, r2: float) -> np.ndarray:
 
 def _bands(xs: np.ndarray, r2: float) -> tuple:
     """Per position i of the ascending array xs, the run [a_i, b_i) of the
-    positions j with (xs[j] - xs[i]) ** 2 < r2.  The ends are the starts of
-    the mirrored array -xs[::-1], whose squared differences are the same."""
-    return _band_starts(xs, r2), xs.size - _band_starts(-xs[::-1], r2)[::-1]
+    positions j with (xs[j] - xs[i]) ** 2 < r2.  j > i lies in i's run
+    exactly when a_j <= i, and a never decreases, so b_i counts the a_j <= i."""
+    a = _band_starts(xs, r2)
+    return a, np.searchsorted(a, np.arange(xs.size), side="right")
 
 
 def _pair_tiles(lo: np.ndarray, hi: np.ndarray):

@@ -33,6 +33,7 @@ from .lpfunc import (
     translate,
 )
 from .pointset import (
+    _SITE_BUDGET,
     LatticeProvenance,
     PointSet,
     ReciprocalProvenance,
@@ -271,9 +272,8 @@ def bessel_bound_estimate(
     )
 
 
-# keys per kernel call in the witness's grid search; the search stops at the
-# first batch with a failing key, as the scalar search stopped at the first
-# failing key, so a window that fails early is not paired in full
+# keys per kernel call in the witness's epsilon-grid scan, which stops at the
+# first batch holding a failing key
 _GRID_BATCH = 1024
 
 # window centres the witness tries from each family of candidates
@@ -350,7 +350,8 @@ def _count_spans(f: PiecewiseFn, f_dual: PiecewiseFn, gamma: PointSet, centres, 
 
     w = list(map(min, widths(fb, site_mag), widths(gb, centre_mag)))
     m_fg = [max(abs(v) for _, v in fn.pieces) for fn in (f, f_dual)]
-    partial = np.cumprod(m_fg + w[1:] + w[:1])
+    with np.errstate(over="ignore"):  # a product past the double range fails the test below
+        partial = np.cumprod(m_fg + w[1:] + w[:1])
     scale = partial[-2]
     largest = max(1.0, m_fg[0] * m_fg[1]) * math.prod(max(1.0, x) for x in w)
     floor = 2.0**-1000 * pairs * (2 * d + 6) * largest
@@ -402,7 +403,8 @@ def blowup_witness(
 
     The pairing x -> <T_x f, f_dual> is continuous and piecewise multilinear,
     so a grid with step a quarter of the minimal piece side locates a cube
-    around 0 on which its modulus stays above epsilon; window centers are then
+    around 0 on which its modulus stays above epsilon (a grid of more than
+    _SITE_BUDGET keys is refused); window centers are then
     drawn from the densest site clusters (the sliding-window anchors) and the
     best candidate is returned.  Candidates are scored in decreasing order of
     a closed-form bound on their counts (_count_bounds), and the scan stops
@@ -414,7 +416,10 @@ def blowup_witness(
     p_prime = float(p_prime)
     if f.dimension != f_dual.dimension or f.dimension != gamma.dimension:
         raise DimensionMismatchError("f, f_dual and gamma must share a dimension")
-    base = abs(pair(f, f_dual))
+    try:
+        base = abs(pair(f, f_dual))
+    except OverflowError:  # finite parts whose modulus is past the double range
+        base = math.inf
     if base == 0:
         raise PreconditionError("blowup witness needs <f, f_dual> != 0")
     if not math.isfinite(base):
@@ -433,33 +438,37 @@ def blowup_witness(
         max(abs(db.lower[j] - fb.upper[j]), abs(db.upper[j] - fb.lower[j]))
         for j in range(d)
     )
-    kmax = max(1, int(math.ceil(reach / step)))
-
-    cache = {}
-
-    def window_ok(m) -> bool:
-        # grid indices k with k*step in [-m*step/2, m*step/2) per coordinate
-        keys = list(itertools.product(range(-(m // 2), m - m // 2), repeat=d))
-        new = [key for key in keys if key not in cache]
-        for b0 in range(0, len(new), _GRID_BATCH):
-            batch = new[b0 : b0 + _GRID_BATCH]
-            v = cross_pairings(f, f_dual, np.multiply(batch, step))
-            ok = _exceeds((v.real, v.imag), epsilon)
-            cache.update(zip(batch, ok))
-            if not ok.all():
-                return False
-        return all(cache[key] for key in keys)
-
-    # validity is monotone in m (smaller windows sample subset grids), and
-    # m = 1 always passes since |g(0)| > epsilon
-    lo, hi = 1, 2 * kmax
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if window_ok(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    h = lo * step
+    # the grid of keys k in [-kmax, kmax)^d, refused before any key is built
+    # if it holds more than _SITE_BUDGET keys; a step that reads 0 and a
+    # reach / step past the double range read as an infinite span
+    span = reach / step if step > 0 else math.inf
+    kmax = max(1, math.ceil(span)) if span <= _SITE_BUDGET else _SITE_BUDGET
+    if (2 * kmax) ** d > _SITE_BUDGET:
+        raise PreconditionError(
+            f"the epsilon-grid of step {step} over the reach {reach} in dimension {d} "
+            f"holds more than {_SITE_BUDGET} keys"
+        )
+    # the window of side m holds the keys in [-(m // 2), m - m // 2)^d, and key
+    # k first enters it at m = ring(k) = max_j max(2 k_j + 1, -2 k_j).  The
+    # windows are nested, so the side is one below the least ring of a key
+    # whose pairing fails |.| > epsilon; the keys are paired in ring order,
+    # a batch at a time, up to the first batch holding such a key
+    axis = np.arange(-kmax, kmax, dtype=np.int32)  # rings are at most 2^20: half the scratch
+    rings = np.maximum(2 * axis + 1, -2 * axis)
+    table = rings
+    for _ in range(d - 1):
+        table = np.maximum.outer(table, rings)
+    order = np.argsort(table, axis=None)
+    side = 2 * kmax
+    for b0 in range(0, order.size, _GRID_BATCH):
+        flat = order[b0 : b0 + _GRID_BATCH]
+        keys = np.stack(np.unravel_index(flat, table.shape), axis=-1) - kmax
+        v = cross_pairings(f, f_dual, keys * step)
+        failed = ~_exceeds((v.real, v.imag), epsilon)
+        if failed.any():
+            side = int(table.flat[flat[failed.argmax()]]) - 1
+            break
+    h = side * step
 
     centres = np.array(_window_center_candidates(gamma, h, _MAX_CANDIDATES))
     m = len(centres)

@@ -378,20 +378,29 @@ def fraction_norm_pow(f, p: int):
     return total
 
 
-def fraction_bessel_sum(sys, h):
-    """sum_k sum_gamma |<h, T_gamma f_k>|^2 in exact rationals: the oracle of
-    bessel_sum at p_prime = 2 on dyadic inputs."""
+def fraction_abs_pow(re, im, p: int):
+    """|re + i im|^p in exact rationals for a whole p; an odd p takes a real
+    value, whose modulus alone is rational."""
+    if p % 2:
+        assert im == 0
+        return abs(re) ** p
+    return (re * re + im * im) ** (p // 2)
+
+
+def fraction_bessel_sum(sys, h, p_prime: int = 2):
+    """sum_k sum_gamma |<h, T_gamma f_k>|^p_prime in exact rationals, for a
+    whole p_prime: the oracle of bessel_sum on dyadic inputs."""
     total = Fraction(0)
     for gen in sys.generators:
         for site in gen.gamma.points:
-            re, im = fraction_pair(h, gen.f, None, site)
-            total += re * re + im * im
+            total += fraction_abs_pow(*fraction_pair(h, gen.f, None, site), p_prime)
     return total
 
 
-def fraction_mass(sys, region):
-    """sum_k sum_gamma ||restrict(T_gamma f_k, region)||_2^2 in exact
-    rationals: the oracle of system_localized_mass at p = 2 on dyadic inputs."""
+def fraction_mass(sys, region, p: int = 2):
+    """sum_k sum_gamma ||restrict(T_gamma f_k, region)||_p^p in exact
+    rationals, for a whole p: the oracle of system_localized_mass on dyadic
+    inputs."""
     total = Fraction(0)
     for gen in sys.generators:
         for site in gen.gamma.points:
@@ -402,7 +411,7 @@ def fraction_mass(sys, region):
                     for a, b, x, ra, rb in axes
                 ]
                 vol = math.prod(max(side, 0) for side in sides)
-                total += (Fraction(v.real) ** 2 + Fraction(v.imag) ** 2) * vol
+                total += fraction_abs_pow(Fraction(v.real), Fraction(v.imag), p) * vol
     return total
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import pathlib
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -19,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpdensity import HaarIndex, PointSet, make_lattice, make_reciprocal
-from lpdensity import cli, lpfunc
+from lpdensity import cli, lpfunc, pointset, translate_system
 from lpdensity.cli import main
-from lpdensity.lpfunc import pair_modulated
+from lpdensity.lpfunc import pair, pair_modulated
 from lpdensity.io import emit_json, ingest_function, ingest_points
 from lpdensity.pointset import UnionProvenance
 
@@ -1222,6 +1223,166 @@ def _sweep_specs(draw):
 @given(_sweep_specs())
 def test_sweep_specs_exit_cleanly_with_finite_reports(payload):
     _assert_exits_cleanly(payload)
+
+
+def _split_unit(at, end=1.0):
+    """The indicator of [0, end) cut at `at` into two pieces of value 1."""
+    pieces = [{"lower": [0.0], "upper": [at], "re": 1.0}, {"lower": [at], "upper": [end], "re": 1.0}]
+    return {"dimension": 1, "pieces": pieces}
+
+
+def _witness(f, f_dual, points=None):
+    points = points or {"kind": "reciprocal", "N": 70}
+    return {"command": "blowup-witness", "f": f, "f_dual": f_dual, "points": points, "epsilon": 0.5, "p_prime": 2.0}
+
+
+_PLANE = {"kind": "explicit", "rows": [[0.0, 0.0], [0.5, 0.5]]}
+
+
+@pytest.mark.parametrize(
+    "payload, grid",
+    [
+        # the step, a quarter of 5e-324, reads 0: a ZeroDivisionError
+        (_witness(_split_unit(5e-324), UNIT_SPEC), "step 0.0 over the reach 1.0 in dimension 1"),
+        # reach / step reads inf: an OverflowError
+        (
+            _witness(_split_unit(1e-10), {"kind": "indicator", "box": {"lower": [0.0], "upper": [1e308]}}),
+            "step 2.5e-11 over the reach 1e+308 in dimension 1",
+        ),
+        # 8e7 keys, which the search built as tuples, 4e7 of them at once
+        (_witness(_split_unit(1e-7), UNIT_SPEC), "step 2.5e-08 over the reach 1.0 in dimension 1"),
+        # (8e300)^2 keys: an OverflowError
+        (
+            _witness(
+                {"kind": "indicator", "box": {"lower": [0.0, 0.0], "upper": [1e300, 1.0]}},
+                {"kind": "indicator", "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+                _PLANE,
+            ),
+            "step 0.25 over the reach 1e+300 in dimension 2",
+        ),
+        # the witness a dichotomy draws at the first truncation
+        (
+            {**DICHOTOMY, "system": {"p": 2.0, "generators": [{"f": _split_unit(1e-7), "gamma": {"kind": "reciprocal", "N": 40}}]}, "truncation_radii": [20, 40]},
+            "step 2.5e-08 over the reach 1.0 in dimension 1",
+        ),
+    ],
+    ids=["piece-of-width-5e-324", "reach-over-step-past-the-double-range", "split-at-1e-7", "plane-reach-1e300", "dichotomy"],
+)
+def test_epsilon_grid_over_the_budget_exits_3_before_any_key_is_built(tmp_path, capsys, payload, grid):
+    kernel = mock.patch.object(translate_system, "cross_pairings", side_effect=AssertionError("a key was paired"))
+    with warnings.catch_warnings(), kernel:
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run otherwise
+        tracemalloc.start()
+        try:
+            code, err = _run_exit(tmp_path, capsys, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    message = f"the epsilon-grid of {grid} holds more than {pointset._SITE_BUDGET} keys"
+    assert code == 3 and err == f"lpdensity {payload['command']}: precondition violated: {message}"
+    assert peak < 2e6
+
+
+def test_epsilon_grid_of_exactly_the_budget_runs(tmp_path, capsys):
+    # step 2^-19 over the reach 1: 2 x 2^19 keys, the budget; <T_x f, 1_[0,1)>
+    # = 1 - |x| fails 0.5 first at x = -1/2, of ring 2^19.  A reach one step
+    # longer adds 2 keys, and is refused
+    code, err = _run_exit(tmp_path, capsys, _witness(_split_unit(2**-17), UNIT_SPEC))
+    assert code == 0 and err == ""
+    witness = read_report(tmp_path, "blowup-witness")["outputs"]["witness"]
+    assert witness["count"] == 70 and witness["window_side"] == (2**19 - 1) * 2**-19
+    longer = {"kind": "indicator", "box": {"lower": [0.0], "upper": [1 + 2**-19]}}
+    code, err = _run_exit(tmp_path, capsys, _witness(_split_unit(2**-17), longer))
+    assert code == 3 and err.endswith(f"over the reach {1 + 2**-19} in dimension 1 holds more than 1048576 keys")
+
+
+_splits = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-160, 1e-10, 1e-7, 2**-17, 2**-14, 2**-8, 0.25, 0.5]),
+    st.floats(5e-324, 0.5),
+)
+
+
+@st.composite
+def _split_functions(draw):
+    """A step function on [0, end), end from 1 to 1e308, cut at up to 3
+    points of (0, 1/2] into at most 4 pieces of moderate or extreme, real or
+    complex values."""
+    end = draw(st.just(1.0) | st.sampled_from([2.0, 1e10, 1e154, 1e300, 1e308]))
+    edges = [0.0, *sorted(set(draw(st.lists(_splits, max_size=3)))), end]
+    magnitude = st.floats(0.25, 4.0) | _positive
+    value = magnitude | magnitude.map(lambda x: -x)
+    pieces = [
+        {"lower": [a], "upper": [b], "re": draw(value), "im": draw(st.just(0.0) | value)}
+        for a, b in zip(edges, edges[1:])
+    ]
+    return {"dimension": 1, "pieces": pieces}
+
+
+@st.composite
+def _blowup_specs(draw):
+    """blowup-witness specs on split functions, with epsilon extreme or a
+    fraction of |<f, f_dual>|, extreme p_prime, and reciprocal or at most 4
+    extreme sites."""
+    f = draw(_split_functions())
+    f_dual = f if draw(st.booleans()) else draw(_split_functions())
+    points = draw(
+        st.just({"kind": "reciprocal", "N": 20})
+        | st.lists(st.lists(_coordinates, min_size=1, max_size=1), min_size=1, max_size=4, unique_by=tuple).map(
+            lambda rows: {"kind": "explicit", "rows": rows}
+        )
+    )
+    v = pair(ingest_function(f), ingest_function(f_dual))
+    base = math.hypot(v.real, v.imag)  # abs() raises OverflowError past the double range
+    fraction = draw(st.sampled_from([None, 0.1, 0.5, 0.99]))
+    epsilon = draw(_positive) if fraction is None or not 0 < base < math.inf else fraction * base
+    p_prime = draw(st.sampled_from([1.5, 2.0, 3.0]) | st.sampled_from([1.0, 1e3, 1e300]) | st.floats(1.0, 1e6))
+    return {"command": "blowup-witness", "f": f, "f_dual": f_dual, "points": points, "epsilon": epsilon, "p_prime": p_prime}
+
+
+@settings(max_examples=200, deadline=5000)
+@given(_blowup_specs())
+def test_blowup_specs_exit_cleanly_with_finite_reports(payload):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning ends the run as an exception
+        _assert_exits_cleanly(payload)
+
+
+def _one_piece(value, end=1.0):
+    return {"dimension": 1, "pieces": [{"lower": [0.0], "upper": [end], "re": value.real, "im": value.imag}]}
+
+
+def _two_pieces(a, b):
+    return {"dimension": 1, "pieces": [{"lower": [0.0], "upper": [1.0], "re": a}, {"lower": [1.0], "upper": [2.0], "re": b}]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # |1.5e308 + 1.5e308i| is past the double range, and abs() raised
+        # OverflowError
+        (
+            _witness(_one_piece(1.5e308 + 1.5e308j), UNIT_SPEC),
+            "|<f, f_dual>| reads inf in double precision",
+        ),
+        # the window centres move f_dual past the double range, which numpy
+        # warned of before the refusal
+        (
+            {**_witness(_one_piece(-1.0, 1e308), _one_piece(-1.0, 1e308), {"kind": "explicit", "rows": [[1.0]]}), "epsilon": 1e154},
+            "an f shift is not finite or collapses a piece of f",
+        ),
+        # max|f| max|f_dual| = 1e310 in the count bound, which numpy warned of
+        (
+            {**_witness(_two_pieces(1e300, 1.0), _two_pieces(1e-300, 1e10)), "epsilon": 1e9, "p_prime": 1.5},
+            "the power sum at exponent 1.5 overflows double precision",
+        ),
+    ],
+    ids=["modulus-past-the-double-range", "centre-moves-f-dual-past-the-double-range", "count-bound-scale-overflows"],
+)
+def test_witness_past_the_double_range_exits_3_without_warnings(tmp_path, capsys, payload, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and err == f"lpdensity blowup-witness: precondition violated: {message}"
 
 
 _RECIPROCAL_SYSTEM = {

@@ -602,6 +602,91 @@ def test_witness_with_tied_sites_and_centres_matches_the_scalar_loop(witness_til
 
 
 # ---------------------------------------------------------------------------
+# the epsilon-grid's ring scan against the scalar bisection
+
+
+@st.composite
+def split_functions(draw, dim, k):
+    """A complex step function cut on each axis at lo, lo + 2^-k and one end
+    further on: in 1-d up to 1 past the split, in 2-d within 3 splits, so
+    that the scalar oracle's windows stay small."""
+    split = 2.0**-k
+    axes = []
+    for _ in range(dim):
+        lo = draw(st.integers(-1, 1)) * split
+        far = draw(st.integers(1, 4)) / 4 if dim == 1 else draw(st.integers(1, 2)) * split
+        axes.append((lo, lo + split, lo + split + far))
+    pieces = []
+    for idx in itertools.product(range(2), repeat=dim):
+        box = Box([c[i] for c, i in zip(axes, idx)], [c[i + 1] for c, i in zip(axes, idx)])
+        pieces.append((box, draw(values.filter(lambda v: v != 0))))
+    return PiecewiseFn(tuple(pieces), dim)
+
+
+@st.composite
+def grid_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    k = draw(st.integers(0, 8))
+    f = draw(split_functions(dim, k))
+    f_dual = draw(st.sampled_from([f, scale(f, 0.6 - 0.8j)]) | split_functions(dim, k))
+    return f, f_dual, draw(st.sampled_from([0.1, 0.25, 0.5, 0.9, 0.99]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_cases(), st.sampled_from([1, 7, None]))
+def test_grid_scan_matches_the_scalar_bisection(case, batch):
+    # batch patches the keys per kernel call, so that a failing key falls
+    # at the first, an inner or the last key of a batch
+    f, f_dual, fraction = case
+    epsilon = fraction * abs(pair(f, f_dual))
+    if not epsilon > 0:
+        return  # <f, f_dual> == 0: no witness exists
+    with mock.patch.object(translate_system, "_GRID_BATCH", batch or translate_system._GRID_BATCH):
+        w = blowup_witness(f, f_dual, PointSet(((0.0,) * f.dimension,)), epsilon, 2.0)
+    assert w.window_side == scalar_grid_side(f, f_dual, epsilon)
+
+
+def split_unit(split):
+    return PiecewiseFn(((Box((0.0,), (split,)), 1.0), (Box((split,), (1.0,)), 1.0)), 1)
+
+
+def test_grid_scan_at_a_split_of_2_to_the_minus_14_pairs_each_key_of_its_rings_once():
+    # step 2^-16 and reach 1 make a grid of 2^17 keys; <T_x f, 1_[0,1)> = 1 -
+    # |x| fails 0.5 first at the key -2^15, of ring 2^16, so the scan pairs
+    # the 2^16 keys of the window of side 2^16, 64 full batches, and no key
+    # twice
+    unit = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    paired = []
+
+    def spy(h, g, shifts, *rest):
+        paired.extend(shifts[:, 0].tolist())
+        return cross_pairings(h, g, shifts, *rest)
+
+    with mock.patch.object(translate_system, "cross_pairings", spy):
+        w = blowup_witness(split_unit(2.0**-14), unit, make_reciprocal(70), 0.5, 2.0)
+    assert w.window_side == (2**16 - 1) * 2**-16
+    assert w.count == 70
+    assert len(paired) == 65_536
+    assert sorted(paired) == [k * 2**-16 for k in range(-(2**15), 2**15)]
+
+
+def test_grid_scan_memory_at_a_split_of_2_to_the_minus_14_is_bounded():
+    # the bisection's key tuples and its memo of every key peaked at 14.1 MB;
+    # a first call leaves out numpy's one-time allocations
+    unit = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
+    gamma = make_reciprocal(70)
+    blowup_witness(split_unit(0.25), unit, gamma, 0.5, 2.0)
+    tracemalloc.start()
+    try:
+        w = blowup_witness(split_unit(2.0**-14), unit, gamma, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.window_side == (2**16 - 1) * 2**-16
+    assert peak < 8e6
+
+
+# ---------------------------------------------------------------------------
 # the pruned centre scan against the full scalar scan
 
 grid_cuts = st.lists(

@@ -15,6 +15,12 @@ pairing is a multiple of 2^-10 below 2^10, its square a multiple of 2^-20
 below 2^20, and a Bessel power sum at p_prime = 2 stays below 2^29, so
 within 49 bits; each localized mass term at p = 2 is a multiple of 2^-10
 below 2^10.  Complex values are left out: abs() of one rounds.
+
+The cubes at p_prime = 3 and p = 3 take shrunk draws: corners k/4 (|k| <=
+8) and whole values |k| <= 4.  A pairing is then a multiple of 2^-4 below
+2^8, its cube a multiple of 2^-12 below 2^24, and a Bessel power sum over at
+most 2 x 81 sites stays below 2^32, within 44 bits; a localized mass term
+|v|^3 vol is a multiple of 2^-4 below 2^10.
 """
 
 from unittest import mock
@@ -42,23 +48,26 @@ from oracles import fraction_bessel_sum, fraction_mass, fraction_norm_pow, fract
 
 eighths = st.integers(-24, 24).map(lambda k: k / 8)
 quarters = st.integers(-16, 16).map(lambda k: k / 4)
+# the shrunk draws of the cubes
+small_corners = st.integers(-8, 8).map(lambda k: k / 4)
+small_values = st.integers(-4, 4).map(float)
 shift_parts = st.integers(-24, 24).map(lambda k: k / 4)
 dims = st.sampled_from([1, 2])
 
 
-def dyadic_boxes(dim):
+def dyadic_boxes(dim, corners=eighths):
     return st.lists(
-        st.lists(eighths, min_size=2, max_size=2, unique=True).map(sorted), min_size=dim, max_size=dim
+        st.lists(corners, min_size=2, max_size=2, unique=True).map(sorted), min_size=dim, max_size=dim
     ).map(lambda sides: Box(*zip(*sides)))
 
 
 @st.composite
-def dyadic_fns(draw, dim, real=False):
+def dyadic_fns(draw, dim, real=False, corners=eighths, values=quarters):
     """Up to 5 drawn boxes, each kept unless it overlaps one kept before."""
     pieces = []
     for _ in range(draw(st.integers(0, 5))):
-        box = draw(dyadic_boxes(dim))
-        v = complex(draw(quarters), 0.0 if real else draw(quarters))
+        box = draw(dyadic_boxes(dim, corners))
+        v = complex(draw(values), 0.0 if real else draw(values))
         if all(box.overlap_volume(b) == 0.0 for b, _ in pieces):
             pieces.append((box, v))
     return PiecewiseFn(tuple(pieces), dim)
@@ -123,19 +132,24 @@ def test_lp_norm_powers_are_exact(case):
 lattices = st.sampled_from([(0.25, 1.0), (0.5, 1.5), (1.0, 2.0), (0.5, 2.0)])
 
 
+def nonzero_real_fns(dim, small=False):
+    fns = dyadic_fns(dim, True, small_corners, small_values) if small else dyadic_fns(dim, real=True)
+    return fns.filter(lambda g: not g.is_zero)
+
+
 @st.composite
-def dyadic_systems(draw, dim):
+def dyadic_systems(draw, dim, small=False):
     """One or two real-valued nonzero generators on dyadic lattices."""
     gens = []
     for k in range(draw(st.integers(1, 2))):
-        f = draw(dyadic_fns(dim, real=True).filter(lambda g: not g.is_zero))
+        f = draw(nonzero_real_fns(dim, small))
         spacing, window = draw(lattices)
         gens.append(Generator(f, make_lattice(spacing, window, dim), f"g{k}"))
     return TranslateSystem(tuple(gens), ExponentPair(2.0))
 
 
 @settings(max_examples=100)
-@given(dims.flatmap(lambda d: st.tuples(dyadic_systems(d), dyadic_fns(d, real=True).filter(lambda g: not g.is_zero))))
+@given(dims.flatmap(lambda d: st.tuples(dyadic_systems(d), nonzero_real_fns(d))))
 def test_bessel_sums_at_p_prime_2_are_exact(case):
     sys, h = case
     assert bessel_sum(sys, h, 2.0) == fraction_bessel_sum(sys, h)
@@ -146,3 +160,17 @@ def test_bessel_sums_at_p_prime_2_are_exact(case):
 def test_localized_masses_at_p_2_are_exact(case):
     sys, region = case
     assert system_localized_mass(sys, region, 2.0) == fraction_mass(sys, region)
+
+
+@settings(max_examples=100)
+@given(dims.flatmap(lambda d: st.tuples(dyadic_systems(d, small=True), nonzero_real_fns(d, small=True))))
+def test_bessel_sums_at_p_prime_3_are_exact(case):
+    sys, h = case
+    assert bessel_sum(sys, h, 3.0) == fraction_bessel_sum(sys, h, 3)
+
+
+@settings(max_examples=100)
+@given(dims.flatmap(lambda d: st.tuples(dyadic_systems(d, small=True), dyadic_boxes(d, small_corners))))
+def test_localized_masses_at_p_3_are_exact(case):
+    sys, region = case
+    assert system_localized_mass(sys, region, 3.0) == fraction_mass(sys, region, 3)
