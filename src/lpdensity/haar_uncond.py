@@ -190,14 +190,23 @@ def build_expansion_fn(exp: HaarExpansion, p: float) -> PiecewiseFn:
     return canonicalize(raw, 1)
 
 
+# scratch elements in one tile: a tile of expansion_norms holds 3 cuts a
+# term of its rows, one of unconditional_constant_estimate a cell of each of
+# its sign patterns
+_TILE = 1 << 12
+
+
 def _cut_grid(batch: Sequence[HaarExpansion], p: float):
     """Cell widths, coefficients and a generator of term values on the cut grid.
 
-    Each expansion gets one row of 3 * width - 1 cells between the sorted
-    endpoints of its terms' halves, the grid canonicalize would cut (repeated
-    endpoints give empty cells), padded with empty zero terms at 1.0.  The
-    generator yields, term by term in sorted order, each term's +-2^{j/p} on
-    the cells it covers and 0 elsewhere, so scratch memory is O(batch * terms).
+    Each expansion gets one row of 3 * width cuts, width the most terms of
+    an expansion in the batch: the sorted endpoints of its terms' halves,
+    the grid canonicalize would cut, padded with empty zero terms at 1.0.
+    Between the cuts lie 3 * width - 1 cells; repeated endpoints and the
+    padding give empty ones.  The generator yields, term by term in sorted
+    order, each term's +-2^{j/p} on the cells it covers and 0 elsewhere, as
+    a (batch, cells) array.  Every array holds O(batch * width) elements,
+    so callers pass one tile of expansions at a time.
     """
     halves = {HaarIndex.constant(): (0.0, 1.0, 1.0, 1.0)}  # one piece: 1 on [0, 1)
     width = max((len(e) for e in batch), default=0)
@@ -229,17 +238,30 @@ def _cut_grid(batch: Sequence[HaarExpansion], p: float):
 def expansion_norms(batch: Sequence[HaarExpansion], p: float) -> list:
     """lp_norm(build_expansion_fn(e, p), p) for every expansion e, bit for bit.
 
-    No Box or PiecewiseFn is built.  On the _cut_grid cells, each term adds
-    complex(+-v) * c, as CPython multiplies, in sorted term order on the cells
-    it covers; each row's norm is summed left to right in Python, skipping
-    empty and zero cells, with Python's abs and ** (numpy's complex modulus
-    can differ in the last bit).
+    No Box or PiecewiseFn is built.  The batch goes through _cut_grid one
+    tile at a time: as many expansions as the widest one's cuts fit in
+    _TILE elements, each tile padded only to its own widest expansion, so
+    scratch memory does not grow with the batch.  On the cells, each term
+    adds complex(+-v) * c, as CPython multiplies, in sorted term order on
+    the cells it covers; each row's norm is summed left to right in Python,
+    skipping empty and zero cells, with Python's abs and ** (numpy's complex
+    modulus can differ in the last bit).
     """
     p = float(p)
     if not (math.isfinite(p) and p >= 1):
         raise PreconditionError(f"lp norms need p >= 1, got {p}")
     batch = list(batch)
-    widths, coeffs, values = _cut_grid(batch, p)
+    widest = max([len(e) for e in batch] + [1])
+    step = max(1, _TILE // (3 * widest))
+    norms = []
+    for k in range(0, len(batch), step):
+        norms += _tile_norms(batch[k : k + step], p)
+    return norms
+
+
+def _tile_norms(tile: list, p: float) -> list:
+    """expansion_norms of one tile of expansions."""
+    widths, coeffs, values = _cut_grid(tile, p)
     cells = np.zeros(widths.shape, dtype=complex)
     # a cell past the double range is refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -286,10 +308,13 @@ def unconditional_constant_estimate(
 
     Supports of size <= 12 are enumerated exhaustively (the first sign is
     pinned to +1 since theta and -theta give equal norms); larger supports are
-    sampled with `trials` seeded patterns.  Always >= 1: the identity pattern
-    is included.  Norms come from one (patterns x terms) @ (terms x cells)
-    product on the _cut_grid cells, so they agree with expansion_norms to
-    rounding.  sign_pattern_count sizes every expansion before any is evaluated.
+    sampled with `trials` seeded patterns, drawn whole for each expansion.
+    Always >= 1: the identity pattern is included.  Norms come from
+    (patterns x terms) @ (terms x cells) products on the _cut_grid cells, so
+    they agree with expansion_norms to rounding; the patterns go through one
+    tile of at most _TILE cells at a time, and every norm has the bits one
+    product of all of them gives.  sign_pattern_count sizes every expansion
+    before any is evaluated.
     """
     p = float(p)
     trials = int(trials)
@@ -303,22 +328,33 @@ def unconditional_constant_estimate(
         n = len(exp)
         widths, coeffs, values = _cut_grid([exp], p)
         m = np.concatenate(list(values))  # (terms, cells)
-        a = coeffs[0]
-        if n <= 12:
-            # row r's signs are the bits of r < 2^(n-1): the first is always +1
-            bits = np.arange(rows)[:, None] >> np.arange(n - 1, -1, -1)
-            patterns = 1.0 - 2.0 * (bits & 1)
-        else:
-            patterns = rng.choice((1.0, -1.0), size=(rows, n))
+        a, w = coeffs[0], widths[0]
+        if n > 12:
+            sampled = rng.choice((1.0, -1.0), size=(rows, n))
+        step = max(1, _TILE // m.shape[1])
         # a norm past the double range would make the ratios inf / inf = nan
         with np.errstate(over="ignore", invalid="ignore"):
-            base = float(((np.abs(a @ m) ** p) * widths[0]).sum() ** (1.0 / p))
-            norms = ((np.abs((patterns * a) @ m) ** p) * widths[0]).sum(axis=1) ** (1.0 / p)
-        if not (math.isfinite(base) and np.isfinite(norms).all()):
-            raise PreconditionError(
-                f"the Lp norm of a sign-flipped expansion at p = {p} overflows double precision"
-            )
-        best = max(best, float(norms.max()) / base)
+            base = float(((np.abs(a @ m) ** p) * w).sum() ** (1.0 / p))
+            top = 0.0
+            for r0 in range(0, rows, step):
+                if n <= 12:
+                    # row r's signs are the bits of r < 2^(n-1): the first is always +1
+                    bits = np.arange(r0, min(r0 + step, rows))[:, None] >> np.arange(n - 1, -1, -1)
+                    patterns = 1.0 - 2.0 * (bits & 1)
+                else:
+                    patterns = sampled[r0 : r0 + step]
+                signed = patterns * a
+                if len(signed) == 1 < rows:
+                    # numpy multiplies one row by gemv, whose sums can differ in
+                    # the last bit from the gemm that multiplies the others
+                    signed = np.concatenate((signed, signed))
+                norms = ((np.abs(signed @ m) ** p) * w).sum(axis=1) ** (1.0 / p)
+                if not (math.isfinite(base) and np.isfinite(norms).all()):
+                    raise PreconditionError(
+                        f"the Lp norm of a sign-flipped expansion at p = {p} overflows double precision"
+                    )
+                top = max(top, float(norms.max()))
+        best = max(best, top / base)
     return best
 
 
@@ -484,6 +520,8 @@ def prop43_check(p: float, cutoff: int, tests: Sequence[PiecewiseFn]) -> Prop43R
             raise PreconditionError(f"test {tid!r} must be supported in [0, 1)")
         mags = [abs(v) for v in next(pairings).values()]
         qn = lp_norm(test, q)
+        if qn == 0.0:  # every |v|^q underflowed: the ratios would divide by 0
+            raise PreconditionError(f"the q-norm of test {tid!r} at q = {q} reads 0 in double precision")
         bsum = sum(v**bessel_e for v in mags)
         dsum = sum(v**dual_e for v in mags)
         bratio = bsum ** (1.0 / bessel_e) / qn

@@ -422,8 +422,10 @@ def _pairing_blocks(h: PiecewiseFn, f: PiecewiseFn, shifts, f_shifts, terms: int
     s = _shift_rows(shifts, d, "shifts")
     t = np.zeros((1, d)) if f_shifts is None else _shift_rows(f_shifts, d, "f_shifts")
     # translate refuses these shifts, even where no term is left to compute
-    _check_shifts(f, t, "an f shift is not finite or collapses a piece of f")
-    _check_shifts(h, s, "a shift is not finite or collapses a piece of h")
+    if _first_bad_shift(f, t) is not None:
+        raise PreconditionError("an f shift is not finite or collapses a piece of f")
+    if _first_bad_shift(h, s) is not None:
+        raise PreconditionError("a shift is not finite or collapses a piece of h")
 
     def blocks():
         if not (h.pieces and f.pieces and len(s)):
@@ -487,20 +489,22 @@ def _moved(p: _Pieces, shifts: np.ndarray) -> tuple:
     return p.lower[:, :, None] + off, p.upper[:, :, None] + off
 
 
-def _check_shifts(fn: PiecewiseFn, shifts: np.ndarray, refusal: str) -> None:
-    """Raise PreconditionError(refusal) if a row of shifts moves fn as
-    translate refuses to; fn's corners are translated in tiles of at most
-    _TILE, and a function with no pieces moves anywhere."""
+def _first_bad_shift(fn: PiecewiseFn, shifts: np.ndarray) -> Optional[int]:
+    """The first row of shifts that moves fn as translate refuses to (a
+    corner that is not finite, or lower >= upper), or None; fn's corners are
+    translated in tiles of at most _TILE, and a function with no pieces
+    moves anywhere."""
     if not fn.pieces:
-        return
+        return None
     p = fn._arrays
     step = max(1, _TILE // len(fn.pieces))
     for k0 in range(0, len(shifts), step):
         with np.errstate(over="ignore"):  # a corner past the double range reads inf
             lower, upper = _moved(p, shifts[k0 : k0 + step])
-        # a corner that is not finite, or lower >= upper
-        if not ((-np.inf < lower) & (lower < upper) & (upper < np.inf)).all():
-            raise PreconditionError(refusal)
+        ok = ((-np.inf < lower) & (lower < upper) & (upper < np.inf)).all(axis=(0, 1))
+        if not ok.all():
+            return k0 + int(ok.argmin())
+    return None
 
 
 def _products(h_values, f_values) -> np.ndarray:

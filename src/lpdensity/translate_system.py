@@ -22,6 +22,7 @@ from .lpfunc import (
     ExponentPair,
     PiecewiseFn,
     _finite_power_sum,
+    _first_bad_shift,
     _pairing_blocks,
     _power,
     cross_pairings,
@@ -390,47 +391,11 @@ def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
     return list(dict.fromkeys(map(tuple, np.concatenate((anchored, centred)).tolist())))
 
 
-def blowup_witness(
-    f: PiecewiseFn,
-    f_dual: PiecewiseFn,
-    gamma: PointSet,
-    epsilon: float,
-    p_prime: float,
-):
-    """Certified mass witness: a center beta and the number of sites gamma with
-    |<T_gamma f, T_beta f_dual>| > epsilon, all verified by exact pairing
-    (cross_pairings, which reproduces the scalar pair bit for bit).
-
-    The pairing x -> <T_x f, f_dual> is continuous and piecewise multilinear,
-    so a grid with step a quarter of the minimal piece side locates a cube
-    around 0 on which its modulus stays above epsilon (a grid of more than
-    _SITE_BUDGET keys is refused); window centers are then
-    drawn from the densest site clusters (the sliding-window anchors) and the
-    best candidate is returned.  Candidates are scored in decreasing order of
-    a closed-form bound on their counts (_count_bounds), and the scan stops
-    once no candidate left can beat the best count.  count *
-    epsilon^{p_prime} is a lower bound on the Bessel power sum at the test
-    T_beta f_dual.
-    """
-    epsilon = float(epsilon)
-    p_prime = float(p_prime)
-    if f.dimension != f_dual.dimension or f.dimension != gamma.dimension:
-        raise DimensionMismatchError("f, f_dual and gamma must share a dimension")
-    try:
-        base = abs(pair(f, f_dual))
-    except OverflowError:  # finite parts whose modulus is past the double range
-        base = math.inf
-    if base == 0:
-        raise PreconditionError("blowup witness needs <f, f_dual> != 0")
-    if not math.isfinite(base):
-        raise PreconditionError(f"|<f, f_dual>| reads {base} in double precision")
-    if not (0 < epsilon < base):
-        raise PreconditionError(
-            f"epsilon must satisfy 0 < epsilon < |<f, f_dual>| = {base}, got {epsilon}"
-        )
-    if not len(gamma):
-        raise PreconditionError("blowup witness needs a nonempty site set")
-    eps_power = _finite_power_sum(_power(epsilon, p_prime), f"epsilon ** p_prime at p_prime = {p_prime}")
+def _window_side(f: PiecewiseFn, f_dual: PiecewiseFn, epsilon: float) -> float:
+    """The side of the largest window of the epsilon-grid around 0 on which
+    |<T_x f, f_dual>| stays above epsilon at every key x: the grid's step is a
+    quarter of the least piece side, and a grid of more than _SITE_BUDGET
+    keys is refused before any key is built."""
     d = f.dimension
     step = min(f.min_piece_side, f_dual.min_piece_side) / 4.0
     fb, db = f.support_box, f_dual.support_box
@@ -468,9 +433,74 @@ def blowup_witness(
         if failed.any():
             side = int(table.flat[flat[failed.argmax()]]) - 1
             break
-    h = side * step
+    return side * step
+
+
+def blowup_witness(
+    f: PiecewiseFn,
+    f_dual: PiecewiseFn,
+    gamma: PointSet,
+    epsilon: float,
+    p_prime: float,
+):
+    """Certified mass witness: a center beta and the number of sites gamma with
+    |<T_gamma f, T_beta f_dual>| > epsilon, all verified by exact pairing
+    (cross_pairings, which reproduces the scalar pair bit for bit).
+
+    The pairing x -> <T_x f, f_dual> is continuous and piecewise multilinear,
+    so a grid with step a quarter of the minimal piece side locates a cube
+    around 0 on which its modulus stays above epsilon (a grid of more than
+    _SITE_BUDGET keys is refused); window centers are then
+    drawn from the densest site clusters (the sliding-window anchors) and the
+    best candidate is returned.  Candidates are scored in decreasing order of
+    a closed-form bound on their counts (_count_bounds), and the scan stops
+    once no candidate left can beat the best count.  count *
+    epsilon^{p_prime} is a lower bound on the Bessel power sum at the test
+    T_beta f_dual.
+    """
+    return _witness(f, f_dual, gamma, epsilon, p_prime, None)
+
+
+def _witness(
+    f: PiecewiseFn,
+    f_dual: PiecewiseFn,
+    gamma: PointSet,
+    epsilon: float,
+    p_prime: float,
+    h: Optional[float],
+) -> BlowupWitness:
+    """blowup_witness(f, f_dual, gamma, epsilon, p_prime), its window side h
+    given, or found by _window_side when h is None: the side depends on f,
+    f_dual and epsilon only, not on the sites."""
+    epsilon = float(epsilon)
+    p_prime = float(p_prime)
+    if f.dimension != f_dual.dimension or f.dimension != gamma.dimension:
+        raise DimensionMismatchError("f, f_dual and gamma must share a dimension")
+    try:
+        base = abs(pair(f, f_dual))
+    except OverflowError:  # finite parts whose modulus is past the double range
+        base = math.inf
+    if base == 0:
+        raise PreconditionError("blowup witness needs <f, f_dual> != 0")
+    if not math.isfinite(base):
+        raise PreconditionError(f"|<f, f_dual>| reads {base} in double precision")
+    if not (0 < epsilon < base):
+        raise PreconditionError(
+            f"epsilon must satisfy 0 < epsilon < |<f, f_dual>| = {base}, got {epsilon}"
+        )
+    if not len(gamma):
+        raise PreconditionError("blowup witness needs a nonempty site set")
+    eps_power = _finite_power_sum(_power(epsilon, p_prime), f"epsilon ** p_prime at p_prime = {p_prime}")
+    if h is None:
+        h = _window_side(f, f_dual, epsilon)
 
     centres = np.array(_window_center_candidates(gamma, h, _MAX_CANDIDATES))
+    bad = _first_bad_shift(f_dual, centres)  # what translate refuses, named here
+    if bad is not None:
+        raise PreconditionError(
+            f"the witness window of side {h} centred at {tuple(centres[bad].tolist())} "
+            "moves a piece of f_dual past the double range or collapses it"
+        )
     m = len(centres)
     # centres in a stable order of decreasing count bound: key -bound * m + j
     # for candidate j, so equal bounds keep candidate order
@@ -835,6 +865,9 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
     density_rows = []
     accumulation_any = False
     sys_r = None
+    # each generator's witness window side: its epsilon-grid is scanned at
+    # the first truncation that needs a witness, and the side kept
+    sides = {}
     for radius in radii:
         gens_r = tuple(
             Generator(g.f, _regenerated(g.gamma, radius), g.label) for g in sys.generators
@@ -844,7 +877,7 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
         labels = list(base_labels)
         wit_count = None
         wit_bound = None
-        for gen in gens_r:
+        for i, gen in enumerate(gens_r):
             acc = detect_accumulation(
                 gen.gamma, config.accumulation_radius, config.accumulation_threshold
             )
@@ -852,13 +885,15 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
                 continue
             accumulation_any = True
             self_pairing = abs(pair(gen.f, gen.f))
-            witness = blowup_witness(
+            witness = _witness(
                 gen.f,
                 gen.f,
                 gen.gamma,
                 config.epsilon_fraction * self_pairing,
                 p_prime,
+                sides.get(i),
             )
+            sides[i] = witness.window_side
             tests.append(translate(gen.f, witness.beta))
             labels.append(f"witness:{gen.label}@{radius:g}")
             if wit_count is None or witness.count > wit_count:

@@ -30,7 +30,7 @@ from lpdensity import (
     restrict,
     translate,
 )
-from lpdensity.haar_uncond import SandwichRow
+from lpdensity.haar_uncond import SandwichRow, _cut_grid, sign_pattern_count
 from lpdensity.pointset import SeparationReport, grid_occupancy
 
 
@@ -552,3 +552,45 @@ def built_ratio(exp, p) -> float:
         for signs in itertools.product((1, -1), repeat=len(exp))
     )
     return max(built_norm(e, p) for e in signed) / built_norm(exp, p)
+
+
+def product_estimate(
+    expansions,
+    p: float,
+    trials: int,
+    seed: int = 0,
+) -> float:
+    """unconditional_constant_estimate with every sign pattern of an
+    expansion in one (patterns x terms) @ (terms x cells) product, the plain
+    code its tiles replaced.  Patterns are enumerated up to 12 terms, else
+    `trials` of them are drawn from the seed; sign_pattern_count sizes every
+    expansion before any is evaluated."""
+    p = float(p)
+    trials = int(trials)
+    expansions = list(expansions)
+    if not expansions:
+        raise PreconditionError("need at least one expansion")
+    counts = [sign_pattern_count(len(exp), trials) for exp in expansions]
+    rng = np.random.default_rng(seed)
+    best = 1.0
+    for exp, rows in zip(expansions, counts):
+        n = len(exp)
+        widths, coeffs, values = _cut_grid([exp], p)
+        m = np.concatenate(list(values))  # (terms, cells)
+        a = coeffs[0]
+        if n <= 12:
+            # row r's signs are the bits of r < 2^(n-1): the first is always +1
+            bits = np.arange(rows)[:, None] >> np.arange(n - 1, -1, -1)
+            patterns = 1.0 - 2.0 * (bits & 1)
+        else:
+            patterns = rng.choice((1.0, -1.0), size=(rows, n))
+        # a norm past the double range would make the ratios inf / inf = nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = float(((np.abs(a @ m) ** p) * widths[0]).sum() ** (1.0 / p))
+            norms = ((np.abs((patterns * a) @ m) ** p) * widths[0]).sum(axis=1) ** (1.0 / p)
+        if not (math.isfinite(base) and np.isfinite(norms).all()):
+            raise PreconditionError(
+                f"the Lp norm of a sign-flipped expansion at p = {p} overflows double precision"
+            )
+        best = max(best, float(norms.max()) / base)
+    return best

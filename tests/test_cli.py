@@ -1347,6 +1347,48 @@ def test_blowup_specs_exit_cleanly_with_finite_reports(payload):
         _assert_exits_cleanly(payload)
 
 
+_wrong = st.sampled_from(["3", None, [], {}, True, 2.5, -1, 0, -(2**63), float("inf"), float("-inf"), float("nan")])
+
+
+@st.composite
+def _haar_specs(draw):
+    """haar-check specs whose fields are each small enough to run, extreme,
+    of a wrong type, negative, not finite, or left out.  An extreme size is
+    over the budget alone, so it is refused before any draw."""
+    fields = {
+        "p": (st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.0, 20.0), st.sampled_from([1.0, 1.0000001, 1e3, 1e300])),
+        "cutoff": (st.integers(0, 8), st.sampled_from([21, 64, 10**30])),
+        "terms": (st.integers(1, 16), st.sampled_from([63, 64, 10**30])),
+        "batch_size": (st.integers(1, 40), st.sampled_from([2**20 + 1, 10**30])),
+        "num_tests": (st.integers(1, 5), st.sampled_from([2**20 + 1, 10**30])),
+        "trials": (st.integers(1, 50), st.sampled_from([2**20, 10**30])),
+        "seed": (st.integers(0, 2**64), st.just(10**30)),
+    }
+    spec = {"command": "haar-check"}
+    for key, (small, extreme) in fields.items():
+        kind = draw(st.sampled_from(["small"] * 5 + ["extreme", "wrong", "left out"]))
+        if kind != "left out":
+            spec[key] = draw({"small": small, "extreme": extreme, "wrong": _wrong}[kind])
+    return spec
+
+
+@settings(max_examples=150, deadline=5000)
+@given(_haar_specs())
+def test_haar_specs_exit_cleanly_with_finite_reports(payload):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning ends the run as an exception
+        _assert_exits_cleanly(payload)
+
+
+def test_haar_check_refuses_a_q_norm_that_underflows(tmp_path, capsys):
+    # p = 1 + 2^-52 gives q = 4.5e15: every |v|^q of the test underflows,
+    # and its Bessel ratio divided by 0 (found by the spec fuzz above)
+    payload = {"command": "haar-check", "p": 1.0000000000000002, "cutoff": 0, "batch_size": 1, "num_tests": 1, "seed": 1}
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and err.startswith("lpdensity haar-check: precondition violated: the q-norm of test 'test-0' at q = ")
+    assert err.endswith(" reads 0 in double precision")
+
+
 def _one_piece(value, end=1.0):
     return {"dimension": 1, "pieces": [{"lower": [0.0], "upper": [end], "re": value.real, "im": value.imag}]}
 
@@ -1365,10 +1407,11 @@ def _two_pieces(a, b):
             "|<f, f_dual>| reads inf in double precision",
         ),
         # the window centres move f_dual past the double range, which numpy
-        # warned of before the refusal
+        # warned of before the refusal; the refusal names the window
         (
             {**_witness(_one_piece(-1.0, 1e308), _one_piece(-1.0, 1e308), {"kind": "explicit", "rows": [[1.0]]}), "epsilon": 1e154},
-            "an f shift is not finite or collapses a piece of f",
+            "the witness window of side 1.75e+308 centred at (8.75e+307,) moves a piece of f_dual "
+            "past the double range or collapses it",
         ),
         # max|f| max|f_dual| = 1e310 in the count bound, which numpy warned of
         (

@@ -4,15 +4,18 @@
 for every expansion, with the same bits, and `coefficient_sandwich_check`
 must give the rows it gave when every mid came from that oracle.
 `unconditional_constant_estimate`, on the same cut grid, must agree with the
-oracle to rounding, and both must stay within Burkholder's constant.
+oracle to rounding, and both must stay within Burkholder's constant.  Both
+go through fixed-size tiles, and must keep the bits of the whole batch or
+of one product of every sign pattern at any tile size.
 """
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpdensity import (
@@ -28,8 +31,10 @@ from lpdensity import (
     haar_indices_below,
     unconditional_constant_estimate,
 )
+from lpdensity import haar_uncond
+from lpdensity.haar_uncond import _INDEX_BUDGET, sign_pattern_count
 
-from oracles import built_norm, built_ratio, built_row
+from oracles import built_norm, built_ratio, built_row, product_estimate, random_expansion
 
 P_VALUES = (1.0, 1.0000001, 1.1, 1.5, 2.0, 3.0, 7.3)
 
@@ -270,6 +275,83 @@ def test_norms_past_the_double_range_are_refused():
     assert expansion_norms([ok], 3.0)[0].hex() == built_norm(ok, 3.0).hex()
     estimate = unconditional_constant_estimate([ok], 3.0, trials=1)
     assert estimate == pytest.approx(built_ratio(ok, 3.0), rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# tiles
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@given(batch=st.lists(expansions(), min_size=1, max_size=16), p=st.sampled_from(P_VALUES))
+def test_tiled_norms_match_the_oracle_bit_for_bit(rows, batch, p):
+    # tiles of `rows` expansions of mixed widths, each padded to its own widest
+    widest = max(len(e) for e in batch)
+    with mock.patch.object(haar_uncond, "_TILE", rows * 3 * max(widest, 1)):
+        assert_same_bits(batch, p)
+
+
+@st.composite
+def pattern_batches(draw):
+    """1 to 3 expansions of 1 to 16 terms: every sign pattern is enumerated
+    up to 12 terms, and `trials` of them are drawn above."""
+    keys = st.one_of(haar_indices(6), st.sampled_from(DEEP))
+    values = st.builds(complex, nonzero_parts, parts)
+    sizes = draw(st.lists(st.integers(1, 16), min_size=1, max_size=3))
+    return [
+        HaarExpansion.from_mapping(draw(st.dictionaries(keys, values, min_size=n, max_size=n)))
+        for n in sizes
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@settings(max_examples=50)
+@given(
+    batch=pattern_batches(),
+    p=st.sampled_from(P_VALUES[2:]),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_estimate_matches_one_product(rows, batch, p, trials, seed):
+    # tiles of `rows` sign patterns of the widest expansion, more of the
+    # others, and the default tiles; a lone row of a larger product must
+    # keep the bits the product gives it
+    want = product_estimate(batch, p, trials, seed)
+    cells = 3 * max(len(e) for e in batch) - 1
+    tile = haar_uncond._TILE if rows is None else rows * cells
+    with mock.patch.object(haar_uncond, "_TILE", tile):
+        assert unconditional_constant_estimate(batch, p, trials, seed) == want
+
+
+def test_sandwich_scratch_does_not_grow_with_the_batch():
+    rng = np.random.default_rng(4)
+    batch = [random_expansion(rng, 12) for _ in range(2000)]
+    coefficient_sandwich_check(batch[:5], 3.0)
+    tracemalloc.start()
+    try:
+        coefficient_sandwich_check(batch, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.7 MB here; norming the whole batch at once took 9.9 MB
+    assert peak < 3e6
+
+
+def test_sampled_patterns_at_the_budget_are_multiplied_in_tiles():
+    rng = np.random.default_rng(4)
+    exp = random_expansion(rng, 13)
+    trials = _INDEX_BUDGET // (3 * 13 - 1)  # the most 13-term patterns the budget admits
+    assert sign_pattern_count(13, trials) == trials
+    with pytest.raises(PreconditionError, match="budget"):
+        sign_pattern_count(13, trials + 1)
+    tracemalloc.start()
+    try:
+        unconditional_constant_estimate([exp], 3.0, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 5.7 MB here, half of it drawing the 2.9 MB of patterns; one
+    # product of every pattern took 28 MB
+    assert peak < 12e6
 
 
 # ---------------------------------------------------------------------------

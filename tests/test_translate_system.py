@@ -276,6 +276,19 @@ def test_blowup_witness_refuses_values_past_the_double_range_before_its_scan():
             blowup_witness(huge, huge, gamma, 1e199, 4.0)
 
 
+def test_blowup_witness_names_a_centre_that_collapses_f_dual():
+    # f_dual's piece is 2^-12 wide, below half an ulp at the centre 2^45 +
+    # 1/2: translate would collapse it, and the kernel refused with its own
+    # wording, which named neither the witness nor the centre
+    f_dual = interval(0, 2**-12)
+    with pytest.raises(
+        PreconditionError,
+        match=r"^the witness window of side 0\.99969482421875 centred at \(35184372088832\.5,\) "
+        r"moves a piece of f_dual past the double range or collapses it$",
+    ):
+        blowup_witness(interval(-0.5, 0.5), f_dual, line_set(2.0**45), 2**-13, 2.0)
+
+
 def test_blowup_witness_plane_grid():
     square = PiecewiseFn(((Box((0.0, 0.0), (1.0, 1.0)), 1.0),), 2)
     pts = PointSet(tuple((i / 20, j / 20) for i in range(20) for j in range(20)))
@@ -572,6 +585,33 @@ def test_dichotomy_reciprocal_horn():
     # the counting table grows linearly with the truncation
     nus = [r.nu_plus_at_h for r in rep.density_rows]
     assert nus == [100, 200, 400]
+
+
+def test_dichotomy_scans_each_generators_epsilon_grid_once():
+    # 1_[0, 1) split at 2^-14: a grid of step 2^-16 over the reach 1, whose
+    # keys are paired in ring order up to the first failing one, 65,536 of
+    # them; each of the three truncations needs a witness, and scanning the
+    # grid at each paired 196,608 keys
+    split = PiecewiseFn(
+        ((Box((0.0,), (2.0**-14,)), 1.0), (Box((2.0**-14,), (1.0,)), 1.0)), 1
+    )
+    sys_ = TranslateSystem((Generator(split, make_reciprocal(80), "recip"),), ExponentPair(2.0))
+    config = DichotomyConfig(truncation_radii=(20, 40, 80), sweep_h_values=(0.25, 0.125), p_prime=2.0)
+    keys = []
+    real = translate_system.cross_pairings
+
+    def spy(h, f, shifts, *args, **kwargs):
+        keys.append(len(shifts))
+        return real(h, f, shifts, *args, **kwargs)
+
+    with mock.patch.object(translate_system, "cross_pairings", side_effect=spy):
+        rep = dichotomy_report(sys_, config)
+    assert sum(keys) == 65536
+    assert [r.witness_count for r in rep.bessel_rows] == [20, 40, 80]
+    # each witness is the one blowup_witness finds on its own
+    for radius, row in zip((20, 40, 80), rep.bessel_rows):
+        witness = blowup_witness(split, split, make_reciprocal(radius), 0.5 * pair(split, split).real, 2.0)
+        assert (witness.count, witness.sum_lower_bound) == (row.witness_count, row.witness_bound)
 
 
 def test_dichotomy_union_subadditivity_rows():
