@@ -7,7 +7,6 @@ from .pointset import (
     DensityProfile,
     PointSet,
     SeparationReport,
-    count_in_cube,
     decompose_separated,
     density_profile,
     detect_accumulation,
@@ -35,7 +34,6 @@ from .lpfunc import (
     sample_catalog_function,
     scale,
     translate,
-    zero_fn,
 )
 from .translate_system import (
     BesselEstimate,
@@ -50,7 +48,6 @@ from .translate_system import (
     bessel_sum,
     blowup_witness,
     cq_indicator_sweep,
-    cq_required_constant,
     dichotomy_report,
     localized_mass,
     mass_decay_sweep,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 unresolvable input or an unwritable report,
 """
 
 import argparse
+import cmath
 import datetime
 import json
 import os
@@ -114,10 +115,12 @@ def _cmd_separate(spec, ctx):
 def _cmd_pair(spec, ctx):
     h = ingest_function(_need(spec, "h"), ctx.inputs)
     if "freq" in spec:
-        value = pair_modulated(h, _need_floats(spec, "freq"))
-        return {"modulated_pairing": value}, {}, {}
-    f = ingest_function(_need(spec, "f"), ctx.inputs)
-    return {"pairing": pair(h, f)}, {}, {}
+        key, value = "modulated_pairing", pair_modulated(h, _need_floats(spec, "freq"))
+    else:
+        key, value = "pairing", pair(h, ingest_function(_need(spec, "f"), ctx.inputs))
+    if not cmath.isfinite(value):  # a product or a sum past the double range
+        raise PreconditionError(f"the {key.replace('_', ' ')} reads {value} in double precision")
+    return {key: value}, {}, {}
 
 
 def _cmd_bessel(spec, ctx):

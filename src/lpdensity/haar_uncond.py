@@ -309,7 +309,8 @@ def unconditional_constant_estimate(
     Supports of size <= 12 are enumerated exhaustively (the first sign is
     pinned to +1 since theta and -theta give equal norms); larger supports are
     sampled with `trials` seeded patterns, drawn whole for each expansion.
-    Always >= 1: the identity pattern is included.  Norms come from
+    Always >= 1: the identity pattern is included; an expansion whose norm
+    reads 0 is refused.  Norms come from
     (patterns x terms) @ (terms x cells) products on the _cut_grid cells, so
     they agree with expansion_norms to rounding; the patterns go through one
     tile of at most _TILE cells at a time, and every norm has the bits one
@@ -335,6 +336,8 @@ def unconditional_constant_estimate(
         # a norm past the double range would make the ratios inf / inf = nan
         with np.errstate(over="ignore", invalid="ignore"):
             base = float(((np.abs(a @ m) ** p) * w).sum() ** (1.0 / p))
+            if base == 0.0:  # every |cell|^p underflowed: the ratios would divide by 0
+                raise PreconditionError(f"the Lp norm of an expansion at p = {p} reads 0 in double precision")
             top = 0.0
             for r0 in range(0, rows, step):
                 if n <= 12:

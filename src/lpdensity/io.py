@@ -249,8 +249,11 @@ def ingest_function(source, inputs: Optional[Inputs] = None) -> PiecewiseFn:
         box = _cube_spec_box(spec["cube"]) if "cube" in spec else _box_spec(_need(spec, "box"))
         return PiecewiseFn(((box, _number(spec, "value", 1.0, complex)),), box.dim)
     if kind == "sampled":
+        expression = _need(spec, "expression")
+        if not isinstance(expression, str):
+            raise InputError(f"'expression' must be a string, got {expression!r}")
         fn, _err = sample_catalog_function(
-            _need(spec, "expression"),
+            expression,
             _number(spec, "step"),
             _box_spec(_need(spec, "support")),
             _number(spec, "p", 2.0),

@@ -90,10 +90,6 @@ class Box:
             return None
         return Box(lo, up)
 
-    def contains(self, x: Sequence[float]) -> bool:
-        c = _coords(x, self.dim)
-        return all(a <= v < b for a, v, b in zip(self.lower, c, self.upper))
-
 
 def _value(v) -> complex:
     """v as a complex piece value, refused unless both parts are finite."""
@@ -170,13 +166,6 @@ class PiecewiseFn:
     def _arrays(self) -> "_Pieces":
         return _piece_arrays(self)
 
-    def value_at(self, x) -> complex:
-        c = _coords(x, self.dimension)
-        for box, v in self.pieces:
-            if box.contains(c):
-                return v
-        return 0j
-
 
 def _build(pieces: Sequence[tuple], dimension: int) -> PiecewiseFn:
     # internal fast path for operations that preserve disjointness; the
@@ -185,10 +174,6 @@ def _build(pieces: Sequence[tuple], dimension: int) -> PiecewiseFn:
     object.__setattr__(fn, "pieces", tuple(pieces))
     object.__setattr__(fn, "dimension", dimension)
     return fn
-
-
-def zero_fn(dimension: int) -> PiecewiseFn:
-    return _build((), dimension)
 
 
 def indicator(box: Box, value: complex = 1.0) -> PiecewiseFn:
@@ -621,7 +606,7 @@ def scale(f: PiecewiseFn, c: complex) -> PiecewiseFn:
     """c f, refused where a product is not finite."""
     c = complex(c)
     if c == 0:
-        return zero_fn(f.dimension)
+        return _build((), f.dimension)
     return _build(tuple((box, _value(v * c)) for box, v in f.pieces), f.dimension)
 
 
@@ -638,7 +623,7 @@ def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
     if not raw:
         if dimension is None:
             raise PreconditionError("empty piece list needs an explicit dimension")
-        return zero_fn(dimension)
+        return _build((), dimension)
     d = raw[0][0].dim
     if dimension is not None and dimension != d:
         raise DimensionMismatchError(f"declared dimension {dimension} but pieces have {d}")

@@ -96,7 +96,8 @@ class UnionProvenance:
 class PointSet:
     """Finite list of distinct points of a common dimension.
 
-    `points` is an (n, d) array or a sequence of coordinate sequences.  The
+    `points` is an (n, d) array or a nonempty sequence of coordinate
+    sequences; the empty set of dimension d is the (0, d) array.  The
     sites are kept as one read-only float64 array, `as_array`, in input
     order; `order` is their lexicographic order, and `points` gives the rows
     as tuples of floats, built from the array when first read.
@@ -104,7 +105,7 @@ class PointSet:
     separation constant to 0 and make local counts multiset-dependent.
     """
 
-    def __init__(self, points, provenance=None, dimension: Optional[int] = None):
+    def __init__(self, points, provenance=None):
         if isinstance(points, np.ndarray):
             arr = np.array(points, dtype=float)
         else:
@@ -112,19 +113,12 @@ class PointSet:
             dims = sorted({len(r) for r in rows})
             if len(dims) > 1:
                 raise DimensionMismatchError(f"mixed point dimensions {dims}")
-            if rows:
-                arr = np.array(rows, dtype=float)
-            elif dimension is None:
-                raise PreconditionError("an empty point set needs an explicit dimension")
-            else:
-                arr = np.zeros((0, int(dimension)))
+            if not rows:
+                raise PreconditionError("a point set given as rows needs at least one row")
+            arr = np.array(rows, dtype=float)
         dim = arr.shape[1]
         if dim == 0:
             raise PreconditionError("a point needs at least one coordinate")
-        if dimension is not None and dimension != dim:
-            raise DimensionMismatchError(
-                f"declared dimension {dimension} but points have dimension {dim}"
-            )
         finite = np.isfinite(arr).all(axis=1)
         if not finite.all():
             bad = tuple(arr[np.argmin(finite)].tolist())
@@ -186,6 +180,10 @@ def make_lattice(
     window = float(window)
     if spacing <= 0 or window <= 0:
         raise PreconditionError("lattice spacing and window must be positive")
+    # each axis takes 5 index values at the least, so past 21 axes the budget is exceeded
+    top = _SITE_BUDGET.bit_length()
+    if not 1 <= dimension <= top:
+        raise PreconditionError(f"a lattice needs a dimension in 1..{top}, got {dimension}")
     off = tuple(float(o) for o in offset) if offset is not None else (0.0,) * dimension
     if len(off) != dimension:
         raise DimensionMismatchError("lattice offset dimension mismatch")
@@ -272,7 +270,7 @@ def union_point_sets(members: Sequence[tuple]) -> PointSet:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    min_gap: float
+    min_gap: Optional[float]  # None for fewer than two sites
     delta: float
     part_count: int
     parts: tuple  # tuple of index tuples, partition of range(len(s))
@@ -405,7 +403,7 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     if not (math.isfinite(delta) and delta > 0):
         raise PreconditionError(f"delta must be positive, got {delta}")
     n = len(s)
-    min_gap = min_separation(s) if n >= 2 else math.inf
+    min_gap = min_separation(s) if n >= 2 else None
     if n >= 2 and not 0.0 < min_gap < math.inf:  # a squared gap under- or overflowed
         raise PreconditionError(
             f"the separation of the sites reads {min_gap} in double precision, "
@@ -440,22 +438,6 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     )
 
 
-def count_in_cube(s: PointSet, q) -> int:
-    """Exact number of points in the half-open box q, such as
-    `lpfunc.Box.cube(center, side)`; only q.dim, q.lower and q.upper are read."""
-    if s.dimension != q.dim:
-        raise DimensionMismatchError(
-            f"point set dimension {s.dimension} does not match cube dimension {q.dim}"
-        )
-    if not len(s):
-        return 0
-    arr = s.as_array
-    lo = np.array(q.lower)
-    up = np.array(q.upper)
-    inside = np.all((arr >= lo) & (arr < up), axis=1)
-    return int(inside.sum())
-
-
 def _scaled(arr: np.ndarray, h: float) -> np.ndarray:
     """arr / h, refused where some |x / h| is 2^53 or more: doubles skip
     integers there, so a grid index is lost, and x + h can round back to x,
@@ -470,8 +452,9 @@ def _scaled(arr: np.ndarray, h: float) -> np.ndarray:
 def grid_occupancy(s: PointSet, h: float) -> dict:
     """Counts per grid cube Q_h(h n), n in Z^d; keys are the integer vectors n.
 
-    The grid cubes tile R^d, so the counts sum to len(s).  Bucket membership
-    is snapped to the same half-open comparisons count_in_cube uses.
+    The grid cubes tile R^d, so the counts sum to len(s).  A site counts in
+    the cube of n exactly when h n - h/2 <= x < h n + h/2 on every axis: the
+    rounded index is snapped to these half-open comparisons.
     """
     h = float(h)
     if not (math.isfinite(h) and h > 0):

@@ -118,7 +118,7 @@ class CqSweepRow:
     h: float
     q_norm: float
     p_power_sum: float
-    k_required: float
+    k_required: Optional[float]  # None where the test annihilates the truncation
     localized_mass: float
 
 
@@ -126,8 +126,8 @@ class CqSweepRow:
 class CqSweep:
     rows: tuple
     verdict: str  # "divergent" | "bounded"
-    growth_exponent: float
-    r_squared: float
+    growth_exponent: Optional[float]  # None, as r_squared, where an unbounded row decides
+    r_squared: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -442,7 +442,9 @@ def blowup_witness(
     gamma: PointSet,
     epsilon: float,
     p_prime: float,
-):
+    *,
+    window_side: Optional[float] = None,
+) -> BlowupWitness:
     """Certified mass witness: a center beta and the number of sites gamma with
     |<T_gamma f, T_beta f_dual>| > epsilon, all verified by exact pairing
     (cross_pairings, which reproduces the scalar pair bit for bit).
@@ -457,21 +459,11 @@ def blowup_witness(
     once no candidate left can beat the best count.  count *
     epsilon^{p_prime} is a lower bound on the Bessel power sum at the test
     T_beta f_dual.
+
+    The cube's side depends on f, f_dual and epsilon only, not on the sites:
+    `window_side`, when given, is a side an earlier call returned for the
+    same three, and the grid is not scanned again.
     """
-    return _witness(f, f_dual, gamma, epsilon, p_prime, None)
-
-
-def _witness(
-    f: PiecewiseFn,
-    f_dual: PiecewiseFn,
-    gamma: PointSet,
-    epsilon: float,
-    p_prime: float,
-    h: Optional[float],
-) -> BlowupWitness:
-    """blowup_witness(f, f_dual, gamma, epsilon, p_prime), its window side h
-    given, or found by _window_side when h is None: the side depends on f,
-    f_dual and epsilon only, not on the sites."""
     epsilon = float(epsilon)
     p_prime = float(p_prime)
     if f.dimension != f_dual.dimension or f.dimension != gamma.dimension:
@@ -491,8 +483,7 @@ def _witness(
     if not len(gamma):
         raise PreconditionError("blowup witness needs a nonempty site set")
     eps_power = _finite_power_sum(_power(epsilon, p_prime), f"epsilon ** p_prime at p_prime = {p_prime}")
-    if h is None:
-        h = _window_side(f, f_dual, epsilon)
+    h = _window_side(f, f_dual, epsilon) if window_side is None else window_side
 
     centres = np.array(_window_center_candidates(gamma, h, _MAX_CANDIDATES))
     bad = _first_bad_shift(f_dual, centres)  # what translate refuses, named here
@@ -536,20 +527,6 @@ def _witness(
 
 # ---------------------------------------------------------------------------
 # dual (completeness) side
-
-
-def cq_required_constant(sys: TranslateSystem, test: PiecewiseFn) -> float:
-    """Smallest constant K compatible with (1/K)||test||_q <= (power sum)^{1/p}.
-
-    Any constant valid for the whole dual space must dominate every returned
-    value.  A zero power sum means the test annihilates the truncated system:
-    the required constant is unbounded and +inf is returned.
-    """
-    if test.is_zero:
-        raise PreconditionError("cq_required_constant needs a nonzero test")
-    if test.dimension != sys.dimension:
-        raise DimensionMismatchError("test dimension does not match the system")
-    return _required(sys, test)[2]
 
 
 def _required(sys: TranslateSystem, test: PiecewiseFn) -> tuple:
@@ -652,11 +629,7 @@ def _decreasing(h_values: Sequence[float], least: int, short: str) -> list:
     return hs
 
 
-def cq_indicator_sweep(
-    sys: TranslateSystem,
-    h_values: Sequence[float],
-    fixed_test: Optional[PiecewiseFn] = None,
-) -> CqSweep:
+def cq_indicator_sweep(sys: TranslateSystem, h_values: Sequence[float]) -> CqSweep:
     """Required-constant sweep against the shrinking indicators chi_{Q_2h}.
 
     Each row records the q-norm of the indicator, the p-power pairing sum,
@@ -664,32 +637,26 @@ def cq_indicator_sweep(
     dominates the sum via Holder.  The verdict is "divergent" when log
     K_required against log(1/h), fitted over the smallest half of the h
     values but never fewer than two, has a positive slope with R^2 > 0.99
-    (slopes below 1e-9 count as flat); rows with a zero power sum make the
-    required constant literally unbounded and force the divergent verdict,
-    and a required constant that reads inf or 0 only by rounding is refused.
-    `fixed_test` replaces the indicators by one fixed test in every row, as a
-    flat control experiment.
+    (slopes below 1e-9 count as flat).  A row with a zero power sum makes the
+    required constant literally unbounded: its K_required is None, and in
+    the fitted rows it forces the divergent verdict with no slope or R^2.  A
+    required constant that reads inf or 0 only by rounding is refused.
     """
     hs = _decreasing(h_values, 2, "the sweep needs at least two h values")
     p = sys.p.p
     d = sys.dimension
     rows = []
     for h in hs:
-        if fixed_test is None:
-            test = indicator(Box.cube((0.0,) * d, 2.0 * h))
-        else:
-            test = fixed_test
-        if test.is_zero:
-            raise PreconditionError("sweep test function is zero")
+        test = indicator(Box.cube((0.0,) * d, 2.0 * h))
         for gen in sys.generators:
             _reach_check_set(gen.gamma, gen.f.support_box, test.support_box)
         mass_cube = _bounding_cube(test.support_box)
         qn, psum, k_req = _required(sys, test)
         mass = system_localized_mass(sys, mass_cube, p)
-        rows.append(CqSweepRow(h, qn, psum, k_req, mass))
+        rows.append(CqSweepRow(h, qn, psum, k_req if psum else None, mass))
     tail = rows[-max(2, (len(rows) + 1) // 2) :]
-    if any(math.isinf(r.k_required) for r in tail):
-        verdict, slope, r2 = "divergent", math.inf, 1.0
+    if any(r.k_required is None for r in tail):
+        verdict, slope, r2 = "divergent", None, None
     else:
         xs = np.log([1.0 / r.h for r in tail])
         ys = np.log([r.k_required for r in tail])
@@ -885,13 +852,13 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
                 continue
             accumulation_any = True
             self_pairing = abs(pair(gen.f, gen.f))
-            witness = _witness(
+            witness = blowup_witness(
                 gen.f,
                 gen.f,
                 gen.gamma,
                 config.epsilon_fraction * self_pairing,
                 p_prime,
-                sides.get(i),
+                window_side=sides.get(i),
             )
             sides[i] = witness.window_side
             tests.append(translate(gen.f, witness.beta))

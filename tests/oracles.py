@@ -226,7 +226,7 @@ def centred_counts(arr, h):
 def scan_decompose_separated(s, delta):
     n = len(s)
     arr = s.as_array
-    gap = min_gap(arr) if n >= 2 else math.inf
+    gap = min_gap(arr) if n >= 2 else None
     if n >= 2 and not 0.0 < gap < math.inf:
         raise PreconditionError(
             f"the separation of the sites reads {gap} in double precision, "
@@ -427,10 +427,12 @@ def box_translated(box, offset):
 
 
 def riemann_value(f, xs):
-    """Pointwise evaluation on a 1-d sample grid, independent of pair()."""
-    vals = np.zeros(xs.size, dtype=complex)
+    """Pointwise evaluation at sample points, independent of pair(): xs is
+    a 1-d grid of the line or an (n, d) array of points."""
+    pts = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    vals = np.zeros(len(pts), dtype=complex)
     for box, v in f.pieces:
-        vals[(xs >= box.lower[0]) & (xs < box.upper[0])] += v
+        vals[np.all((pts >= box.lower) & (pts < box.upper), axis=1)] += v
     return vals
 
 

@@ -32,6 +32,7 @@ from oracles import (
     function_spec,
     interval,
     point_set_spec,
+    riemann_value,
     scalar_count,
 )
 
@@ -132,7 +133,7 @@ def test_overlapping_pieces_canonicalized_with_warning():
     }
     with pytest.warns(UserWarning, match="canonicaliz"):
         f = ingest_function(spec)
-    assert f.value_at((0.75,)) == 2.0
+    assert riemann_value(f, np.array([0.25, 0.75, 1.25])).tolist() == [1.0, 2.0, 1.0]
 
 
 def test_emit_json_17_digits_and_specials():
@@ -429,6 +430,28 @@ def test_dichotomy_command(tmp_path):
     assert report["verdicts"]["dichotomy_holds"] is True
 
 
+def test_dichotomy_in_the_plane(tmp_path, capsys):
+    # the unit square over the lattice of spacing 0.02: an inner site has 20
+    # others within 0.05, past the threshold of 10, so each truncation needs
+    # a witness, found in the plane.  At beta = 0 a
+    # site x counts where (1 - |x_0|)(1 - |x_1|) > 1/2, so all 441 sites of
+    # radius 0.2 and all but the 4 corners of radius 0.3; the sweep's tests
+    # reach past both windows
+    square = {"kind": "indicator", "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}
+    fine = {"kind": "lattice", "spacing": 0.02, "window": 0.3, "dimension": 2}
+    system = {"p": 2.0, "generators": [{"f": square, "gamma": fine}]}
+    payload = {**DICHOTOMY, "system": system, "truncation_radii": [0.2, 0.3], "h_values": [0.25, 0.125]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_exit(tmp_path, capsys, payload) == (0, "")
+    dichotomy = read_report(tmp_path, "dichotomy")["outputs"]["dichotomy"]
+    assert dichotomy["accumulation_detected"] is True
+    assert [r["witness_count"] for r in dichotomy["bessel_rows"]] == [441, 957]
+    assert [r["total_sites"] for r in dichotomy["density_rows"]] == [441, 961]
+    assert dichotomy["horn"] == "bessel_divergent"
+    assert dichotomy["cq_failure"].startswith("truncation too small")
+
+
 def test_undetermined_dichotomy_exits_4(tmp_path):
     # the sweep's reach check blocks the cq horn and the Bessel ratios stay
     # flat, so no divergent horn can be certified: a declared verdict failure
@@ -624,6 +647,51 @@ HAAR = {"command": "haar-check", "p": 3.0, "seed": 1, "num_tests": 1, "batch_siz
 GENERATOR = {"f": UNIT_SPEC, "gamma": LATTICE_1D}
 MASS = {"command": "localized-mass", "generator": GENERATOR, "cube": {"center": [0.0], "side": 1.0}}
 DECAY = {"command": "mass-decay", "generator": GENERATOR, "x": [0.0], "h_values": [0.5], "p": 2.0}
+
+
+def _chain_outputs(out, chain):
+    """Run the chain of command specs into `out`; each report's outputs and
+    verdicts, and each CSV's text, by file name."""
+    spec = out / "chain.json"
+    out.mkdir()
+    spec.write_text(json.dumps(chain))
+    assert main(["run", "--spec", str(spec), "--out", str(out / "reports")]) == 0
+    got = {}
+    for path in sorted((out / "reports").iterdir()):
+        if path.suffix == ".json":
+            report = json.loads(path.read_text())
+            got[path.name] = (report["outputs"], report["verdicts"])
+        else:
+            got[path.name] = path.read_text()
+    return got
+
+
+def test_overlapping_function_spec_runs_as_its_disjoint_cells(tmp_path):
+    # canonicalize sums the two pieces on the cells their endpoints cut, so
+    # every command reads the same function from either spec
+    def line(*rows):
+        pieces = [{"lower": [lo], "upper": [up], "re": re, "im": im} for lo, up, re, im in rows]
+        return {"dimension": 1, "pieces": pieces}
+
+    overlapping = line((0.0, 1.0, 1.0, 0.0), (0.5, 1.5, 1.0, 0.5))
+    cells = line((0.0, 0.5, 1.0, 0.0), (0.5, 1.0, 2.0, 0.5), (1.0, 1.5, 1.0, 0.5))
+
+    def chain(f):
+        generator = {"f": f, "gamma": LATTICE_1D}
+        return [
+            {"command": "pair", "h": f, "f": UNIT_SPEC},
+            {"command": "bessel", "system": {"p": 2.0, "generators": [generator]}, "tests": [f, UNIT_SPEC], "p_prime": 2.0},
+            {"command": "cq-sweep", "system": {"p": 2.0, "generators": [generator]}, "h_values": [0.25, 0.125]},
+            {"command": "localized-mass", "generator": generator, "cube": {"center": [0.25], "side": 1.0}, "p": 3.0},
+            {**BLOWUP, "f": f, "f_dual": f, "points": {"kind": "reciprocal", "N": 40}},
+        ]
+
+    with pytest.warns(UserWarning, match="canonicaliz"):
+        got = _chain_outputs(tmp_path / "overlapping", chain(overlapping))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _chain_outputs(tmp_path / "cells", chain(cells))
+    assert len(got) == 6 and got == want
 
 
 @pytest.mark.parametrize(
@@ -1677,3 +1745,202 @@ def test_mass_decay_point_of_another_dimension_exits_3(tmp_path, capsys):
     code, err = _run_exit(tmp_path, capsys, {**DECAY, "x": [0.0, 7.0]})
     assert code == 3 and "dimension" in err and "\n" not in err
     assert not (tmp_path / "mass_decay_report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# spec fuzzes of separate, pair, bessel and dichotomy.  A spec is either well
+# formed, each field small enough to run or extreme, or faulty, where a field
+# may also be of a wrong type, a reference to a file that holds no such
+# value, or left out.  An extreme size is over a budget alone, so it is
+# refused before anything of its size is built
+
+_refs = st.sampled_from(
+    [{"path": "spec.json"}, {"path": "missing.json"}, {"path": 3}, {"path": {"path": "spec.json"}}, "missing.csv"]
+)
+
+
+def _fields(draw, spec, fields, faulty):
+    """spec with each (small, extreme) field of `fields` drawn small seven
+    times as often as extreme; in a faulty spec a field is also, as often as
+    extreme, of a wrong type, a reference or left out."""
+    kinds = ["small"] * 7 + ["extreme"] + (["wrong", "reference", "left out"] if faulty else [])
+    for key, (good, extreme) in fields.items():
+        kind = draw(st.sampled_from(kinds))
+        if kind != "left out":
+            spec[key] = draw({"small": good, "extreme": extreme, "wrong": _wrong, "reference": _refs}[kind])
+    return spec
+
+
+_quarters = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+def _boxes(d, corners=_quarters):
+    sides = st.lists(st.lists(corners, min_size=2, max_size=2, unique=True).map(sorted), min_size=d, max_size=d)
+    return sides.map(lambda s: {"lower": [a for a, _ in s], "upper": [b for _, b in s]})
+
+
+_values = st.sampled_from([1.0, -2.5, 0.5])
+
+
+@st.composite
+def _fuzz_functions(draw, d, faulty):
+    """A function spec in dimension d: an indicator of a box or cube, up to 4
+    pieces that may overlap, or a sampled catalog function."""
+    kind = draw(st.sampled_from(["box", "cube", "pieces", "sampled"]))
+    if kind == "box":
+        fields = {"box": (_boxes(d), _boxes(d, _coordinates)), "value": (_values, _coordinates)}
+        return _fields(draw, {"kind": "indicator"}, fields, faulty)
+    if kind == "cube":
+        fields = {
+            "center": (st.lists(_quarters, min_size=d, max_size=d), st.lists(_coordinates, min_size=d, max_size=d)),
+            "side": (st.sampled_from([0.5, 1.0, 2.0]), _positive),
+        }
+        cube = _fields(draw, {}, fields, faulty)
+        return _fields(draw, {"kind": "indicator", "cube": cube}, {"value": (st.just("1+2j"), _coordinates)}, faulty)
+    if kind == "pieces":
+        boxes = draw(st.lists(_boxes(d), min_size=1, max_size=4))
+        parts = {"re": (_values, _coordinates), "im": (_values, _coordinates)}
+        pieces = [_fields(draw, dict(box), parts, faulty) for box in boxes]
+        return _fields(draw, {"pieces": pieces}, {"dimension": (st.just(d), st.sampled_from([0, 3, 10**30]))}, faulty)
+    fields = {
+        "expression": (st.sampled_from(["gaussian", "tent"]), st.just("no such expression")),
+        "step": (st.sampled_from([0.25, 0.5]), st.sampled_from([5e-324, 1e-10, 0.0, -1.0, 1e300])),
+        "support": (_boxes(d), _boxes(d, _coordinates)),
+        "p": (st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.0, 0.5, 1e300])),
+    }
+    return _fields(draw, {"kind": "sampled"}, fields, faulty)
+
+
+@st.composite
+def _fuzz_points(draw, d, faulty, kinds=("explicit", "lattice", "reciprocal", "union")):
+    """A point-set spec in dimension d (reciprocal families only on the
+    line): at most 4 explicit rows, a lattice of at most 13^d sites, a
+    reciprocal family of at most 20, or a union of two of these."""
+    kind = draw(st.sampled_from([k for k in kinds if d == 1 or k != "reciprocal"]))
+    if kind == "explicit":
+        rows = st.lists(st.lists(_coordinates, min_size=d, max_size=d), min_size=1, max_size=4, unique_by=tuple)
+        return _fields(draw, {"kind": "explicit"}, {"rows": (rows, st.sampled_from([[], [[0.0] * d] * 2]))}, faulty)
+    if kind == "lattice":
+        fields = {
+            "spacing": (st.sampled_from([0.5, 1.0, 1e300]), st.sampled_from([5e-324, 1e-10, 0.0, -1.0])),
+            "window": (st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([1e300, 0.0, -1.0])),
+            "dimension": (st.just(d), st.sampled_from([0, 30, 10**30])),
+        }
+        return _fields(draw, {"kind": "lattice"}, fields, faulty)
+    if kind == "reciprocal":
+        counts = (st.sampled_from([1, 2, 5, 20]), st.sampled_from([0, 2**20 + 1, 10**30, 20.5]))
+        return _fields(draw, {"kind": "reciprocal"}, {"N": counts}, faulty)
+    members = st.lists(_fuzz_points(d, faulty, [k for k in kinds if k != "union"]), min_size=1, max_size=2)
+    children = [{"label": f"m{i}", "points": m} for i, m in enumerate(draw(members))]
+    return _fields(draw, {"kind": "union"}, {"children": (st.just(children), st.just([]))}, faulty)
+
+
+@st.composite
+def _fuzz_systems(draw, d, faulty, kinds=("explicit", "lattice", "reciprocal", "union")):
+    generators = [
+        {"f": draw(_fuzz_functions(d, faulty)), "gamma": draw(_fuzz_points(d, faulty, kinds)), "label": f"g{i}"}
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    fields = {
+        "p": (st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.0, 1e300])),
+        "generators": (st.just(generators), st.just([])),
+    }
+    return _fields(draw, {}, fields, faulty)
+
+
+_p_primes = (st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.0, 1e3, 1e300]))
+
+
+@st.composite
+def _separate_specs(draw):
+    d, faulty = draw(st.integers(1, 3)), draw(st.booleans())
+    points = _fuzz_points(d, faulty)
+    fields = {"points": (points, points), "delta": (_positive, st.sampled_from([0.0, -1.0, 5e-324]))}
+    return _fields(draw, {"command": "separate"}, fields, faulty)
+
+
+@st.composite
+def _pair_specs(draw):
+    d, faulty = draw(st.integers(1, 2)), draw(st.booleans())
+    functions = (_fuzz_functions(d, faulty), _fuzz_functions(3 - d, faulty))
+    fields = {"h": functions}
+    if draw(st.booleans()):
+        fields["freq"] = (st.lists(_quarters, min_size=d, max_size=d), st.lists(_coordinates, max_size=3))
+    else:
+        fields["f"] = functions
+    return _fields(draw, {"command": "pair"}, fields, faulty)
+
+
+@st.composite
+def _bessel_specs(draw):
+    d, faulty = draw(st.integers(1, 2)), draw(st.booleans())
+    tests = st.lists(_fuzz_functions(d, faulty), min_size=1, max_size=3)
+    fields = {
+        "system": (_fuzz_systems(d, faulty), _fuzz_systems(3 - d, faulty)),
+        "tests": (tests, st.lists(_fuzz_functions(3 - d, faulty), max_size=2)),
+        "p_prime": _p_primes,
+    }
+    return _fields(draw, {"command": "bessel"}, fields, faulty)
+
+
+@st.composite
+def _dichotomy_specs(draw):
+    """dichotomy specs whose radii regrow lattices to at most 9^d sites and
+    reciprocal families to at most 2."""
+    d, faulty = draw(st.integers(1, 2)), draw(st.booleans())
+    radii = st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=2, max_size=3, unique=True)
+    hs = st.lists(st.sampled_from([2.0, 0.5, 0.25, 0.125]), min_size=2, max_size=3, unique=True)
+    regrown = ("lattice", "reciprocal", "union")
+    fields = {
+        "system": (_fuzz_systems(d, faulty, regrown), _fuzz_systems(d, faulty, ("explicit", "lattice"))),
+        "truncation_radii": (
+            radii.map(sorted),
+            st.sampled_from([[5.0, 1e300], [1.0, math.inf], [20.5, 40.0], [2.0, 1.0], [1.0]]),
+        ),
+        "h_values": (hs.map(lambda h: sorted(h, reverse=True)), st.sampled_from([[1e300, 1e-300], [1.0, 1.0], [1.0]])),
+        "p_prime": _p_primes,
+        "bessel_tests": (
+            st.lists(_fuzz_functions(d, faulty), max_size=2),
+            st.lists(_fuzz_functions(3 - d, faulty), max_size=1),
+        ),
+        "accumulation_radius": (st.sampled_from([0.05, 0.5, 2.0]), st.sampled_from([5e-324, 1e300])),
+        "accumulation_threshold": (st.sampled_from([2, 3, 10]), st.sampled_from([1, 10**30])),
+        "epsilon_fraction": (st.sampled_from([0.25, 0.5, 0.9]), st.sampled_from([0.0, 1.0, 5e-324])),
+        "bessel_variation_tol": (st.sampled_from([0.01, 0.1]), st.sampled_from([0.0, 1e300])),
+        "subadditivity_h_values": (st.lists(st.sampled_from([0.5, 1.0, 4.0]), max_size=3), st.just([1e300, 1e-300])),
+    }
+    return _fields(draw, {"command": "dichotomy"}, fields, faulty)
+
+
+def test_sweep_over_an_annihilated_indicator_writes_no_infinity(tmp_path, capsys):
+    # 1_[1/4, 1/2) over Z: no translate meets [-1/4, 1/4), so K_required is
+    # unbounded at h = 1/4 and decides the verdict.  The report read
+    # "k_required": Infinity and "growth_exponent": Infinity, found by the
+    # dichotomy spec fuzz below
+    f = {"kind": "indicator", "box": {"lower": [0.25], "upper": [0.5]}}
+    system = {"p": 1.5, "generators": [{"f": f, "gamma": {**LATTICE_1D, "window": 1.0}}]}
+    payload = {"command": "cq-sweep", "system": system, "h_values": [0.5, 0.25]}
+    assert _run_exit(tmp_path, capsys, payload) == (0, "")
+    text = (tmp_path / "cq_sweep_report.json").read_text()
+    assert "Infinity" not in text
+    sweep = json.loads(text)["outputs"]["sweep"]
+    assert [r["k_required"] is None for r in sweep["rows"]] == [False, True]
+    assert (sweep["verdict"], sweep["growth_exponent"], sweep["r_squared"]) == ("divergent", None, None)
+    assert (tmp_path / "cq_sweep.csv").read_text().splitlines()[2].split(",")[3] == ""
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [_separate_specs(), _pair_specs(), _bessel_specs(), _dichotomy_specs()],
+    ids=["separate", "pair", "bessel", "dichotomy"],
+)
+def test_specs_exit_cleanly_with_finite_reports(specs):
+    @settings(max_examples=150, deadline=5000)
+    @given(specs)
+    def run(payload):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning ends the run as an exception
+            warnings.filterwarnings("ignore", "overlapping pieces", UserWarning)  # the spec's own warning
+            _assert_exits_cleanly(payload)
+
+    run()

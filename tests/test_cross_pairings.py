@@ -33,7 +33,6 @@ from lpdensity import (
     sample_catalog_function,
     scale,
     translate,
-    zero_fn,
 )
 from lpdensity import lpfunc, pointset
 from lpdensity import translate_system
@@ -294,7 +293,7 @@ def test_f_shift_that_collapses_a_piece_or_is_not_finite_is_refused(layout):
 
 def test_non_finite_shift_is_refused_even_with_no_term_to_compute():
     h = PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
-    zero = zero_fn(1)
+    zero = PiecewiseFn((), 1)
     for bad in (math.nan, math.inf):
         with pytest.raises(PreconditionError):
             translate(h, bad)
@@ -317,7 +316,7 @@ def test_non_finite_shift_is_refused_even_with_no_term_to_compute():
 @pytest.mark.parametrize("tile", [lpfunc._TILE, 1])
 def test_collapsing_shift_is_refused_even_with_no_term_to_compute(tile):
     h = PiecewiseFn(((Box((0.0,), (1e-12,)), 1.0),), 1)
-    zero = zero_fn(1)
+    zero = PiecewiseFn((), 1)
     with pytest.raises(PreconditionError):
         translate(h, 1e6)
     with mock.patch.object(lpfunc, "_TILE", tile):

@@ -21,8 +21,15 @@ The cubes at p_prime = 3 and p = 3 take shrunk draws: corners k/4 (|k| <=
 2^8, its cube a multiple of 2^-12 below 2^24, and a Bessel power sum over at
 most 2 x 81 sites stays below 2^32, within 44 bits; a localized mass term
 |v|^3 vol is a multiple of 2^-4 below 2^10.
+
+The window counts take sites k/4 (|k| <= 8) and sides k/4 (1 <= k <= 8):
+every face x + h, x +- h/2 and h n +- h/2 is then exact, and many sites lie
+on a closed lower or an open upper face, where an off-by-one would show.
 """
 
+import math
+from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -33,15 +40,18 @@ from lpdensity import (
     Box,
     ExponentPair,
     PiecewiseFn,
+    PointSet,
     bessel_sum,
     cross_pairings,
     lp_norm_pow,
+    grid_occupancy,
     lpfunc,
     make_lattice,
     pair,
     system_localized_mass,
     translate,
 )
+from lpdensity.pointset import anchored_windows, centred_windows
 from lpdensity.translate_system import Generator, TranslateSystem
 
 from oracles import fraction_bessel_sum, fraction_mass, fraction_norm_pow, fraction_pair
@@ -174,3 +184,65 @@ def test_bessel_sums_at_p_prime_3_are_exact(case):
 def test_localized_masses_at_p_3_are_exact(case):
     sys, region = case
     assert system_localized_mass(sys, region, 3.0) == fraction_mass(sys, region, 3)
+
+
+# ---------------------------------------------------------------------------
+# window counts
+
+
+@st.composite
+def dyadic_sites(draw):
+    """(rows, h): up to 12 distinct sites k/4 in 1-d to 3-d and a side k/4."""
+    d = draw(st.integers(1, 3))
+    site = st.tuples(*[st.integers(-8, 8).map(lambda k: k / 4)] * d)
+    return draw(st.lists(site, min_size=1, max_size=12, unique=True)), draw(st.integers(1, 8)) / 4
+
+
+def fraction_count(rows, lower, h) -> int:
+    """The rows in the half-open box prod [lower_j, lower_j + h), in Fractions."""
+    return sum(all(a <= Fraction(x) < a + h for a, x in zip(lower, row)) for row in rows)
+
+
+def windows(centres, counts) -> list:
+    return sorted(zip(map(tuple, centres.tolist()), counts.tolist()))
+
+
+@settings(max_examples=200)
+@given(dyadic_sites())
+def test_grid_occupancy_counts_are_exact(case):
+    rows, h = case
+    H = Fraction(h)
+    # x lies in Q_h(h n) = [h n - h/2, h n + h/2) exactly when n = floor(x/h + 1/2)
+    want = Counter(tuple(math.floor(Fraction(x) / H + Fraction(1, 2)) for x in row) for row in rows)
+    assert grid_occupancy(PointSet(rows), h) == dict(want)
+
+
+@settings(max_examples=200)
+@given(dyadic_sites())
+def test_centred_window_counts_are_exact(case):
+    rows, h = case
+    H = Fraction(h)
+    want = [(row, fraction_count(rows, [Fraction(x) - H / 2 for x in row], H)) for row in rows]
+    assert windows(*centred_windows(PointSet(rows), h, len(rows))) == sorted(want)
+
+
+@settings(max_examples=200)
+@given(dyadic_sites())
+def test_anchored_window_counts_are_exact(case):
+    rows, h = case
+    H, d = Fraction(h), len(rows[0])
+    if d == 1:
+        # [x, x + h) anchored at each site
+        lowers = [(Fraction(x),) for (x,) in rows]
+    elif d == 2:
+        # [x, x + h) x [y, y + h) for each site's x and each y of a site in that slab
+        lowers = sorted(
+            {(Fraction(ax), Fraction(y)) for (ax, _) in rows for (x, y) in rows if ax <= x < ax + h}
+        )
+    else:
+        # the occupied grid cubes [h n - h/2, h n + h/2)
+        keys = {tuple(math.floor(Fraction(x) / H + Fraction(1, 2)) for x in row) for row in rows}
+        lowers = [tuple(k * H - H / 2 for k in key) for key in keys]
+    want = sorted((tuple(float(a + H / 2) for a in lower), fraction_count(rows, lower, H)) for lower in lowers)
+    got = windows(*anchored_windows(PointSet(rows), h, len(rows) ** 2))
+    assert got == want

@@ -59,16 +59,14 @@ def test_index_validation():
 
 def test_haar_fn_mother():
     f = haar_fn(HaarIndex(0, 0), 2.0)
-    assert f.value_at((0.25,)) == 1.0
-    assert f.value_at((0.75,)) == -1.0
+    assert riemann_value(f, np.array([0.25, 0.75])).tolist() == [1.0, -1.0]
 
 
 def test_haar_fn_level_one_values():
     f = haar_fn(HaarIndex(1, 0), 2.0)
-    assert f.value_at((0.1,)) == pytest.approx(math.sqrt(2))
-    assert f.value_at((0.3,)) == pytest.approx(-math.sqrt(2))
+    assert riemann_value(f, np.array([0.1, 0.3])).tolist() == pytest.approx([math.sqrt(2), -math.sqrt(2)])
     g = haar_fn(HaarIndex(1, 0), 3.0)
-    assert abs(g.value_at((0.1,))) == pytest.approx(2 ** (1 / 3))
+    assert abs(riemann_value(g, np.array([0.1]))[0]) == pytest.approx(2 ** (1 / 3))
 
 
 def test_levels_beyond_double_range_are_refused():
@@ -91,7 +89,7 @@ def test_dual_fn_values():
     # p = 2: self-dual; p = 4: q = 4/3, values 2^{3j/4}
     assert dual_fn(HaarIndex(2, 1), 2.0) == haar_fn(HaarIndex(2, 1), 2.0)
     g = dual_fn(HaarIndex(1, 0), 4.0)
-    assert abs(g.value_at((0.1,))) == pytest.approx(2 ** (3 / 4))
+    assert abs(riemann_value(g, np.array([0.1]))[0]) == pytest.approx(2 ** (3 / 4))
 
 
 def test_biorthogonality_exact_to_level_six():
@@ -127,9 +125,8 @@ def test_reconstruction_of_dyadic_functions():
     rebuilt = build_expansion_fn(
         HaarExpansion(tuple(zip(idxs, coeffs))), p
     )
-    for k in range(64):
-        x = (k + 0.5) / 64
-        assert rebuilt.value_at((x,)) == pytest.approx(f.value_at((x,)), abs=1e-12)
+    xs = (np.arange(64) + 0.5) / 64
+    assert riemann_value(rebuilt, xs).tolist() == pytest.approx(riemann_value(f, xs).tolist(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

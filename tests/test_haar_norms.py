@@ -277,6 +277,17 @@ def test_norms_past_the_double_range_are_refused():
     assert estimate == pytest.approx(built_ratio(ok, 3.0), rel=1e-12, abs=0)
 
 
+def test_estimate_refuses_a_norm_that_underflows():
+    # |1e-200|^2 underflows on every cell: the estimate divided by a norm of
+    # 0 and raised ZeroDivisionError
+    tiny = HaarExpansion.from_mapping({HaarIndex(0, 0): 1e-200, HaarIndex(1, 0): 2e-200})
+    for batch in ([tiny], [expansion(((0,), 1.0)), tiny]):
+        with pytest.raises(PreconditionError, match="the Lp norm of an expansion at p = 2.0 reads 0 in double precision"):
+            unconditional_constant_estimate(batch, 2.0, trials=1)
+    # at p = 1 the same coefficients keep a norm, and the ratio
+    assert unconditional_constant_estimate([tiny], 1.0, trials=1) == pytest.approx(built_ratio(tiny, 1.0), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # tiles
 

@@ -8,13 +8,14 @@ import pytest
 from lpdensity import (
     Box,
     DimensionMismatchError,
+    Generator,
     PointSet,
     PreconditionError,
-    count_in_cube,
     decompose_separated,
     density_profile,
     detect_accumulation,
     grid_occupancy,
+    localized_mass,
     make_lattice,
     make_lattice_basis,
     make_reciprocal,
@@ -22,8 +23,9 @@ from lpdensity import (
     nu_plus,
     union_point_sets,
 )
+from lpdensity.pointset import centred_windows
 
-from oracles import brute_nu_plus, exact_chromatic, line_set, min_gap
+from oracles import brute_nu_plus, exact_chromatic, interval, line_set, min_gap
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +45,8 @@ def test_mixed_dimensions_rejected():
 def test_empty_set_needs_dimension():
     with pytest.raises(PreconditionError):
         PointSet(())
-    s = PointSet((), dimension=2)
+    s = PointSet(np.zeros((0, 2)))
+    assert s.dimension == 2
     assert nu_plus(s, 1.0) == (0, 0, True)
 
 
@@ -126,28 +129,33 @@ def test_decompose_delta_positive():
 
 
 # ---------------------------------------------------------------------------
-# count_in_cube
+# half-open counting
 
 
 def test_count_integers_in_unit_cube():
     s = make_lattice(1.0, 5, 1)
-    assert count_in_cube(s, Box.cube((0.0,), 1.0)) == 1
+    assert grid_occupancy(s, 1.0) == {(k,): 1 for k in range(-5, 6)}
 
 
 def test_count_half_open_boundary():
     s = make_lattice(1.0, 5, 1)
-    # Q_2(0.5) = [-0.5, 1.5) holds 0 and 1
-    assert count_in_cube(s, Box.cube((0.5,), 2.0)) == 2
+    # Q_2(2n) = [2n - 1, 2n + 1) holds 2n - 1 and 2n; 2n + 1 is on its right face
+    assert grid_occupancy(s, 2.0) == {(-2,): 2, (-1,): 2, (0,): 2, (1,): 2, (2,): 2, (3,): 1}
 
 
 def test_count_excludes_right_face():
     s = line_set(0, 0.5, 1.0, 2.0)
-    assert count_in_cube(s, Box.cube((0.5,), 1.0)) == 2  # [0,1) excludes 1.0
+    centres, counts = centred_windows(s, 1.0, 4)
+    # Q_1(0.5) = [0, 1) excludes 1.0, Q_1(1.0) = [0.5, 1.5) excludes nothing
+    assert dict(zip(map(tuple, centres.tolist()), counts.tolist())) == {
+        (0.0,): 1, (0.5,): 2, (1.0,): 2, (2.0,): 1
+    }
 
 
 def test_count_dimension_mismatch():
+    gen = Generator(interval(0, 1), line_set(0, 1), "g")
     with pytest.raises(DimensionMismatchError):
-        count_in_cube(line_set(0, 1), Box.cube((0, 0), 1.0))
+        localized_mass(gen, Box.cube((0, 0), 1.0), 2.0)
 
 
 def test_grid_cubes_tile_the_set():
@@ -162,7 +170,8 @@ def test_grid_cubes_tile_the_set():
             # bucket counts agree with direct half-open cube counting
             for key, c in occ.items():
                 cube = Box.cube(tuple(k * h for k in key), h)
-                assert count_in_cube(s, cube) == c
+                inside = (s.as_array >= cube.lower) & (s.as_array < cube.upper)
+                assert int(inside.all(axis=1).sum()) == c
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def union_members(draw):
 @given(union_members())
 def test_union_keeps_the_first_of_coinciding_points(case):
     d, members = case
-    sets = [(f"m{i}", PointSet(rows, dimension=d)) for i, rows in enumerate(members)]
+    sets = [(f"m{i}", PointSet(np.array(rows, dtype=float).reshape(-1, d))) for i, rows in enumerate(members)]
     u = union_point_sets(sets)
     assert hexrows(u.as_array.tolist()) == hexrows(tuple_union(members))
 

@@ -21,7 +21,6 @@ from lpdensity import (
     bessel_sum,
     blowup_witness,
     cq_indicator_sweep,
-    cq_required_constant,
     dichotomy_report,
     localized_mass,
     lp_norm,
@@ -33,11 +32,11 @@ from lpdensity import (
     system_localized_mass,
     translate,
     union_point_sets,
-    zero_fn,
 )
 from lpdensity import translate_system
 from lpdensity.cli import main
 from lpdensity.lpfunc import Box, indicator
+from lpdensity.translate_system import _required
 
 from oracles import budgeted_lsq_error, interval, line_set
 
@@ -55,7 +54,7 @@ def test_power_sums_and_masses_past_the_double_range_are_refused():
     with pytest.raises(PreconditionError, match="overflows double precision"):
         bessel_sum(z_system(f=big), UNIT, 2.0)
     with pytest.raises(PreconditionError, match="overflows double precision"):
-        cq_required_constant(z_system(f=big), UNIT)
+        _required(z_system(f=big), UNIT)[2]
     gen = Generator(big, make_lattice(1.0, 3, 1), "Z")
     with pytest.raises(PreconditionError, match="overflows double precision"):
         localized_mass(gen, Box.cube((0.0,), 1.0), 2.0)
@@ -92,10 +91,8 @@ def test_bessel_sum_partial_overlap():
 
 
 def test_bessel_sum_zero_test_rejected():
-    from lpdensity import zero_fn
-
     with pytest.raises(PreconditionError):
-        bessel_sum(z_system(), zero_fn(1), 2.0)
+        bessel_sum(z_system(), PiecewiseFn((), 1), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +130,7 @@ _BESSEL_REFUSALS = [
          f"p_prime must lie in (1, inf), got {p_prime}")
         for p_prime in (1.0, 0.5, math.nan, math.inf)
     ),
-    ([UNIT, zero_fn(1)], 2.0, None,
+    ([UNIT, PiecewiseFn((), 1)], 2.0, None,
      {"tests": [_UNIT_SPEC, {**_UNIT_SPEC, "value": 0.0}]},
      PreconditionError, "zero test function 'test-1'"),
     ([UNIT, indicator(Box((0.0, 0.0), (1.0, 1.0)))], 2.0, None,
@@ -313,14 +310,14 @@ def test_blowup_witness_sound_against_bessel_sum():
 
 
 # ---------------------------------------------------------------------------
-# cq_required_constant
+# the required constant of one test
 
 
 def test_cq_required_closed_form():
     sys_ = z_system(window=20)
     for h in (0.25, 0.0625):
         test = interval(-h, h)
-        assert cq_required_constant(sys_, test) == pytest.approx(h**-0.5, rel=1e-12)
+        assert _required(sys_, test)[2] == pytest.approx(h**-0.5, rel=1e-12)
 
 
 def test_cq_required_translation_covariance():
@@ -329,14 +326,14 @@ def test_cq_required_translation_covariance():
     shifted = PointSet(tuple((x[0] + beta,) for x in make_lattice(1.0, 20, 1).points))
     sys_b = TranslateSystem((Generator(UNIT, shifted, "Z+b"),), ExponentPair(2.0))
     test = interval(-0.25, 0.25)
-    assert cq_required_constant(sys_b, translate(test, (beta,))) == pytest.approx(
-        cq_required_constant(sys_a, test), rel=1e-12
+    assert _required(sys_b, translate(test, (beta,)))[2] == pytest.approx(
+        _required(sys_a, test)[2], rel=1e-12
     )
 
 
 def test_cq_required_unbounded_witness():
     sys_ = TranslateSystem((Generator(UNIT, line_set(100.0), "far"),), ExponentPair(2.0))
-    assert cq_required_constant(sys_, interval(-0.25, 0.25)) == math.inf
+    assert _required(sys_, interval(-0.25, 0.25))[2] == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +351,17 @@ def test_sweep_matches_closed_form_and_diverges():
     assert sw.r_squared > 0.999
 
 
-def test_sweep_fixed_test_is_bounded():
-    sw = cq_indicator_sweep(
-        z_system(window=20), [2.0**-k for k in range(2, 8)], fixed_test=UNIT
-    )
-    ks = [r.k_required for r in sw.rows]
-    assert max(ks) == pytest.approx(min(ks), rel=1e-12)
-    assert sw.verdict == "bounded"
-
-
 def test_sweep_with_two_h_values_fits_both_rows():
     # the fit runs over at least two rows: one row gives polyfit a
-    # minimum-norm slope with R^2 = 1
+    # minimum-norm slope with R^2 = 1.  The translates of 1_[0, 1/16) over
+    # (1/16)Z tile the line, so every indicator of side 2h >= 1/8 pairs with
+    # 32h of them to 1/16 each: K_required = (2h)^(1/2) / (h/8)^(1/2) = 4
+    tiles = Generator(interval(0.0, 0.0625), make_lattice(0.0625, 1.0, 1), "tiles")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flat = cq_indicator_sweep(
-            z_system(window=20), [0.25, 0.125], fixed_test=interval(0.0, 0.5)
-        )
+        flat = cq_indicator_sweep(TranslateSystem((tiles,), ExponentPair(2.0)), [0.25, 0.125])
         sw = cq_indicator_sweep(z_system(window=20), [0.25, 0.125])
-    assert [r.k_required for r in flat.rows] == [pytest.approx(math.sqrt(2), rel=1e-12)] * 2
+    assert [r.k_required for r in flat.rows] == [pytest.approx(4.0, rel=1e-12)] * 2
     assert flat.verdict == "bounded" and abs(flat.growth_exponent) <= 1e-9
     assert sw.verdict == "divergent"
     assert sw.growth_exponent == pytest.approx(0.5, abs=1e-9)
@@ -381,8 +370,8 @@ def test_sweep_with_two_h_values_fits_both_rows():
 def test_sweep_empty_overlap_unbounded_rows():
     sys_ = TranslateSystem((Generator(UNIT, line_set(100.0), "far"),), ExponentPair(2.0))
     sw = cq_indicator_sweep(sys_, [0.25, 0.125])
-    assert all(math.isinf(r.k_required) for r in sw.rows)
-    assert sw.verdict == "divergent"
+    assert all(r.p_power_sum == 0.0 and r.k_required is None for r in sw.rows)
+    assert sw.verdict == "divergent" and sw.growth_exponent is None and sw.r_squared is None
 
 
 def test_sweep_reach_check_rejects_small_lattice_window():
@@ -529,7 +518,7 @@ def test_synthesis_oracle_consistent_with_required_constant():
         if not pieces:
             continue
         test = PiecewiseFn(tuple(pieces), 1)
-        k_req = cq_required_constant(sys_, test)
+        k_req = _required(sys_, test)[2]
         if math.isinf(k_req):
             continue
         budget = 0.8 * k_req
