@@ -135,8 +135,9 @@ def _cmd_blowup(spec, ctx):
     f_dual = ingest_function(_need(spec, "f_dual"), ctx.inputs)
     gamma = ingest_points(_need(spec, "points"), ctx.inputs)
     p_prime = _number(spec, "p_prime")
+    p = ExponentPair(_number(spec, "p", 2.0))  # refused before the witness's scan
     witness = blowup_witness(f, f_dual, gamma, _number(spec, "epsilon"), p_prime)
-    system = TranslateSystem((Generator(f, gamma, "gen"),), ExponentPair(_number(spec, "p", 2.0)))
+    system = TranslateSystem((Generator(f, gamma, "gen"),), p)
     direct = bessel_sum(system, translate(f_dual, witness.beta), p_prime)
     verdicts = {"witness_sound": witness.sum_lower_bound <= direct}
     return {"witness": witness, "direct_bessel_sum": direct}, verdicts, {}
@@ -190,7 +191,7 @@ def _cmd_mass_decay(spec, ctx):
 
 
 def _cmd_haar_check(spec, ctx):
-    p = _number(spec, "p")
+    p = ExponentPair(_number(spec, "p")).p
     cutoff = _need_int(spec, "cutoff", 6)
     terms = _need_int(spec, "terms", 12)
     if not 1 <= terms <= _MAX_TERMS:
@@ -257,6 +258,14 @@ def _cmd_dichotomy(spec, ctx):
     sys_ = ingest_system(_need(spec, "system"), ctx.inputs)
     tests = _need_list(spec, "bessel_tests") if "bessel_tests" in spec else None
     tol = {**_need_object(spec, "tolerances", {}), **spec}  # flat keys win over the block
+    # a tolerance the spec leaves out takes DichotomyConfig's default
+    readers = {
+        "accumulation_radius": _number,
+        "accumulation_threshold": _need_int,
+        "epsilon_fraction": _number,
+        "bessel_variation_tol": _number,
+        "subadditivity_h_values": _need_floats,
+    }
     config = DichotomyConfig(
         truncation_radii=tuple(_need_floats(spec, "truncation_radii")),
         sweep_h_values=tuple(_need_floats(spec, "h_values")),
@@ -264,13 +273,7 @@ def _cmd_dichotomy(spec, ctx):
         bessel_tests=tuple(ingest_function(t, ctx.inputs) for t in tests)
         if tests
         else None,
-        accumulation_radius=_number(tol, "accumulation_radius", 0.05),
-        accumulation_threshold=_need_int(tol, "accumulation_threshold", 10),
-        epsilon_fraction=_number(tol, "epsilon_fraction", 0.5),
-        bessel_variation_tol=_number(tol, "bessel_variation_tol", 0.10),
-        subadditivity_h_values=tuple(
-            _need_floats(tol, "subadditivity_h_values", (1.0, 2.0, 4.0))
-        ),
+        **{key: read(tol, key) for key, read in readers.items() if key in tol},
     )
     report = dichotomy_report(sys_, config)
     verdicts = {

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import DimensionMismatchError, PreconditionError
 from .lpfunc import (
     Box,
+    ExponentPair,
     PiecewiseFn,
+    _exponent,
     _finite_power_sum,
     _value,
     canonicalize,
@@ -89,9 +91,7 @@ def haar_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
     [k 2^{-j}, (k+1) 2^{-j}); the constant index is chi_[0,1).  Endpoints are
     dyadic, hence exact.
     """
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1):
-        raise PreconditionError(f"haar_fn needs p >= 1, got {p}")
+    p = _exponent(p, "p", norm=True)
     if idx.is_constant:
         return PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
     lo, mid, hi, v = _halves(idx, p)
@@ -247,9 +247,7 @@ def expansion_norms(batch: Sequence[HaarExpansion], p: float) -> list:
     skipping empty and zero cells, with Python's abs and ** (numpy's complex
     modulus can differ in the last bit).
     """
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1):
-        raise PreconditionError(f"lp norms need p >= 1, got {p}")
+    p = _exponent(p, "p", norm=True)
     batch = list(batch)
     widest = max([len(e) for e in batch] + [1])
     step = max(1, _TILE // (3 * widest))
@@ -317,7 +315,7 @@ def unconditional_constant_estimate(
     product of all of them gives.  sign_pattern_count sizes every expansion
     before any is evaluated.
     """
-    p = float(p)
+    p = _exponent(p, "p", norm=True)
     trials = int(trials)
     expansions = list(expansions)
     if not expansions:
@@ -390,8 +388,6 @@ def _sandwich_rows(batch: Sequence[HaarExpansion], p: float) -> tuple:
     rounds to 0 or past the double range is refused: a nonzero expansion has
     three positive norms, and the ratios need them finite.
     """
-    if not (math.isfinite(p) and p > 1):
-        raise PreconditionError(f"p must lie in (1, inf), got {p}")
     if any(len(exp) == 0 for exp in batch):
         raise PreconditionError("empty expansion has no sandwich")
     mids = expansion_norms(batch, p)
@@ -417,7 +413,7 @@ def coefficient_sandwich_check(batch: Sequence[HaarExpansion], p: float) -> Sand
     smallest constants making lhs <= lower*mid and mid <= upper*rhs hold over
     the whole batch; by construction the batch itself has zero violations.
     """
-    p = float(p)
+    p = _exponent(p, "p")
     batch = list(batch)
     if not batch:
         raise PreconditionError("empty batch")
@@ -501,10 +497,8 @@ def prop43_check(p: float, cutoff: int, tests: Sequence[PiecewiseFn]) -> Prop43R
     norms are reported in both the q- and p-readings rather than assumed
     seminormalized.
     """
-    p = float(p)
-    if not (math.isfinite(p) and p > 1):
-        raise PreconditionError(f"p must lie in (1, inf), got {p}")
-    q = conjugate_exponent(p)
+    exponents = ExponentPair(p)
+    p, q = exponents.p, exponents.q
     tests = list(tests)
     if not tests:
         raise PreconditionError("prop43_check needs at least one test")

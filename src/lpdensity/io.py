@@ -252,13 +252,9 @@ def ingest_function(source, inputs: Optional[Inputs] = None) -> PiecewiseFn:
         expression = _need(spec, "expression")
         if not isinstance(expression, str):
             raise InputError(f"'expression' must be a string, got {expression!r}")
-        fn, _err = sample_catalog_function(
-            expression,
-            _number(spec, "step"),
-            _box_spec(_need(spec, "support")),
-            _number(spec, "p", 2.0),
+        return sample_catalog_function(
+            expression, _number(spec, "step"), _box_spec(_need(spec, "support"))
         )
-        return fn
     if kind is None and "pieces" in spec:
         dim = _need_int(spec, "dimension")
         pieces = _need_list(spec, "pieces")

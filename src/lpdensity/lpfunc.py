@@ -180,6 +180,16 @@ def indicator(box: Box, value: complex = 1.0) -> PiecewiseFn:
     return PiecewiseFn(((box, complex(value)),), box.dim)
 
 
+def _exponent(value, name: str, norm: bool = False) -> float:
+    """value as a float, refused unless it lies in (1, inf), the range of
+    the exponents p, q and p_prime, or in [1, inf) where `norm` marks the
+    exponent of an Lp norm."""
+    x = float(value)
+    if not (math.isfinite(x) and (x >= 1 if norm else x > 1)):
+        raise PreconditionError(f"{name} must lie in {'[' if norm else '('}1, inf), got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class ExponentPair:
     """Conjugate exponents 1/p + 1/q = 1 with 1 < p < infinity; q is derived."""
@@ -188,18 +198,13 @@ class ExponentPair:
     q: float = field(init=False)
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (math.isfinite(p) and p > 1):
-            raise PreconditionError(f"exponent p must lie in (1, inf), got {p}")
+        p = _exponent(self.p, "p")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", p / (p - 1))
 
 
 def conjugate_exponent(p: float) -> float:
-    p = float(p)
-    if not (math.isfinite(p) and p > 1):
-        raise PreconditionError(f"exponent must lie in (1, inf), got {p}")
-    return p / (p - 1)
+    return ExponentPair(p).q
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +232,7 @@ def lp_norm_pow(f: PiecewiseFn, p: float) -> float:
     """sum |v|^p vol over the pieces: the p-th power of the Lp norm, computed
     without the root/power round trip (keeps dyadic masses exact).  A sum
     past the double range is refused."""
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1):
-        raise PreconditionError(f"lp norms need p >= 1, got {p}")
+    p = _exponent(p, "p", norm=True)
     total = 0.0
     for box, v in f.pieces:
         total += _power(abs(v), p) * box.volume
@@ -660,20 +663,17 @@ def canonicalize(pieces, dimension: Optional[int] = None) -> PiecewiseFn:
 # ---------------------------------------------------------------------------
 # sampled closed-form functions
 
-# name -> (pointwise evaluator on a coordinate tuple, per-dimension Lipschitz bound)
+# name -> pointwise evaluator on a coordinate tuple
 SAMPLER_CATALOG = {
-    "gaussian": (lambda x: math.exp(-sum(t * t for t in x)), math.sqrt(2.0 / math.e)),
-    "tent": (lambda x: math.prod(max(0.0, 1.0 - abs(t)) for t in x), 1.0),
+    "gaussian": lambda x: math.exp(-sum(t * t for t in x)),
+    "tent": lambda x: math.prod(max(0.0, 1.0 - abs(t)) for t in x),
 }
 
 
-def sample_catalog_function(name: str, step: float, support: Box, p: float):
-    """Midpoint-sample a catalog function onto a grid of side `step`.
-
-    Returns (PiecewiseFn, lp_error_bound).  The bound is the grid oscillation
-    estimate L * sqrt(d)/2 * step times vol(support)^{1/p}, where L bounds the
-    gradient norm of the sampled expression; dyadic steps keep the cell
-    endpoints exact.  A grid of more than _SITE_BUDGET cells is refused.
+def sample_catalog_function(name: str, step: float, support: Box) -> PiecewiseFn:
+    """Midpoint-sample a catalog function onto a grid of side `step`; dyadic
+    steps keep the cell endpoints exact.  A grid of more than _SITE_BUDGET
+    cells is refused.
     """
     if name not in SAMPLER_CATALOG:
         raise PreconditionError(
@@ -682,8 +682,7 @@ def sample_catalog_function(name: str, step: float, support: Box, p: float):
     step = float(step)
     if not (math.isfinite(step) and step > 0):
         raise PreconditionError(f"grid step must be positive, got {step}")
-    func, lip_per_dim = SAMPLER_CATALOG[name]
-    d = support.dim
+    func = SAMPLER_CATALOG[name]
     spans = [(b - a) / step for a, b in zip(support.lower, support.upper)]
     # an infinite span fails the first test, before math.ceil sees it
     if any(s > _SITE_BUDGET for s in spans) or math.prod(map(math.ceil, spans)) > _SITE_BUDGET:
@@ -700,7 +699,4 @@ def sample_catalog_function(name: str, step: float, support: Box, p: float):
         v = func(mid)
         if v != 0:
             pieces.append((Box(lo, up), complex(v)))
-    fn = _build(tuple(pieces), d)
-    grad_bound = lip_per_dim * math.sqrt(d)
-    error = grad_bound * (step * math.sqrt(d) / 2.0) * support.volume ** (1.0 / float(p))
-    return fn, error
+    return _build(tuple(pieces), support.dim)

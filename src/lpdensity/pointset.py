@@ -9,6 +9,7 @@ All coordinates are double precision and every membership test is an exact
 half-open comparison (no epsilon), so counts are deterministic.
 """
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -303,6 +304,21 @@ class NuPlusBound(NamedTuple):
 # operations
 
 
+def _positive_run(values, name: str, least: int, increasing: Optional[bool] = None) -> list:
+    """values as floats, refused unless at least `least` of them, each
+    positive and finite, and strictly increasing or decreasing where
+    `increasing` is True or False; `name` names the run in the refusal."""
+    xs = [float(v) for v in values]
+    if len(xs) < least:
+        raise PreconditionError(f"{name} must hold {least} or more values, got {xs}")
+    if not all(math.isfinite(x) and x > 0 for x in xs):
+        raise PreconditionError(f"{name} must be positive and finite, got {xs}")
+    steps = zip(xs, xs[1:]) if increasing else zip(xs[1:], xs)
+    if increasing is not None and any(b <= a for a, b in steps):
+        raise PreconditionError(f"{name} must be strictly {'in' if increasing else 'de'}creasing, got {xs}")
+    return xs
+
+
 # (site, band member) pairs per scratch tile in the fixed-radius scans
 _PAIR_TILE = 1 << 12
 
@@ -398,6 +414,8 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     the first part whose members all lie at distance >= delta (non-strict, so
     boundary gaps are deterministic).  The part count is an upper bound on the
     chromatic number of the conflict graph with edges at distance < delta.
+    Conflicts are read one tile of pairs at a time, so memory is O(n) plus
+    one tile, whatever delta.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
@@ -411,24 +429,33 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
         )
     ranked = s.as_array[s.order]
     d2_min = delta * delta
-    # the earlier sites each site conflicts with, by position in `ranked`
-    if s.dimension == 1:
-        a = _band_starts(ranked[:, 0], d2_min)
-        earlier = [range(lo, pos) for pos, lo in enumerate(a.tolist())]
-    else:
-        earlier = [[] for _ in range(n)]
+
+    def conflicts():
+        # (pos, near) in increasing pos: positions in `ranked` earlier than
+        # pos that conflict with it, a slice in 1-d; in d >= 2 index arrays,
+        # one per tile of _close_earlier that holds pairs of pos
+        if s.dimension == 1:
+            a = _band_starts(ranked[:, 0], d2_min)
+            yield from ((pos, slice(lo, pos)) for pos, lo in enumerate(a.tolist()) if lo < pos)
+            return
         for i, j, _ in _close_earlier(ranked, d2_min):
-            for later, k in zip(i.tolist(), j.tolist()):
-                earlier[later].append(k)
-    part: list = []  # part index per position
-    for near in earlier:
-        used = set(map(part.__getitem__, near))
-        k = 0
-        while k in used:
-            k += 1
-        part.append(k)
-    members: list = [[] for _ in range(max(part, default=-1) + 1)]
-    for i, k in zip(s.order.tolist(), part):
+            cuts = np.flatnonzero(np.diff(i, prepend=-1, append=-1)).tolist()
+            for lo, hi in zip(cuts, cuts[1:]):
+                yield int(i[lo]), j[lo:hi]
+
+    part = np.zeros(n, dtype=np.intp)  # a position with no conflict takes part 0
+    taken = np.zeros(n + 1, dtype=bool)  # the parts the current position's conflicts hold
+    cur, top = -1, 1  # the position being gathered, and a bound on the parts so far
+    for pos, near in itertools.chain(conflicts(), [(n, slice(0, 0))]):
+        if pos != cur:
+            if cur >= 0:  # every conflict of cur is gathered: take the least free part
+                part[cur] = k = int(taken[: top + 1].argmin())
+                taken[: top + 1] = False
+                top = max(top, k + 1)
+            cur = pos
+        taken[part[near]] = True
+    members: list = [[] for _ in range(int(part.max(initial=-1)) + 1)]
+    for i, k in zip(s.order.tolist(), part.tolist()):
         members[k].append(i)
     return SeparationReport(
         min_gap=min_gap,
@@ -547,13 +574,7 @@ def density_profile(s: PointSet, h_values: Sequence[float]) -> DensityProfile:
     whose h^d reads 0 or past the double range, and a ratio past the double
     range, are refused.
     """
-    hs = [float(h) for h in h_values]
-    if not hs:
-        raise PreconditionError("h_values must be nonempty")
-    if any(not (math.isfinite(h) and h > 0) for h in hs):
-        raise PreconditionError("h_values must be positive reals")
-    if any(b <= a for a, b in zip(hs, hs[1:])):
-        raise PreconditionError("h_values must be strictly increasing")
+    hs = _positive_run(h_values, "h_values", 1, increasing=True)
     prov = s.provenance
     extent = prov.window_extent if prov is not None else None
     if extent is not None and max(hs) > extent:

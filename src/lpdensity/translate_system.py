@@ -21,6 +21,7 @@ from .lpfunc import (
     Box,
     ExponentPair,
     PiecewiseFn,
+    _exponent,
     _finite_power_sum,
     _first_bad_shift,
     _pairing_blocks,
@@ -44,6 +45,7 @@ from .pointset import (
     detect_accumulation,
     min_separation,
     nu_plus,
+    _positive_run,
     union_point_sets,
 )
 
@@ -198,18 +200,11 @@ def _system_power_sums(sys: TranslateSystem, tests: Sequence[PiecewiseFn], expon
 # Bessel side
 
 
-def _bessel_exponent(p_prime: float) -> float:
-    p_prime = float(p_prime)
-    if not (math.isfinite(p_prime) and p_prime > 1):
-        raise PreconditionError(f"p_prime must lie in (1, inf), got {p_prime}")
-    return p_prime
-
-
 def bessel_sum(sys: TranslateSystem, h: PiecewiseFn, p_prime: float) -> float:
     """Power sum sum_k sum_gamma |<h, T_gamma f_k>|^{p_prime} over the truncation."""
     if h.is_zero:
         raise PreconditionError("bessel_sum needs a nonzero test function")
-    p_prime = _bessel_exponent(p_prime)
+    p_prime = _exponent(p_prime, "p_prime")
     if h.dimension != sys.dimension:
         raise DimensionMismatchError("test function dimension does not match the system")
     return _system_power_sums(sys, [h], p_prime)[0]
@@ -252,7 +247,7 @@ def bessel_bound_estimate(
         raise PreconditionError("labels must match tests one to one")
     # every refusal before any sum, but for a q-norm past the double range,
     # which follows the sums, so that an overflowing power sum is named first
-    p_prime = _bessel_exponent(p_prime)
+    p_prime = _exponent(p_prime, "p_prime")
     for tid, t in zip(ids, tests):
         if t.is_zero:
             raise PreconditionError(f"zero test function {tid!r}")
@@ -465,7 +460,7 @@ def blowup_witness(
     same three, and the grid is not scanned again.
     """
     epsilon = float(epsilon)
-    p_prime = float(p_prime)
+    p_prime = _exponent(p_prime, "p_prime")
     if f.dimension != f_dual.dimension or f.dimension != gamma.dimension:
         raise DimensionMismatchError("f, f_dual and gamma must share a dimension")
     try:
@@ -593,11 +588,6 @@ def _reach_check_set(gamma: PointSet, f_box: Box, test_box: Box) -> None:
         return
 
 
-def _bounding_cube(box: Box) -> Box:
-    center = tuple((a + b) / 2 for a, b in zip(box.lower, box.upper))
-    return Box.cube(center, max(b - a for a, b in zip(box.lower, box.upper)))
-
-
 def system_localized_mass(sys: TranslateSystem, region: Box, p: float) -> float:
     """sum_k sum_gamma ||restrict(T_gamma f_k, region)||_p^p."""
     total = 0.0
@@ -609,24 +599,11 @@ def system_localized_mass(sys: TranslateSystem, region: Box, p: float) -> float:
 def _generator_mass(gen: Generator, region: Box, p: float) -> float:
     if gen.f.dimension != region.dim:
         raise DimensionMismatchError("cube dimension does not match the generator")
-    p = float(p)
+    p = _exponent(p, "p", norm=True)  # before the walk, which may meet no site
     total = 0.0
     for site, _ in _meeting_sites(gen, [region]):
         total += lp_norm_pow(restrict(translate(gen.f, site), region), p)
     return _finite_power_sum(total, f"the localized mass at p = {p}")
-
-
-def _decreasing(h_values: Sequence[float], least: int, short: str) -> list:
-    """h_values as floats, refused with `short` when fewer than `least`, and
-    unless positive, finite and strictly decreasing."""
-    hs = [float(h) for h in h_values]
-    if len(hs) < least:
-        raise PreconditionError(short)
-    if any(not (math.isfinite(h) and h > 0) for h in hs):
-        raise PreconditionError("h_values must be positive")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise PreconditionError("h_values must be strictly decreasing")
-    return hs
 
 
 def cq_indicator_sweep(sys: TranslateSystem, h_values: Sequence[float]) -> CqSweep:
@@ -642,7 +619,7 @@ def cq_indicator_sweep(sys: TranslateSystem, h_values: Sequence[float]) -> CqSwe
     the fitted rows it forces the divergent verdict with no slope or R^2.  A
     required constant that reads inf or 0 only by rounding is refused.
     """
-    hs = _decreasing(h_values, 2, "the sweep needs at least two h values")
+    hs = _positive_run(h_values, "h_values", 2, increasing=False)
     p = sys.p.p
     d = sys.dimension
     rows = []
@@ -650,9 +627,8 @@ def cq_indicator_sweep(sys: TranslateSystem, h_values: Sequence[float]) -> CqSwe
         test = indicator(Box.cube((0.0,) * d, 2.0 * h))
         for gen in sys.generators:
             _reach_check_set(gen.gamma, gen.f.support_box, test.support_box)
-        mass_cube = _bounding_cube(test.support_box)
         qn, psum, k_req = _required(sys, test)
-        mass = system_localized_mass(sys, mass_cube, p)
+        mass = system_localized_mass(sys, test.support_box, p)
         rows.append(CqSweepRow(h, qn, psum, k_req if psum else None, mass))
     tail = rows[-max(2, (len(rows) + 1) // 2) :]
     if any(r.k_required is None for r in tail):
@@ -716,10 +692,10 @@ def localized_mass(gen: Generator, region: Box, p: float) -> LocalizedMassReport
 
 def mass_decay_sweep(gen: Generator, x: Sequence[float], h_values: Sequence[float], p: float) -> tuple:
     """Masses at the nested cubes Q_h(x) for decreasing h; nonincreasing by nesting."""
-    hs = _decreasing(h_values, 1, "h_values must be nonempty")
+    hs = _positive_run(h_values, "h_values", 1, increasing=False)
     out = []
     for h in hs:
-        out.append((h, _generator_mass(gen, Box.cube(x, h), float(p))))
+        out.append((h, _generator_mass(gen, Box.cube(x, h), p)))
     return tuple(out)
 
 
@@ -805,14 +781,11 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
     horn holds; asserting both bounded is the contradiction the experiment is
     built to rule out.
     """
-    radii = [float(r) for r in config.truncation_radii]
-    if len(radii) < 2:
-        raise PreconditionError("growth study needs at least two truncation radii")
-    if any(not (math.isfinite(r) and r > 0) for r in radii):
-        raise PreconditionError(f"truncation radii must be positive and finite, got {radii}")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise PreconditionError("truncation radii must be strictly increasing")
-    p_prime = float(config.p_prime)
+    radii = _positive_run(config.truncation_radii, "truncation radii", 2, increasing=True)
+    # checked here, so that a malformed run is refused, not kept as cq_failure
+    sweep_hs = _positive_run(config.sweep_h_values, "h_values", 2, increasing=False)
+    sub_hs = _positive_run(config.subadditivity_h_values, "subadditivity_h_values", 0)
+    p_prime = _exponent(config.p_prime, "p_prime")
     tol = float(config.bessel_variation_tol)
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"bessel_variation_tol must be positive and finite, got {tol}")
@@ -893,7 +866,7 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
     cq_failure = None
     cq_bounded: Optional[bool] = None
     try:
-        cq_sweep_result = cq_indicator_sweep(sys_r, config.sweep_h_values)
+        cq_sweep_result = cq_indicator_sweep(sys_r, sweep_hs)
         cq_bounded = cq_sweep_result.verdict == "bounded"
     except PreconditionError as exc:
         cq_failure = str(exc)
@@ -909,10 +882,10 @@ def dichotomy_report(sys: TranslateSystem, config: DichotomyConfig) -> Dichotomy
         union = sys_r.generators[0].gamma
     sub_rows = []
     if parts is not None:
-        for h in config.subadditivity_h_values:
+        for h in sub_hs:
             u = nu_plus(union, h)
             s = sum(nu_plus(member, h).upper for _, member in parts)
-            sub_rows.append(SubadditivityRow(float(h), u.lower, s, u.lower <= s))
+            sub_rows.append(SubadditivityRow(h, u.lower, s, u.lower <= s))
     subadditivity_holds = all(r.holds for r in sub_rows)
 
     bessel_div = not bessel_bounded

@@ -1079,7 +1079,7 @@ def test_explicit_pieces_over_the_budget_exit_3(tmp_path, capsys, h, message):
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "re": "x"}]}), "'re'"),
         (_pair({**PIECES_FN, "pieces": [{"lower": [0.0], "upper": [1.0], "im": [1]}]}), "'im'"),
         (_pair({**SAMPLED_FN, "step": "x"}), "step"),
-        (_pair({**SAMPLED_FN, "p": "x"}), "'p'"),
+        ({"command": "cq-sweep", "system": {**SYSTEM, "p": None}, "h_values": [0.5, 0.25]}, "'p'"),
         (_pair({**PIECES_FN, "pieces": 3}), "'pieces'"),
         ({"command": "pair", "h": UNIT_SPEC, "freq": "ab"}, "'freq'"),
         ({"command": "pair", "h": UNIT_SPEC, "freq": 3}, "'freq'"),
@@ -1806,7 +1806,6 @@ def _fuzz_functions(draw, d, faulty):
         "expression": (st.sampled_from(["gaussian", "tent"]), st.just("no such expression")),
         "step": (st.sampled_from([0.25, 0.5]), st.sampled_from([5e-324, 1e-10, 0.0, -1.0, 1e300])),
         "support": (_boxes(d), _boxes(d, _coordinates)),
-        "p": (st.sampled_from([1.5, 2.0, 3.0]), st.sampled_from([1.0, 0.5, 1e300])),
     }
     return _fields(draw, {"kind": "sampled"}, fields, faulty)
 
@@ -1944,3 +1943,64 @@ def test_specs_exit_cleanly_with_finite_reports(specs):
             _assert_exits_cleanly(payload)
 
     run()
+
+
+# a refusal each that runs through main only here: (payload, the field its
+# one stderr line names); a CSV file named "ragged.csv" holds rows of two lengths
+_REFUSED_FIELDS = [
+    ({**_density(LATTICE_1D), "h_values": []}, "h_values"),
+    ({**_density(LATTICE_1D), "h_values": [-1.0]}, "h_values"),
+    ({**_density(LATTICE_1D), "h_values": [2.0, 1.0]}, "h_values"),
+    (_density({**LATTICE_1D, "offset": [0.0, 0.0]}), "lattice offset"),
+    (_density({"kind": "lattice", "basis": [[1.0, 0.0]], "window": 3}), "lattice basis"),
+    (_density({"kind": "explicit", "rows": [[math.inf]]}), "point coordinates"),
+    (_density({"path": "ragged.csv"}), "point dimensions"),
+    ({**BLOWUP, "points": {"kind": "explicit", "rows": [[0.0, 0.0], [0.5, 0.0]]}}, "dimension"),
+    ({**HAAR, "cutoff": -1}, "cutoff"),
+    ({**DICHOTOMY, "truncation_radii": [5]}, "truncation radii"),
+    ({**DICHOTOMY, "truncation_radii": [5, 3]}, "truncation radii"),
+    ({**DICHOTOMY, "accumulation_radius": 0}, "radius"),
+    ({**DICHOTOMY, "accumulation_threshold": 1}, "threshold"),
+    ({"command": "cq-sweep", "system": SYSTEM, "h_values": [1.0]}, "h_values"),
+    ({**DECAY, "h_values": [1.0, 2.0]}, "h_values"),
+]
+
+
+@pytest.mark.parametrize("payload, field", _REFUSED_FIELDS)
+def test_refused_field_exits_3_with_one_line(tmp_path, capsys, payload, field):
+    (tmp_path / "ragged.csv").write_text("0.0,0.0\n1.0\n")
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and field in err and "\n" not in err, err
+
+
+_ONE_SITE = {"f": UNIT_SPEC, "gamma": {"kind": "explicit", "rows": [[100.0]]}}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # no site meets the cube, so no Lp norm was formed and the total read 0
+        *({**MASS, "generator": _ONE_SITE, "p": p} for p in (0.5, "NaN", -3)),
+        {**DECAY, "generator": {**_ONE_SITE, "gamma": {"kind": "explicit", "rows": [[100.0], [200.0]]}}, "p": -1},
+        # the sweep's refusal was kept as cq_failure, and the run ended on its verdicts
+        *({**DICHOTOMY, "h_values": h_values} for h_values in ([-1, -2], [0.125, 0.25], [0.25])),
+        # one lattice generator forms no subadditivity row, where the values were checked
+        {**DICHOTOMY, "subadditivity_h_values": [-1.0]},
+    ],
+    ids=["mass-p-0.5", "mass-p-nan", "mass-p-minus-3", "decay-p-minus-1", "dichotomy-h-negative",
+         "dichotomy-h-increasing", "dichotomy-one-h", "dichotomy-subadditivity-h-negative"],
+)
+def test_exponent_or_h_value_refused_before_any_report(tmp_path, capsys, payload):
+    code, err = _run_exit(tmp_path, capsys, payload)
+    assert code == 3 and "\n" not in err, err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_sampled_function_reads_no_exponent(tmp_path, capsys):
+    # "p" fed only an error bound that no report held; 0 ended in a ZeroDivisionError
+    for d in ("zero", "none"):
+        (tmp_path / d).mkdir()
+    assert _run_exit(tmp_path / "zero", capsys, _pair({**SAMPLED_FN, "p": 0})) == (0, "")
+    assert _run_exit(tmp_path / "none", capsys, _pair(SAMPLED_FN)) == (0, "")
+    pairings = [read_report(tmp_path / d, "pair")["outputs"]["pairing"] for d in ("zero", "none")]
+    assert pairings[0] == pairings[1] == {"im": 0.0, "re": 0.5}

@@ -189,8 +189,8 @@ def test_translated_right_argument_is_bit_identical_to_scalar_pair(case, layout)
 
 
 def test_sampled_functions_on_grid_and_off_grid_shifts():
-    gauss, _ = sample_catalog_function("gaussian", 1 / 8, Box((-3.0,), (3.0,)), 2.0)
-    tent, _ = sample_catalog_function("tent", 1 / 3, Box((-1.0,), (1.0,)), 2.0)
+    gauss = sample_catalog_function("gaussian", 1 / 8, Box((-3.0,), (3.0,)))
+    tent = sample_catalog_function("tent", 1 / 3, Box((-1.0,), (1.0,)))
     shifts = np.array([[k / 8] for k in range(-60, 61, 7)] + [[1 / k] for k in range(1, 30)])
     assert_matches_scalar(gauss, tent, shifts)
     assert_matches_scalar(tent, gauss, shifts)
@@ -352,7 +352,7 @@ def test_shift_that_overflows_a_corner_is_refused_like_translate():
 def test_memory_stays_bounded_on_large_functions():
     # 384 x 384 piece pairs at 2000 shifts: an unpruned broadcast would hold
     # 2000 * 384 * 384 complex terms, about 4.7 GB
-    gauss, _ = sample_catalog_function("gaussian", 1 / 64, Box((-3.0,), (3.0,)), 2.0)
+    gauss = sample_catalog_function("gaussian", 1 / 64, Box((-3.0,), (3.0,)))
     assert len(gauss.pieces) == 384
     shifts = np.array([[1 / k] for k in range(1, 2001)])
     tracemalloc.start()
@@ -877,7 +877,7 @@ def test_witness_memory_with_a_many_piece_dual_is_bounded():
     # translated corners alone are 2 x 192 x 1024 doubles, 3.1 MB, where the
     # set-up translates them in tiles and each block only its own; a first
     # call leaves out numpy's one-time allocations
-    gauss, _ = sample_catalog_function("gaussian", 1 / 32, Box((-3.0,), (3.0,)), 2.0)
+    gauss = sample_catalog_function("gaussian", 1 / 32, Box((-3.0,), (3.0,)))
     f = PiecewiseFn(((Box((0.0,), (1 / 16,)), 1.0),), 1)
     gamma = make_reciprocal(520)
     epsilon = abs(pair(f, gauss)) / 2

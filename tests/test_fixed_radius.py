@@ -234,3 +234,18 @@ def test_lattice_scans_stay_under_16_mb(name, run, want):
         tracemalloc.stop()
     assert got == want
     assert peak < 16e6, name
+
+
+def test_separation_at_a_wide_delta_stays_under_4_mb():
+    # delta 1e10 puts all 2,412,306 pairs of the 2,197 sites in conflict; the
+    # per-site conflict lists held every one of them, about 78 MB
+    s = make_lattice(0.5, 3, 3)
+    assert len(s) == 2197
+    tracemalloc.start()
+    try:
+        report = decompose_separated(s, 1e10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.parts == tuple((i,) for i in s.order.tolist())
+    assert peak < 4e6

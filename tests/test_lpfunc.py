@@ -457,7 +457,10 @@ def test_canonicalize_2d_cross():
 
 def test_sampled_gaussian_error_bound():
     support = Box((-3.0,), (3.0,))
-    fn, bound = sample_catalog_function("gaussian", 1 / 64, support, 2.0)
+    fn = sample_catalog_function("gaussian", 1 / 64, support)
+    # the grid oscillation bound L * step / 2 * vol(support)^(1/2), with
+    # sqrt(2/e) the largest slope of exp(-x^2)
+    bound = math.sqrt(2.0 / math.e) * (1 / 64) / 2.0 * math.sqrt(6.0)
     xs = np.linspace(-3, 3, 50_000, endpoint=False) + 3 / 50_000
     exact = np.exp(-(xs**2))
     approx = riemann_value(fn, xs).real
@@ -467,9 +470,8 @@ def test_sampled_gaussian_error_bound():
 
 
 def test_sampled_tent_hits_exact_values_on_grid_centers():
-    fn, bound = sample_catalog_function("tent", 0.25, Box((-1.0,), (1.0,)), 1.5)
+    fn = sample_catalog_function("tent", 0.25, Box((-1.0,), (1.0,)))
     assert riemann_value(fn, np.array([0.125]))[0] == pytest.approx(1.0 - 0.125)
-    assert bound > 0
 
 
 @pytest.mark.parametrize(
@@ -482,12 +484,12 @@ def test_sampled_tent_hits_exact_values_on_grid_centers():
 )
 def test_sampled_grid_over_the_budget_is_refused(step, support):
     with pytest.raises(PreconditionError, match="1048576 cells"):
-        sample_catalog_function("tent", step, support, 2.0)
+        sample_catalog_function("tent", step, support)
 
 
 def test_sampled_unknown_name():
     with pytest.raises(PreconditionError):
-        sample_catalog_function("sinc", 0.1, Box((0.0,), (1.0,)), 2.0)
+        sample_catalog_function("sinc", 0.1, Box((0.0,), (1.0,)))
 
 
 def test_modulated_2d_general_frequency_vs_riemann():
