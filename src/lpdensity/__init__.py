@@ -60,7 +60,7 @@ from .io import (
     ingest_system,
 )
 from .haar_uncond import (
-    HaarExpansion,
+    HaarBatch,
     HaarIndex,
     Prop43Report,
     build_expansion_fn,

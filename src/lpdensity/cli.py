@@ -26,8 +26,7 @@ from .errors import InputError, PreconditionError
 from .haar_uncond import (
     _INDEX_BUDGET,
     _SLACK,
-    HaarExpansion,
-    HaarIndex,
+    HaarBatch,
     burkholder_constant,
     coefficient_sandwich_check,
     count_sandwich_violations,
@@ -295,13 +294,12 @@ def _random_test_fn(rng) -> PiecewiseFn:
 
 
 # random expansions draw their indices from levels 0.._LEVELS - 1, which hold
-# _MAX_TERMS distinct indices; _HAAR_TABLE[2^j - 1 + k] is HaarIndex(j, k)
+# _MAX_TERMS distinct indices, keys 1.._MAX_TERMS
 _LEVELS = 6
 _MAX_TERMS = 2**_LEVELS - 1
-_HAAR_TABLE = tuple(HaarIndex(j, k) for j in range(_LEVELS) for k in range(2**j))
 
 
-def _random_expansions(rng, terms: int, count: int) -> list:
+def _random_expansions(rng, terms: int, count: int) -> HaarBatch:
     """count expansions of terms distinct indices each.
 
     Each draw is a uniform level below _LEVELS, a uniform offset within it and
@@ -309,23 +307,37 @@ def _random_expansions(rng, terms: int, count: int) -> list:
     terms distinct indices in draw order, a repeated index taking the
     coefficient drawn last.  Draws come in blocks, one row of 2 terms draws
     per expansion; an expansion still short after its row carries on into the
-    next block, which holds rows for the short expansions only.
+    next block, which holds rows for the short expansions only.  The draws
+    go straight into the arrays of a HaarBatch, with no per-term object.
     """
-    rows = [{} for _ in range(count)]
-    short = list(range(count))
-    while short:
-        levels = rng.integers(0, _LEVELS, size=(len(short), 2 * terms))
-        offsets = rng.integers(0, 1 << levels)
-        coeffs = rng.normal(size=(len(short), 2 * terms, 2)).view(np.complex128)[..., 0]
-        keys = (1 << levels) - 1 + offsets
-        for r, row_keys, row_coeffs in zip(short, keys.tolist(), coeffs.tolist()):
-            row = rows[r]
-            for key, c in zip(row_keys, row_coeffs):
-                row[_HAAR_TABLE[key]] = c
-                if len(row) == terms:
-                    break
-        short = [r for r in short if len(rows[r]) < terms]
-    return [HaarExpansion.from_mapping(row) for row in rows]
+    size = _MAX_TERMS + 1
+    bits = np.uint64(1) << np.arange(size, dtype=np.uint64)  # bits[key] marks a held key
+    held = np.zeros(count, dtype=np.uint64)
+    sizes = np.zeros(count, dtype=np.int64)
+    # each block's taken draws, flat (expansion, key), in draw order
+    cells, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    short = np.arange(count)
+    while short.size:
+        keys = 1 << rng.integers(0, _LEVELS, size=(len(short), 2 * terms))  # 2^j
+        keys += rng.integers(0, keys)  # 2^j + k
+        drawn = rng.normal(size=(len(short), 2 * terms, 2)).view(np.complex128)[..., 0]
+        mask, n = held[short], sizes[short]
+        taken = np.empty(keys.shape, dtype=bool)
+        for t, column in enumerate(keys.T):
+            # an expansion takes its draws up to the one that fills it
+            taken[:, t] = live = n < terms
+            bit = np.where(live, bits[column], np.uint64(0))
+            n += live & (mask & bit == 0)
+            mask |= bit
+        held[short], sizes[short] = mask, n
+        keys += short[:, None] * size
+        cells.append(keys[taken])
+        coeffs.append(drawn[taken])
+        short = short[n < terms]
+    # the last draw of each index wins: the first in reverse draw order
+    cells, last = np.unique(np.concatenate(cells)[::-1], return_index=True)
+    coeffs = np.concatenate(coeffs)[::-1][last]
+    return HaarBatch((cells % size).reshape(count, terms), coeffs.reshape(count, terms))
 
 
 COMMANDS = {

@@ -22,7 +22,6 @@ from .lpfunc import (
     PiecewiseFn,
     _exponent,
     _finite_power_sum,
-    _value,
     canonicalize,
     conjugate_exponent,
     lp_norm,
@@ -40,16 +39,11 @@ class HaarIndex(namedtuple("HaarIndex", "level offset")):
 
     def __new__(cls, level: int, offset: int = 0):
         level, offset = int(level), int(offset)
-        if level == -1:
-            if offset != 0:
-                raise PreconditionError("the constant index has offset 0")
-        elif level >= 0:
-            if not 0 <= offset < 2**level:
-                raise PreconditionError(
-                    f"offset {offset} out of range [0, 2^{level}) for level {level}"
-                )
-        else:
-            raise PreconditionError(f"invalid Haar level {level}")
+        if level < -1 or not 0 <= offset < (1 << level if level >= 0 else 1):
+            raise PreconditionError(
+                f"invalid Haar index: level {level}, offset {offset}; level j >= 0 has offsets "
+                "0..2^j - 1, and the constant is level -1, offset 0"
+            )
         return super().__new__(cls, level, offset)
 
     @classmethod
@@ -94,14 +88,13 @@ def haar_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
     p = _exponent(p, "p", norm=True)
     if idx.is_constant:
         return PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
-    lo, mid, hi, v = _halves(idx, p)
+    lo, mid, hi, v = _halves(*idx, p)
     return PiecewiseFn(((Box((lo,), (mid,)), v), (Box((mid,), (hi,)), -v)), 1)
 
 
-def _halves(idx: HaarIndex, p: float) -> tuple:
-    """(lo, mid, hi, v): the non-constant haar_fn(idx, p) is v on [lo, mid)
-    and -v on [mid, hi)."""
-    j, k = idx.level, idx.offset
+def _halves(j: int, k: int, p: float) -> tuple:
+    """(lo, mid, hi, v): the haar_fn of level j >= 0, offset k at p is v on
+    [lo, mid) and -v on [mid, hi)."""
     try:
         lo = k * 2.0**-j
         mid = (2 * k + 1) * 2.0 ** -(j + 1)
@@ -152,41 +145,66 @@ def haar_pairings(hs: Iterable, cutoff: int, p: float):
         yield {i: pair(h, fn(i)) for i in paired}
 
 
-@dataclass(frozen=True)
-class HaarExpansion:
-    """Finite complex coefficient map over Haar indices; zeros are dropped and
-    a coefficient that is not finite is refused."""
+def _level_offset(key: int) -> tuple:
+    """The (j, k) of the key 2^j + k, and (-1, 0) of the constant's key 0."""
+    j = key.bit_length() - 1
+    return (j, key - (1 << j)) if key else (-1, 0)
 
-    terms: tuple  # ((HaarIndex, complex), ...) sorted by index
 
-    def __post_init__(self):
-        seen = set()
-        cleaned = []
-        for idx, c in self.terms:
-            if not isinstance(idx, HaarIndex):
-                raise PreconditionError("expansion keys must be HaarIndex values")
-            if idx in seen:
-                raise PreconditionError(f"repeated index {idx} in expansion")
-            seen.add(idx)
-            c = _value(c)
-            if c != 0:
-                cleaned.append((idx, c))
-        cleaned.sort(key=lambda t: t[0])
-        object.__setattr__(self, "terms", tuple(cleaned))
+class HaarBatch:
+    """Finite complex Haar expansions, one a row of two (n, width) arrays:
+    keys, int64, 2^j + k for the index (j, k) and 0 for the constant, and
+    coeffs, complex.  Each row holds its terms in increasing key order, then
+    padding (key -1, coefficient 0); width is the most terms of a row.  An
+    entry of coefficient 0 is dropped, whatever its key; a coefficient that
+    is not finite, a negative key and a key repeated in a row are refused.
+    The arrays are C-contiguous and read-only."""
 
-    @classmethod
-    def from_mapping(cls, mapping) -> "HaarExpansion":
-        return cls(tuple(mapping.items()))
+    __slots__ = ("keys", "coeffs")
+
+    def __init__(self, keys, coeffs):
+        keys, coeffs = np.asarray(keys), np.asarray(coeffs, dtype=complex)
+        if keys.ndim != 2 or keys.shape != coeffs.shape or keys.size and keys.dtype.kind not in "iu":
+            raise PreconditionError(
+                f"a Haar batch needs int64 keys and coefficients of one (n, width) shape, "
+                f"got {keys.dtype} keys of shape {keys.shape} and {coeffs.shape} coefficients"
+            )
+        if not np.isfinite(coeffs).all():
+            raise PreconditionError("expansion coefficients must be finite")
+        live = coeffs != 0
+        keys = np.where(live, keys.astype(np.int64), -1)
+        if (keys[live] < 0).any():
+            raise PreconditionError(f"invalid Haar key {keys[live].min()}: keys are 2^j + k, or 0 for the constant")
+        order = np.lexsort((keys, ~live), axis=-1)  # live terms first, in increasing key order
+        keys, coeffs = (np.take_along_axis(a, order, axis=1) for a in (keys, np.where(live, coeffs, 0)))
+        repeated = np.argwhere((keys[:, 1:] == keys[:, :-1]) & (keys[:, 1:] >= 0))
+        if len(repeated):
+            r, t = repeated[0].tolist()
+            raise PreconditionError(f"repeated index {_level_offset(int(keys[r, t]))} in row {r}")
+        width = int(live.sum(axis=1).max(initial=0))
+        self.keys, self.coeffs = (np.ascontiguousarray(a[:, :width]) for a in (keys, coeffs))
+        self.keys.flags.writeable = self.coeffs.flags.writeable = False
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The terms of each row."""
+        return (self.keys >= 0).sum(axis=1)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.keys)
+
+    def __getitem__(self, rows) -> "HaarBatch":
+        """The batch of the rows numpy indexing selects; one row for an int."""
+        return HaarBatch(np.atleast_2d(self.keys[rows]), np.atleast_2d(self.coeffs[rows]))
 
 
-def build_expansion_fn(exp: HaarExpansion, p: float) -> PiecewiseFn:
-    """The step function sum_i a_i haar_fn(i, p), assembled exactly."""
+def build_expansion_fn(row: HaarBatch, p: float) -> PiecewiseFn:
+    """The step function sum_i a_i haar_fn(i, p) of a one-row batch,
+    assembled exactly."""
+    (keys,), (coeffs,) = row.keys.tolist(), row.coeffs.tolist()
     raw = []
-    for idx, c in exp.terms:
-        raw.extend(scale(haar_fn(idx, p), c).pieces)
+    for key, c in zip(keys, coeffs):
+        raw.extend(scale(haar_fn(HaarIndex(*_level_offset(key)), p), c).pieces)
     return canonicalize(raw, 1)
 
 
@@ -196,70 +214,60 @@ def build_expansion_fn(exp: HaarExpansion, p: float) -> PiecewiseFn:
 _TILE = 1 << 12
 
 
-def _cut_grid(batch: Sequence[HaarExpansion], p: float):
-    """Cell widths, coefficients and a generator of term values on the cut grid.
+def _cut_grid(keys: np.ndarray, p: float):
+    """Cell widths and a generator of term values on the cut grid of a tile.
 
-    Each expansion gets one row of 3 * width cuts, width the most terms of
-    an expansion in the batch: the sorted endpoints of its terms' halves,
-    the grid canonicalize would cut, padded with empty zero terms at 1.0.
-    Between the cuts lie 3 * width - 1 cells; repeated endpoints and the
-    padding give empty ones.  The generator yields, term by term in sorted
+    keys are rows and leading columns of a HaarBatch's keys.  Each row gets
+    3 * width cuts: the sorted endpoints of its terms' halves, the grid
+    canonicalize would cut, padding giving empty zero terms at 1.0.  Between
+    the cuts lie 3 * width - 1 cells; repeated endpoints and the padding
+    give empty ones.  The generator yields, term by term in key
     order, each term's +-2^{j/p} on the cells it covers and 0 elsewhere, as
-    a (batch, cells) array.  Every array holds O(batch * width) elements,
-    so callers pass one tile of expansions at a time.
+    a (rows, cells) array.  _halves fills a table once per distinct key,
+    and every array holds O(rows * width) elements, so callers pass one
+    tile of rows at a time.
     """
-    halves = {HaarIndex.constant(): (0.0, 1.0, 1.0, 1.0)}  # one piece: 1 on [0, 1)
-    width = max((len(e) for e in batch), default=0)
-    # per term: lo, mid, hi, v, Re c, Im c; one flat list, so that no
-    # per-term tuple is made
-    flat = []
-    for exp in batch:
-        for idx, c in exp.terms:
-            if idx not in halves:
-                halves[idx] = _halves(idx, p)
-            flat += halves[idx]
-            flat.append(c.real)
-            flat.append(c.imag)
-        flat += (1.0, 1.0, 1.0, 0.0, 0.0, 0.0) * (width - len(exp))  # empty, zero
-    lo, mid, hi, v, cr, ci = np.array(flat, dtype=float).reshape(len(batch), width, 6).T
-    cuts = np.sort(np.concatenate([lo, mid, hi]), axis=0).T  # (batch, 3 * width)
+    distinct, at = np.unique(keys, return_inverse=True)
+    known = {-1: (1.0, 1.0, 1.0, 0.0), 0: (0.0, 1.0, 1.0, 1.0)}  # padding at 1.0, the constant on [0, 1)
+    table = [known[k] if k in known else _halves(*_level_offset(k), p) for k in distinct.tolist()]
+    lo, mid, hi, v = np.array(table, dtype=float).reshape(-1, 4)[at.reshape(keys.shape)].T
+    cuts = np.sort(np.concatenate([lo, mid, hi]), axis=0).T  # (rows, 3 * width)
     left, right = cuts[:, :-1], cuts[:, 1:]
 
     def values():
-        for t in range(width):
+        for t in range(keys.shape[1]):
             up = (lo[t][:, None] <= left) & (right <= mid[t][:, None])
             down = (mid[t][:, None] <= left) & (right <= hi[t][:, None])
             yield np.where(up, v[t][:, None], np.where(down, -v[t][:, None], 0.0))
 
-    coeffs = np.stack([cr.T, ci.T], axis=-1).view(complex)[..., 0]  # the bits of each c
-    return right - left, coeffs, values()
+    return right - left, values()
 
 
-def expansion_norms(batch: Sequence[HaarExpansion], p: float) -> list:
-    """lp_norm(build_expansion_fn(e, p), p) for every expansion e, bit for bit.
+def expansion_norms(batch: HaarBatch, p: float) -> list:
+    """lp_norm(build_expansion_fn(batch[r], p), p) for every row r, bit for bit.
 
     No Box or PiecewiseFn is built.  The batch goes through _cut_grid one
-    tile at a time: as many expansions as the widest one's cuts fit in
-    _TILE elements, each tile padded only to its own widest expansion, so
-    scratch memory does not grow with the batch.  On the cells, each term
-    adds complex(+-v) * c, as CPython multiplies, in sorted term order on
-    the cells it covers; each row's norm is summed left to right in Python,
-    skipping empty and zero cells, with Python's abs and ** (numpy's complex
-    modulus can differ in the last bit).
+    tile at a time: as many rows as the widest one's cuts fit in _TILE
+    elements, each tile cut to its own widest row, so scratch memory does
+    not grow with the batch.  On the cells, each term adds complex(+-v) * c,
+    as CPython multiplies, in key order on the cells it covers; each row's
+    norm is summed left to right in Python, skipping empty and zero cells,
+    with Python's abs and ** (numpy's complex modulus can differ in the
+    last bit).
     """
     p = _exponent(p, "p", norm=True)
-    batch = list(batch)
-    widest = max([len(e) for e in batch] + [1])
-    step = max(1, _TILE // (3 * widest))
+    sizes = batch.sizes
+    step = max(1, _TILE // (3 * int(sizes.max(initial=1))))
     norms = []
     for k in range(0, len(batch), step):
-        norms += _tile_norms(batch[k : k + step], p)
+        width = int(sizes[k : k + step].max())
+        norms += _tile_norms(batch.keys[k : k + step, :width], batch.coeffs[k : k + step, :width], p)
     return norms
 
 
-def _tile_norms(tile: list, p: float) -> list:
-    """expansion_norms of one tile of expansions."""
-    widths, coeffs, values = _cut_grid(tile, p)
+def _tile_norms(keys: np.ndarray, coeffs: np.ndarray, p: float) -> list:
+    """expansion_norms of one tile of rows."""
+    widths, values = _cut_grid(keys, p)
     cells = np.zeros(widths.shape, dtype=complex)
     # a cell past the double range is refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,9 +275,9 @@ def _tile_norms(tile: list, p: float) -> list:
             # s * c casts s to s + 0j: the operands CPython's complex(s) * c has
             cells = np.where(s != 0.0, cells + s * c[:, None], cells)
     norms = []
-    for row, row_w in zip(cells.tolist(), widths.tolist()):
+    for row, row_w in zip(cells, widths):
         total = 0.0
-        for z, w in zip(row, row_w):
+        for z, w in zip(row.tolist(), row_w.tolist()):
             if w > 0.0 and z:
                 try:
                     total += abs(z) ** p * w
@@ -297,37 +305,36 @@ def sign_pattern_count(terms: int, trials: int) -> int:
 
 
 def unconditional_constant_estimate(
-    expansions: Sequence[HaarExpansion],
+    batch: HaarBatch,
     p: float,
     trials: int,
     seed: int = 0,
 ) -> float:
-    """max over sign patterns theta and family members of ||S_theta x||_p / ||x||_p.
+    """max over sign patterns theta and rows x of ||S_theta x||_p / ||x||_p.
 
     Supports of size <= 12 are enumerated exhaustively (the first sign is
     pinned to +1 since theta and -theta give equal norms); larger supports are
-    sampled with `trials` seeded patterns, drawn whole for each expansion.
-    Always >= 1: the identity pattern is included; an expansion whose norm
-    reads 0 is refused.  Norms come from
-    (patterns x terms) @ (terms x cells) products on the _cut_grid cells, so
-    they agree with expansion_norms to rounding; the patterns go through one
-    tile of at most _TILE cells at a time, and every norm has the bits one
-    product of all of them gives.  sign_pattern_count sizes every expansion
-    before any is evaluated.
+    sampled with `trials` seeded patterns, drawn whole for each row.  Always
+    >= 1: the identity pattern is included; a row whose norm reads 0 is
+    refused.  Norms come from (patterns x terms) @ (terms x cells) products
+    on the _cut_grid cells, so they agree with expansion_norms to rounding;
+    the patterns go through one tile of at most _TILE cells at a time, and
+    every norm has the bits one product of all of them gives.
+    sign_pattern_count sizes every row before any is evaluated.
     """
     p = _exponent(p, "p", norm=True)
     trials = int(trials)
-    expansions = list(expansions)
-    if not expansions:
+    if not len(batch):
         raise PreconditionError("need at least one expansion")
-    counts = [sign_pattern_count(len(exp), trials) for exp in expansions]
+    sizes = batch.sizes.tolist()
+    counts = [sign_pattern_count(n, trials) for n in sizes]
     rng = np.random.default_rng(seed)
     best = 1.0
-    for exp, rows in zip(expansions, counts):
-        n = len(exp)
-        widths, coeffs, values = _cut_grid([exp], p)
+    for r, (n, rows) in enumerate(zip(sizes, counts)):
+        a = batch.coeffs[r, :n]
+        widths, values = _cut_grid(batch.keys[r : r + 1, :n], p)
         m = np.concatenate(list(values))  # (terms, cells)
-        a, w = coeffs[0], widths[0]
+        w = widths[0]
         if n > 12:
             sampled = rng.choice((1.0, -1.0), size=(rows, n))
         step = max(1, _TILE // m.shape[1])
@@ -378,25 +385,32 @@ class SandwichReport:
     upper_constant: float
 
 
-def _sandwich_rows(batch: Sequence[HaarExpansion], p: float) -> tuple:
-    """(lhs, mid, rhs) of the coefficient sandwich at p for every expansion,
-    with every mid from one expansion_norms call.
+def _sandwich_rows(batch: HaarBatch, p: float) -> tuple:
+    """(lhs, mid, rhs) of the coefficient sandwich at p for every row, with
+    every mid from one expansion_norms call.
 
     mid is the exact expansion norm; for 1 < p <= 2 the flanks are the
     coefficient l2 norm (left) and lp norm (right), mirrored for p >= 2.
-    lhs / mid and mid / rhs are at most burkholder_constant(p).  A norm that
-    rounds to 0 or past the double range is refused: a nonzero expansion has
-    three positive norms, and the ratios need them finite.
+    The flanks' sums are taken for all the rows of a size at once, with the
+    bits of numpy's sum over one expansion's terms, which padding would
+    regroup; each root is a numpy scalar's, whose ** can differ in the last
+    bit from numpy's array power.  lhs / mid and mid / rhs are at most
+    burkholder_constant(p).  A norm that rounds to 0 or past the double
+    range is refused: a nonzero expansion has three positive norms, and the
+    ratios need them finite.
     """
-    if any(len(exp) == 0 for exp in batch):
+    sizes = batch.sizes
+    if not sizes.all():
         raise PreconditionError("empty expansion has no sandwich")
     mids = expansion_norms(batch, p)
-    rows = []
+    sums, rows = np.empty((len(batch), 2)), []
     with np.errstate(over="ignore"):  # a flank past the double range is refused below
-        for exp, mid in zip(batch, mids):
-            a = np.array([c for _, c in exp.terms], dtype=complex)
-            l2 = float(np.sqrt((np.abs(a) ** 2).sum()))
-            lp = float(((np.abs(a) ** p).sum()) ** (1.0 / p))
+        for n in np.unique(sizes).tolist():
+            of_size = sizes == n
+            mags = np.abs(batch.coeffs[of_size, :n])
+            sums[of_size] = np.stack(((mags**2).sum(axis=1), (mags**p).sum(axis=1)), axis=1)
+        for (l2_sum, lp_sum), mid in zip(sums, mids):
+            l2, lp = float(np.sqrt(l2_sum)), float(lp_sum ** (1.0 / p))
             if not (0.0 < l2 < math.inf and 0.0 < mid < math.inf and 0.0 < lp < math.inf):
                 raise PreconditionError(
                     f"a sandwich norm of an expansion at p = {p} is 0 or overflows double "
@@ -406,16 +420,15 @@ def _sandwich_rows(batch: Sequence[HaarExpansion], p: float) -> tuple:
     return tuple(rows)
 
 
-def coefficient_sandwich_check(batch: Sequence[HaarExpansion], p: float) -> SandwichReport:
-    """Per-expansion sandwich triples plus the batch-fitted constants.
+def coefficient_sandwich_check(batch: HaarBatch, p: float) -> SandwichReport:
+    """Per-row sandwich triples plus the batch-fitted constants.
 
     lower_constant = max(lhs/mid) and upper_constant = max(mid/rhs) are the
     smallest constants making lhs <= lower*mid and mid <= upper*rhs hold over
     the whole batch; by construction the batch itself has zero violations.
     """
     p = _exponent(p, "p")
-    batch = list(batch)
-    if not batch:
+    if not len(batch):
         raise PreconditionError("empty batch")
     rows = _sandwich_rows(batch, p)
     lower = max(r.lhs / r.mid for r in rows)

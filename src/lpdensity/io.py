@@ -221,8 +221,13 @@ def _points_from_csv(text: str, path: Path) -> PointSet:
             raise InputError(f"{path}:{lineno}: non-numeric field in {row}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
+    first, width = rows[0][0], len(rows[0][1])
     seen = {}
     for lineno, coords in rows:
+        if len(coords) != width:
+            raise PreconditionError(
+                f"{path}:{lineno}: mixed point dimensions, {len(coords)} here and {width} at line {first}"
+            )
         if coords in seen:
             raise PreconditionError(
                 f"{path}:{lineno}: duplicate point {list(coords)} (first at line {seen[coords]})"

@@ -257,12 +257,16 @@ def union_point_sets(members: Sequence[tuple]) -> PointSet:
     if len(dims) != 1:
         raise DimensionMismatchError(f"union members have mixed dimensions {sorted(dims)}")
     rows = np.concatenate([ps.as_array for _, ps in members])
-    # a stable sort keeps coinciding rows in member order, so the first of
-    # each run of equal rows is the one met first
-    rows = rows[np.lexsort(rows.T[::-1])]
+    return PointSet(rows[_distinct_rows(rows)], provenance=UnionProvenance(members=members))
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The position of the first of each run of equal rows (-0.0 equals 0.0),
+    in lexicographic order of the rows."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = ~(rows[1:] == rows[:-1]).all(axis=1)
-    return PointSet(rows[first], provenance=UnionProvenance(members=members))
+    first[1:] = ~(rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    return order[first]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +325,8 @@ def _positive_run(values, name: str, least: int, increasing: Optional[bool] = No
 
 # (site, band member) pairs per scratch tile in the fixed-radius scans
 _PAIR_TILE = 1 << 12
+# the most (site, earlier band member) pairs decompose_separated visits, about 6 s of first-fit
+_SEPARATE_PAIR_BUDGET = 1 << 26
 
 
 def _band_starts(xs: np.ndarray, r2: float) -> np.ndarray:
@@ -415,28 +421,34 @@ def decompose_separated(s: PointSet, delta: float) -> SeparationReport:
     boundary gaps are deterministic).  The part count is an upper bound on the
     chromatic number of the conflict graph with edges at distance < delta.
     Conflicts are read one tile of pairs at a time, so memory is O(n) plus
-    one tile, whatever delta.
+    one tile, whatever delta; more axis-0 band pairs than _SEPARATE_PAIR_BUDGET
+    are refused first.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
         raise PreconditionError(f"delta must be positive, got {delta}")
     n = len(s)
+    ranked = s.as_array[s.order]
+    d2_min = delta * delta
+    starts = _band_starts(ranked[:, 0], d2_min)
+    if (pairs := int((np.arange(n) - starts).sum())) > _SEPARATE_PAIR_BUDGET:
+        raise PreconditionError(
+            f"delta = {delta} puts {pairs} site pairs in the axis-0 bands separation "
+            f"visits, over the budget of {_SEPARATE_PAIR_BUDGET}"
+        )
     min_gap = min_separation(s) if n >= 2 else None
     if n >= 2 and not 0.0 < min_gap < math.inf:  # a squared gap under- or overflowed
         raise PreconditionError(
             f"the separation of the sites reads {min_gap} in double precision, "
             "so the report has no minimum gap"
         )
-    ranked = s.as_array[s.order]
-    d2_min = delta * delta
 
     def conflicts():
         # (pos, near) in increasing pos: positions in `ranked` earlier than
         # pos that conflict with it, a slice in 1-d; in d >= 2 index arrays,
         # one per tile of _close_earlier that holds pairs of pos
         if s.dimension == 1:
-            a = _band_starts(ranked[:, 0], d2_min)
-            yield from ((pos, slice(lo, pos)) for pos, lo in enumerate(a.tolist()) if lo < pos)
+            yield from ((pos, slice(lo, pos)) for pos, lo in enumerate(starts.tolist()) if lo < pos)
             return
         for i, j, _ in _close_earlier(ranked, d2_min):
             cuts = np.flatnonzero(np.diff(i, prepend=-1, append=-1)).tolist()

@@ -40,6 +40,7 @@ from .pointset import (
     PointSet,
     ReciprocalProvenance,
     UnionProvenance,
+    _distinct_rows,
     anchored_windows,
     centred_windows,
     detect_accumulation,
@@ -376,14 +377,16 @@ def _count_bounds(f: PiecewiseFn, f_dual: PiecewiseFn, gamma: PointSet, centres,
     return np.searchsorted(x, spans[1], side="right") - np.searchsorted(x, spans[0], side="left")
 
 
-def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> list:
-    """Candidate centers beta for side-h windows: the top `limit` windows with
-    lower faces anchored at site coordinates (the sliding-window maximizers,
-    beta = anchor + h/2 per axis), then the top `limit` windows centered on
-    sites (the degenerate witness beta = gamma), each ranked by count."""
+def _window_center_candidates(gamma: PointSet, h: float, limit: int) -> np.ndarray:
+    """Candidate centers beta for side-h windows, a (k, d) array: the top
+    `limit` windows with lower faces anchored at site coordinates (the
+    sliding-window maximizers, beta = anchor + h/2 per axis), then the top
+    `limit` windows centered on sites (the degenerate witness beta = gamma),
+    each ranked by count, and each centre once (-0.0 equals 0.0)."""
     anchored, _ = anchored_windows(gamma, h, limit)
     centred, _ = centred_windows(gamma, h, limit)
-    return list(dict.fromkeys(map(tuple, np.concatenate((anchored, centred)).tolist())))
+    rows = np.concatenate((anchored, centred))
+    return rows[np.sort(_distinct_rows(rows))]
 
 
 def _window_side(f: PiecewiseFn, f_dual: PiecewiseFn, epsilon: float) -> float:
@@ -480,7 +483,7 @@ def blowup_witness(
     eps_power = _finite_power_sum(_power(epsilon, p_prime), f"epsilon ** p_prime at p_prime = {p_prime}")
     h = _window_side(f, f_dual, epsilon) if window_side is None else window_side
 
-    centres = np.array(_window_center_candidates(gamma, h, _MAX_CANDIDATES))
+    centres = _window_center_candidates(gamma, h, _MAX_CANDIDATES)
     bad = _first_bad_shift(f_dual, centres)  # what translate refuses, named here
     if bad is not None:
         raise PreconditionError(

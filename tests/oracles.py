@@ -17,7 +17,7 @@ import numpy as np
 
 from lpdensity import (
     Box,
-    HaarExpansion,
+    HaarBatch,
     HaarIndex,
     PiecewiseFn,
     PointSet,
@@ -30,7 +30,7 @@ from lpdensity import (
     restrict,
     translate,
 )
-from lpdensity.haar_uncond import SandwichRow, _cut_grid, sign_pattern_count
+from lpdensity.haar_uncond import SandwichRow, _cut_grid, _level_offset, sign_pattern_count
 from lpdensity.pointset import SeparationReport, grid_occupancy
 
 
@@ -78,19 +78,74 @@ def random_unit_fn(rng, cuts=6) -> PiecewiseFn:
     return PiecewiseFn(tuple(pieces), 1)
 
 
-def expansion_from_draws(draws, terms) -> HaarExpansion:
+def batch_of(mappings) -> HaarBatch:
+    """The HaarBatch of {HaarIndex: coefficient} mappings, a row each: key
+    2^j + k for the index (j, k), 0 for the constant."""
+    mappings = list(mappings)
+    width = max([len(m) for m in mappings] + [0])
+    keys = np.zeros((len(mappings), width), dtype=np.int64)
+    coeffs = np.zeros((len(mappings), width), dtype=complex)
+    for r, m in enumerate(mappings):
+        keys[r, : len(m)] = [0 if i.is_constant else (1 << i.level) + i.offset for i in m]
+        coeffs[r, : len(m)] = list(m.values())
+    return HaarBatch(keys, coeffs)
+
+
+def rows_of(batch: HaarBatch) -> list:
+    """The {HaarIndex: coefficient} mapping of each row, in key order."""
+    return [
+        {HaarIndex(*_level_offset(key)): c for key, c in zip(keys, coeffs) if key >= 0}
+        for keys, coeffs in zip(batch.keys.tolist(), batch.coeffs.tolist())
+    ]
+
+
+def stack(batches) -> HaarBatch:
+    """One HaarBatch of the rows of every batch, in turn."""
+    return batch_of(m for b in batches for m in rows_of(b))
+
+
+def same_batch(a: HaarBatch, b: HaarBatch) -> bool:
+    """Equal keys and coefficients with the same bits."""
+    return np.array_equal(a.keys, b.keys) and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def expansion_from_draws(draws, terms) -> HaarBatch:
     """The per-term loop: take (level, offset, re, im) draws until `terms`
     distinct indices are held, a repeated index keeping the coefficient drawn
-    last."""
+    last.  One row."""
     coeffs = {}
     for level, offset, re, im in draws:
         coeffs[HaarIndex(level, offset)] = complex(re, im)
         if len(coeffs) == terms:
             break
-    return HaarExpansion.from_mapping(coeffs)
+    return batch_of([coeffs])
 
 
-def random_expansion(rng, terms, max_level=6) -> HaarExpansion:
+def block_draws(rng, terms, count):
+    """(batch, blocks): the per-row loop of expansion_from_draws over the
+    draws of count rows, made in blocks as the command line makes them: one
+    row of 2 terms draws for each row still short of terms indices, a short
+    row carrying on into the next block."""
+    rows = [{} for _ in range(count)]
+    short = list(range(count))
+    blocks = 0
+    while short:
+        blocks += 1
+        levels = rng.integers(0, 6, size=(len(short), 2 * terms))
+        offsets = rng.integers(0, 1 << levels)
+        normals = rng.normal(size=(len(short), 2 * terms, 2))
+        for r, row_levels, row_offsets, row_normals in zip(
+            short, levels.tolist(), offsets.tolist(), normals.tolist()
+        ):
+            for j, k, (re, im) in zip(row_levels, row_offsets, row_normals):
+                rows[r][HaarIndex(j, k)] = complex(re, im)
+                if len(rows[r]) == terms:
+                    break
+        short = [r for r in short if len(rows[r]) < terms]
+    return batch_of(rows), blocks
+
+
+def random_expansion(rng, terms, max_level=6) -> HaarBatch:
     """expansion_from_draws over scalar draws of rng: level, offset, re, im."""
 
     def draws():
@@ -535,29 +590,33 @@ def budgeted_lsq_error(fns, target, budget):
 # Haar expansions, every norm taken on the built step function
 
 
-def built_norm(exp, p) -> float:
-    return lp_norm(build_expansion_fn(exp, p), p)
+def built_norm(row, p) -> float:
+    """The norm of a one-row batch, taken on its built step function."""
+    return lp_norm(build_expansion_fn(row, p), p)
 
 
-def built_row(exp, p) -> SandwichRow:
-    a = np.array([c for _, c in exp.terms], dtype=complex)
+def built_row(row, p) -> SandwichRow:
+    """The sandwich row of a one-row batch, its flanks summed by numpy over
+    the row's terms alone."""
+    a = np.array(row.coeffs[0])
     l2 = float(np.sqrt((np.abs(a) ** 2).sum()))
     lp = float(((np.abs(a) ** p).sum()) ** (1.0 / p))
-    mid = built_norm(exp, p)
+    mid = built_norm(row, p)
     return SandwichRow(l2, mid, lp) if p <= 2 else SandwichRow(lp, mid, l2)
 
 
-def built_ratio(exp, p) -> float:
-    """The largest sign-pattern norm ratio, over every pattern."""
+def built_ratio(row, p) -> float:
+    """The largest sign-pattern norm ratio of a one-row batch, over every
+    pattern."""
     signed = (
-        HaarExpansion(tuple((idx, s * c) for (idx, c), s in zip(exp.terms, signs)))
-        for signs in itertools.product((1, -1), repeat=len(exp))
+        HaarBatch(row.keys, row.coeffs * np.array(signs))
+        for signs in itertools.product((1, -1), repeat=row.keys.shape[1])
     )
-    return max(built_norm(e, p) for e in signed) / built_norm(exp, p)
+    return max(built_norm(e, p) for e in signed) / built_norm(row, p)
 
 
 def product_estimate(
-    expansions,
+    batch,
     p: float,
     trials: int,
     seed: int = 0,
@@ -569,17 +628,16 @@ def product_estimate(
     expansion before any is evaluated."""
     p = float(p)
     trials = int(trials)
-    expansions = list(expansions)
-    if not expansions:
+    if not len(batch):
         raise PreconditionError("need at least one expansion")
-    counts = [sign_pattern_count(len(exp), trials) for exp in expansions]
+    sizes = batch.sizes.tolist()
+    counts = [sign_pattern_count(n, trials) for n in sizes]
     rng = np.random.default_rng(seed)
     best = 1.0
-    for exp, rows in zip(expansions, counts):
-        n = len(exp)
-        widths, coeffs, values = _cut_grid([exp], p)
+    for r, (n, rows) in enumerate(zip(sizes, counts)):
+        a = np.array(batch.coeffs[r, :n])
+        widths, values = _cut_grid(batch.keys[r : r + 1, :n], p)
         m = np.concatenate(list(values))  # (terms, cells)
-        a = coeffs[0]
         if n <= 12:
             # row r's signs are the bits of r < 2^(n-1): the first is always +1
             bits = np.arange(rows)[:, None] >> np.arange(n - 1, -1, -1)

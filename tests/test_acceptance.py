@@ -41,7 +41,7 @@ from lpdensity import (
 )
 from lpdensity.lpfunc import Box
 
-from oracles import brute_nu_plus, interval, random_expansion, random_unit_fn
+from oracles import brute_nu_plus, interval, random_expansion, random_unit_fn, stack
 
 UNIT = interval(0, 1)
 
@@ -303,8 +303,8 @@ def test_criterion_9_haar_suite():
     worst = 0.0
     for _ in range(1000):
         e = random_expansion(rng, int(rng.integers(1, 13)))
-        l2 = math.sqrt(sum(abs(v) ** 2 for _, v in e.terms))
-        worst = max(worst, abs(expansion_norms([e], 2.0)[0] - l2))
+        l2 = math.sqrt(sum(abs(v) ** 2 for v in e.coeffs[0].tolist()))
+        worst = max(worst, abs(expansion_norms(e, 2.0)[0] - l2))
     c.check(worst <= 1e-12, f"p=2 isometry error {worst}")
 
     # sandwich: fit on one batch, zero violations on a held-out batch.  The
@@ -312,8 +312,8 @@ def test_criterion_9_haar_suite():
     # maxima (both estimate the same supremum); raw constants must agree
     # within a factor of 2 across batches.
     for p in (1.5, 3.0):
-        batch_a = [random_expansion(np.random.default_rng(3000 + i), 16) for i in range(1000)]
-        batch_b = [random_expansion(np.random.default_rng(7000 + i), 16) for i in range(1000)]
+        batch_a = stack(random_expansion(np.random.default_rng(3000 + i), 16) for i in range(1000))
+        batch_b = stack(random_expansion(np.random.default_rng(7000 + i), 16) for i in range(1000))
         fit_a = coefficient_sandwich_check(batch_a, p)
         fit_b = coefficient_sandwich_check(batch_b, p)
         viol = count_sandwich_violations(

@@ -27,12 +27,15 @@ from lpdensity.io import emit_json, ingest_function, ingest_points
 from lpdensity.pointset import UnionProvenance
 
 from oracles import (
+    block_draws,
     brute_nu_plus,
     expansion_from_draws,
     function_spec,
     interval,
     point_set_spec,
     riemann_value,
+    rows_of,
+    same_batch,
     scalar_count,
 )
 
@@ -990,14 +993,16 @@ def test_random_expansions_follow_the_term_by_term_loop():
     rng = _GivenDraws(blocks)
     got = cli._random_expansions(rng, terms, len(first))
     assert rng.blocks == [] and rng.levels is None
-    assert got == [expansion_from_draws(row, terms) for row in draws]
-    assert [tuple(i for i, _ in e.terms) for e in got] == [
+    assert all(same_batch(got[r], expansion_from_draws(row, terms)) for r, row in enumerate(draws))
+    assert [tuple(row) for row in rows_of(got)] == [
         ((0, 0), (1, 1), (2, 3)),
         ((0, 0), (1, 0), (5, 31)),
         ((2, 0), (2, 1), (2, 2)),
         ((1, 0), (1, 1), (5, 0)),
     ]
-    assert dict(got[0].terms)[HaarIndex(0, 0)] == complex(*draws[0][2][2:])
+    assert rows_of(got)[0][HaarIndex(0, 0)] == complex(*draws[0][2][2:])
+    # keys 2^j + k, each row in key order
+    assert got.keys.tolist() == [[1, 3, 7], [1, 2, 63], [4, 5, 6], [2, 3, 32]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1009,11 +1014,26 @@ def test_random_expansions_follow_the_term_by_term_loop():
 def test_random_expansions_hold_terms_distinct_indices(seed, terms, count):
     got = cli._random_expansions(np.random.default_rng(seed), terms, count)
     assert len(got) == count
-    for e in got:
-        indices = [i for i, _ in e.terms]
-        assert len(e) == len(set(indices)) == terms
-        assert all(0 <= i.level < cli._LEVELS and 0 <= i.offset < 2**i.level for i in indices)
-    assert cli._random_expansions(np.random.default_rng(seed), terms, count) == got
+    for row in rows_of(got):
+        assert len(row) == terms
+        assert all(0 <= i.level < cli._LEVELS and 0 <= i.offset < 2**i.level for i in row)
+    assert got.sizes.tolist() == [terms] * count
+    assert same_batch(cli._random_expansions(np.random.default_rng(seed), terms, count), got)
+
+
+@pytest.mark.parametrize("terms", [1, 12, 63])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_random_expansions_equal_the_per_row_loop_and_leave_its_rng_state(terms, seed):
+    # the plain loop over the same blocks of draws: one row of 2 terms draws
+    # per short expansion, dicts keeping the first terms distinct indices
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = cli._random_expansions(rng, terms, 300)
+    want, blocks = block_draws(oracle_rng, terms, 300)
+    assert same_batch(got, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # one index never leaves a row short; 126 draws of 63 indices always do,
+    # and 24 draws hold fewer than 12 indices in some of 300 rows
+    assert (blocks > 1) == (terms > 1)
 
 
 CUBE_FN = {"kind": "indicator", "cube": {"center": [0.0], "side": 1.0}}
@@ -1971,6 +1991,8 @@ def test_refused_field_exits_3_with_one_line(tmp_path, capsys, payload, field):
     (tmp_path / "ragged.csv").write_text("0.0,0.0\n1.0\n")
     code, err = _run_exit(tmp_path, capsys, payload)
     assert code == 3 and field in err and "\n" not in err, err
+    if field == "point dimensions":  # the file and line of the row, and both lengths
+        assert "ragged.csv:2: mixed point dimensions, 1 here and 2 at line 1" in err
 
 
 _ONE_SITE = {"f": UNIT_SPEC, "gamma": {"kind": "explicit", "rows": [[100.0]]}}

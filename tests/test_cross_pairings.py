@@ -500,7 +500,7 @@ def assert_witness_matches_scalar(f, f_dual, gamma, epsilon):
     w = blowup_witness(f, f_dual, gamma, epsilon, 2.0)
     assert w.window_side == scalar_grid_side(f, f_dual, epsilon)
     best = (-1, None)
-    for beta in _window_center_candidates(gamma, w.window_side, 512):
+    for beta in map(tuple, _window_center_candidates(gamma, w.window_side, 512).tolist()):
         count = scalar_count(f, f_dual, gamma, beta, epsilon)
         if count > best[0]:
             best = (count, beta)
@@ -595,7 +595,7 @@ def test_witness_with_tied_sites_and_centres_matches_the_scalar_loop(witness_til
     with mock.patch.object(translate_system, "_TILE", witness_tile):
         with mock.patch.object(lpfunc, "_TILE", kernel_tile):
             w = assert_witness_matches_scalar(RESORTING, RESORTING, gamma, 0.25)
-            centres = _window_center_candidates(gamma, w.window_side, 512)
+            centres = _window_center_candidates(gamma, w.window_side, 512).tolist()
     assert w.count >= 2
     assert {x == 0.0 for x, _ in centres} == {True, False}
 
@@ -805,7 +805,7 @@ def test_witness_keeps_the_first_centre_among_equal_counts_past_a_looser_bound()
     near = [k / 50 for k in range(8)] + [-0.3, -0.32]
     gamma = line_set(*(near + [10 + k / 50 for k in range(8)]))
     a, b = (0.0,), (10.07,)
-    with mock.patch.object(translate_system, "_window_center_candidates", return_value=[b, a]):
+    with mock.patch.object(translate_system, "_window_center_candidates", return_value=np.array([b, a])):
         with mock.patch.object(translate_system, "_TILE", 1):
             w = blowup_witness(f, f, gamma, 0.3, 2.0)
     lo, hi = _count_spans(f, f, gamma, np.array([b, a]), 0.3)
@@ -932,7 +932,8 @@ def site_sets(draw):
 def test_tiled_candidates_match_the_tensor(gamma, h, limit, tile):
     with mock.patch.object(pointset, "_PAIR_TILE", tile):
         got = _window_center_candidates(gamma, h, limit)
-    assert got == scan_candidates(gamma, h, limit)
+    assert got.shape == (len(got), gamma.dimension)
+    assert list(map(tuple, got.tolist())) == scan_candidates(gamma, h, limit)
 
 
 @pytest.mark.parametrize(
@@ -951,4 +952,16 @@ def test_candidate_scan_memory_is_bounded(gamma, h):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    assert got == want
+    assert list(map(tuple, got.tolist())) == want
+
+
+def test_candidates_keep_the_first_of_equal_centres_in_candidate_order():
+    # the route through tuples and dict.fromkeys, where -0.0 and 0.0 are one key
+    anchored = np.array([[0.5, -0.0], [2.0, 1.0], [0.5, 0.0], [-1.0, 3.0]])
+    centred = np.array([[2.0, 1.0], [-3.0, 0.0], [0.5, 0.0], [-3.0, -0.0]])
+    with mock.patch.object(translate_system, "anchored_windows", return_value=(anchored, None)):
+        with mock.patch.object(translate_system, "centred_windows", return_value=(centred, None)):
+            got = _window_center_candidates(None, 1.0, 4)
+    want = list(dict.fromkeys(map(tuple, np.concatenate((anchored, centred)).tolist())))
+    assert list(map(tuple, got.tolist())) == want == [(0.5, -0.0), (2.0, 1.0), (-1.0, 3.0), (-3.0, 0.0)]
+    assert [bits(x) for x in got[:, 1]] == [bits(y) for _, y in want]

@@ -9,6 +9,7 @@ for bit and in the same order.  Those per-site scans are the oracles, in
 """
 
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -249,3 +250,21 @@ def test_separation_at_a_wide_delta_stays_under_4_mb():
         tracemalloc.stop()
     assert report.parts == tuple((i,) for i in s.order.tolist())
     assert peak < 4e6
+
+
+def test_separation_over_the_pair_budget_is_refused_within_a_second():
+    # the 68,921 sites of window 10 put 2.4e9 pairs in one axis-0 band at
+    # delta 1e10, which first-fit visited one by one for minutes
+    s = make_lattice(0.5, 10, 3)
+    start = time.process_time()
+    with pytest.raises(PreconditionError, match="2375017660 site pairs .* budget of 67108864"):
+        decompose_separated(s, 1e10)
+    assert time.process_time() - start < 1.0
+    # the pairs are counted before the minimum gap is taken
+    with mock.patch.object(pointset, "_SEPARATE_PAIR_BUDGET", 4913 * 4912 // 2 - 1):
+        with mock.patch.object(pointset, "min_separation", side_effect=AssertionError):
+            with pytest.raises(PreconditionError, match="12066328 site pairs"):
+                decompose_separated(make_lattice(0.5, 4, 3), 1e10)
+    # at the budget every pair is visited
+    with mock.patch.object(pointset, "_SEPARATE_PAIR_BUDGET", 2197 * 2196 // 2):
+        assert decompose_separated(make_lattice(0.5, 3, 3), 1e10).part_count == 2197

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lpdensity import (
     DimensionMismatchError,
-    HaarExpansion,
+    HaarBatch,
     HaarIndex,
     PiecewiseFn,
     PreconditionError,
@@ -34,6 +34,7 @@ from lpdensity.haar_uncond import haar_pairings
 from lpdensity.lpfunc import Box
 
 from oracles import (
+    batch_of,
     bits,
     built_norm,
     built_ratio,
@@ -41,6 +42,8 @@ from oracles import (
     random_expansion,
     random_unit_fn,
     riemann_value,
+    rows_of,
+    stack,
 )
 
 
@@ -70,12 +73,13 @@ def test_haar_fn_level_one_values():
 
 
 def test_levels_beyond_double_range_are_refused():
-    # 2^(1050/1) and the float corners of offset 2^1100 - 1 overflow
+    # 2^(1050/1) and the float corners of offset 2^1100 - 1 overflow; a batch
+    # key 2^j + k holds levels up to 62 only, and refuses these
     for idx, p in ((HaarIndex(1050, 0), 1.0), (HaarIndex(1100, 2**1100 - 1), 2.0)):
         with pytest.raises(PreconditionError, match="overflows double precision"):
             haar_fn(idx, p)
-        with pytest.raises(PreconditionError, match="overflows double precision"):
-            expansion_norms([HaarExpansion.from_mapping({idx: 1.0})], p)
+        with pytest.raises(PreconditionError, match="int64"):
+            HaarBatch([[(1 << idx.level) + idx.offset]], [[1.0]])
     assert haar_fn(HaarIndex(1023, 0), 1.0).pieces[0][1] == 2.0**1023
 
 
@@ -122,9 +126,7 @@ def test_reconstruction_of_dyadic_functions():
         1,
     )
     coeffs = [pair(f, g) for g in duals]
-    rebuilt = build_expansion_fn(
-        HaarExpansion(tuple(zip(idxs, coeffs))), p
-    )
+    rebuilt = build_expansion_fn(batch_of([dict(zip(idxs, coeffs))]), p)
     xs = (np.arange(64) + 0.5) / 64
     assert riemann_value(rebuilt, xs).tolist() == pytest.approx(riemann_value(f, xs).tolist(), abs=1e-12)
 
@@ -135,16 +137,16 @@ def test_reconstruction_of_dyadic_functions():
 
 def test_expansion_norm_single_term_is_modulus():
     for p in (1.5, 2.0, 3.0):
-        e = HaarExpansion.from_mapping({HaarIndex(3, 5): 2.0 - 1.0j})
-        assert expansion_norms([e], p)[0] == pytest.approx(abs(2.0 - 1.0j), rel=1e-12)
+        e = batch_of([{HaarIndex(3, 5): 2.0 - 1.0j}])
+        assert expansion_norms(e, p)[0] == pytest.approx(abs(2.0 - 1.0j), rel=1e-12)
 
 
 def test_expansion_norm_p2_isometry():
     rng = np.random.default_rng(33)
     for _ in range(100):
         e = random_expansion(rng, int(rng.integers(1, 13)))
-        l2 = math.sqrt(sum(abs(c) ** 2 for _, c in e.terms))
-        assert abs(expansion_norms([e], 2.0)[0] - l2) <= 1e-12
+        l2 = math.sqrt(sum(abs(c) ** 2 for c in e.coeffs[0].tolist()))
+        assert abs(expansion_norms(e, 2.0)[0] - l2) <= 1e-12
 
 
 def test_expansion_norm_riemann_cross_check():
@@ -155,7 +157,7 @@ def test_expansion_norm_riemann_cross_check():
     n = 2**20
     vals = riemann_value(build_expansion_fn(e, p), (np.arange(n) + 0.5) / n)
     riemann = float((np.abs(vals) ** p).sum() / n) ** (1 / p)
-    assert expansion_norms([e], p)[0] == pytest.approx(riemann, abs=1e-9)
+    assert expansion_norms(e, p)[0] == pytest.approx(riemann, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +166,21 @@ def test_expansion_norm_riemann_cross_check():
 
 def test_unconditional_constant_p2_is_one():
     rng = np.random.default_rng(37)
-    fam = [random_expansion(rng, int(rng.integers(1, 12))) for _ in range(5)]
+    fam = stack(random_expansion(rng, int(rng.integers(1, 12))) for _ in range(5))
     assert unconditional_constant_estimate(fam, 2.0, 50) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unconditional_constant_single_term_is_one():
-    e = HaarExpansion.from_mapping({HaarIndex(2, 2): 3.0})
+    e = batch_of([{HaarIndex(2, 2): 3.0}])
     for p in (1.5, 3.0):
-        assert unconditional_constant_estimate([e], p, 10) == pytest.approx(1.0)
+        assert unconditional_constant_estimate(e, p, 10) == pytest.approx(1.0)
 
 
 def test_unconditional_constant_matches_direct_enumeration():
     rng = np.random.default_rng(39)
     p = 1.5
     e = random_expansion(rng, 6)
-    est = unconditional_constant_estimate([e], p, 10)
+    est = unconditional_constant_estimate(e, p, 10)
     assert est == pytest.approx(built_ratio(e, p), rel=1e-12)
 
 
@@ -186,8 +188,8 @@ def test_unconditional_exhaustive_vs_sampled():
     rng = np.random.default_rng(41)
     p = 1.5
     e = random_expansion(rng, 10)
-    exhaustive = unconditional_constant_estimate([e], p, 1)
-    sampled = unconditional_constant_estimate([_bump(e)], p, 200, seed=5)
+    exhaustive = unconditional_constant_estimate(e, p, 1)
+    sampled = unconditional_constant_estimate(_bump(e), p, 200, seed=5)
     assert exhaustive >= 1.0
     assert math.isfinite(exhaustive)
     assert exhaustive <= sampled * 1.2 or sampled <= exhaustive
@@ -195,7 +197,7 @@ def test_unconditional_exhaustive_vs_sampled():
 
 def _bump(e):
     # pad the expansion beyond 12 terms so the sampled path is taken
-    coeffs = dict(e.terms)
+    (coeffs,) = rows_of(e)
     j = 6
     k = 0
     while len(coeffs) < 13:
@@ -203,35 +205,72 @@ def _bump(e):
         if idx not in coeffs:
             coeffs[idx] = 1e-9 + 0j
         k += 1
-    return HaarExpansion.from_mapping(coeffs)
+    return batch_of([coeffs])
 
 
 def test_unconditional_constant_refuses_matrices_over_the_budget():
-    small = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0})
+    small = {HaarIndex(0, 0): 1.0}
     # a level-40 term: 5 cut-grid cells, not 2^41 dyadic ones
-    deep = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0, HaarIndex(40, 0): 1.0})
-    flipped = HaarExpansion.from_mapping({HaarIndex(0, 0): 1.0, HaarIndex(40, 0): -1.0})
-    ratio = built_norm(flipped, 1.5) / built_norm(deep, 1.5)
-    assert unconditional_constant_estimate([small, deep], 1.5, 10) == max(1.0, ratio)
+    deep = {HaarIndex(0, 0): 1.0, HaarIndex(40, 0): 1.0}
+    flipped = batch_of([{HaarIndex(0, 0): 1.0, HaarIndex(40, 0): -1.0}])
+    ratio = built_norm(flipped, 1.5) / built_norm(batch_of([deep]), 1.5)
+    assert unconditional_constant_estimate(batch_of([small, deep]), 1.5, 10) == max(1.0, ratio)
     # 13 terms on 38 cells: sampled patterns x cells pass 2^20 at 27595 trials
-    wide = _bump(HaarExpansion.from_mapping({HaarIndex(3, k): 1.0 for k in range(8)}))
+    wide = _bump(batch_of([{HaarIndex(3, k): 1.0 for k in range(8)}]))
+    small_wide = stack([batch_of([small]), wide])
     for trials in (10**12, 27595):
         # refused before any expansion, the small first one too, is evaluated
         with mock.patch("lpdensity.haar_uncond._cut_grid", side_effect=AssertionError):
             with pytest.raises(PreconditionError, match="budget"):
-                unconditional_constant_estimate([small, wide], 1.5, trials)
+                unconditional_constant_estimate(small_wide, 1.5, trials)
     with mock.patch("lpdensity.haar_uncond._cut_grid", side_effect=AssertionError):
         with pytest.raises(PreconditionError, match="trials"):
-            unconditional_constant_estimate([small, wide], 1.5, 0)
-    assert unconditional_constant_estimate([small, wide], 1.5, 27594) >= 1.0
+            unconditional_constant_estimate(small_wide, 1.5, 0)
+    assert unconditional_constant_estimate(small_wide, 1.5, 27594) >= 1.0
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, complex(1.0, -math.inf), complex(math.nan, 0.0)])
 def test_expansion_refuses_a_coefficient_that_is_not_finite(c):
     with pytest.raises(PreconditionError, match="must be finite"):
-        HaarExpansion(((HaarIndex(0, 0), 1.0), (HaarIndex(1, 0), c)))
+        HaarBatch([[1, 2]], [[1.0, c]])
     with pytest.raises(PreconditionError, match="must be finite"):
-        HaarExpansion.from_mapping({HaarIndex(0, 0): c})
+        batch_of([{HaarIndex(0, 0): 1.0}, {HaarIndex(0, 0): c}])
+
+
+def test_batch_drops_zeros_and_sorts_each_row():
+    # keys 2^j + k: (1, 1) is 3, (0, 0) is 1, the constant 0, (2, 3) is 7
+    batch = HaarBatch([[3, 1, 0, 7], [7, 3, 0, 5]], [[2.0, 0.0, -1j, 1.5], [0.0, -0.0, 4.0, 0j]])
+    assert batch.keys.tolist() == [[0, 3, 7], [0, -1, -1]]
+    assert batch.coeffs.tolist() == [[-1j, 2.0, 1.5], [4.0, 0, 0]]
+    assert batch.sizes.tolist() == [3, 1]
+    assert rows_of(batch) == [
+        {HaarIndex.constant(): -1j, HaarIndex(1, 1): 2.0, HaarIndex(2, 3): 1.5},
+        {HaarIndex.constant(): 4.0},
+    ]
+    assert batch.keys.flags.c_contiguous and not batch.keys.flags.writeable
+    assert not batch.coeffs.flags.writeable
+    # a row keeps its own width, and an int selects a batch of one row
+    assert batch[1].keys.tolist() == [[0]] and batch[-1].sizes.tolist() == [1]
+    assert batch[:1].coeffs.tolist() == [[-1j, 2.0, 1.5]]
+    # a zero coefficient is dropped whatever its key, repeated or negative
+    assert HaarBatch([[5, 5, -3]], [[1.0, 0.0, 0.0]]).keys.tolist() == [[5]]
+    assert HaarBatch(np.zeros((0, 4), dtype=int), np.zeros((0, 4))).keys.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "keys, coeffs, match",
+    [
+        ([[4, 1, 4]], [[1.0, 2.0, 3.0]], r"repeated index \(2, 0\) in row 0"),
+        ([[0, 0]], [[1.0, 2.0]], r"repeated index \(-1, 0\) in row 0"),
+        ([[1, -2]], [[1.0, 1.0]], "invalid Haar key -2"),
+        ([[1.5]], [[1.0]], "int64 keys"),
+        ([[1, 2]], [[1.0]], "one \\(n, width\\) shape"),
+        ([1, 2], [1.0, 1.0], "one \\(n, width\\) shape"),
+    ],
+)
+def test_batch_refuses_repeated_negative_or_misshapen_keys(keys, coeffs, match):
+    with pytest.raises(PreconditionError, match=match):
+        HaarBatch(keys, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +278,16 @@ def test_expansion_refuses_a_coefficient_that_is_not_finite(c):
 
 
 def test_sandwich_p2_parseval_collapse():
-    e = HaarExpansion.from_mapping(
-        {HaarIndex(0, 0): 1.0, HaarIndex(2, 1): -2.0, HaarIndex.constant(): 0.5}
-    )
-    (row,) = coefficient_sandwich_check([e], 2.0).rows
+    e = batch_of([{HaarIndex(0, 0): 1.0, HaarIndex(2, 1): -2.0, HaarIndex.constant(): 0.5}])
+    (row,) = coefficient_sandwich_check(e, 2.0).rows
     assert row.lhs == pytest.approx(row.mid, abs=1e-12)
     assert row.mid == pytest.approx(row.rhs, abs=1e-12)
 
 
 def test_sandwich_single_term_all_equal():
-    e = HaarExpansion.from_mapping({HaarIndex(1, 1): -1.3})
+    e = batch_of([{HaarIndex(1, 1): -1.3}])
     for p in (1.5, 3.0):
-        (row,) = coefficient_sandwich_check([e], p).rows
+        (row,) = coefficient_sandwich_check(e, p).rows
         assert row.lhs == pytest.approx(1.3, rel=1e-12)
         assert row.mid == pytest.approx(1.3, rel=1e-12)
         assert row.rhs == pytest.approx(1.3, rel=1e-12)
@@ -259,7 +296,7 @@ def test_sandwich_single_term_all_equal():
 def test_sandwich_fit_has_no_same_batch_violations():
     rng = np.random.default_rng(43)
     for p in (1.5, 3.0):
-        batch = [random_expansion(rng, 16) for _ in range(200)]
+        batch = stack(random_expansion(rng, 16) for _ in range(200))
         rep = coefficient_sandwich_check(batch, p)
         assert count_sandwich_violations(rep.rows, rep.lower_constant, rep.upper_constant) == 0
         # ordering sanity: fitted constants are at least 1 (single-direction tightness)
@@ -270,10 +307,10 @@ def test_sandwich_fit_has_no_same_batch_violations():
 def test_sandwich_stability_across_batches():
     for p in (1.5, 3.0):
         a = coefficient_sandwich_check(
-            [random_expansion(np.random.default_rng(1000 + i), 16) for i in range(300)], p
+            stack(random_expansion(np.random.default_rng(1000 + i), 16) for i in range(300)), p
         )
         b = coefficient_sandwich_check(
-            [random_expansion(np.random.default_rng(9000 + i), 16) for i in range(300)], p
+            stack(random_expansion(np.random.default_rng(9000 + i), 16) for i in range(300)), p
         )
         assert a.lower_constant / b.lower_constant < 2.0
         assert b.lower_constant / a.lower_constant < 2.0
