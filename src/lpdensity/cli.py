@@ -53,7 +53,8 @@ from .io import (
     ingest_system,
     write_csv,
 )
-from .lpfunc import Box, ExponentPair, PiecewiseFn, _power, pair, pair_modulated, translate
+# pair stays bound here: bench/tracing.py wraps cli.pair by name
+from .lpfunc import Box, ExponentPair, PiecewiseFn, _power, cross_pairings, pair, pair_modulated, translate
 from .pointset import decompose_separated, density_profile
 from .translate_system import (
     DichotomyConfig,
@@ -116,7 +117,10 @@ def _cmd_pair(spec, ctx):
     if "freq" in spec:
         key, value = "modulated_pairing", pair_modulated(h, _need_floats(spec, "freq"))
     else:
-        key, value = "pairing", pair(h, ingest_function(_need(spec, "f"), ctx.inputs))
+        # the kernel's one entry at shift 0 has the bits of pair(h, f), in
+        # time near linear in the pieces where pair takes their product
+        f = ingest_function(_need(spec, "f"), ctx.inputs)
+        key, value = "pairing", complex(cross_pairings(h, f, np.zeros((1, h.dimension)))[0])
     if not cmath.isfinite(value):  # a product or a sum past the double range
         raise PreconditionError(f"the {key.replace('_', ' ')} reads {value} in double precision")
     return {key: value}, {}, {}
@@ -210,12 +214,12 @@ def _cmd_haar_check(spec, ctx):
     sign_pattern_count(terms, trials)
     rng = ctx.rng()
     # biorthogonality is always checked through level 6
-    indices = haar_indices_below(7)
-    duals = (dual_fn(i, p) for i in indices)
+    # the a-th index in haar_indices_below's order has key a
+    duals = (dual_fn(i, p) for i in haar_indices_below(7))
     max_offdiag = max_diag_err = 0.0
-    for a, row in zip(indices, haar_pairings(duals, 7, p)):
-        max_diag_err = max(max_diag_err, abs(row[a] - 1))
-        max_offdiag = max([max_offdiag] + [abs(v) for b, v in row.items() if b != a])
+    for a, (keys, values) in enumerate(haar_pairings(duals, 7, p)):
+        max_diag_err = max(max_diag_err, abs(values[keys.index(a)] - 1))
+        max_offdiag = max([max_offdiag] + [abs(v) for b, v in zip(keys, values) if b != a])
     tests = [_random_test_fn(rng) for _ in range(num_tests)]
     p43 = prop43_check(p, cutoff, tests)
     batch = _random_expansions(rng, terms, batch_size)

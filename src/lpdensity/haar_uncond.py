@@ -7,7 +7,6 @@ coefficient inequalities and the Bessel/required-constant behaviour of the
 truncated system can be checked with no quadrature error.
 """
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -20,6 +19,8 @@ from .lpfunc import (
     Box,
     ExponentPair,
     PiecewiseFn,
+    _BUFSIZE,
+    _build,
     _exponent,
     _finite_power_sum,
     canonicalize,
@@ -86,10 +87,19 @@ def haar_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
     dyadic, hence exact.
     """
     p = _exponent(p, "p", norm=True)
-    if idx.is_constant:
-        return PiecewiseFn(((Box((0.0,), (1.0,)), 1.0),), 1)
-    lo, mid, hi, v = _halves(*idx, p)
-    return PiecewiseFn(((Box((lo,), (mid,)), v), (Box((mid,), (hi,)), -v)), 1)
+    return _key_fn(0 if idx.is_constant else (1 << idx.level) + idx.offset, p)
+
+
+def _key_fn(key: int, p: float) -> PiecewiseFn:
+    """haar_fn of the index with key 2^j + k, or 0 for the constant, at a
+    checked p.  The pieces are disjoint dyadic halves, in order, with finite
+    nonzero values, so the PiecewiseFn constructor would check nothing and
+    lpfunc._build takes them as they are; _halves refuses halves that
+    collapse and values that overflow."""
+    if not key:
+        return _build(((Box((0.0,), (1.0,)), 1 + 0j),), 1)
+    lo, mid, hi, v = _halves(*_level_offset(key), p)
+    return _build(((Box((lo,), (mid,)), complex(v)), (Box((mid,), (hi,)), complex(-v))), 1)
 
 
 def _halves(j: int, k: int, p: float) -> tuple:
@@ -118,31 +128,40 @@ def dual_fn(idx: HaarIndex, p: float) -> PiecewiseFn:
 
 
 def haar_pairings(hs: Iterable, cutoff: int, p: float):
-    """Yield {i: pair(h, haar_fn(i, p))} for each h in hs, reading hs lazily,
-    over the indices below cutoff that can pair to nonzero, in index order:
-    the constant index and each (j, k) whose support has an endpoint e of a
-    piece of h strictly inside it (e 2^j no integer, k = floor(e 2^j), in
-    integers).  On any other support each piece of h misses it or covers it,
-    adding v conj(a) w and v conj(-a) w over its two halves: the pairing is
-    exactly 0j.  An h whose |Re v| + |Im v| times the largest Haar value, the
-    deepest level's, is not finite could make those terms inf and -inf, so it
-    pairs every index.  haar_fn runs once for each index paired and one
-    deepest index.
+    """Yield (keys, values) for each h in hs, reading hs lazily: keys are the
+    Python int keys 2^j + k (0 for the constant) below 2^cutoff of the
+    indices that can pair to nonzero, in increasing order, and values the
+    pair(h, haar_fn(i, p)) at each, bit for bit.  The keys are the constant's
+    and those of each (j, k) whose support has an endpoint e of a piece of h
+    strictly inside it (e 2^j no integer, k = floor(e 2^j), in integers).
+    On any other support each piece of h misses it or covers it, adding
+    v conj(a) w and v conj(-a) w over its two halves: the pairing is exactly
+    0j.  An h whose |Re v| + |Im v| times the largest Haar value, the
+    deepest level's, is not finite could make those terms inf and -inf, so
+    it pairs every key.  _key_fn builds the function of each key paired, and
+    of one deepest key, once per call.
     """
     levels = _levels(cutoff)
-    fn = functools.cache(lambda idx: haar_fn(idx, p))  # built once, when first paired
-    deepest = HaarIndex(levels[-1], 2 ** levels[-1] - 1) if levels else HaarIndex.constant()
-    top = max(abs(v) for _, v in fn(deepest).pieces)
-    for h in hs:  # pair refuses an h that is not 1-d, at the constant index
+    p = _exponent(p, "p", norm=True)
+    deepest = (1 << len(levels)) - 1  # the key of (cutoff - 1, 2^(cutoff - 1) - 1), or 0
+    fns = {deepest: _key_fn(deepest, p)}  # key -> its Haar function, built when first paired
+    top = max(abs(v) for _, v in fns[deepest].pieces)
+    for h in hs:  # pair refuses an h that is not 1-d, at the constant key
         if all(math.isfinite((abs(v.real) + abs(v.imag)) * top) for _, v in h.pieces):
             ends = {e for box, _ in h.pieces for e in (box.lower[0], box.upper[0]) if 0 < e < 1}
             # e = n / den exactly, den a power of 2: e 2^j is (n << j) / den
             ratios = [e.as_integer_ratio() for e in ends]
-            keys = {(j, (n << j) // den) for n, den in ratios for j in levels if (n << j) % den}
-            paired = sorted(HaarIndex(*key) for key in keys | {(-1, 0)})
+            split = {(1 << j) + ((n << j) // den) for n, den in ratios for j in levels if (n << j) % den}
+            keys = sorted(split | {0})
         else:
-            paired = haar_indices_below(cutoff)
-        yield {i: pair(h, fn(i)) for i in paired}
+            keys = list(range(deepest + 1))
+        values = []
+        for key in keys:
+            fn = fns.get(key)
+            if fn is None:
+                fn = fns[key] = _key_fn(key, p)
+            values.append(pair(h, fn))
+        yield keys, values
 
 
 def _level_offset(key: int) -> tuple:
@@ -238,7 +257,9 @@ def _cut_grid(keys: np.ndarray, p: float):
         for t in range(keys.shape[1]):
             up = (lo[t][:, None] <= left) & (right <= mid[t][:, None])
             down = (mid[t][:, None] <= left) & (right <= hi[t][:, None])
-            yield np.where(up, v[t][:, None], np.where(down, -v[t][:, None], 0.0))
+            s = np.where(down, -v[t][:, None], 0.0)
+            np.copyto(s, v[t][:, None], where=up)
+            yield s
 
     return right - left, values()
 
@@ -266,23 +287,40 @@ def expansion_norms(batch: HaarBatch, p: float) -> list:
 
 
 def _tile_norms(keys: np.ndarray, coeffs: np.ndarray, p: float) -> list:
-    """expansion_norms of one tile of rows."""
+    """expansion_norms of one tile of rows.
+
+    Each term is formed in one reused scratch array and added where it is
+    nonzero, and numpy buffers the cast of its values to complex in chunks
+    of lpfunc._BUFSIZE elements, not the default 8192.  Moduli come from
+    np.hypot, which has the bits of CPython's abs(complex), C hypot; the
+    p-th powers stay Python's **, which numpy's power can differ from.
+    """
     widths, values = _cut_grid(keys, p)
     cells = np.zeros(widths.shape, dtype=complex)
+    term = np.empty_like(cells)
     # a cell past the double range is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, s in zip(coeffs.T, values):
-            # s * c casts s to s + 0j: the operands CPython's complex(s) * c has
-            cells = np.where(s != 0.0, cells + s * c[:, None], cells)
-    norms = []
-    for row, row_w in zip(cells, widths):
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            for c, s in zip(coeffs.T, values):
+                # s * c casts s to s + 0j: the operands CPython's complex(s) * c has
+                np.multiply(s, c[:, None], out=term)
+                np.add(cells, term, out=cells, where=s != 0.0)
+            kept = (widths > 0.0) & (cells != 0)
+            mods = np.hypot(cells.real, cells.imag)[kept]
+        finally:
+            np.setbufsize(bufsize)
+    widths = widths[kept]
+    norms, start = [], 0
+    for count in kept.sum(axis=1).tolist():
         total = 0.0
-        for z, w in zip(row.tolist(), row_w.tolist()):
-            if w > 0.0 and z:
-                try:
-                    total += abs(z) ** p * w
-                except OverflowError:
-                    total = math.inf
+        row = slice(start, start + count)
+        for m, w in zip(mods[row].tolist(), widths[row].tolist()):
+            try:
+                total += m**p * w
+            except OverflowError:
+                total = math.inf
+        start += count
         total = _finite_power_sum(total, f"the Lp norm of an expansion at p = {p}")
         norms.append(total ** (1.0 / p))
     return norms
@@ -393,11 +431,12 @@ def _sandwich_rows(batch: HaarBatch, p: float) -> tuple:
     coefficient l2 norm (left) and lp norm (right), mirrored for p >= 2.
     The flanks' sums are taken for all the rows of a size at once, with the
     bits of numpy's sum over one expansion's terms, which padding would
-    regroup; each root is a numpy scalar's, whose ** can differ in the last
-    bit from numpy's array power.  lhs / mid and mid / rhs are at most
-    burkholder_constant(p).  A norm that rounds to 0 or past the double
-    range is refused: a nonzero expansion has three positive norms, and the
-    ratios need them finite.
+    regroup; each root is taken on Python floats, with the correctly
+    rounded math.sqrt and the C pow that a numpy scalar's ** calls too, not
+    numpy's array power, which can differ in the last bit.  lhs / mid and
+    mid / rhs are at most burkholder_constant(p).  A norm that rounds to 0
+    or past the double range is refused: a nonzero expansion has three
+    positive norms, and the ratios need them finite.
     """
     sizes = batch.sizes
     if not sizes.all():
@@ -409,14 +448,14 @@ def _sandwich_rows(batch: HaarBatch, p: float) -> tuple:
             of_size = sizes == n
             mags = np.abs(batch.coeffs[of_size, :n])
             sums[of_size] = np.stack(((mags**2).sum(axis=1), (mags**p).sum(axis=1)), axis=1)
-        for (l2_sum, lp_sum), mid in zip(sums, mids):
-            l2, lp = float(np.sqrt(l2_sum)), float(lp_sum ** (1.0 / p))
-            if not (0.0 < l2 < math.inf and 0.0 < mid < math.inf and 0.0 < lp < math.inf):
-                raise PreconditionError(
-                    f"a sandwich norm of an expansion at p = {p} is 0 or overflows double "
-                    f"precision: l2 {l2}, Lp {mid}, lp {lp}"
-                )
-            rows.append(SandwichRow(l2, mid, lp) if p <= 2 else SandwichRow(lp, mid, l2))
+    for (l2_sum, lp_sum), mid in zip(sums, mids):
+        l2, lp = math.sqrt(l2_sum), float(lp_sum) ** (1.0 / p)
+        if not (0.0 < l2 < math.inf and 0.0 < mid < math.inf and 0.0 < lp < math.inf):
+            raise PreconditionError(
+                f"a sandwich norm of an expansion at p = {p} is 0 or overflows double "
+                f"precision: l2 {l2}, Lp {mid}, lp {lp}"
+            )
+        rows.append(SandwichRow(l2, mid, lp) if p <= 2 else SandwichRow(lp, mid, l2))
     return tuple(rows)
 
 
@@ -528,7 +567,7 @@ def prop43_check(p: float, cutoff: int, tests: Sequence[PiecewiseFn]) -> Prop43R
         sb = test.support_box
         if sb.lower[0] < 0.0 or sb.upper[0] > 1.0:
             raise PreconditionError(f"test {tid!r} must be supported in [0, 1)")
-        mags = [abs(v) for v in next(pairings).values()]
+        mags = [abs(v) for v in next(pairings)[1]]
         qn = lp_norm(test, q)
         if qn == 0.0:  # every |v|^q underflowed: the ratios would divide by 0
             raise PreconditionError(f"the q-norm of test {tid!r} at q = {q} reads 0 in double precision")

@@ -595,6 +595,33 @@ def built_norm(row, p) -> float:
     return lp_norm(build_expansion_fn(row, p), p)
 
 
+def cell_loop_norms(batch, p) -> list:
+    """expansion_norms of a whole batch as one tile, by the loop its tiles
+    ran before their scratch was reused: a new cell array per term, and
+    Python's abs and ** cell by cell, skipping empty and zero cells.  A norm
+    past the double range is refused with expansion_norms's message."""
+    p = float(p)
+    widths, values = _cut_grid(batch.keys, p)
+    cells = np.zeros(widths.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, s in zip(batch.coeffs.T, values):
+            # s * c casts s to s + 0j: the operands CPython's complex(s) * c has
+            cells = np.where(s != 0.0, cells + s * c[:, None], cells)
+    norms = []
+    for row, row_w in zip(cells, widths):
+        total = 0.0
+        for z, w in zip(row.tolist(), row_w.tolist()):
+            if w > 0.0 and z:
+                try:
+                    total += abs(z) ** p * w
+                except OverflowError:
+                    total = math.inf
+        if not math.isfinite(total):
+            raise PreconditionError(f"the Lp norm of an expansion at p = {p} overflows double precision")
+        norms.append(total ** (1.0 / p))
+    return norms
+
+
 def built_row(row, p) -> SandwichRow:
     """The sandwich row of a one-row batch, its flanks summed by numpy over
     the row's terms alone."""

@@ -302,6 +302,42 @@ def test_pair_and_modulated_commands(tmp_path):
     assert abs(complex(got["re"], got["im"])) < 1e-15
 
 
+def _sampled(expression, step, lower, upper):
+    return {"kind": "sampled", "expression": expression, "step": step, "support": {"lower": lower, "upper": upper}}
+
+
+@pytest.mark.parametrize(
+    "h, f",
+    [
+        # dyadic steps on grids that do not line up
+        (_sampled("gaussian", 1 / 64, [-1.0], [1.0]), _sampled("gaussian", 3 / 128, [-0.7], [1.3])),
+        # a step that is no dyadic number, so the corners round
+        (_sampled("tent", 0.1, [-1.0], [1.0]), _sampled("gaussian", 1 / 32, [0.0], [2.0])),
+        (_sampled("gaussian", 1 / 8, [-1.0, -1.0], [1.0, 1.0]), _sampled("tent", 0.15, [-0.5, -1.0], [1.5, 1.0])),
+        # complex values, a -0.0 part and a piece that is cut short
+        (
+            _sampled("tent", 1 / 16, [-1.0], [1.0]),
+            {"dimension": 1, "pieces": [
+                {"lower": [-0.3], "upper": [0.1], "re": -0.0, "im": 2.5},
+                {"lower": [0.1], "upper": [0.45], "re": 1e-300, "im": -3.0},
+            ]},
+        ),
+        # disjoint supports pair to 0j
+        (_sampled("gaussian", 1 / 4, [-2.0], [-1.0]), _sampled("tent", 1 / 4, [1.0], [2.0])),
+    ],
+)
+def test_pair_command_has_the_bits_of_pair_on_sampled_functions(tmp_path, h, f):
+    ctx = cli._RunContext(cli.Inputs(tmp_path), tmp_path, None)
+    outputs, _, _ = cli._cmd_pair({"h": h, "f": f}, ctx)
+    got, want = outputs["pairing"], pair(ingest_function(h), ingest_function(f))
+    assert type(got) is complex
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    spec = write_spec(tmp_path, "pair.json", {"h": h, "f": f})
+    assert main(["pair", "--spec", spec, "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path, "pair")["outputs"]["pairing"]
+    assert complex(report["re"], report["im"]) == want
+
+
 def test_blowup_command_sound(tmp_path):
     spec = write_spec(
         tmp_path,

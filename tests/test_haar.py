@@ -30,7 +30,7 @@ from lpdensity import (
     unconditional_constant_estimate,
 )
 from lpdensity import haar_uncond
-from lpdensity.haar_uncond import haar_pairings
+from lpdensity.haar_uncond import _level_offset, haar_pairings
 from lpdensity.lpfunc import Box
 
 from oracles import (
@@ -432,31 +432,42 @@ def test_haar_pairings_match_scalar_pair(p, cutoff, duals, h):
         h = dual_fn(h, p)
     want = [pair(h, f) for f in fns]
     (row,) = haar_pairings([h], cutoff, conjugate_exponent(p) if duals else p)
+    keys, values = row
+    assert all(type(k) is int for k in keys) and keys == sorted(set(keys)) and len(values) == len(keys)
     got = dense(row, cutoff)
     assert [bits(z) for z in got] == [bits(z) for z in want]
     assert [abs_bits(z) for z in got] == [abs_bits(z) for z in want]
 
 
-def dense(row: dict, cutoff: int) -> list:
-    """A haar_pairings row over every index below cutoff, 0j where left out."""
-    return [row.get(i, 0j) for i in haar_indices_below(cutoff)]
+def dense(row: tuple, cutoff: int) -> list:
+    """A haar_pairings row over every key below 2^cutoff, 0j where left out:
+    entry a is the pairing with haar_indices_below(cutoff)[a]."""
+    out = [0j] * 2**cutoff
+    for key, value in zip(*row):
+        out[key] = value
+    return out
+
+
+def key(i: HaarIndex) -> int:
+    return 0 if i.is_constant else 2**i.level + i.offset
 
 
 @settings(max_examples=200, deadline=None)
 @given(cutoff=st.integers(0, 9), h=_step_fn(part=st.floats(-4.0, 4.0)))
 def test_haar_pairings_rows_hold_the_constant_and_the_split_supports(cutoff, h):
-    (row,) = haar_pairings([h], cutoff, 2.0)
+    ((keys, _),) = haar_pairings([h], cutoff, 2.0)
     ends = [e for box, _ in h.pieces for e in (box.lower[0], box.upper[0])]
     split = [
-        i
+        key(i)
         for i in haar_indices_below(cutoff)[1:]
         if any(i.offset < e * 2**i.level < i.offset + 1 for e in ends)
     ]
-    assert list(row) == [HaarIndex.constant()] + split
-    assert all(type(i) is HaarIndex for i in row)
-    # 1/4 splits the supports of levels 0 and 1, 5/8 those of levels 0..2
-    (row,) = haar_pairings([interval(0.25, 0.625)], 8, 3.0)
-    assert list(row) == [(-1, 0), (0, 0), (1, 0), (1, 1), (2, 2)]
+    assert keys == [0] + split
+    assert all(type(k) is int for k in keys)
+    # 1/4 splits the supports of levels 0 and 1, 5/8 those of levels 0..2:
+    # the constant, (0, 0), (1, 0), (1, 1) and (2, 2)
+    ((keys, _),) = haar_pairings([interval(0.25, 0.625)], 8, 3.0)
+    assert keys == [0, 1, 2, 3, 6]
 
 
 def test_haar_pairings_skip_disjoint_and_covering_supports():
@@ -472,28 +483,48 @@ def test_haar_pairings_skip_disjoint_and_covering_supports():
     # a piece covering every support leaves only the constant index
     with mock.patch.object(haar_uncond, "pair", wraps=pair) as spy:
         (row,) = haar_pairings([interval(-1.0, 2.0, 2.0)], 7, 3.0)
-    assert spy.call_count == 1 and row == {HaarIndex.constant(): 2.0}
+    assert spy.call_count == 1 and row == ([0], [2.0])
     assert dense(row, 7) == [2.0] + [0j] * 127
 
 
 def test_haar_pairings_build_only_the_functions_they_pair():
     indices = haar_indices_below(7)
     duals = [dual_fn(i, 3.0) for i in indices]
-    with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
+    builder = haar_uncond._key_fn
+    with mock.patch.object(haar_uncond, "_key_fn", wraps=builder) as spy:
         rows = list(haar_pairings(duals, 7, 3.0))
     assert len(rows) == 128 and spy.call_count <= 128
-    assert len({c.args for c in spy.call_args_list}) == spy.call_count  # once per index
+    assert len({c.args for c in spy.call_args_list}) == spy.call_count  # once per key
     # a piece covering [0, 1) pairs only the constant; the deepest level
     # gives the overflow bound
-    with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
+    with mock.patch.object(haar_uncond, "_key_fn", wraps=builder) as spy:
         (row,) = haar_pairings([interval(0.0, 1.0, 2.0)], 7, 3.0)
     assert dense(row, 7) == [2.0] + [0j] * 127
-    assert sorted(c.args[0] for c in spy.call_args_list) == [(-1, 0), (6, 63)]
-    # prop43_check at cutoff 20, not 2^20 functions: the constant, the four
-    # supports 1/4 or 5/8 splits, the deepest index and a dual per level -1..19
-    with mock.patch.object(haar_uncond, "haar_fn", wraps=haar_fn) as spy:
+    assert sorted(c.args[0] for c in spy.call_args_list) == [0, key(HaarIndex(6, 63))]
+    # cutoff 20, not 2^20 functions: the constant, the four supports 1/4 or
+    # 5/8 splits and the deepest key
+    with mock.patch.object(haar_uncond, "_key_fn", wraps=builder) as spy:
+        next(haar_pairings([interval(0.25, 0.625, 1.0)], 20, 3.0))
+    assert spy.call_count == 1 + 4 + 1
+    # prop43_check adds one dual per level -1..19, through haar_fn
+    with mock.patch.object(haar_uncond, "_key_fn", wraps=builder) as spy:
         prop43_check(3.0, 20, [interval(0.25, 0.625, 1.0)])
     assert spy.call_count == 1 + 4 + 1 + 21
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.3])
+def test_key_functions_equal_the_validated_haar_functions(p):
+    # the builder skips the PiecewiseFn checks; the constructor given the
+    # same pieces keeps every box, value and sign of zero
+    indices = haar_indices_below(6) + [HaarIndex(40, 2**40 - 1), HaarIndex(52, 3)]
+    for i in indices:
+        built = haar_uncond._key_fn(key(i), p)
+        checked = PiecewiseFn(built.pieces, 1)
+        assert built == checked == haar_fn(i, p)
+        assert [(b, bits(v)) for b, v in built.pieces] == [(b, bits(v)) for b, v in checked.pieces]
+        assert all(type(v) is complex for _, v in built.pieces)
+    lo, mid, hi, v = haar_uncond._halves(3, 5, p)
+    assert haar_fn(HaarIndex(3, 5), p).pieces == ((Box((lo,), (mid,)), v), (Box((mid,), (hi,)), -v))
 
 
 def test_prop43_at_the_budget_holds_nothing_of_size_2_to_the_cutoff():
@@ -526,7 +557,7 @@ def test_haar_pairings_overflow_dimension_and_deep_levels():
     # on supports it covers, which a skip would leave at 0j
     big = interval(0.0, 1.0, 1.7e308)
     (row,) = haar_pairings([big], 3, 2.0)
-    assert list(row) == indices
+    assert row[0] == [key(i) for i in indices] == list(range(8))
     assert [bits(z) for z in dense(row, 3)] == [bits(pair(big, f)) for f in fns]
     assert all(z != z for z in dense(row, 3)[2:])
     with pytest.raises(DimensionMismatchError):
@@ -534,10 +565,12 @@ def test_haar_pairings_overflow_dimension_and_deep_levels():
     # the deepest level the budget admits: 1.5 2^-19 splits (19, 1) and no
     # other support of level 19; the supports are found in integers
     h = PiecewiseFn(((Box((0.0,), (1.5 * 2.0**-19,)), 1.0 + 2j), (Box((0.5,), (1.0,)), -1.0)), 1)
-    (row,) = haar_pairings([h], 20, 2.0)
-    assert [i for i in row if i.level == 19] == [(19, 1)]
-    assert [bits(z) for z in row.values()] == [bits(pair(h, haar_fn(i, 2.0))) for i in row]
-    assert row[19, 1] != 0
+    ((keys, values),) = haar_pairings([h], 20, 2.0)
+    assert [k for k in keys if _level_offset(k)[0] == 19] == [key(HaarIndex(19, 1))]
+    assert [bits(z) for z in values] == [
+        bits(pair(h, haar_fn(HaarIndex(*_level_offset(k)), 2.0))) for k in keys
+    ]
+    assert values[keys.index(key(HaarIndex(19, 1)))] != 0
     assert all(pair(h, haar_fn(HaarIndex(19, k), 2.0)) == 0 for k in (0, 2, 3, 2**19 - 1))
     for cutoff in (-1, 21):
         with pytest.raises(PreconditionError, match="cutoff"):

@@ -40,6 +40,7 @@ from oracles import (
     built_norm,
     built_ratio,
     built_row,
+    cell_loop_norms,
     product_estimate,
     random_expansion,
     stack,
@@ -213,6 +214,73 @@ def test_batch_rows_match_their_one_row_runs(batch, p):
     if enumerated.any():
         want = max(unconditional_constant_estimate(batch[r], p, 1) for r in np.flatnonzero(enumerated))
         assert unconditional_constant_estimate(batch[enumerated], p, 1) == want
+
+
+# the moduli and the cell sums of the tiles
+
+# doubles at the edges: signed zeros, subnormals, the largest finite
+# values, infinities and nan
+edge_floats = st.one_of(
+    st.floats(),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from(
+        (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
+        + (float("inf"), -float("inf"), float("nan"))
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(re=edge_floats, im=edge_floats)
+def test_hypot_has_the_bits_of_python_abs(re, im):
+    # expansion_norms takes each cell's modulus with np.hypot; CPython's
+    # abs(complex) is C hypot, and raises OverflowError past the double
+    # range, which the loop it replaced read as inf.  A nan modulus only
+    # ever leads to a refusal: its sign bit differs (numpy gives x86's
+    # default nan), so only its being nan is compared
+    try:
+        want = abs(complex(re, im))
+    except OverflowError:
+        want = float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.hypot(np.full(9, re), np.full(9, im))
+    if want != want:
+        assert np.isnan(got).all()
+    else:
+        assert {x.hex() for x in got.tolist()} == {want.hex()}
+
+
+# coefficient parts whose cell sums and powers overflow, underflow or cancel
+edge_parts = st.one_of(
+    parts,
+    st.floats(1e150, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -1e150),
+    st.sampled_from((5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1e-200)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.dictionaries(haar_indices(8), st.builds(complex, edge_parts, edge_parts), min_size=1, max_size=12),
+        min_size=1,
+        max_size=6,
+    ),
+    p=st.sampled_from(P_VALUES),
+)
+@example([{HaarIndex(0, 0): 1.5e308 + 1.5e308j}, {HaarIndex(1, 0): 1.0}], 1.5)  # |z| past the range
+@example([{HaarIndex(1, 0): 1e308, HaarIndex(0, 0): -1e308, HaarIndex(2, 0): 1e308}], 1.0)  # inf - inf
+@example([{HaarIndex(0, 0): 1e-200, HaarIndex(3, 1): 5e-324j}], 7.3)  # powers that underflow
+def test_norms_match_the_per_cell_loop_bit_for_bit(rows, p):
+    batch = batch_of(rows)
+    try:
+        want = cell_loop_norms(batch, p)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as got:
+            expansion_norms(batch, p)
+        assert str(got.value) == str(exc)
+    else:
+        assert [x.hex() for x in expansion_norms(batch, p)] == [x.hex() for x in want]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +469,21 @@ def test_draws_and_sandwiches_of_300_expansions_stay_under_1_mb():
     finally:
         tracemalloc.stop()
     assert peak < 1.0e6
+
+
+def test_norm_tiles_reuse_their_scratch():
+    # about 352 KB here, and 10% headroom: a new cell array per term peaked
+    # at 419 KB, and numpy's default 8192-element cast buffers alone at 414 KB
+    rng = np.random.default_rng(6)
+    batch = cli._random_expansions(rng, 12, 300)
+    expansion_norms(batch[:5], 3.0)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        expansion_norms(batch, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 352e3
 
 
 def test_sampled_patterns_at_the_budget_are_multiplied_in_tiles():
