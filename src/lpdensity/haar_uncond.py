@@ -273,8 +273,9 @@ def expansion_norms(batch: HaarBatch, p: float) -> list:
     not grow with the batch.  On the cells, each term adds complex(+-v) * c,
     as CPython multiplies, in key order on the cells it covers; each row's
     norm is summed left to right in Python, skipping empty and zero cells,
-    with Python's abs and ** (numpy's complex modulus can differ in the
-    last bit).
+    with np.hypot's moduli, which have the bits of CPython's abs(complex),
+    C hypot (np.abs can differ in the last bit), and Python's ** (so can
+    numpy's power).
     """
     p = _exponent(p, "p", norm=True)
     sizes = batch.sizes
@@ -287,14 +288,9 @@ def expansion_norms(batch: HaarBatch, p: float) -> list:
 
 
 def _tile_norms(keys: np.ndarray, coeffs: np.ndarray, p: float) -> list:
-    """expansion_norms of one tile of rows.
-
-    Each term is formed in one reused scratch array and added where it is
-    nonzero, and numpy buffers the cast of its values to complex in chunks
-    of lpfunc._BUFSIZE elements, not the default 8192.  Moduli come from
-    np.hypot, which has the bits of CPython's abs(complex), C hypot; the
-    p-th powers stay Python's **, which numpy's power can differ from.
-    """
+    """expansion_norms of one tile of rows.  Each term is formed in one
+    reused scratch array, and numpy casts its values to complex in buffers
+    of lpfunc._BUFSIZE elements, not its default 8192."""
     widths, values = _cut_grid(keys, p)
     cells = np.zeros(widths.shape, dtype=complex)
     term = np.empty_like(cells)
